@@ -13,17 +13,17 @@ from .classical import (OrbitSpec, TodaClosedForm, Trajectory,
 from .errors import (DomainError, NumericalError, UsageError, ValidityError,
                      WignerFlowError)
 from .fieldgrid import FieldGrid, GridSpec, export_table, sample_field, zero_contours
-from .gaussian import (FlowSample, GaussianEnsembleParams, StagnationPoint,
+from .gaussian import (GaussianEnsembleParams, StagnationPoint,
                        circulation_number, currents_closed,
                        div_currents_closed, find_stagnation_points,
-                       flow_sample, gaussian_w, integrate_quantum_trajectory,
+                       gaussian_w, integrate_quantum_trajectory,
                        liouville_div_w, purity, series_currents,
                        stationarity_div_j, velocity_w, vorticity)
 from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
                     SpeciesPair, energy, harmonic_residual, odd_derivative,
                     species_from_phase)
 from .specfun import (EllipticConvention, QuadratureSpec, bessel_k,
-                      elliptic_k_complete, elliptic_k_linear_sin, erf_complex,
+                      elliptic_k_complete, elliptic_k_linear_sin,
                       faddeeva_w, hermite_odd, im_erf_offset,
                       im_erf_offset_scaled, integrate_1d, jacobi_sn)
 from .thermo import (ThermalEnsembleParams, ThermalObservables, beta_star,

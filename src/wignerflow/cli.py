@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand is deterministic given its flags (including --threads) and
-writes tables through the fieldgrid exporters.  Repeated value flags form
-sweeps; with more than one sweep value the output path gains a
-``_<name><value>`` suffix per member so each run maps to one file.
+Every subcommand is deterministic given its flags and writes tables through
+the fieldgrid exporters.  Repeated value flags form sweeps; with more than
+one sweep value the output path gains a ``_<name><value>`` suffix per
+member so each run maps to one file.  ``field`` and ``stagnation`` accept
+``--threads`` for compatibility; each grid is one vectorized evaluation and
+the flag has no effect.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 domain or
 validity error.
@@ -176,8 +178,7 @@ def cmd_field(args):
 
     multiple = len(sweep) > 1
     for value in sweep:
-        grid = fieldgrid.sample_field(make(value), args.quantity, spec,
-                                      threads=args.threads)
+        grid = fieldgrid.sample_field(make(value), args.quantity, spec)
         path = _sweep_path(args.out, name, value, multiple)
         export_table(grid, args.format, path)
         _say(ensemble=args.ensemble, **{name: value}, quantity=args.quantity,
@@ -198,18 +199,11 @@ def cmd_stagnation(args):
     for alpha in alphas:
         params = GaussianEnsembleParams(float(alpha), args.a)
         points = gaussian.find_stagnation_points(params, bbox, grid=args.grid)
-        rec = {
-            "alpha": float(alpha),
-            "points": [
-                {"x": s.location.x, "k": s.location.k, "residual": s.residual,
-                 "circulation": s.circulation, "class": s.kind}
-                for s in points
-            ],
-        }
+        rec = {"alpha": float(alpha),
+               "points": list(fieldgrid._stagnation_records(points))}
         if args.emit_envelope:
             spec = GridSpec(*bbox, args.grid, args.grid)
-            wgrid = fieldgrid.sample_field(params, "w", spec,
-                                           threads=args.threads)
+            wgrid = fieldgrid.sample_field(params, "w", spec)
             mag = np.hypot(wgrid.values[..., 0], wgrid.values[..., 1])
             mask = (mag < args.envelope_threshold) & wgrid.valid
             xs, ks = spec.x_nodes(), spec.k_nodes()
@@ -325,6 +319,15 @@ def _selftest():
     checks["velocity_classical_limit"] = (
         math.hypot(wv[0] - ref[0], wv[1] - ref[1]) < 0.01)
 
+    g4 = GaussianEnsembleParams(0.8, 4.0)
+    h = 1e-5
+    fd = ((gaussian.velocity_w(g4, PhasePoint(0.7 + h, 0.4))[1]
+           - gaussian.velocity_w(g4, PhasePoint(0.7 - h, 0.4))[1])
+          - (gaussian.velocity_w(g4, PhasePoint(0.7, 0.4 + h))[0]
+             - gaussian.velocity_w(g4, PhasePoint(0.7, 0.4 - h))[0])) / (2 * h)
+    vort = gaussian.vorticity(g4, PhasePoint(0.7, 0.4))
+    checks["vorticity_closed_vs_fd"] = abs(vort - fd) < 1e-8 * abs(vort)
+
     model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
     spec = classical.OrbitSpec.from_energy(model, 2.5, step=1e-3, duration=12.0)
     traj = classical.integrate_orbit(spec)
@@ -341,6 +344,13 @@ def _selftest():
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _positive_int(text):
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -382,7 +392,7 @@ def build_parser():
                    help="energy > 2, repeatable for sweeps")
     p.add_argument("--tau-max", type=float, default=0.0,
                    help="time span; 0 means one measured period")
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=_positive_int, default=1000,
                    help="rows in the table")
     p.add_argument("--dt", type=float, default=1e-3,
                    help="integration step for the reference dynamics")
@@ -400,7 +410,7 @@ def build_parser():
                    help="lowest inverse temperature")
     p.add_argument("--beta-max", type=float, default=4.5,
                    help="highest inverse temperature")
-    p.add_argument("--steps", type=int, default=90,
+    p.add_argument("--steps", type=_positive_int, default=90,
                    help="rows per anisotropy value")
     p.add_argument("--order", choices=("classical", "h2"), default="classical",
                    help="expansion order (h2 = quadratic-order corrected)")
@@ -430,8 +440,8 @@ def build_parser():
                    help="sampling window")
     p.add_argument("--grid", type=int, default=101,
                    help="nodes per axis")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads; results do not depend on it")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", default="field.csv", help="output table path")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="output format")
@@ -445,7 +455,7 @@ def build_parser():
                    help="lowest Gaussian spread")
     p.add_argument("--alpha-max", type=float, default=2.7,
                    help="highest Gaussian spread")
-    p.add_argument("--alpha-steps", type=int, default=10,
+    p.add_argument("--alpha-steps", type=_positive_int, default=10,
                    help="sweep members")
     p.add_argument("--bbox", type=float, nargs=4,
                    default=[-2.0, 2.0, -2.0, 2.0],
@@ -457,8 +467,8 @@ def build_parser():
                    help="also list grid nodes with |w| below the threshold")
     p.add_argument("--envelope-threshold", type=float, default=0.08,
                    help="speed bound defining the envelope")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads; results do not depend on it")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--out", default="stagnation.json",
                    help="output JSON path")
     p.set_defaults(func=cmd_stagnation)

@@ -1,14 +1,16 @@
 """Uniform phase-space grids of flow quantities, zero-contour extraction,
 and CSV/JSON serialization.
 
+Every sampled quantity is a closed form built from 1-D factors f(x) g(k) of
+the separable Hamiltonian, so a grid is one numpy broadcast of its kernel
+over the x nodes (a row) and the k nodes (a column), with no per-row loop.
 Grids are row-major with x fastest: file rows loop k in the outer loop and x
-in the inner one, so byte-identical output is reproducible across runs and
-thread counts.  Floats are written with 17 significant digits, enough to
-round-trip doubles exactly.
+in the inner one, so byte-identical output is reproducible across runs.
+Floats are written with 17 significant digits, enough to round-trip doubles
+exactly.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,26 +71,29 @@ class FieldGrid:
         return self.values.ndim == 3
 
 
-# quantity -> (needs trust mask, vector) per ensemble family
+# quantity -> (closed form f(params, x, k), component, needs trust mask) per
+# ensemble family; component None is a scalar form, 0 or 1 picks one entry
+# of a vector pair, and _VECTOR keeps both
+_VECTOR = "xk"
 _GAUSSIAN_QUANTITIES = {
-    "g": (False, False),
-    "jx": (False, False),
-    "jk": (False, False),
-    "j": (False, True),
-    "divj": (False, False),
-    "wx": (True, False),
-    "wk": (True, False),
-    "w": (True, True),
-    "divw": (True, False),
-    "vort": (True, False),
+    "g": (gaussian.gaussian_w_xy, None, False),
+    "jx": (gaussian.currents_closed_xy, 0, False),
+    "jk": (gaussian.currents_closed_xy, 1, False),
+    "j": (gaussian.currents_closed_xy, _VECTOR, False),
+    "divj": (gaussian.stationarity_div_j_xy, None, False),
+    "wx": (gaussian.velocity_w_xy, 0, True),
+    "wk": (gaussian.velocity_w_xy, 1, True),
+    "w": (gaussian.velocity_w_xy, _VECTOR, True),
+    "divw": (gaussian.liouville_div_w_xy, None, True),
+    "vort": (gaussian.vorticity_xy, None, True),
 }
 _THERMAL_QUANTITIES = {
-    "w0": (False, False),
-    "w_st2": (False, False),
-    "jx": (False, False),
-    "jk": (False, False),
-    "j": (False, True),
-    "divw": (False, False),
+    "w0": (thermo.w0_xy, None, False),
+    "w_st2": (thermo.w_st2_xy, None, False),
+    "jx": (thermo.currents_td_xy, 0, False),
+    "jk": (thermo.currents_td_xy, 1, False),
+    "j": (thermo.currents_td_xy, _VECTOR, False),
+    "divw": (thermo.div_w_td_xy, None, False),
 }
 
 QUANTITIES = {
@@ -97,90 +102,54 @@ QUANTITIES = {
 }
 
 
-def _gaussian_row(params, quantity, x, k):
-    if quantity == "g":
-        return gaussian.gaussian_w_xy(params, x, k)
-    if quantity == "jx":
-        return gaussian.currents_closed_xy(params, x, k)[0]
-    if quantity == "jk":
-        return gaussian.currents_closed_xy(params, x, k)[1]
-    if quantity == "j":
-        return np.stack(gaussian.currents_closed_xy(params, x, k), axis=-1)
-    if quantity == "divj":
-        return gaussian.stationarity_div_j_xy(params, x, k)
-    if quantity == "wx":
-        return gaussian.velocity_w_xy(params, x, k)[0]
-    if quantity == "wk":
-        return gaussian.velocity_w_xy(params, x, k)[1]
-    if quantity == "w":
-        return np.stack(gaussian.velocity_w_xy(params, x, k), axis=-1)
-    if quantity == "divw":
-        return gaussian.liouville_div_w_xy(params, x, k)
-    if quantity == "vort":
-        return gaussian.vorticity_xy(params, x, k)
-    raise UsageError(f"unknown gaussian quantity {quantity!r}")
+def _evaluate(entry, params, x, k):
+    """One table entry's closed form at nodes (x, k); vectors stack last."""
+    form, component, _ = entry
+    out = form(params, x, k)
+    if component is None:
+        return out
+    if component == _VECTOR:
+        return np.stack(out, axis=-1)
+    return out[component]
 
 
-def _thermal_row(params, quantity, x, k):
-    if quantity == "w0":
-        return thermo.w0_xy(params, x, k)
-    if quantity == "w_st2":
-        return thermo.w_st2_xy(params, x, k)
-    if quantity == "jx":
-        return thermo.currents_td_xy(params, x, k)[0]
-    if quantity == "jk":
-        return thermo.currents_td_xy(params, x, k)[1]
-    if quantity == "j":
-        return np.stack(thermo.currents_td_xy(params, x, k), axis=-1)
-    if quantity == "divw":
-        return thermo.div_w_td_xy(params, x, k)
-    raise UsageError(f"unknown thermal quantity {quantity!r}")
-
-
-def sample_field(params, quantity, spec, threads=1):
-    """Sample one quantity over the grid; deterministic for any thread count.
+def sample_field(params, quantity, spec, threads=None):
+    """Sample one quantity over the grid as one broadcast evaluation.
 
     ``params`` selects the ensemble family (GaussianEnsembleParams or
-    ThermalEnsembleParams).  Velocity-family gaussian quantities are masked
-    to the trust region instead of extrapolated.
+    ThermalEnsembleParams).  Every quantity is a closed form in 1-D factors
+    f(x) g(k), so the kernels see the x nodes as a row and the k nodes as a
+    column and each 1-D factor is evaluated nx + nk times.  Velocity-family
+    gaussian quantities are masked to the trust region instead of
+    extrapolated; the region is a box, so only its sub-grid is evaluated.
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if isinstance(params, GaussianEnsembleParams):
-        table, row_fn = _GAUSSIAN_QUANTITIES, _gaussian_row
+        table = _GAUSSIAN_QUANTITIES
     elif isinstance(params, ThermalEnsembleParams):
-        table, row_fn = _THERMAL_QUANTITIES, _thermal_row
+        table = _THERMAL_QUANTITIES
     else:
         raise UsageError("params must be Gaussian or Thermal ensemble parameters")
     if quantity not in table:
         raise UsageError(
             f"quantity {quantity!r} is not defined for this ensemble; "
             f"choose from {', '.join(sorted(table))}")
-    needs_mask, is_vector = table[quantity]
+    entry = table[quantity]
+    _, component, needs_mask = entry
     xs = spec.x_nodes()
     ks = spec.k_nodes()
+    is_vector = component == _VECTOR
     shape = (spec.nk, spec.nx, 2) if is_vector else (spec.nk, spec.nx)
     values = np.zeros(shape)
-    valid = None
-    if needs_mask:
-        valid = np.zeros((spec.nk, spec.nx), dtype=bool)
-
-    def fill(j):
-        krow = np.full_like(xs, ks[j])
-        if needs_mask:
-            mask = gaussian.trust_mask_xy(params, xs, krow)
-            valid[j] = mask
-            if not np.any(mask):
-                return
-            out = row_fn(params, quantity, xs[mask], krow[mask])
-            values[j][mask] = out
-        else:
-            values[j] = row_fn(params, quantity, xs, krow)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(spec.nk)))
-    else:
-        for j in range(spec.nk):
-            fill(j)
+    if not needs_mask:
+        values[...] = _evaluate(entry, params, xs[None, :], ks[:, None])
+        return FieldGrid(spec=spec, quantity=quantity, values=values)
+    lim = params.trust_limit()
+    in_x = np.abs(xs) <= lim
+    in_k = np.abs(ks) <= lim
+    values[np.ix_(in_k, in_x)] = _evaluate(entry, params, xs[in_x][None, :],
+                                           ks[in_k][:, None])
+    valid = in_k[:, None] & in_x[None, :]
     return FieldGrid(spec=spec, quantity=quantity, values=values, valid=valid)
 
 

@@ -23,7 +23,6 @@ absorbed analytically into the kernel evaluation, so no large-times-small
 product is ever formed.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,12 +31,11 @@ import numpy as np
 from .classical import OrbitSpec, Trajectory, integrate_orbit
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
-from .specfun import (_ISQRTPI, _WEIDEMAN_COEF, _WEIDEMAN_L, im_erf_offset,
+from .specfun import (_scaled_kernel_scalar, im_erf_offset,
                       im_erf_offset_scaled)
 
 __all__ = [
     "GaussianEnsembleParams",
-    "FlowSample",
     "StagnationPoint",
     "TRUST_FACTOR",
     "gaussian_w",
@@ -48,7 +46,6 @@ __all__ = [
     "stationarity_div_j",
     "liouville_div_w",
     "vorticity",
-    "flow_sample",
     "series_currents",
     "circulation_number",
     "find_stagnation_points",
@@ -85,11 +82,6 @@ def _check_trust(params, x, k):
         raise DomainError(
             f"point outside the velocity trust region |x|,|k| <= {lim:.4f} "
             f"(alpha = {params.alpha})")
-
-
-def trust_mask_xy(params, x, k):
-    lim = params.trust_limit()
-    return (np.abs(np.asarray(x)) <= lim) & (np.abs(np.asarray(k)) <= lim)
 
 
 # ---------------------------------------------------------------------------
@@ -165,27 +157,6 @@ def stationarity_div_j(params, p):
 # quantum velocity field and its quantifiers
 # ---------------------------------------------------------------------------
 
-def _wofz_scalar(z):
-    # scalar Horner evaluation of the same rational approximation used by
-    # specfun.faddeeva_w; Im z >= 0
-    iz = 1j * z
-    rm = _WEIDEMAN_L - iz
-    ratio = (_WEIDEMAN_L + iz) / rm
-    p = 0.0 + 0.0j
-    for c in _WEIDEMAN_COEF:
-        p = p * ratio + c
-    return 2.0 * p / (rm * rm) + _ISQRTPI / rm
-
-
-def _scaled_kernel_scalar(alpha, chi):
-    # e^{(alpha chi)^2} F(chi) for a scalar chi, on the fast path
-    x = alpha * abs(chi)
-    y = 0.5 * alpha
-    w = _wofz_scalar(complex(-y, x))
-    phase = cmath.exp(complex(0.0, -2.0 * x * y))
-    return -math.exp(y * y) * (phase * w).imag
-
-
 def _velocity_scalar(params, x, k):
     al, a = params.alpha, params.a
     c = SQRT_PI / al
@@ -238,54 +209,30 @@ def liouville_div_w(params, p):
     return float(liouville_div_w_xy(params, p.x, p.k))
 
 
-def vorticity(params, p, field="quantum", h=1e-5):
-    """z-component of the curl of the velocity field.
+def vorticity_xy(params, x, k):
+    x = np.asarray(x, dtype=float)
+    k = np.asarray(k, dtype=float)
+    al, a = params.alpha, params.a
+    c = SQRT_PI / al
+    return -c * (a * im_erf_offset_scaled(al, k) * np.cosh(x)
+                 + im_erf_offset_scaled(al, x) * np.cosh(k))
+
+
+def vorticity(params, p, field="quantum"):
+    """z-component of the curl of the velocity field, dw_k/dx - dw_x/dk.
 
     The classical limit is minus the phase-space Laplacian of the
-    Hamiltonian, -(a cosh x + cosh k); the quantum value is measured by
-    central differences of the cancelled velocity field.
+    Hamiltonian, -(a cosh x + cosh k).  The quantum value is exact: w_x
+    depends on k only through sinh k and w_k on x only through sinh x, so
+    the curl is -(sqrt(pi)/alpha) (a S(k) cosh x + S(x) cosh k) with S the
+    scaled kernel e^{(alpha chi)^2} F(chi).
     """
     if field == "classical":
         return -(params.a * math.cosh(p.x) + math.cosh(p.k))
     if field != "quantum":
         raise UsageError("field must be 'quantum' or 'classical'")
-    _check_trust(params, abs(p.x) + h, abs(p.k) + h)
-    dwk_dx = (_velocity_scalar(params, p.x + h, p.k)[1]
-              - _velocity_scalar(params, p.x - h, p.k)[1]) / (2.0 * h)
-    dwx_dk = (_velocity_scalar(params, p.x, p.k + h)[0]
-              - _velocity_scalar(params, p.x, p.k - h)[0]) / (2.0 * h)
-    return dwk_dx - dwx_dk
-
-
-def vorticity_xy(params, x, k, h=1e-5):
-    wkp = velocity_w_xy(params, x + h, k)[1]
-    wkm = velocity_w_xy(params, x - h, k)[1]
-    wxp = velocity_w_xy(params, x, k + h)[0]
-    wxm = velocity_w_xy(params, x, k - h)[0]
-    return (wkp - wkm) / (2.0 * h) - (wxp - wxm) / (2.0 * h)
-
-
-@dataclass(frozen=True)
-class FlowSample:
-    """All per-point flow quantities bundled for one phase point."""
-
-    location: PhasePoint
-    j: tuple
-    w: tuple
-    div_j: float
-    div_w: float
-    vorticity: float
-
-
-def flow_sample(params, p):
-    return FlowSample(
-        location=p,
-        j=currents_closed(params, p),
-        w=velocity_w(params, p),
-        div_j=stationarity_div_j(params, p),
-        div_w=liouville_div_w(params, p),
-        vorticity=vorticity(params, p),
-    )
+    _check_trust(params, p.x, p.k)
+    return float(vorticity_xy(params, p.x, p.k))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ doubles as the independent oracle in the test suite.  All evaluations are
 pure: identical inputs give bit-identical outputs.
 """
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ __all__ = [
     "jacobi_sn",
     "hermite_odd",
     "faddeeva_w",
-    "erf_complex",
     "im_erf_offset",
     "im_erf_offset_scaled",
 ]
@@ -366,6 +366,19 @@ _WEIDEMAN_L, _WEIDEMAN_COEF = _weideman_coefficients()
 _ISQRTPI = 1.0 / math.sqrt(math.pi)
 
 
+def _weideman_w(z):
+    # Horner evaluation of the Weideman rational approximation, Im z >= 0.
+    # Type-generic: a Python complex stays on pure-Python complex arithmetic
+    # (the scalar RK4 kernel), a complex ndarray is evaluated elementwise.
+    iz = 1j * z
+    rm = _WEIDEMAN_L - iz
+    ratio = (_WEIDEMAN_L + iz) / rm
+    p = 0j
+    for c in _WEIDEMAN_COEF:
+        p = p * ratio + c
+    return 2.0 * p / (rm * rm) + _ISQRTPI / rm
+
+
 def faddeeva_w(z):
     """Faddeeva function w(z) = e^{-z^2} erfc(-iz) for Im z >= 0.
 
@@ -374,31 +387,10 @@ def faddeeva_w(z):
     z = np.asarray(z, dtype=complex)
     if np.any(z.imag < -1e-300):
         raise DomainError("faddeeva_w is implemented for Im z >= 0")
-    iz = 1j * z
-    rm = _WEIDEMAN_L - iz
-    ratio = (_WEIDEMAN_L + iz) / rm
-    p = np.zeros_like(ratio)
-    for c in _WEIDEMAN_COEF:
-        p = p * ratio + c
-    w = 2.0 * p / (rm * rm) + _ISQRTPI / rm
+    w = _weideman_w(z)
     if w.ndim == 0:
         return complex(w)
     return w
-
-
-def erf_complex(z):
-    """Error function for complex argument, via erf(z) = 1 - e^{-z^2} w(iz).
-
-    Intended for moderate |Im z| (the strip where the closed-form currents
-    live); reduced to the first quadrant by the reflection symmetries.
-    """
-    z = complex(z)
-    if z.real < 0.0:
-        return -erf_complex(-z)
-    if z.imag < 0.0:
-        return erf_complex(z.conjugate()).conjugate()
-    w = faddeeva_w(1j * z)
-    return complex(1.0 - np.exp(-z * z) * w)
 
 
 def _im_erf_parts(alpha, chi):
@@ -441,3 +433,13 @@ def im_erf_offset_scaled(alpha, chi):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _scaled_kernel_scalar(alpha, chi):
+    # im_erf_offset_scaled for one float chi, on pure-Python complex
+    # arithmetic: no argument checks and no 0-d arrays on the RK4 hot path
+    x = alpha * abs(chi)
+    y = 0.5 * alpha
+    w = _weideman_w(complex(-y, x))
+    phase = cmath.exp(complex(0.0, -2.0 * x * y))
+    return -math.exp(y * y) * (phase * w).imag

@@ -113,6 +113,22 @@ class TestThermo:
         assert res.returncode == 3
 
 
+class TestDegenerateCounts:
+    @pytest.mark.parametrize("args", [
+        ["thermo", "--steps", "0"],
+        ["stagnation", "--alpha-steps", "0"],
+        ["thermo", "--steps", "-3"],
+        ["stagnation", "--alpha-steps", "-1"],
+        ["analytic", "--eps", "4", "--samples", "-1"],
+    ])
+    def test_non_positive_count_is_usage_error(self, tmp_path, args):
+        res = run_cli(args + ["--out", "out.txt"], tmp_path)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "expected a positive integer" in res.stderr
+        assert not (tmp_path / "out.txt").exists()
+
+
 class TestField:
     def test_unknown_quantity_exits_2(self, tmp_path):
         res = run_cli(["field", "--quantity", "bogus", "--out", "f.csv"],

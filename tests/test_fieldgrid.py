@@ -5,15 +5,42 @@ import os
 import numpy as np
 import pytest
 
+from wignerflow import fieldgrid, thermo
 from wignerflow.classical import OrbitSpec, integrate_orbit
 from wignerflow.errors import UsageError
-from wignerflow.fieldgrid import (FieldGrid, GridSpec, as_records,
+from wignerflow.fieldgrid import (QUANTITIES, FieldGrid, GridSpec, as_records,
                                   export_table, sample_field, zero_contours)
 from wignerflow.gaussian import GaussianEnsembleParams, find_stagnation_points
 from wignerflow.model import HamiltonianKind, SeparableHamiltonian
 from wignerflow.thermo import ThermalEnsembleParams
 
 A1 = GaussianEnsembleParams(1.0)
+
+
+def sample_row_by_row(params, quantity, spec):
+    """Reference: evaluate the same kernel one k row at a time, masking each
+    row node by node, as sample_field did before it broadcast."""
+    if isinstance(params, GaussianEnsembleParams):
+        entry = fieldgrid._GAUSSIAN_QUANTITIES[quantity]
+    else:
+        entry = fieldgrid._THERMAL_QUANTITIES[quantity]
+    needs_mask = entry[2]
+    xs, ks = spec.x_nodes(), spec.k_nodes()
+    rows, valid = [], []
+    for kj in ks:
+        krow = np.full_like(xs, kj)
+        if needs_mask:
+            lim = params.trust_limit()
+            mask = (np.abs(xs) <= lim) & (np.abs(krow) <= lim)
+        else:
+            mask = np.ones_like(xs, dtype=bool)
+        row = np.zeros((spec.nx, 2) if quantity in ("j", "w") else spec.nx)
+        if np.any(mask):
+            row[mask] = fieldgrid._evaluate(entry, params, xs[mask],
+                                            krow[mask])
+        rows.append(row)
+        valid.append(mask)
+    return np.array(rows), (np.array(valid) if needs_mask else None)
 
 
 class TestSampling:
@@ -35,6 +62,44 @@ class TestSampling:
             assert np.array_equal(one.values, many.values)
             if one.valid is not None:
                 assert np.array_equal(one.valid, many.valid)
+
+    @pytest.mark.parametrize("params", [
+        A1, GaussianEnsembleParams(0.7, 4.0),
+        ThermalEnsembleParams(1.0, 4.0, "h2"), ThermalEnsembleParams(0.5)])
+    @pytest.mark.parametrize("window", [(-2, 2, -2, 2, 41, 37),
+                                        (-8, 8, -8, 8, 41, 41),
+                                        (6.5, 8, 6.5, 8, 5, 5)])
+    def test_broadcast_equals_row_by_row(self, params, window):
+        family = ("gaussian" if isinstance(params, GaussianEnsembleParams)
+                  else "thermal")
+        spec = GridSpec(*window)
+        for quantity in QUANTITIES[family]:
+            if quantity == "w_st2" and params.order != "h2":
+                continue
+            grid = sample_field(params, quantity, spec)
+            values, valid = sample_row_by_row(params, quantity, spec)
+            assert np.array_equal(grid.values, values), quantity
+            if valid is None:
+                assert grid.valid is None
+            else:
+                assert np.array_equal(grid.valid, valid), quantity
+
+    def test_partition_functions_once_per_grid(self, monkeypatch):
+        params = ThermalEnsembleParams(1.0, 4.0, "h2")
+        calls = []
+
+        def counting(order, arg):
+            calls.append((order, arg))
+            return bessel_k(order, arg)
+
+        bessel_k = thermo.bessel_k
+        monkeypatch.setattr(thermo, "bessel_k", counting)
+        counts = []
+        for nk in (5, 41):
+            calls.clear()
+            sample_field(params, "w_st2", GridSpec(-2, 2, -2, 2, 11, nk))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_trust_masking_flags_not_zeroes_silently(self):
         grid = sample_field(A1, "wx", GridSpec(-8, 8, -8, 8, 21, 21))

@@ -7,12 +7,13 @@ from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.gaussian import (GaussianEnsembleParams, circulation_number,
                                  currents_closed, currents_closed_xy,
                                  div_currents_closed, div_currents_closed_xy,
-                                 find_stagnation_points, flow_sample,
-                                 gaussian_w, gaussian_w_xy,
+                                 find_stagnation_points, gaussian_w,
+                                 gaussian_w_xy,
                                  integrate_quantum_trajectory,
                                  liouville_div_w, purity, series_currents,
                                  series_currents_xy, stationarity_div_j,
-                                 velocity_w, vorticity)
+                                 velocity_w, velocity_w_xy, vorticity,
+                                 vorticity_xy)
 from wignerflow.classical import return_to_start
 from wignerflow.model import PhasePoint
 from wignerflow.specfun import QuadratureSpec, integrate_1d
@@ -21,6 +22,8 @@ from oracles import gauss_legendre_2d
 
 A1 = GaussianEnsembleParams(1.0)
 POINT = PhasePoint(0.7, 0.4)
+VORTICITY_CASES = [(1.0, 1.0, 0.7, 0.4), (0.5, 4.0, -1.3, 2.1),
+                   (2.0, 0.25, 1.9, -0.6), (1.4, 2.0, -0.2, -2.5)]
 
 
 class TestWignerFunction:
@@ -248,14 +251,32 @@ class TestVorticity:
         with pytest.raises(UsageError):
             vorticity(A1, POINT, "both")
 
+    @pytest.mark.parametrize("alpha, a, x, k", VORTICITY_CASES)
+    def test_closed_form_matches_velocity_differences(self, alpha, a, x, k):
+        params = GaussianEnsembleParams(alpha, a)
+        h = 1e-5
+        fd = ((velocity_w_xy(params, x + h, k)[1]
+               - velocity_w_xy(params, x - h, k)[1])
+              - (velocity_w_xy(params, x, k + h)[0]
+                 - velocity_w_xy(params, x, k - h)[0])) / (2.0 * h)
+        closed = vorticity(params, PhasePoint(x, k))
+        assert abs(closed - fd) < 1e-8 * abs(closed)
+        assert float(vorticity_xy(params, x, k)) == closed
 
-class TestFlowSample:
-    def test_bundles_consistent_values(self):
-        s = flow_sample(A1, POINT)
-        g = gaussian_w(A1, POINT)
-        assert abs(s.w[0] - s.j[0] / g) < 1e-13
-        assert abs(s.w[1] - s.j[1] / g) < 1e-13
-        assert s.div_j == stationarity_div_j(A1, POINT)
+    @pytest.mark.parametrize("alpha, a, x, k", VORTICITY_CASES)
+    def test_closed_form_matches_mpmath_curl(self, alpha, a, x, k):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            def scaled(chi):
+                return (mp.exp((alpha * chi) ** 2)
+                        * mp.im(mp.erf(alpha * (chi + 0.5j))))
+
+            c = mp.sqrt(mp.pi) / alpha
+            dwk_dx = mp.diff(lambda t: -a * c * scaled(k) * mp.sinh(t), x)
+            dwx_dk = mp.diff(lambda t: c * scaled(x) * mp.sinh(t), k)
+            ref = float(dwk_dx - dwx_dk)
+        closed = vorticity(GaussianEnsembleParams(alpha, a), PhasePoint(x, k))
+        assert abs(closed - ref) < 1e-12 * abs(ref)
 
 
 class TestCirculation:
