@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import classical, fieldgrid, gaussian, thermo
-from .errors import DomainError, NumericalError, UsageError
+from .errors import DomainError, NumericalError, UsageError, ValidityError
 from .fieldgrid import GridSpec, export_table
 from .gaussian import GaussianEnsembleParams
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
@@ -119,40 +119,42 @@ def cmd_analytic(args):
     return _EXIT_OK
 
 
+def _thermo_row(a, beta, order):
+    """One thermo table row; beyond beta* at order h2 the row is flagged
+    valid=0, any other domain failure names the row and stops the sweep."""
+    row = {"a": a, "beta": beta}
+    try:
+        obs = thermo.observables(ThermalEnsembleParams(beta, a, order))
+    except ValidityError:
+        if order == "classical":
+            raise
+        row.update(z=0.0, energy=0.0, heat_capacity=0.0, valid=0)
+        return row
+    except DomainError as exc:
+        raise DomainError(f"row beta = {beta!r}, a = {a!r}: {exc}") from exc
+    row.update(z=obs.z0 if order == "classical" else obs.z_st,
+               energy=obs.energy, heat_capacity=obs.heat_capacity, valid=1)
+    return row
+
+
 def cmd_thermo(args):
     a_values = args.a or [1.0]
     if not (args.beta_min > 0.0 and args.beta_max > args.beta_min):
         raise DomainError("need 0 < beta-min < beta-max")
     betas = np.linspace(args.beta_min, args.beta_max, args.steps)
-    rows = []
-    any_valid = False
-    for a in a_values:
-        for beta in betas:
-            rec = {"a": a, "beta": float(beta)}
-            if args.order == "classical":
-                obs = thermo.observables(ThermalEnsembleParams(float(beta), a))
-                rec.update(z=obs.z0, energy=obs.energy,
-                           heat_capacity=obs.heat_capacity, valid=1)
-                any_valid = True
-            else:
-                try:
-                    params = ThermalEnsembleParams(float(beta), a, "h2")
-                    obs = thermo.observables(params)
-                    rec.update(z=obs.z_st, energy=obs.energy,
-                               heat_capacity=obs.heat_capacity, valid=1)
-                    any_valid = True
-                except DomainError:
-                    rec.update(z=0.0, energy=0.0, heat_capacity=0.0, valid=0)
-            rows.append(rec)
-    if not any_valid:
+    rows = [_thermo_row(a, float(beta), args.order)
+            for a in a_values for beta in betas]
+    # beta* is printed for every a; a failure here must also leave no file
+    stars = [thermo.beta_star(a) for a in a_values]
+    if not any(row["valid"] for row in rows):
         raise DomainError(
             "the whole requested beta range lies outside the validity domain; "
-            + ", ".join(f"beta*(a={a}) = {thermo.beta_star(a):.4f}"
-                        for a in a_values))
+            + ", ".join(f"beta*(a={a}) = {star:.4f}"
+                        for a, star in zip(a_values, stars)))
     export_table(rows, args.format, args.out)
     _say(order=args.order, rows=len(rows), out=args.out)
-    for a in a_values:
-        _say(**{f"beta_star_a{format(a, 'g')}": thermo.beta_star(a)})
+    for a, star in zip(a_values, stars):
+        _say(**{f"beta_star_a{format(a, 'g')}": star})
     return _EXIT_OK
 
 
@@ -245,15 +247,18 @@ def cmd_trajectory(args):
                 rows.append({"kind": kind, "tau": traj.tau[i],
                              "x": traj.x[i], "k": traj.k[i],
                              "y": traj.y[i], "z": traj.z[i]})
+        summary = {}
+        if not at_equilibrium:
+            # before the export: a member without a return writes no file
+            tq, dq = classical.return_to_start(q)
+            tc, dc = classical.return_to_start(c)
+            summary = dict(quantum_return_time=tq, quantum_closure=dq,
+                           classical_return_time=tc, classical_closure=dc,
+                           dephasing=abs(tq - tc))
         path = _sweep_path(args.out, "a", a, multiple)
         export_table(rows, args.format, path)
         _say(alpha=args.alpha, a=a, rows=len(rows), out=path)
-        if not at_equilibrium:
-            tq, dq = classical.return_to_start(q)
-            tc, dc = classical.return_to_start(c)
-            _say(quantum_return_time=tq, quantum_closure=dq,
-                 classical_return_time=tc, classical_closure=dc,
-                 dephasing=abs(tq - tc))
+        _say(**summary)
     return _EXIT_OK
 
 
@@ -270,9 +275,16 @@ def _selftest():
     checks = {}
 
     quad = QuadratureSpec(1e-13, 1e-12, 2000)
-    v = integrate_1d(lambda t: math.exp(-math.cosh(t)) if t < 700 else 0.0,
-                     0.0, math.inf, quad)
-    checks["bessel_vs_quadrature"] = abs(v - bessel_k(0, 1.0)) < 1e-12
+    k0_spec = QuadratureSpec(1e-300, 1e-13, 2000)  # relative tolerance only
+
+    def k0_quad(x):
+        return integrate_1d(lambda t: math.exp(-x * math.cosh(t))
+                            if t < 700 else 0.0, 0.0, math.inf, k0_spec)
+
+    # one argument on each branch: Temme's series and the continued fraction
+    checks["bessel_vs_quadrature"] = all(
+        abs(k0_quad(x) - bessel_k(0, x)) < 1e-12 * bessel_k(0, x)
+        for x in (1.0, 5.0))
 
     v = integrate_1d(lambda t: 1.0 / math.sqrt(1.0 - 0.5 * math.sin(t) ** 2),
                      0.0, math.pi / 2.0, quad)
@@ -305,6 +317,12 @@ def _selftest():
     z_quad = float(wk @ grid @ wx)
     checks["z0_vs_quadrature"] = (
         abs(z_quad - thermo.z0_closed(1.0, 1.0)) / z_quad < 1e-10)
+
+    h = 1e-4
+    ln_z = [math.log(thermo.z_st_closed(1.0 + d, 1.0)) for d in (-h, 0.0, h)]
+    fd = (ln_z[2] - 2.0 * ln_z[1] + ln_z[0]) / (h * h)
+    heat = thermo.observables(ThermalEnsembleParams(1.0, 1.0, "h2")).heat_capacity
+    checks["heat_capacity_closed_vs_fd"] = abs(heat - fd) < 1e-6 * abs(heat)
 
     g1 = GaussianEnsembleParams(1.0)
     p = PhasePoint(0.7, 0.4)

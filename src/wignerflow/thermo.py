@@ -3,18 +3,19 @@
 Classical Maxwell-Boltzmann distribution with Bessel-form partition function,
 the quadratic-order corrected stationary distribution and its currents, the
 flow-divergence quantifier, and internal energy / heat capacity at both
-orders.  The corrected quantities live on the validity domain Z_ST > 0; its
-boundary beta*(a) is located once by bisection and quoted in errors.
+orders, in closed form from the Bessel derivative identities.  The corrected
+quantities live on the validity domain Z_ST > 0; its boundary beta*(a) is
+located once by bisection to float resolution and quoted in errors.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import UsageError, ValidityError
-from .errors import DomainError
+from .errors import DomainError, NumericalError, UsageError, ValidityError
 from .specfun import bessel_k
 
 __all__ = [
@@ -54,19 +55,33 @@ def z_st_closed(beta, a):
 
 @lru_cache(maxsize=None)
 def beta_star(a):
-    """Validity boundary: the root of Z_ST(beta, a) = 0, found by bisection."""
+    """Validity boundary: the root of Z_ST(beta, a) = 0.
+
+    The bracket [1e-3, 1] is halved downwards or doubled upwards until it
+    holds the sign change, then bisected until its midpoint equals one of
+    its ends (about 55 evaluations of Z_ST).  The upper end is returned:
+    Z_ST(beta*) <= 0, and Z_ST > 0 at the float just below it.
+    Where Z0 has underflowed at that end, as for a = 1e300 or a = 1e-300,
+    the zero found is the underflow of Z_ST rather than its sign change,
+    and NumericalError is raised.
+    """
     lo, hi = 1e-3, 1.0
+    while not z_st_closed(lo, a) > 0.0:
+        lo, hi = 0.5 * lo, lo
     while z_st_closed(hi, a) > 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
-            return math.inf
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if z_st_closed(mid, a) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    if z0_closed(hi, a) < sys.float_info.min:
+        raise NumericalError(
+            f"beta*(a={a}) is out of reach: Z0 underflows at beta = {hi}, "
+            f"so the sign of Z_ST there is lost")
+    return hi
 
 
 @dataclass(frozen=True)
@@ -189,44 +204,49 @@ class ThermalObservables:
     order: str
 
 
-def _log_z(beta, a, order):
-    z = z0_closed(beta, a) if order == "classical" else z_st_closed(beta, a)
-    if z <= 0.0:
-        raise ValidityError(
-            f"Z_ST <= 0 at beta = {beta}; validity boundary beta*(a={a}) = "
-            f"{beta_star(a):.6f}")
-    return math.log(z)
+def _bessel_log_slopes(u):
+    """u d/du and u^2 d^2/du^2 of ln K0(u) and of ln K1(u), from K0' = -K1
+    and K1' = -K0 - K1/u.  With u = s beta they are the beta d/dbeta and
+    beta^2 d^2/dbeta^2 of ln K_n(s beta).  Only the ratios u K1/K0 and
+    u K0/K1 enter, so no term leaves the float range where the slopes stay
+    in it."""
+    k0, k1 = bessel_k(0, u), bessel_k(1, u)
+    rho, tau = u * k1 / k0, u * k0 / k1
+    return ((-rho, u * u + rho - rho * rho),
+            (-tau - 1.0, u * u - tau * tau - tau + 1.0))
 
 
 def observables(params):
-    """Internal energy E = -d ln Z / d beta and heat capacity
-    C = beta^2 d^2 ln Z / d beta^2.
+    """Internal energy E = -Z'/Z and heat capacity
+    C = beta^2 (Z''/Z - (Z'/Z)^2), primes being beta-derivatives.
 
-    The classical energy is evaluated analytically through K0' = -K1 as
-    E = K1(beta)/K0(beta) + a K1(a beta)/K0(a beta); the corrected-order
-    energy and both heat capacities use central differences of ln Z with
-    step beta * 1e-4 (a single second difference for C, avoiding a nested
-    cancellation).
+    Both are closed forms at both orders, built from K0' = -K1 and
+    K1' = -K0 - K1/x; there is no finite difference, so they hold up to the
+    validity boundary.  A partition function Z <= 0 (Z_ST beyond beta*, or
+    Z0 underflowed to 0) raises ValidityError.
     """
     b, a, order = params.beta, params.a, params.order
-    h = b * 1e-4
+    z0, z_st = z0_closed(b, a), z_st_closed(b, a)
+    if order == "classical" and not z0 > 0.0:
+        raise ValidityError(
+            f"Z0 underflows to {z0!r} at beta = {b}, a = {a}")
+    if order == "h2" and not z_st > 0.0:
+        raise ValidityError(
+            f"Z_ST <= 0 at beta = {b}; validity boundary beta*(a={a}) = "
+            f"{beta_star(a):.6f}")
+    k0_b, k1_b = _bessel_log_slopes(b)
+    k0_ab, k1_ab = _bessel_log_slopes(a * b)
+    # g1 = beta Z'/Z and g2 = beta^2 (ln Z)'', first for Z0 = 4 K0(b) K0(ab)
+    g1, g2 = k0_b[0] + k0_ab[0], k0_b[1] + k0_ab[1]
     if order == "h2":
-        # stay two finite-difference steps clear of the validity boundary
-        limit = beta_star(a)
-        if b + 2.0 * h >= limit:
-            raise ValidityError(
-                f"beta = {b} is within two finite-difference steps of the "
-                f"validity boundary beta*(a={a}) = {limit:.6f}")
-    lz_m, lz_0, lz_p = (_log_z(b - h, a, order), _log_z(b, a, order),
-                        _log_z(b + h, a, order))
-    heat = b * b * (lz_p - 2.0 * lz_0 + lz_m) / (h * h)
-    if order == "classical":
-        energy = (bessel_k(1, b) / bessel_k(0, b)
-                  + a * bessel_k(1, a * b) / bessel_k(0, a * b))
-    else:
-        energy = -(lz_p - lz_m) / (2.0 * h)
-    return ThermalObservables(z0=z0_closed(b, a), z_st=z_st_closed(b, a),
-                              energy=energy, heat_capacity=heat, order=order)
+        # Z_ST = Z0 - Zc with Zc = (a beta^2 / 6) K1(beta) K1(a beta)
+        zc = z0 - z_st
+        c1, c2 = 2.0 + k1_b[0] + k1_ab[0], -2.0 + k1_b[1] + k1_ab[1]
+        g1, m2 = ((z0 * g1 - zc * c1) / z_st,
+                  (z0 * (g2 + g1 * g1) - zc * (c2 + c1 * c1)) / z_st)
+        g2 = m2 - g1 * g1
+    return ThermalObservables(z0=z0, z_st=z_st, energy=-g1 / b,
+                              heat_capacity=g2, order=order)
 
 
 def quadrature_box(beta, a, tail=37.0):

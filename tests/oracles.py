@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 plane integrals use tensor Gauss-Legendre rules instead of the adaptive
-engine, the Toda period comes from a time-of-flight quadrature of the level
+engine, the Bessel functions come from the adaptive engine on their
+integral representation instead of the series and continued fraction, the
+Toda period comes from a time-of-flight quadrature of the level
 curve rather than from orbit integration, and the complete elliptic integral
 of the first kind is reduced from the quartic turning-point form by hand.
 """
@@ -15,6 +17,28 @@ from wignerflow.specfun import QuadratureSpec, integrate_1d
 from wignerflow.thermo import quadrature_box
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=2000)
+
+
+BESSEL_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13, max_subdivisions=400)
+
+
+def bessel_k_quadrature(order, x):
+    """K_order(x), order 0 or 1, from the integral representation
+
+        K_nu(x) = e^-x Int_0^inf e^{-x(cosh t - 1)} cosh(nu t) dt,
+
+    with cosh t - 1 = 2 sinh^2(t/2) to keep the exponent exact near t = 0."""
+    def integrand(t):
+        if t > 700.0:
+            return 0.0
+        s = math.sinh(0.5 * t)
+        w = 2.0 * x * s * s
+        if w > 745.0:
+            return 0.0
+        base = math.exp(-w)
+        return base if order == 0 else base * math.cosh(t)
+
+    return math.exp(-x) * integrate_1d(integrand, 0.0, math.inf, BESSEL_QUAD)
 
 
 def gauss_legendre_2d(f, x_max, k_max, n=160):

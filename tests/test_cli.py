@@ -112,6 +112,23 @@ class TestThermo:
                        "--out", "t.csv"], tmp_path)
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("args, code, says", [
+        # K1(1e-320) exceeds the float range: exit 3 naming the row
+        (["--beta-min", "1e-320"], 3, "row beta = 1e-320"),
+        # every row is finite, but beta*(1e-300) lies where K0 underflows
+        (["--a", "1e-300"], 1, "beta*(a=1e-300)"),
+        (["--a", "1e300"], 3, "Z0 underflows"),
+        (["--a", "1e300", "--order", "h2"], 1, "beta*(a=1e+300)"),
+    ])
+    def test_out_of_range_rows_fail_cleanly(self, tmp_path, args, code, says):
+        res = run_cli(["thermo", "--steps", "2", *args, "--out", "t.csv"],
+                      tmp_path)
+        assert res.returncode == code
+        assert "Traceback" not in res.stderr
+        assert says in res.stderr
+        assert "inf" not in res.stdout and "nan" not in res.stdout
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestDegenerateCounts:
     @pytest.mark.parametrize("args", [
@@ -219,6 +236,15 @@ class TestTrajectory:
         res = run_cli(["trajectory", "--x0", "7.0", "--out", "tr.csv"],
                       tmp_path)
         assert res.returncode == 3
+
+    def test_no_return_within_duration_writes_nothing(self, tmp_path):
+        res = run_cli(["trajectory", "--alpha", "1", "--a", "0.5", "--x0",
+                       "0.6", "--tau-max", "6", "--out", "tr.csv"], tmp_path)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "does not return" in res.stderr
+        assert "out=" not in res.stdout
+        assert not (tmp_path / "tr.csv").exists()
 
 
 class TestSelfTest:

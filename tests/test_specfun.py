@@ -9,7 +9,7 @@ from wignerflow.specfun import (EllipticConvention, QuadratureSpec, bessel_k,
                                 faddeeva_w, hermite_odd, im_erf_offset,
                                 im_erf_offset_scaled, integrate_1d, jacobi_sn)
 
-from oracles import TIGHT, erfi_maclaurin, im_erf_contour
+from oracles import TIGHT, bessel_k_quadrature, erfi_maclaurin, im_erf_contour
 
 
 class TestQuadrature:
@@ -71,12 +71,17 @@ class TestBesselK:
         assert abs(ratio - 1.0) < 1.0 / (8.0 * beta) * 1.2
 
     def test_branch_crossover_is_seamless(self):
-        # integral and asymptotic branches must agree through the cutover
-        for arg in (15.9, 16.0, 16.1):
-            ref = math.exp(-arg) * integrate_1d(
-                lambda t: math.exp(-2.0 * arg * math.sinh(0.5 * t) ** 2),
-                0.0, math.inf, TIGHT)
-            assert abs(bessel_k(0, arg) - ref) / ref < 1e-12
+        # Temme's series and Steed's continued fraction meet at x = 2
+        for arg in (1.99, 2.0, 2.01):
+            for order in (0, 1):
+                ref = bessel_k_quadrature(order, arg)
+                assert abs(bessel_k(order, arg) - ref) / ref < 1e-13
+
+    def test_matches_quadrature_oracle(self):
+        for arg in np.geomspace(1e-4, 60.0, 41):
+            for order in (0, 1):
+                ref = bessel_k_quadrature(order, float(arg))
+                assert abs(bessel_k(order, float(arg)) - ref) / ref < 1e-13, arg
 
     def test_derivative_identity(self):
         # K1 = -dK0/dbeta, central differences
@@ -92,6 +97,14 @@ class TestBesselK:
             bessel_k(1, -2.0)
         with pytest.raises(UsageError):
             bessel_k(2, 1.0)
+
+    def test_overflow_is_domain_error(self):
+        # K1(x) ~ 1/x leaves the float range below x ~ 5.6e-309; K0 ~ -ln x
+        # stays finite down to the smallest subnormal
+        with pytest.raises(DomainError):
+            bessel_k(1, 1e-320)
+        assert 744.0 < bessel_k(0, 5e-324) < 745.0
+        assert bessel_k(0, 1e3) == 0.0 and bessel_k(1, 1e300) == 0.0
 
 
 class TestEllipticK:

@@ -1,16 +1,44 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from wignerflow.errors import UsageError, ValidityError
+from wignerflow import thermo
+from wignerflow.errors import NumericalError, UsageError, ValidityError
 from wignerflow.model import PhasePoint
 from wignerflow.thermo import (ThermalEnsembleParams, beta_star, currents_td,
                                currents_td_xy, div_w_td, epsilon_correction,
                                epsilon_correction_xy, observables, w0, w0_xy,
                                w_st2, w_st2_xy, z0_closed, z_st_closed)
 
-from oracles import fit_power, thermal_plane_integral
+from oracles import bessel_k_quadrature, fit_power, thermal_plane_integral
+
+
+def mp_z_st(mpmath, beta, a):
+    """Z_ST / 4 in mpmath at the working precision."""
+    k = mpmath.besselk
+    return (k(0, beta) * k(0, a * beta)
+            - a * beta * beta / 24 * k(1, beta) * k(1, a * beta))
+
+
+def mp_observables(beta, a, order):
+    """E = -(ln Z)' and C = beta^2 (ln Z)'' from a central difference of a
+    60-digit ln Z with step 1e-20, exact to far below double precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        b, am = mpmath.mpf(beta), mpmath.mpf(a)
+
+        def ln_z(x):
+            if order == "classical":
+                k = mpmath.besselk
+                return mpmath.log(k(0, x) * k(0, am * x))
+            return mpmath.log(mp_z_st(mpmath, x, am))
+
+        h = mpmath.mpf(10) ** -20
+        lm, l0, lp = ln_z(b - h), ln_z(b), ln_z(b + h)
+        return (float(-(lp - lm) / (2 * h)),
+                float(b * b * (lp - 2 * l0 + lm) / (h * h)))
 
 P11 = ThermalEnsembleParams(1.0, 1.0)
 H11 = ThermalEnsembleParams(1.0, 1.0, "h2")
@@ -53,6 +81,34 @@ class TestPartitionFunctions:
     def test_beta_star_reciprocal_scaling(self):
         # Z_ST is symmetric under (a, beta) -> (1/a, a beta)
         assert abs(beta_star(0.5) - 2.0 * beta_star(2.0)) < 1e-8
+
+    @pytest.mark.parametrize("a", [1.0, 3e5, 1e6])
+    def test_beta_star_against_mpmath_root(self, a, monkeypatch):
+        # a = 3e5 and 1e6 put the root below the initial bracket end 1e-3
+        mpmath = pytest.importorskip("mpmath")
+        z_st = thermo.z_st_closed
+        calls = []
+
+        def counting(beta, a):
+            calls.append(beta)
+            return z_st(beta, a)
+
+        monkeypatch.setattr(thermo, "z_st_closed", counting)
+        star = beta_star.__wrapped__(a)
+        assert len(calls) <= 80
+        with mpmath.workdps(30):
+            root = mpmath.findroot(
+                lambda b: mp_z_st(mpmath, b, mpmath.mpf(a)),
+                (star * (1.0 - 1e-6), star * (1.0 + 1e-6)), solver="bisect")
+        assert abs(star - float(root)) <= 1e-13 * star
+        assert z_st(star, a) <= 0.0 < z_st(star * (1.0 - 1e-15), a)
+
+    @pytest.mark.parametrize("a", [1e300, 1e-300])
+    def test_beta_star_out_of_float_range(self, a):
+        # the root lies where K0 underflows; a zero of the underflowed Z_ST
+        # is not a sign change
+        with pytest.raises(NumericalError, match=re.escape(f"a={a}")):
+            beta_star.__wrapped__(a)
 
 
 class TestDistributions:
@@ -201,7 +257,39 @@ class TestObservables:
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         assert gaps[-1] < 5e-3
 
-    def test_near_boundary_guard(self):
+    @pytest.mark.parametrize("order", ["classical", "h2"])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 4.0])
+    def test_closed_form_vs_mpmath_derivatives(self, a, order):
+        top = beta_star(a) * (1.0 - 1e-3)
+        for beta in np.geomspace(0.05, top, 6):
+            obs = observables(ThermalEnsembleParams(float(beta), a, order))
+            energy, heat = mp_observables(float(beta), a, order)
+            assert abs(obs.energy - energy) <= 1e-11 * abs(energy), beta
+            assert abs(obs.heat_capacity - heat) <= 1e-11 * abs(heat), beta
+
+    def test_near_boundary_closed_form(self):
+        # Z_ST has cancelled to 1e-4 of Z0 here; a plain central second
+        # difference of ln Z_ST bottoms out near 3e-6, so both sides of the
+        # comparison are Richardson-extrapolated central differences
         b = beta_star(1.0) * (1.0 - 5e-5)
-        with pytest.raises(ValidityError):
-            observables(ThermalEnsembleParams(b, 1.0, "h2"))
+        obs = observables(ThermalEnsembleParams(b, 1.0, "h2"))
+        assert math.isfinite(obs.energy) and math.isfinite(obs.heat_capacity)
+
+        def ln_z(beta):
+            return math.log(4.0 * (
+                bessel_k_quadrature(0, beta) ** 2
+                - beta * beta / 24.0 * bessel_k_quadrature(1, beta) ** 2))
+
+        def differences(h):
+            lm, l0, lp = ln_z(b - h), ln_z(b), ln_z(b + h)
+            return (-(lp - lm) / (2.0 * h),
+                    b * b * (lp - 2.0 * l0 + lm) / (h * h))
+
+        h = b * 3e-7
+        (e1, c1), (e2, c2) = differences(h), differences(2.0 * h)
+        energy, heat = (4.0 * e1 - e2) / 3.0, (4.0 * c1 - c2) / 3.0
+        assert abs(obs.energy - energy) < 1e-6 * abs(energy)
+        assert abs(obs.heat_capacity - heat) < 1e-6 * abs(heat)
+        for beta in (beta_star(1.0), beta_star(1.0) * 1.01):
+            with pytest.raises(ValidityError):
+                observables(ThermalEnsembleParams(beta, 1.0, "h2"))
