@@ -20,8 +20,7 @@ from .gaussian import (GaussianEnsembleParams, StagnationPoint,
                        liouville_div_w, purity, series_currents,
                        stationarity_div_j, velocity_w, vorticity)
 from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
-                    SpeciesPair, energy, harmonic_residual, odd_derivative,
-                    species_from_phase)
+                    SpeciesPair, energy, species_from_phase)
 from .specfun import (EllipticConvention, QuadratureSpec, bessel_k,
                       elliptic_k_complete, elliptic_k_linear_sin,
                       faddeeva_w, hermite_odd, im_erf_offset,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import classical, fieldgrid, gaussian, thermo
 from .errors import DomainError, NumericalError, UsageError, ValidityError
-from .fieldgrid import GridSpec, export_table
+from .fieldgrid import GridSpec, column_table, export_table
 from .gaussian import GaussianEnsembleParams
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
 from .thermo import ThermalEnsembleParams
@@ -102,10 +102,9 @@ def cmd_analytic(args):
         tau_max = args.tau_max if args.tau_max > 0 else closed.period_ode
         taus = np.linspace(0.0, tau_max, args.samples)
         ys, zs = classical.toda_species_series(eps, taus, step=args.dt)
-        rows = [{"tau": float(t), "T": 0.5 * (y + z), "y": y, "z": z}
-                for t, y, z in zip(taus, ys, zs)]
         path = _sweep_path(args.out, "eps", eps, multiple)
-        export_table(rows, args.format, path)
+        export_table(column_table({"tau": taus, "T": 0.5 * (ys + zs),
+                                   "y": ys, "z": zs}), args.format, path)
         summary = {
             "eps": eps, "kappa": closed.kappa, "t_plus": closed.t_plus,
             "t_minus": closed.t_minus, "period_formula": closed.period_formula,
@@ -115,26 +114,40 @@ def cmd_analytic(args):
         summaries.append(summary)
         _say(out=path, **summary)
     stem, _ = os.path.splitext(args.out)
-    export_table(summaries, "json", stem + "_summary.json")
+    export_table(column_table({key: [s[key] for s in summaries]
+                               for key in summaries[0]}),
+                 "json", stem + "_summary.json")
     return _EXIT_OK
+
+
+_THERMO_COLUMNS = ("a", "beta", "z", "energy", "heat_capacity", "valid")
 
 
 def _thermo_row(a, beta, order):
     """One thermo table row; beyond beta* at order h2 the row is flagged
     valid=0, any other domain failure names the row and stops the sweep."""
-    row = {"a": a, "beta": beta}
     try:
         obs = thermo.observables(ThermalEnsembleParams(beta, a, order))
     except ValidityError:
         if order == "classical":
             raise
-        row.update(z=0.0, energy=0.0, heat_capacity=0.0, valid=0)
-        return row
+        return a, beta, 0.0, 0.0, 0.0, 0
     except DomainError as exc:
         raise DomainError(f"row beta = {beta!r}, a = {a!r}: {exc}") from exc
-    row.update(z=obs.z0 if order == "classical" else obs.z_st,
-               energy=obs.energy, heat_capacity=obs.heat_capacity, valid=1)
-    return row
+    return (a, beta, obs.z0 if order == "classical" else obs.z_st,
+            obs.energy, obs.heat_capacity, 1)
+
+
+def _beta_star(a, order):
+    """beta*(a); None where it is out of float reach at classical order,
+    whose rows do not depend on it.  At order h2 the failure propagates,
+    before any file is written."""
+    try:
+        return thermo.beta_star(a)
+    except NumericalError:
+        if order == "h2":
+            raise
+        return None
 
 
 def cmd_thermo(args):
@@ -144,17 +157,18 @@ def cmd_thermo(args):
     betas = np.linspace(args.beta_min, args.beta_max, args.steps)
     rows = [_thermo_row(a, float(beta), args.order)
             for a in a_values for beta in betas]
-    # beta* is printed for every a; a failure here must also leave no file
-    stars = [thermo.beta_star(a) for a in a_values]
-    if not any(row["valid"] for row in rows):
+    stars = [_beta_star(a, args.order) for a in a_values]
+    if not any(row[-1] for row in rows):  # h2 only, so no beta* is None
         raise DomainError(
             "the whole requested beta range lies outside the validity domain; "
             + ", ".join(f"beta*(a={a}) = {star:.4f}"
                         for a, star in zip(a_values, stars)))
-    export_table(rows, args.format, args.out)
+    export_table(column_table(dict(zip(_THERMO_COLUMNS, zip(*rows)))),
+                 args.format, args.out)
     _say(order=args.order, rows=len(rows), out=args.out)
     for a, star in zip(a_values, stars):
-        _say(**{f"beta_star_a{format(a, 'g')}": star})
+        _say(**{f"beta_star_a{format(a, 'g')}":
+                "unavailable" if star is None else star})
     return _EXIT_OK
 
 
@@ -202,7 +216,7 @@ def cmd_stagnation(args):
         params = GaussianEnsembleParams(float(alpha), args.a)
         points = gaussian.find_stagnation_points(params, bbox, grid=args.grid)
         rec = {"alpha": float(alpha),
-               "points": list(fieldgrid._stagnation_records(points))}
+               "points": fieldgrid.as_table(points).records()}
         if args.emit_envelope:
             spec = GridSpec(*bbox, args.grid, args.grid)
             wgrid = fieldgrid.sample_field(params, "w", spec)
@@ -241,12 +255,10 @@ def cmd_trajectory(args):
             tau_max = 10.0 * _measure_period(model, start=start, step=args.dt)
         q, c = gaussian.integrate_quantum_trajectory(params, start, args.dt,
                                                      tau_max)
-        rows = []
-        for kind, traj in (("quantum", q), ("classical", c)):
-            for i in range(len(traj)):
-                rows.append({"kind": kind, "tau": traj.tau[i],
-                             "x": traj.x[i], "k": traj.k[i],
-                             "y": traj.y[i], "z": traj.z[i]})
+        table = column_table({
+            "kind": np.repeat(["quantum", "classical"], [len(q), len(c)]),
+            **{n: np.concatenate([getattr(q, n), getattr(c, n)])
+               for n in ("tau", "x", "k", "y", "z")}})
         summary = {}
         if not at_equilibrium:
             # before the export: a member without a return writes no file
@@ -256,8 +268,8 @@ def cmd_trajectory(args):
                            classical_return_time=tc, classical_closure=dc,
                            dephasing=abs(tq - tc))
         path = _sweep_path(args.out, "a", a, multiple)
-        export_table(rows, args.format, path)
-        _say(alpha=args.alpha, a=a, rows=len(rows), out=path)
+        export_table(table, args.format, path)
+        _say(alpha=args.alpha, a=a, rows=len(table), out=path)
         _say(**summary)
     return _EXIT_OK
 

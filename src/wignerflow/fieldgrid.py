@@ -6,12 +6,13 @@ the separable Hamiltonian, so a grid is one numpy broadcast of its kernel
 over the x nodes (a row) and the k nodes (a column), with no per-row loop.
 Grids are row-major with x fastest: file rows loop k in the outer loop and x
 in the inner one, so byte-identical output is reproducible across runs.
-Floats are written with 17 significant digits, enough to round-trip doubles
-exactly.
+CSV floats carry 17 significant digits and JSON floats their shortest repr;
+both round-trip doubles exactly.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +28,9 @@ __all__ = [
     "QUANTITIES",
     "sample_field",
     "zero_contours",
+    "Table",
+    "column_table",
+    "as_table",
     "export_table",
 ]
 
@@ -157,12 +161,23 @@ def sample_field(params, quantity, spec, threads=None):
 # marching squares
 # ---------------------------------------------------------------------------
 
-def _edge_point(xs, ks, values, edge):
-    """Linear-interpolation crossing point on one grid edge.
+# case -> segments as pairs of cell edges (di, dj, h|v) relative to the cell
+# corner (i, j); h joins (i,j)-(i+1,j) and v joins (i,j)-(i,j+1).  Corner
+# bits: (i,j) 1, (i+1,j) 2, (i+1,j+1) 4, (i,j+1) 8.  A saddle cell (5, 10)
+# whose centre average is negative has case + 16.
+_B, _R, _T, _L = (0, 0, "h"), (1, 0, "v"), (0, 1, "h"), (0, 0, "v")
+_SEGMENT_TABLE = {
+    1: [(_L, _B)], 2: [(_B, _R)], 3: [(_L, _R)], 4: [(_R, _T)],
+    6: [(_B, _T)], 7: [(_L, _T)], 8: [(_T, _L)],
+    9: [(_T, _B)], 11: [(_T, _R)], 12: [(_R, _L)],
+    13: [(_R, _B)], 14: [(_B, _L)],
+    5: [(_L, _T), (_B, _R)], 21: [(_L, _B), (_R, _T)],
+    10: [(_B, _L), (_T, _R)], 26: [(_B, _R), (_T, _L)],
+}
 
-    ``edge`` = (i, j, 'h'|'v'): horizontal edges join (i,j)-(i+1,j), vertical
-    (i,j)-(i,j+1), in node indices (i along x, j along k).
-    """
+
+def _edge_point(xs, ks, values, edge):
+    """Linear-interpolation crossing point on one grid edge (i, j, h|v)."""
     i, j, kind = edge
     v0 = values[j, i]
     if kind == "h":
@@ -174,208 +189,190 @@ def _edge_point(xs, ks, values, edge):
     return (xs[i], ks[j] + t * (ks[j + 1] - ks[j]))
 
 
-_SEGMENT_TABLE = {
-    # cell corner order: (i,j) (i+1,j) (i+1,j+1) (i,j+1); edges B,R,T,L
-    1: [("L", "B")], 2: [("B", "R")], 3: [("L", "R")], 4: [("R", "T")],
-    6: [("B", "T")], 7: [("L", "T")], 8: [("T", "L")],
-    9: [("T", "B")], 11: [("T", "R")], 12: [("R", "L")],
-    13: [("R", "B")], 14: [("B", "L")],
-}
-
-
 def zero_contours(grid):
     """Marching-squares polylines of the zero level of a scalar grid.
 
     Nodes with value exactly zero are classed with the positive side; the
-    ambiguous saddle cells are split by the cell-center average.  Polylines
-    are either closed (first point repeated) or terminate on the boundary,
-    and their order is deterministic.
+    ambiguous saddle cells are split by the cell-center average.  All cells
+    are classified at once; the crossed ones are stitched in row-major order
+    (k outer, x inner).  Polylines are either closed (first point repeated)
+    or terminate on the boundary, and their order is deterministic.
     """
     if grid.is_vector:
         raise UsageError("zero_contours requires a scalar grid")
     values = grid.values
-    xs = grid.spec.x_nodes()
-    ks = grid.spec.k_nodes()
-    nk, nx = values.shape
-    segments = []  # pairs of edge keys
-    for j in range(nk - 1):
-        for i in range(nx - 1):
-            c0 = values[j, i] >= 0.0
-            c1 = values[j, i + 1] >= 0.0
-            c2 = values[j + 1, i + 1] >= 0.0
-            c3 = values[j + 1, i] >= 0.0
-            idx = (c0 * 1) | (c1 * 2) | (c2 * 4) | (c3 * 8)
-            if idx in (0, 15):
-                continue
-            local = {"B": (i, j, "h"), "T": (i, j + 1, "h"),
-                     "L": (i, j, "v"), "R": (i + 1, j, "v")}
-            if idx in (5, 10):
-                center = 0.25 * (values[j, i] + values[j, i + 1]
-                                 + values[j + 1, i + 1] + values[j + 1, i])
-                if idx == 5:
-                    pairs = ([("L", "T"), ("B", "R")] if center >= 0.0
-                             else [("L", "B"), ("R", "T")])
-                else:
-                    pairs = ([("B", "L"), ("T", "R")] if center >= 0.0
-                             else [("B", "R"), ("T", "L")])
-            else:
-                pairs = _SEGMENT_TABLE[idx]
-            for e0, e1 in pairs:
-                segments.append((local[e0], local[e1]))
-    # stitch segments sharing edge keys into chains
-    adjacency = {}
-    for seg in segments:
-        a, b = seg
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    unused = {tuple(sorted((a, b))) for a, b in segments}
+    c = values >= 0.0
+    cases = c[:-1, :-1] * 1 | c[:-1, 1:] * 2 | c[1:, 1:] * 4 | c[1:, :-1] * 8
+    saddle = (cases == 5) | (cases == 10)
+    if saddle.any():
+        center = 0.25 * (values[:-1, :-1] + values[:-1, 1:] + values[1:, 1:]
+                         + values[1:, :-1])
+        cases[saddle & ~(center >= 0.0)] += 16
+    jj, ii = np.nonzero((cases != 0) & (cases != 15))
+    adjacency = {}  # edge -> edges it shares a segment with
+    unused = set()
+    for j, i, case in zip(jj.tolist(), ii.tolist(), cases[jj, ii].tolist()):
+        for (a0, b0, ka), (a1, b1, kb) in _SEGMENT_TABLE[case]:
+            a, b = (i + a0, j + b0, ka), (i + a1, j + b1, kb)
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+            unused |= {(a, b), (b, a)}  # both senses of each segment
 
-    def take(a, b):
-        unused.discard(tuple(sorted((a, b))))
-
-    def walk(start):
-        chain = [start]
-        current = start
+    def walk(current):
+        chain = [current]
         while True:
-            nxt = None
-            for cand in adjacency.get(current, ()):
-                if tuple(sorted((current, cand))) in unused:
-                    nxt = cand
+            for cand in adjacency[current]:
+                if (current, cand) in unused:
                     break
-            if nxt is None:
+            else:
                 return chain
-            take(current, nxt)
-            chain.append(nxt)
-            current = nxt
+            unused.difference_update({(current, cand), (cand, current)})
+            chain.append(cand)
+            current = cand
 
-    endpoints = sorted({k for k, nbrs in adjacency.items()
-                        if len(nbrs) == 1})
-    polylines = []
-    for start in endpoints:
-        if any(tuple(sorted((start, n))) in unused
-               for n in adjacency.get(start, ())):
-            chain = walk(start)
-            polylines.append(chain)
-    # whatever remains forms closed loops
-    while unused:
-        start = sorted(unused)[0][0]
-        chain = walk(start)
-        chain.append(chain[0])  # close the loop
-        polylines.append(chain)
-    out = []
-    for chain in polylines:
-        pts = np.array([_edge_point(xs, ks, values, e) for e in chain])
-        out.append(pts)
-    return out
+    polylines = [walk(e) for e in sorted(adjacency) if len(adjacency[e]) == 1
+                 and (e, adjacency[e][0]) in unused]
+    while unused:  # whatever remains forms closed loops
+        chain = walk(min(unused)[0])
+        polylines.append(chain + chain[:1])
+    xs, ks = grid.spec.x_nodes(), grid.spec.k_nodes()
+    return [np.array([_edge_point(xs, ks, values, e) for e in chain])
+            for chain in polylines]
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(v):
-    return format(float(v), ".17g")
+_BLOCK_ROWS = 1024
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _grid_records(grid):
-    xs = grid.spec.x_nodes()
-    ks = grid.spec.k_nodes()
-    has_mask = grid.valid is not None
-    for j in range(grid.spec.nk):
-        for i in range(grid.spec.nx):
-            rec = {"x": xs[i], "k": ks[j]}
-            if grid.is_vector:
-                rec["vx"] = grid.values[j, i, 0]
-                rec["vk"] = grid.values[j, i, 1]
-            else:
-                rec["value"] = grid.values[j, i]
-            if has_mask:
-                rec["valid"] = int(grid.valid[j, i])
-            yield rec
+class Table:
+    """Named columns, written one block of rows at a time: ``blocks(cells)``
+    yields per block one list of cells per column, ``cells`` formatting one
+    whole 1-D numpy column (float, integer, bool or str).  A plain class: a
+    dataclass would cost every process about a millisecond at import."""
+
+    def __init__(self, names, rows, blocks):
+        self.names, self.rows, self.blocks = tuple(names), rows, blocks
+
+    def __len__(self):
+        return self.rows
+
+    def records(self):
+        """The rows as dicts of Python values, for nested JSON documents."""
+        return [dict(zip(self.names, row))
+                for cols in self.blocks(_values) for row in zip(*cols)]
 
 
-def _trajectory_records(traj):
-    has_res = traj.energy_residual is not None
-    for i in range(len(traj)):
-        rec = {"tau": traj.tau[i], "x": traj.x[i], "k": traj.k[i],
-               "y": traj.y[i], "z": traj.z[i]}
-        if has_res:
-            rec["energy_residual"] = traj.energy_residual[i]
-        yield rec
+def column_table(columns):
+    """Table of a dict of equally long 1-D columns; each column's numpy
+    dtype decides how its cells are written."""
+    cols = [np.asarray(c) for c in columns.values()]
+    rows = len(cols[0]) if cols else 0
+    if any(c.ndim != 1 or len(c) != rows or c.dtype.kind not in "biufU"
+           for c in cols):
+        raise UsageError("columns must be equally long 1-D numbers or strings")
+
+    def blocks(cells):
+        for lo in range(0, rows, _BLOCK_ROWS):
+            yield [cells(c[lo:lo + _BLOCK_ROWS]) for c in cols]
+
+    return Table(tuple(columns), rows, blocks)
 
 
-def _stagnation_records(points):
-    for s in points:
-        yield {"x": s.location.x, "k": s.location.k, "residual": s.residual,
-               "circulation": s.circulation, "class": s.kind}
+def _grid_table(grid):
+    """One block per grid row (fixed k); each axis is formatted once."""
+    spec, v = grid.spec, grid.values
+    comps = [v[..., 0], v[..., 1]] if grid.is_vector else [v]
+    names = ("x", "k") + (("vx", "vk") if grid.is_vector else ("value",))
+    if grid.valid is not None:
+        comps.append(grid.valid)
+        names += ("valid",)
+
+    def blocks(cells):
+        x_cells = cells(spec.x_nodes())
+        for j, k_cell in enumerate(cells(spec.k_nodes())):
+            yield [x_cells, [k_cell] * spec.nx] + [cells(c[j]) for c in comps]
+
+    return Table(names, spec.nx * spec.nk, blocks)
 
 
-def as_records(obj):
-    """Normalize a grid / trajectory / stagnation list / record list into a
-    list of flat dictionaries."""
+def as_table(obj):
+    """The Table of a grid, trajectory, stagnation list or Table."""
+    if isinstance(obj, Table):
+        return obj
     if isinstance(obj, FieldGrid):
-        return list(_grid_records(obj))
+        return _grid_table(obj)
     if isinstance(obj, Trajectory):
-        return list(_trajectory_records(obj))
-    if isinstance(obj, (list, tuple)):
-        if all(isinstance(s, StagnationPoint) for s in obj) and obj:
-            return list(_stagnation_records(obj))
-        if all(isinstance(r, dict) for r in obj):
-            return list(obj)
+        names = ("tau", "x", "k", "y", "z", "energy_residual")
+        return column_table({n: getattr(obj, n) for n in names
+                             if getattr(obj, n) is not None})
+    if (isinstance(obj, (list, tuple))
+            and all(isinstance(s, StagnationPoint) for s in obj)):
+        return column_table({
+            "x": [s.location.x for s in obj], "k": [s.location.k for s in obj],
+            "residual": [s.residual for s in obj],
+            "circulation": [s.circulation for s in obj],
+            "class": [s.kind for s in obj]})
     raise UsageError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def export_table(obj, fmt, path):
-    """Write a grid, trajectory, or record list as CSV or JSON.
+def _values(col):
+    return (col.astype(int) if col.dtype.kind == "b" else col).tolist()
 
-    CSV carries one header row naming the columns and 17-significant-digit
-    floats (exact round-trip); JSON mirrors the same records as an array of
-    objects.
+
+def _csv_cells(col):
+    if col.dtype.kind == "f":
+        return list(map(format, col.tolist(), repeat(".17g")))
+    return list(map(str, _values(col)))
+
+
+def _json_cells(col):
+    """Cells as json writes them: float repr, NaN, Infinity, ints, strings."""
+    if col.dtype.kind == "f":
+        cells = list(map(float.__repr__, col.tolist()))
+        if np.isfinite(col).all():
+            return cells
+        return [_JSON_NONFINITE.get(c, c) for c in cells]
+    return list(map(json.dumps if col.dtype.kind == "U" else str,
+                    _values(col)))
+
+
+def _write_csv(fh, table):
+    fh.write(",".join(table.names) + "\n")
+    for cols in table.blocks(_csv_cells):
+        fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+
+
+def _write_json(fh, table):
+    """The layout of ``json.dump(rows, fh, indent=1)`` plus a newline."""
+    if not table.rows:
+        fh.write("[]\n")
+        return
+    row = " {\n" + ",\n".join("  " + json.dumps(n).replace("%", "%%") + ": %s"
+                              for n in table.names) + "\n }"
+    sep = "[\n"
+    for cols in table.blocks(_json_cells):
+        fh.write(sep + ",\n".join(map(row.__mod__, zip(*cols))))
+        sep = ",\n"
+    fh.write("\n]\n")
+
+
+def export_table(obj, fmt, path):
+    """Write a grid, trajectory, stagnation list or Table as CSV (a header
+    row, 17-significant-digit floats) or JSON (``json.dump(..., indent=1)``
+    of one object per row, shortest round-trip floats), one block of rows at
+    a time.  An empty table is refused as CSV and written as ``[]`` in JSON.
     """
-    records = as_records(obj)
+    table = as_table(obj)
     if fmt not in ("csv", "json"):
         raise UsageError("format must be 'csv' or 'json'")
+    if fmt == "csv" and not table.rows:
+        raise UsageError("refusing to write an empty table")
     try:
-        if fmt == "csv":
-            _write_csv(records, path)
-        else:
-            _write_json(records, path)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            (_write_csv if fmt == "csv" else _write_json)(fh, table)
     except OSError as exc:
         raise IOError(f"failed writing {path}: {exc}") from exc
-
-
-def _cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _fmt(v)
-
-
-def _write_csv(records, path):
-    if not records:
-        raise UsageError("refusing to write an empty table")
-    header = list(records[0].keys())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for rec in records:
-            fh.write(",".join(_cell(rec[k]) for k in header) + "\n")
-
-
-def _json_value(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return int(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
-
-
-def _write_json(records, path):
-    data = [{k: _json_value(v) for k, v in rec.items()} for rec in records]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")

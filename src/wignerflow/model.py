@@ -1,4 +1,4 @@
-"""The two separable prey-predator Hamiltonians and their derivative oracles.
+"""The two separable prey-predator Hamiltonians.
 
 Both models are of the form H(x, k) = K(k) + V(x) on dimensionless phase
 space, with the species map y = e^-x (predator), z = e^-k (prey) and the
@@ -22,9 +22,7 @@ __all__ = [
     "PhasePoint",
     "SpeciesPair",
     "energy",
-    "odd_derivative",
     "species_from_phase",
-    "harmonic_residual",
 ]
 
 
@@ -92,36 +90,6 @@ def energy_xy(h, x, k):
     return h.kinetic(np.asarray(k, dtype=float)) + h.potential(np.asarray(x, dtype=float))
 
 
-def odd_derivative(h, side, order, coord):
-    """Odd derivative of the kinetic (d/dk) or potential (d/dx) part.
-
-    For the Toda model every odd derivative of cosh collapses to sinh; for the
-    LV model d^n/dc^n e^-c = (-1)^n e^-c gives -e^-c at every odd order >= 3.
-    """
-    if side not in ("kinetic", "potential"):
-        raise UsageError("side must be 'kinetic' or 'potential'")
-    if order < 1 or order % 2 == 0:
-        raise UsageError("odd_derivative requires an odd order >= 1")
-    c = coord
-    if h.kind is HamiltonianKind.TODA:
-        base = math.sinh(c)
-        return base if side == "kinetic" else h.a * base
-    if side == "kinetic":
-        return 1.0 - math.exp(-c) if order == 1 else -math.exp(-c)
-    if order == 1:
-        return h.a * (1.0 - math.exp(-c))
-    return -h.a * math.exp(-c)
-
-
 def species_from_phase(p):
     """Map a phase point to populations: y = e^-x, z = e^-k."""
     return SpeciesPair(y=math.exp(-p.x), z=math.exp(-p.k))
-
-
-def harmonic_residual(h, p):
-    """H minus its quadratic expansion (1 + a) + (a x^2 + k^2)/2 about the origin.
-
-    Diagnostic only: O(x^4, k^4) for the even Toda model, O(x^3) for LV.
-    """
-    quad = (1.0 + h.a) + 0.5 * (h.a * p.x * p.x + p.k * p.k)
-    return energy(h, p) - quad

@@ -32,7 +32,7 @@ class TestHamiltonEquations:
         assert dx == math.sinh(1.0) and dk == 0.0
 
     def test_matches_derivative_oracle(self):
-        from wignerflow.model import odd_derivative
+        from oracles import odd_derivative
         for model in (TODA, LV):
             p = PhasePoint(0.7, -0.4)
             dx, dk = hamilton_rhs(model, p)

@@ -115,8 +115,8 @@ class TestThermo:
     @pytest.mark.parametrize("args, code, says", [
         # K1(1e-320) exceeds the float range: exit 3 naming the row
         (["--beta-min", "1e-320"], 3, "row beta = 1e-320"),
-        # every row is finite, but beta*(1e-300) lies where K0 underflows
-        (["--a", "1e-300"], 1, "beta*(a=1e-300)"),
+        # at order h2, beta*(1e-300) lies where K0 underflows: no table
+        (["--a", "1e-300", "--order", "h2"], 1, "beta*(a=1e-300)"),
         (["--a", "1e300"], 3, "Z0 underflows"),
         (["--a", "1e300", "--order", "h2"], 1, "beta*(a=1e+300)"),
     ])
@@ -128,6 +128,24 @@ class TestThermo:
         assert says in res.stderr
         assert "inf" not in res.stdout and "nan" not in res.stdout
         assert not (tmp_path / "t.csv").exists()
+
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_classical_sweep_without_beta_star(self, tmp_path, fmt):
+        """Classical rows do not depend on beta*; where it is out of float
+        reach the table is still written and beta* reads unavailable."""
+        res = run_cli(["thermo", "--a", "1e-300", "--a", "1", "--steps", "2",
+                       "--format", fmt, "--out", f"t.{fmt}"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
+        kv = parse_kv(res.stdout)
+        assert kv["beta_star_a1e-300"] == "unavailable"
+        assert abs(float(kv["beta_star_a1"]) - 4.4224) < 1e-4
+        assert kv["rows"] == "4"
+        text = (tmp_path / f"t.{fmt}").read_text()
+        rows = (json.loads(text) if fmt == "json"
+                else text.strip().split("\n")[1:])
+        assert len(rows) == 4
 
 
 class TestDegenerateCounts:

@@ -1,18 +1,23 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wignerflow import fieldgrid, thermo
-from wignerflow.classical import OrbitSpec, integrate_orbit
-from wignerflow.errors import UsageError
-from wignerflow.fieldgrid import (QUANTITIES, FieldGrid, GridSpec, as_records,
-                                  export_table, sample_field, zero_contours)
-from wignerflow.gaussian import GaussianEnsembleParams, find_stagnation_points
-from wignerflow.model import HamiltonianKind, SeparableHamiltonian
+from wignerflow import cli, fieldgrid, thermo
+from wignerflow.classical import (OrbitSpec, integrate_orbit,
+                                  toda_closed_period, toda_species_series)
+from wignerflow.errors import UsageError, ValidityError
+from wignerflow.fieldgrid import (QUANTITIES, FieldGrid, GridSpec, export_table,
+                                  sample_field, zero_contours)
+from wignerflow.gaussian import (GaussianEnsembleParams, find_stagnation_points,
+                                 integrate_quantum_trajectory)
+from wignerflow.model import HamiltonianKind, PhasePoint, SeparableHamiltonian
 from wignerflow.thermo import ThermalEnsembleParams
+
+import oracles
 
 A1 = GaussianEnsembleParams(1.0)
 
@@ -245,7 +250,8 @@ class TestExport:
 
     def test_unknown_object(self, tmp_path):
         with pytest.raises(UsageError):
-            as_records(object())
+            export_table(object(), "csv", tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_byte_identical_across_runs(self, tmp_path):
         spec = GridSpec(-2, 2, -2, 2, 21, 21)
@@ -256,3 +262,205 @@ class TestExport:
             export_table(grid, "csv", path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestZeroContoursReference:
+    """The array classification reproduces the per-cell loop exactly: the
+    same polylines in the same order, bit for bit."""
+
+    @staticmethod
+    def assert_same_polylines(grid):
+        ref = oracles.zero_contours_per_cell(grid)
+        new = zero_contours(grid)
+        assert len(new) == len(ref)
+        for a, b in zip(new, ref):
+            assert np.array_equal(a, b)
+        return ref
+
+    @pytest.mark.parametrize("n", [41, 151])
+    @pytest.mark.parametrize("alpha, a", [(1.0, 1.0), (0.7, 4.0)])
+    def test_divj_grids(self, n, alpha, a):
+        spec = GridSpec(-2, 2, -2, 2, n, n)
+        grid = sample_field(GaussianEnsembleParams(alpha, a), "divj", spec)
+        assert self.assert_same_polylines(grid)
+
+    def test_saddle_cells_of_both_centre_signs(self):
+        # each 2x2 block is one saddle cell: case 5 (corners (i,j) and
+        # (i+1,j+1) non-negative) or case 10, with a positive, negative or
+        # zero centre average; the blocks sit apart in a negative sea
+        blocks = [[[2, -1], [-1, 2]], [[1, -2], [-2, 1]],
+                  [[-1, 2], [2, -1]], [[-2, 1], [1, -2]],
+                  [[1, -1], [-1, 1]]]
+        values = -np.ones((4, 3 * len(blocks) + 1))
+        for b, block in enumerate(blocks):
+            values[1:3, 3 * b + 1:3 * b + 3] = block
+        spec = GridSpec(0, 1, 0, 1, values.shape[1], values.shape[0])
+        polys = self.assert_same_polylines(FieldGrid(spec, "saddles", values))
+        assert len(polys) >= len(blocks)
+
+    def test_exact_zero_nodes(self):
+        rng = np.random.default_rng(7)
+        spec = GridSpec(-1, 1, -1, 1, 30, 25)
+        for _ in range(20):
+            values = rng.integers(-1, 2, (25, 30)).astype(float)
+            assert np.any(values == 0.0)
+            self.assert_same_polylines(FieldGrid(spec, "ternary", values))
+
+
+def thermo_records(a_values, betas, order):
+    """The rows cmd_thermo wrote as one dict each."""
+    rows = []
+    for a in a_values:
+        for beta in map(float, betas):
+            row = {"a": a, "beta": beta}
+            try:
+                obs = thermo.observables(ThermalEnsembleParams(beta, a, order))
+            except ValidityError:
+                row.update(z=0.0, energy=0.0, heat_capacity=0.0, valid=0)
+            else:
+                row.update(z=obs.z0 if order == "classical" else obs.z_st,
+                           energy=obs.energy, heat_capacity=obs.heat_capacity,
+                           valid=1)
+            rows.append(row)
+    return rows
+
+
+def assert_same_files(obj, records, tmp_path, fmt):
+    """export_table(obj) and the reference writer on records agree byte for
+    byte."""
+    export_table(obj, fmt, tmp_path / f"table.{fmt}")
+    oracles.export_records(records, fmt, tmp_path / f"ref.{fmt}")
+    new = (tmp_path / f"table.{fmt}").read_bytes()
+    assert new == (tmp_path / f"ref.{fmt}").read_bytes()
+    return new
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+class TestExportReference:
+    """The column writer against the record writer it replaces."""
+
+    @pytest.mark.parametrize("ensemble, quantity, box", [
+        (A1, "divj", (-2, 2, -2, 2)),
+        (A1, "j", (-2, 2, -2, 2)),
+        (GaussianEnsembleParams(1.3, 2.0), "w", (-8, 8, -8, 8)),
+        (GaussianEnsembleParams(1.3, 2.0), "vort", (-8, 8, -8, 8)),
+        (ThermalEnsembleParams(0.7, 2.0, "h2"), "j", (-2, 2, -2, 2)),
+    ])
+    def test_grids(self, tmp_path, fmt, ensemble, quantity, box):
+        grid = sample_field(ensemble, quantity, GridSpec(*box, 23, 17))
+        assert_same_files(grid, oracles.as_records(grid), tmp_path, fmt)
+
+    def test_classical_trajectory(self, tmp_path, fmt):
+        model = SeparableHamiltonian(HamiltonianKind.LV, 2.0)
+        traj = integrate_orbit(OrbitSpec.from_energy(model, 4.5, step=1e-2,
+                                                     duration=3.0))
+        assert traj.energy_residual is not None
+        assert_same_files(traj, oracles.as_records(traj), tmp_path, fmt)
+
+    def test_stagnation_list(self, tmp_path, fmt):
+        pts = find_stagnation_points(GaussianEnsembleParams(2.0 ** 0.5),
+                                     (-3.0, 3.0, -3.0, 3.0))
+        assert_same_files(pts, oracles.as_records(pts), tmp_path, fmt)
+
+    def test_empty_list(self, tmp_path, fmt):
+        if fmt == "csv":
+            with pytest.raises(UsageError):
+                export_table([], fmt, tmp_path / "table.csv")
+            assert not (tmp_path / "table.csv").exists()
+        else:
+            assert assert_same_files([], [], tmp_path, fmt) == b"[]\n"
+
+    def test_column_types(self, tmp_path, fmt):
+        # floats whose repr is shorter than 17 digits, non-finite values,
+        # signed zero, subnormals, ints, bools and strings needing escapes
+        floats = [0.1, 1.0 / 3.0, -0.0, math.nan, math.inf, -math.inf,
+                  5e-324, 1e300, 2.0]
+        columns = {"v": floats, "n": list(range(-4, 5)),
+                   "flag": [i % 2 == 0 for i in range(9)],
+                   "s": ["plain", 'qu"ote', "back\\slash", "\u00e9t\u00e9",
+                         "50%", "tab\tstop", "", "x", "y"],
+                   "odd \"key\" %s": floats[::-1]}
+        records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        text = assert_same_files(fieldgrid.column_table(columns), records,
+                                 tmp_path, fmt)
+        if fmt == "csv":
+            assert b"0.10000000000000001" in text
+        else:
+            assert b"0.1," in text and b"NaN" in text
+
+    def test_trajectory_rows(self, tmp_path, fmt):
+        args = ["--alpha", "1", "--a", "1", "--x0", "0.6", "--dt", "1e-2",
+                "--tau-max", "8"]
+        out = tmp_path / f"table.{fmt}"
+        assert cli.main(["trajectory", *args, "--format", fmt,
+                         "--out", str(out)]) == 0
+        q, c = integrate_quantum_trajectory(A1, PhasePoint(0.6, 0.0), 1e-2,
+                                            8.0)
+        records = [{"kind": kind, "tau": t.tau[i], "x": t.x[i], "k": t.k[i],
+                    "y": t.y[i], "z": t.z[i]}
+                   for kind, t in (("quantum", q), ("classical", c))
+                   for i in range(len(t))]
+        oracles.export_records(records, fmt, tmp_path / f"ref.{fmt}")
+        assert out.read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+    def test_thermo_rows(self, tmp_path, fmt):
+        # beta-min 0.1 prints as 0.10000000000000001 in CSV and 0.1 in JSON;
+        # the h2 rows past beta*(4) carry valid = 0
+        out = tmp_path / f"table.{fmt}"
+        for order in ("classical", "h2"):
+            assert cli.main(["thermo", "--a", "0.5", "--a", "4",
+                             "--beta-min", "0.1", "--beta-max", "6",
+                             "--steps", "7", "--order", order,
+                             "--format", fmt, "--out", str(out)]) == 0
+            records = thermo_records([0.5, 4.0], np.linspace(0.1, 6.0, 7),
+                                     order)
+            assert {r["valid"] for r in records} == (
+                {1} if order == "classical" else {0, 1})
+            oracles.export_records(records, fmt, tmp_path / f"ref.{fmt}")
+            assert out.read_bytes() == (tmp_path / f"ref.{fmt}").read_bytes()
+
+    def test_analytic_table_and_summary(self, tmp_path, fmt):
+        out = tmp_path / f"an.{fmt}"
+        assert cli.main(["analytic", "--eps", "2.5", "--eps", "4",
+                         "--samples", "7", "--dt", "1e-2", "--format", fmt,
+                         "--out", str(out)]) == 0
+        summaries = []
+        for eps in (2.5, 4.0):
+            closed = toda_closed_period(eps, step=1e-2)
+            taus = np.linspace(0.0, closed.period_ode, 7)
+            ys, zs = toda_species_series(eps, taus, step=1e-2)
+            records = [{"tau": float(t), "T": 0.5 * (y + z), "y": y, "z": z}
+                       for t, y, z in zip(taus, ys, zs)]
+            ref = tmp_path / f"ref_{eps:g}.{fmt}"
+            oracles.export_records(records, fmt, ref)
+            written = tmp_path / f"an_eps{eps:g}.{fmt}"
+            assert written.read_bytes() == ref.read_bytes()
+            summaries.append({
+                "eps": eps, "kappa": closed.kappa, "t_plus": closed.t_plus,
+                "t_minus": closed.t_minus,
+                "period_formula": closed.period_formula,
+                "period_ode": closed.period_ode,
+                "period_ratio": closed.period_ratio,
+                "convention": closed.convention.value,
+                "t_source": closed.t_source})
+        oracles.export_records(summaries, "json", tmp_path / "ref_summary.json")
+        assert ((tmp_path / "an_summary.json").read_bytes()
+                == (tmp_path / "ref_summary.json").read_bytes())
+
+
+def test_block_writer_peak_memory(tmp_path):
+    """Writing one grid row per block keeps the peak allocation of an export
+    at a fraction of the record writer's, which holds every row at once."""
+    grid = sample_field(A1, "w", GridSpec(-2, 2, -2, 2, 201, 201))
+    assert grid.valid is not None
+    for fmt in ("csv", "json"):
+        peaks = {}
+        for name, write in (("table", export_table),
+                            ("records", oracles.export_records)):
+            tracemalloc.start()
+            try:
+                write(grid, fmt, tmp_path / f"{name}.{fmt}")
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["table"] <= peaks["records"] / 4, (fmt, peaks)

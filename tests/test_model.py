@@ -5,8 +5,9 @@ import pytest
 
 from wignerflow.errors import DomainError, UsageError
 from wignerflow.model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
-                              energy, harmonic_residual, odd_derivative,
-                              species_from_phase)
+                              energy, species_from_phase)
+
+from oracles import harmonic_residual, odd_derivative
 
 TODA = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
 LV = SeparableHamiltonian(HamiltonianKind.LV, 1.0)
