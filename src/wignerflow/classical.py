@@ -1,6 +1,10 @@
 """Classical dynamics: Hamilton equations, energy-audited orbit integration,
 period detection, and the closed-form isotropic Toda solution.
 
+Every trajectory, classical or quantum, in (x, k) or in the species (y, z),
+comes from one fixed-step RK4 core, ``_rk4``; ``measured_orbit`` measures a
+period and returns the orbit over several periods from one integration.
+
 The closed-form machinery keeps two period values side by side:
 ``period_formula`` is the literal closed-form expression built on the
 linear-sine elliptic integral, and ``period_ode`` is the measured orbital
@@ -10,14 +14,14 @@ nothing is asserted about their equality.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
-                    SpeciesPair, energy)
-from .specfun import (EllipticConvention, elliptic_k_complete,
+                    SpeciesPair, energy, energy_xy)
+from .specfun import (EllipticConvention, bisect, elliptic_k_complete,
                       elliptic_k_linear_sin, jacobi_sn)
 
 __all__ = [
@@ -28,6 +32,7 @@ __all__ = [
     "section_start",
     "integrate_orbit",
     "orbit_period",
+    "measured_orbit",
     "toda_parametric_T",
     "toda_species_analytic",
     "toda_t_ode",
@@ -37,27 +42,21 @@ __all__ = [
 ]
 
 
+# RK4 steps per integration; a longer run is refused before any allocation
+MAX_RK4_STEPS = 10_000_000
+
+
 def hamilton_rhs(h, p):
     """(dx/dtau, dk/dtau) = (dH/dk, -dH/dx); vanishes at the origin."""
-    if h.kind is HamiltonianKind.TODA:
-        return math.sinh(p.k), -h.a * math.sinh(p.x)
-    return 1.0 - math.exp(-p.k), h.a * (math.exp(-p.x) - 1.0)
+    return _rhs_scalar(h)(p.x, p.k)
 
 
 def _rhs_scalar(h):
+    """Hamilton's equations as a scalar function f(x, k), a bound once."""
+    a, sinh, exp = h.a, math.sinh, math.exp
     if h.kind is HamiltonianKind.TODA:
-        a = h.a
-        sinh = math.sinh
-
-        def f(x, k):
-            return sinh(k), -a * sinh(x)
-    else:
-        a = h.a
-        exp = math.exp
-
-        def f(x, k):
-            return 1.0 - exp(-k), a * (exp(-x) - 1.0)
-    return f
+        return lambda x, k: (sinh(k), -a * sinh(x))
+    return lambda x, k: (1.0 - exp(-k), a * (exp(-x) - 1.0))
 
 
 def section_start(h, eps):
@@ -68,13 +67,7 @@ def section_start(h, eps):
         return PhasePoint(math.acosh((eps - 1.0) / h.a), 0.0)
     # positive root of a (x + e^-x) = eps - 1
     target = (eps - 1.0) / h.a
-    lo, hi = 0.0, target + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + math.exp(-mid) < target:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect(lambda x: x + math.exp(-x) < target, 0.0, target + 1.0)
     return PhasePoint(0.5 * (lo + hi), 0.0)
 
 
@@ -96,8 +89,8 @@ class OrbitSpec:
             raise DomainError(
                 f"eps = {self.eps} violates the closed-orbit constraint "
                 f"eps > 1 + a = {1.0 + self.model.a}")
-        if not (self.step > 0.0 and self.duration > self.step):
-            raise DomainError("require 0 < step < duration")
+        if not 0.0 < self.step < self.duration < math.inf:
+            raise DomainError("require 0 < step < duration < inf")
 
     @classmethod
     def from_energy(cls, model, eps, **kw):
@@ -131,17 +124,18 @@ class Trajectory:
             return None
         return float(np.max(np.abs(self.energy_residual)))
 
-    def point(self, i):
-        return PhasePoint(float(self.x[i]), float(self.k[i]))
 
+def _rk4(f, x, k, h, n_steps, stop=None):
+    """n_steps classical RK4 steps of (dx, dk)/dtau = f(x, k) from (x, k).
 
-def _rk4_path(f, x0, k0, step, n_steps):
-    xs = np.empty(n_steps + 1)
-    ks = np.empty(n_steps + 1)
-    dxs = np.empty(n_steps + 1)
-    dks = np.empty(n_steps + 1)
-    x, k = x0, k0
-    h = step
+    Returns (xs, ks, dxs, dks): the n_steps + 1 states and f at each.  A run
+    that reaches a state where stop(x, k) holds ends there, and the row of
+    that state carries zero derivatives.
+    """
+    if n_steps > MAX_RK4_STEPS:
+        raise UsageError(f"{n_steps} RK4 steps exceed the work budget of "
+                         f"{MAX_RK4_STEPS} steps per integration")
+    xs, ks, dxs, dks = (np.empty(n_steps + 1) for _ in range(4))
     h2 = 0.5 * h
     for i in range(n_steps):
         d1x, d1k = f(x, k)
@@ -151,9 +145,42 @@ def _rk4_path(f, x0, k0, step, n_steps):
         d4x, d4k = f(x + h * d3x, k + h * d3k)
         x += h * (d1x + 2.0 * (d2x + d3x) + d4x) / 6.0
         k += h * (d1k + 2.0 * (d2k + d3k) + d4k) / 6.0
+        if stop is not None and stop(x, k):
+            xs[i + 1], ks[i + 1], dxs[i + 1], dks[i + 1] = x, k, 0.0, 0.0
+            return xs[:i + 2], ks[:i + 2], dxs[:i + 2], dks[:i + 2]
     dx, dk = f(x, k)
     xs[n_steps], ks[n_steps], dxs[n_steps], dks[n_steps] = x, k, dx, dk
     return xs, ks, dxs, dks
+
+
+def _orbit_from(spec, rows=None):
+    """The run under spec: a fresh one, or from rows = (xs, ks, dxs, dks) of
+    an earlier run from spec.start, their prefix or their continuation from
+    the last state.  Each step depends on the state alone, so both equal the
+    fresh run bit for bit.  Raises NumericalError (carrying the trajectory)
+    if the energy drift exceeds ten times the declared tolerance.
+    """
+    n = max(1, int(round(spec.duration / spec.step)))
+    f = _rhs_scalar(spec.model)
+    if rows is None:
+        rows = _rk4(f, spec.start.x, spec.start.k, spec.step, n)
+    elif n >= len(rows[0]):
+        more = _rk4(f, float(rows[0][-1]), float(rows[1][-1]), spec.step,
+                    n + 1 - len(rows[0]))
+        rows = [np.concatenate([r[:-1], m]) for r, m in zip(rows, more)]
+    else:  # copies, so that the longer arrays can be freed
+        rows = [r[:n + 1].copy() for r in rows]
+    xs, ks, dxs, dks = rows
+    residual = energy_xy(spec.model, xs, ks) - spec.eps
+    traj = Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
+                      y=np.exp(-xs), z=np.exp(-ks), energy_residual=residual,
+                      eps=spec.eps, meta={"model": spec.model, "step": spec.step,
+                                          "dx": dxs, "dk": dks})
+    if traj.max_drift > 10.0 * spec.drift_tolerance:
+        raise NumericalError(
+            f"energy drift {traj.max_drift:.3e} exceeds 10 x tolerance "
+            f"{spec.drift_tolerance:.1e}", payload=traj)
+    return traj
 
 
 def integrate_orbit(spec):
@@ -162,44 +189,28 @@ def integrate_orbit(spec):
     Raises NumericalError (carrying the partial trajectory) if the drift
     exceeds ten times the declared tolerance.
     """
-    n_steps = max(1, int(round(spec.duration / spec.step)))
-    f = _rhs_scalar(spec.model)
-    xs, ks, dxs, dks = _rk4_path(f, spec.start.x, spec.start.k, spec.step, n_steps)
-    tau = spec.step * np.arange(n_steps + 1)
-    from .model import energy_xy
-    residual = energy_xy(spec.model, xs, ks) - spec.eps
-    traj = Trajectory(tau=tau, x=xs, k=ks, y=np.exp(-xs), z=np.exp(-ks),
-                      energy_residual=residual, eps=spec.eps,
-                      meta={"model": spec.model, "step": spec.step,
-                            "dx": dxs, "dk": dks})
-    if traj.max_drift > 10.0 * spec.drift_tolerance:
-        raise NumericalError(
-            f"energy drift {traj.max_drift:.3e} exceeds 10 x tolerance "
-            f"{spec.drift_tolerance:.1e}", payload=traj)
-    return traj
+    return _orbit_from(spec)
 
 
 def _hermite_crossing(t0, t1, x0, x1, d0, d1):
     """Zero of the cubic Hermite interpolant of x on [t0, t1] (x0, x1 straddle 0)."""
     h = t1 - t0
-    lo, hi = 0.0, 1.0
-    flo = x0
 
-    def val(s):
+    def before(s):
         h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
         h10 = s * (1.0 - s) ** 2
         h01 = s * s * (3.0 - 2.0 * s)
         h11 = s * s * (s - 1.0)
-        return h00 * x0 + h10 * h * d0 + h01 * x1 + h11 * h * d1
+        val = h00 * x0 + h10 * h * d0 + h01 * x1 + h11 * h * d1
+        return (val > 0.0) == (x0 > 0.0)
 
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = val(mid)
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
+    lo, hi = bisect(before, 0.0, 1.0)
     return t0 + h * 0.5 * (lo + hi)
+
+
+def _rising(v):
+    """Mask over the sample intervals i with v[i] < 0 <= v[i + 1]."""
+    return (v[:-1] < 0.0) & (v[1:] >= 0.0)
 
 
 def section_crossings(traj):
@@ -211,14 +222,11 @@ def section_crossings(traj):
     """
     xs, ks, tau = traj.x, traj.k, traj.tau
     dxs = traj.meta["dx"]
-    times = []
-    for i in range(len(xs) - 1):
-        if xs[i] == 0.0 and ks[i] > 0.0:
-            times.append(tau[i])
-        elif xs[i] < 0.0 < xs[i + 1]:
-            times.append(_hermite_crossing(tau[i], tau[i + 1], xs[i], xs[i + 1],
-                                           dxs[i], dxs[i + 1]))
-    return times
+    on = (xs[:-1] == 0.0) & (ks[:-1] > 0.0)
+    return [tau[i] if on[i] else
+            _hermite_crossing(tau[i], tau[i + 1], xs[i], xs[i + 1],
+                              dxs[i], dxs[i + 1])
+            for i in np.flatnonzero(on | (_rising(xs) & (xs[1:] != 0.0)))]
 
 
 def return_to_start(traj):
@@ -230,20 +238,19 @@ def return_to_start(traj):
     """
     xs, ks, tau = traj.x, traj.k, traj.tau
     dks = traj.meta["dk"]
-    k0, x0 = ks[0], xs[0]
-    down = dks[0] < 0.0
-    x_side = math.copysign(1.0, x0)
-    for i in range(1, len(ks) - 1):
-        ki, kj = ks[i] - k0, ks[i + 1] - k0
-        crossing = (ki > 0.0 >= kj) if down else (ki < 0.0 <= kj)
-        if crossing and math.copysign(1.0, xs[i]) == x_side:
-            t_star = _hermite_crossing(tau[i], tau[i + 1], ki, kj,
-                                       dks[i], dks[i + 1])
-            s = (t_star - tau[i]) / (tau[i + 1] - tau[i])
-            x_star = xs[i] + s * (xs[i + 1] - xs[i])
-            return float(t_star), float(abs(x_star - x0))
-    raise NumericalError("trajectory does not return to its section within "
-                         "the integrated duration", payload=traj)
+    x0, dk = xs[0], ks - ks[0]
+    crossing = _rising(-dk if dks[0] < 0.0 else dk)
+    crossing &= np.copysign(1.0, xs[:-1]) == math.copysign(1.0, x0)
+    hits = np.flatnonzero(crossing[1:])
+    if not len(hits):
+        raise NumericalError("trajectory does not return to its section "
+                             "within the integrated duration", payload=traj)
+    i = hits[0] + 1
+    t_star = _hermite_crossing(tau[i], tau[i + 1], dk[i], dk[i + 1],
+                               dks[i], dks[i + 1])
+    s = (t_star - tau[i]) / (tau[i + 1] - tau[i])
+    x_star = xs[i] + s * (xs[i + 1] - xs[i])
+    return float(t_star), float(abs(x_star - x0))
 
 
 def orbit_period(spec):
@@ -252,13 +259,38 @@ def orbit_period(spec):
     Reproducible to ~1e-6 relative under step halving; raises NumericalError
     when the duration does not contain a full revolution.
     """
-    traj = integrate_orbit(spec)
+    return _period(integrate_orbit(spec), spec.duration)
+
+
+def _period(traj, duration):
     times = section_crossings(traj)
     if len(times) < 2:
         raise NumericalError(
-            f"no complete section crossing within duration {spec.duration}",
+            f"no complete section crossing within duration {duration}",
             payload=traj)
     return (times[-1] - times[0]) / (len(times) - 1)
+
+
+def measured_orbit(model, start, step, periods):
+    """(period, trajectory): the period of the orbit through start and the
+    orbit over max(periods x period, 2 step), from one integration.
+
+    A 40-unit probe, doubled up to 640 while it holds fewer than two section
+    crossings, measures the period; the trajectory is the probe's prefix or
+    its continuation.  A drift failure is raised at once: a longer run
+    drifts no less.
+    """
+    spec = OrbitSpec.from_point(model, start, step=step, duration=40.0)
+    traj = integrate_orbit(spec)
+    while len(section_crossings(traj)) < 2 and spec.duration < 640.0:
+        spec = replace(spec, duration=2.0 * spec.duration)
+        traj = _orbit_from(spec, (traj.x, traj.k, traj.meta["dx"],
+                                  traj.meta["dk"]))
+    period = _period(traj, spec.duration)
+    rows = traj.x, traj.k, traj.meta["dx"], traj.meta["dk"]
+    del traj  # the probe's derived columns are not needed past this point
+    spec = replace(spec, duration=max(periods * period, 2.0 * step))
+    return period, _orbit_from(spec, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -341,44 +373,33 @@ def _species_rhs_lv(y, z):
     return y * z - y, z - y * z
 
 
-def _integrate_species(rhs, y0, z0, tau, step):
-    if tau == 0.0:
-        return y0, z0
-    n = max(1, int(math.ceil(abs(tau) / step)))
-    h = tau / n
-    y, k = y0, z0
-    for _ in range(n):
-        d1y, d1z = rhs(y, k)
-        d2y, d2z = rhs(y + 0.5 * h * d1y, k + 0.5 * h * d1z)
-        d3y, d3z = rhs(y + 0.5 * h * d2y, k + 0.5 * h * d2z)
-        d4y, d4z = rhs(y + h * d3y, k + h * d3z)
-        y += h * (d1y + 2.0 * (d2y + d3y) + d4y) / 6.0
-        k += h * (d1z + 2.0 * (d2z + d3z) + d4z) / 6.0
-    return y, k
+def _species_series(rhs, y0, taus, step):
+    """Species (y, z) at each of taus from y = z = y0 at tau = 0; each gap
+    between samples is split into the fewest equal steps no longer than
+    step.  Returns (y_array, z_array)."""
+    ys, zs = np.empty(len(taus)), np.empty(len(taus))
+    y = z = y0
+    prev = 0.0
+    for i, tau in enumerate(map(float, taus)):
+        n = max(1, math.ceil(abs(tau - prev) / step))
+        path = _rk4(rhs, y, z, (tau - prev) / n, n)
+        y, z = ys[i], zs[i] = float(path[0][-1]), float(path[1][-1])
+        prev = tau
+    return ys, zs
 
 
 def toda_t_ode(eps, tau, step=1e-3):
     """T(tau) = (y + z)/2 from direct integration of the isotropic species ODEs,
     started at the lower turning point y = z = T-."""
-    _, t_minus = amplitude_bounds(eps)
-    y, z = _integrate_species(_species_rhs_toda, t_minus, t_minus, tau, step)
-    return 0.5 * (y + z)
+    ys, zs = toda_species_series(eps, [tau], step)
+    return 0.5 * (ys[0] + zs[0])
 
 
 def toda_species_series(eps, taus, step=1e-3):
     """Species waveforms (y, z) of the isotropic Toda dynamics on a time grid,
     started at the lower turning point.  Returns (y_array, z_array)."""
     _, t_minus = amplitude_bounds(eps)
-    taus = np.asarray(taus, dtype=float)
-    ys = np.empty(len(taus))
-    zs = np.empty(len(taus))
-    y = z = t_minus
-    prev = 0.0
-    for i, tau in enumerate(taus):
-        y, z = _integrate_species(_species_rhs_toda, y, z, float(tau) - prev, step)
-        prev = float(tau)
-        ys[i], zs[i] = y, z
-    return ys, zs
+    return _species_series(_species_rhs_toda, t_minus, taus, step)
 
 
 def lv_t_ode(eps, tau, step=1e-3):
@@ -386,16 +407,10 @@ def lv_t_ode(eps, tau, step=1e-3):
     turning point y = z = e^-x0 with x0 the positive root of x + e^-x = eps/2."""
     if eps <= 2.0:
         raise DomainError("the isotropic LV closed orbit requires eps > 2")
-    lo, hi = 0.0, 0.5 * eps
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + math.exp(-mid) < 0.5 * eps:
-            lo = mid
-        else:
-            hi = mid
-    y0 = math.exp(-0.5 * (lo + hi))
-    y, z = _integrate_species(_species_rhs_lv, y0, y0, tau, step)
-    return y + z
+    lo, hi = bisect(lambda x: x + math.exp(-x) < 0.5 * eps, 0.0, 0.5 * eps)
+    ys, zs = _species_series(_species_rhs_lv, math.exp(-0.5 * (lo + hi)),
+                             [tau], step)
+    return ys[0] + zs[0]
 
 
 def toda_constraint_rhs(eps, t_val):
@@ -471,16 +486,9 @@ def resolve_convention(eps, period_ode, ode_step=1e-3):
     res_modulus, t_source); t_source is 'ode' when neither reading satisfies
     the dynamical constraint to 1e-6.
     """
-    n = 200
-    taus = np.linspace(0.0, period_ode, n)
-    _, t_minus = amplitude_bounds(eps)
-    y = z = t_minus
-    t_ode = np.empty(n)
-    t_ode[0] = t_minus
-    for i in range(1, n):
-        y, z = _integrate_species(_species_rhs_toda, y, z,
-                                  taus[i] - taus[i - 1], ode_step)
-        t_ode[i] = 0.5 * (y + z)
+    taus = np.linspace(0.0, period_ode, 200)
+    ys, zs = toda_species_series(eps, taus, ode_step)
+    t_ode = 0.5 * (ys + zs)
     stats = {}
     for conv in (EllipticConvention.PARAMETER, EllipticConvention.MODULUS):
         stretch = parametric_period(eps, conv) / period_ode

@@ -3,9 +3,10 @@
 Every subcommand is deterministic given its flags and writes tables through
 the fieldgrid exporters.  Repeated value flags form sweeps; with more than
 one sweep value the output path gains a ``_<name><value>`` suffix per
-member so each run maps to one file.  ``field`` and ``stagnation`` accept
-``--threads`` for compatibility; each grid is one vectorized evaluation and
-the flag has no effect.
+member so each run maps to one file; an ``orbit`` with an explicit start is
+one member.  ``orbit`` and ``trajectory`` take a period and the rows written
+from one integration.  ``field`` and ``stagnation`` accept ``--threads`` for
+compatibility; each grid is one vectorized evaluation and it has no effect.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 domain or
 validity error.
@@ -50,22 +51,6 @@ def _sweep_path(base, name, value, multiple):
     return f"{stem}_{name}{format(value, 'g')}{ext}"
 
 
-def _measure_period(model, *, eps=None, start=None, step):
-    last = None
-    for duration in (40.0, 80.0, 160.0, 320.0, 640.0):
-        try:
-            if start is None:
-                spec = classical.OrbitSpec.from_energy(
-                    model, eps, step=step, duration=duration)
-            else:
-                spec = classical.OrbitSpec.from_point(
-                    model, start, step=step, duration=duration)
-            return classical.orbit_period(spec)
-        except NumericalError as exc:
-            last = exc
-    raise last
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -73,19 +58,17 @@ def _measure_period(model, *, eps=None, start=None, step):
 def cmd_orbit(args):
     kind = HamiltonianKind.TODA if args.model == "toda" else HamiltonianKind.LV
     model = SeparableHamiltonian(kind, args.a)
-    eps_values = args.eps or [2.5]
+    explicit = args.x0 is not None or args.k0 is not None
+    eps_values = [None] if explicit else args.eps or [2.5]
     multiple = len(eps_values) > 1
     for eps in eps_values:
-        if args.x0 is not None or args.k0 is not None:
+        if explicit:
             start = PhasePoint(args.x0 or 0.0, args.k0 or 0.0)
             eps = classical.energy(model, start)
         else:
             start = classical.section_start(model, eps)
-        period = _measure_period(model, start=start, step=args.dt)
-        duration = max(args.periods * period, 2.0 * args.dt)
-        spec = classical.OrbitSpec.from_point(model, start, step=args.dt,
-                                              duration=duration)
-        traj = classical.integrate_orbit(spec)
+        period, traj = classical.measured_orbit(model, start, args.dt,
+                                                args.periods)
         path = _sweep_path(args.out, "eps", eps, multiple)
         export_table(traj, args.format, path)
         _say(model=args.model, eps=eps, period=period,
@@ -172,13 +155,8 @@ def cmd_thermo(args):
     return _EXIT_OK
 
 
-def _grid_from_args(args):
-    x_lo, x_hi, k_lo, k_hi = args.bbox
-    return GridSpec(x_lo, x_hi, k_lo, k_hi, args.grid, args.grid)
-
-
 def cmd_field(args):
-    spec = _grid_from_args(args)
+    spec = GridSpec(*args.bbox, args.grid, args.grid)
     if args.ensemble == "gaussian":
         sweep = args.alpha or [1.0]
         name = "alpha"
@@ -241,20 +219,19 @@ def cmd_trajectory(args):
     for a in a_values:
         params = GaussianEnsembleParams(args.alpha, a)
         start = PhasePoint(args.x0, args.k0)
-        limit = params.trust_limit()
-        if max(abs(start.x), abs(start.k)) > limit:
-            raise DomainError(
-                f"start point outside the trust region |x|,|k| <= {limit:.4f}")
-        model = SeparableHamiltonian(HamiltonianKind.TODA, a)
+        gaussian._check_trust(params, start.x, start.k)
         at_equilibrium = start.x == 0.0 and start.k == 0.0
-        if args.tau_max > 0:
-            tau_max = args.tau_max
-        elif at_equilibrium:
-            tau_max = 10.0
+        if args.tau_max > 0 or at_equilibrium:
+            q, c = gaussian.integrate_quantum_trajectory(
+                params, start, args.dt,
+                args.tau_max if args.tau_max > 0 else 10.0)
         else:
-            tau_max = 10.0 * _measure_period(model, start=start, step=args.dt)
-        q, c = gaussian.integrate_quantum_trajectory(params, start, args.dt,
-                                                     tau_max)
+            # the classical companion is the period probe's own orbit
+            period, c = classical.measured_orbit(
+                SeparableHamiltonian(HamiltonianKind.TODA, a), start,
+                args.dt, 10.0)
+            q = gaussian.integrate_quantum_leg(params, start, args.dt,
+                                               10.0 * period)
         table = column_table({
             "kind": np.repeat(["quantum", "classical"], [len(q), len(c)]),
             **{n: np.concatenate([getattr(q, n), getattr(c, n)])
@@ -382,6 +359,12 @@ def _positive_int(text):
     return int(text)
 
 
+def _table_output(p, default):
+    p.add_argument("--out", default=default, help="output table path")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="output format")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wignerflow",
@@ -410,9 +393,7 @@ def build_parser():
                    help="integration step")
     p.add_argument("--periods", type=float, default=3.0,
                    help="duration in measured periods")
-    p.add_argument("--out", default="orbit.csv", help="output table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format")
+    _table_output(p, "orbit.csv")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("analytic", formatter_class=fmt,
@@ -426,9 +407,7 @@ def build_parser():
                    help="rows in the table")
     p.add_argument("--dt", type=float, default=1e-3,
                    help="integration step for the reference dynamics")
-    p.add_argument("--out", default="analytic.csv", help="output table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format")
+    _table_output(p, "analytic.csv")
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("thermo", formatter_class=fmt,
@@ -444,9 +423,7 @@ def build_parser():
                    help="rows per anisotropy value")
     p.add_argument("--order", choices=("classical", "h2"), default="classical",
                    help="expansion order (h2 = quadratic-order corrected)")
-    p.add_argument("--out", default="thermo.csv", help="output table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format")
+    _table_output(p, "thermo.csv")
     p.set_defaults(func=cmd_thermo)
 
     p = sub.add_parser("field", formatter_class=fmt,
@@ -472,9 +449,7 @@ def build_parser():
                    help="nodes per axis")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--out", default="field.csv", help="output table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format")
+    _table_output(p, "field.csv")
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("stagnation", formatter_class=fmt,
@@ -514,9 +489,7 @@ def build_parser():
     p.add_argument("--dt", type=float, default=2e-3, help="integration step")
     p.add_argument("--tau-max", type=float, default=0.0,
                    help="time span; 0 means ten classical periods")
-    p.add_argument("--out", default="trajectory.csv", help="output table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format")
+    _table_output(p, "trajectory.csv")
     p.set_defaults(func=cmd_trajectory)
 
     return parser

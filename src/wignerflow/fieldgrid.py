@@ -34,6 +34,9 @@ __all__ = [
     "export_table",
 ]
 
+# nodes one grid may hold; a larger grid is refused before any allocation
+MAX_GRID_NODES = 4_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -51,6 +54,9 @@ class GridSpec:
             raise UsageError("grid ranges must satisfy lo < hi")
         if self.nx < 2 or self.nk < 2:
             raise UsageError("grids need at least 2 nodes per axis")
+        if self.nx * self.nk > MAX_GRID_NODES:
+            raise UsageError(f"{self.nx} x {self.nk} grid nodes exceed the "
+                             f"work budget of {MAX_GRID_NODES} nodes")
 
     def x_nodes(self):
         return np.linspace(self.x_lo, self.x_hi, self.nx)

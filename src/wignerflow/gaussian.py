@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import OrbitSpec, Trajectory, integrate_orbit
+from .classical import OrbitSpec, Trajectory, _rk4, integrate_orbit
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
-from .specfun import (_scaled_kernel_scalar, im_erf_offset,
-                      im_erf_offset_scaled)
+from .specfun import (_scaled_kernel_scalar, bisect, hermite_odd,
+                      im_erf_offset, im_erf_offset_scaled)
 
 __all__ = [
     "GaussianEnsembleParams",
@@ -50,6 +50,7 @@ __all__ = [
     "circulation_number",
     "find_stagnation_points",
     "integrate_quantum_trajectory",
+    "integrate_quantum_leg",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -157,11 +158,12 @@ def stationarity_div_j(params, p):
 # quantum velocity field and its quantifiers
 # ---------------------------------------------------------------------------
 
-def _velocity_scalar(params, x, k):
-    al, a = params.alpha, params.a
+def _velocity_rhs(params):
+    """w as a scalar function f(x, k), with the parameters bound once."""
+    al, a, kernel, sinh = params.alpha, params.a, _scaled_kernel_scalar, math.sinh
     c = SQRT_PI / al
-    return (c * _scaled_kernel_scalar(al, x) * math.sinh(k),
-            -a * c * _scaled_kernel_scalar(al, k) * math.sinh(x))
+    return lambda x, k: (c * kernel(al, x) * sinh(k),
+                         -a * c * kernel(al, k) * sinh(x))
 
 
 def velocity_w_xy(params, x, k):
@@ -181,8 +183,7 @@ def velocity_w(params, p):
     the classical equilibrium at the origin survives: w(0, 0) = (0, 0).
     """
     _check_trust(params, p.x, p.k)
-    wx, wk = _velocity_scalar(params, p.x, p.k)
-    return wx, wk
+    return _velocity_rhs(params)(p.x, p.k)
 
 
 def liouville_div_w_xy(params, x, k):
@@ -248,25 +249,15 @@ def series_currents_xy(params, x, k, eta_max):
     k = np.asarray(k, dtype=float)
     al, a = params.alpha, params.a
     g = gaussian_w_xy(params, x, k)
-    ax, ak = al * x, al * k
-    # odd Hermite values by the three-term recurrence, both arguments at once
-    h_prev_x, h_x = np.ones_like(ax), 2.0 * ax
-    h_prev_k, h_k = np.ones_like(ak), 2.0 * ak
     coeff = al  # alpha^{2 eta + 1} / (4^eta (2 eta + 1)!)
     djx = np.zeros_like(g)
     djk = np.zeros_like(g)
-    sign = 1.0
-    order = 1
     for eta in range(eta_max + 1):
         if eta > 0:
-            for _ in range(2):
-                h_x, h_prev_x = 2.0 * ax * h_x - 2.0 * order * h_prev_x, h_x
-                h_k, h_prev_k = 2.0 * ak * h_k - 2.0 * order * h_prev_k, h_k
-                order += 1
             coeff *= al * al / (4.0 * (2.0 * eta) * (2.0 * eta + 1.0))
-            sign = -sign
-        djx += -sign * coeff * h_x * np.sinh(k) * g
-        djk += a * sign * coeff * h_k * np.sinh(x) * g
+        sign = -1.0 if eta % 2 else 1.0
+        djx += -sign * coeff * hermite_odd(2 * eta + 1, al * x) * np.sinh(k) * g
+        djk += a * sign * coeff * hermite_odd(2 * eta + 1, al * k) * np.sinh(x) * g
     return djx, djk
 
 
@@ -329,22 +320,16 @@ def _kernel_zeros(params, upper, probes):
     n = max(int(probes), 400)
     grid = np.linspace(0.0, upper, n + 1)
     vals = im_erf_offset_scaled(al, grid)
+    on_node = (vals[:-1] == 0.0) & (grid[:-1] > 0.0)
     zeros = []
-    for i in range(n):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0 and grid[i] > 0.0:
+    for i in np.flatnonzero(on_node | ((vals[:-1] > 0.0) != (vals[1:] > 0.0))):
+        if on_node[i]:
             zeros.append(float(grid[i]))
-        elif (v0 > 0.0) != (v1 > 0.0):
-            lo, hi = grid[i], grid[i + 1]
-            flo = v0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = im_erf_offset_scaled(al, float(mid))
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            zeros.append(0.5 * (lo + hi))
+            continue
+        lo, hi = bisect(lambda chi, up=vals[i] > 0.0:
+                        (im_erf_offset_scaled(al, chi) > 0.0) == up,
+                        float(grid[i]), float(grid[i + 1]))
+        zeros.append(0.5 * (lo + hi))
     # merge near-coincident detections (exact grid-node zeros can otherwise
     # seed a second root in the neighboring cell)
     merged = []
@@ -422,57 +407,34 @@ def find_stagnation_points(params, bbox, grid=200):
 # semiclassical trajectories of the quantum velocity field
 # ---------------------------------------------------------------------------
 
-def integrate_quantum_trajectory(params, start, step, duration):
-    """Integrate dxi/dtau = w(xi) and the classical companion from the same
-    start; returns (quantum, classical) trajectories.
-
-    The quantum leg fails with the partial trajectory attached if it leaves
-    the velocity trust region.
-    """
+def integrate_quantum_leg(params, start, step, duration):
+    """Integrate dxi/dtau = w(xi) from start; fails with the partial
+    trajectory attached if it leaves the velocity trust region."""
     _check_trust(params, start.x, start.k)
-    if not (step > 0.0 and duration > step):
-        raise DomainError("require 0 < step < duration")
-    n_steps = max(1, int(round(duration / step)))
+    if not 0.0 < step < duration < math.inf:
+        raise DomainError("require 0 < step < duration < inf")
     lim = params.trust_limit()
-    xs = np.empty(n_steps + 1)
-    ks = np.empty(n_steps + 1)
-    dxs = np.empty(n_steps + 1)
-    dks = np.empty(n_steps + 1)
-    x, k = start.x, start.k
-    h = step
-    h2 = 0.5 * h
-    fail_at = None
-    for i in range(n_steps):
-        d1 = _velocity_scalar(params, x, k)
-        xs[i], ks[i], dxs[i], dks[i] = x, k, d1[0], d1[1]
-        d2 = _velocity_scalar(params, x + h2 * d1[0], k + h2 * d1[1])
-        d3 = _velocity_scalar(params, x + h2 * d2[0], k + h2 * d2[1])
-        d4 = _velocity_scalar(params, x + h * d3[0], k + h * d3[1])
-        x += h * (d1[0] + 2.0 * (d2[0] + d3[0]) + d4[0]) / 6.0
-        k += h * (d1[1] + 2.0 * (d2[1] + d3[1]) + d4[1]) / 6.0
-        if abs(x) > lim or abs(k) > lim:
-            fail_at = i + 1
-            break
-    if fail_at is None:
-        d = _velocity_scalar(params, x, k)
-        xs[n_steps], ks[n_steps], dxs[n_steps], dks[n_steps] = x, k, d[0], d[1]
-        m = n_steps + 1
-    else:
-        xs[fail_at], ks[fail_at] = x, k
-        dxs[fail_at] = dks[fail_at] = 0.0
-        m = fail_at + 1
-    tau = step * np.arange(m)
-    quantum = Trajectory(tau=tau, x=xs[:m], k=ks[:m],
-                         y=np.exp(-xs[:m]), z=np.exp(-ks[:m]),
-                         energy_residual=None, eps=None,
-                         meta={"params": params, "step": step,
-                               "dx": dxs[:m], "dk": dks[:m],
-                               "kind": "quantum"})
-    if fail_at is not None:
+
+    def outside(x, k):
+        return abs(x) > lim or abs(k) > lim
+
+    xs, ks, dxs, dks = _rk4(_velocity_rhs(params), start.x, start.k, step,
+                            max(1, int(round(duration / step))), outside)
+    tau = step * np.arange(len(xs))
+    quantum = Trajectory(tau=tau, x=xs, k=ks, y=np.exp(-xs), z=np.exp(-ks),
+                         meta={"params": params, "step": step, "dx": dxs,
+                               "dk": dks, "kind": "quantum"})
+    if outside(xs[-1], ks[-1]):
         raise NumericalError(
             f"quantum trajectory left the trust region at tau = {tau[-1]:.4f}",
             payload=quantum)
+    return quantum
+
+
+def integrate_quantum_trajectory(params, start, step, duration):
+    """Integrate dxi/dtau = w(xi) (``integrate_quantum_leg``) and the
+    classical companion from the same start; returns (quantum, classical)."""
+    quantum = integrate_quantum_leg(params, start, step, duration)
     model = SeparableHamiltonian(HamiltonianKind.TODA, params.a)
     spec = OrbitSpec.from_point(model, start, step=step, duration=duration)
-    classical = integrate_orbit(spec)
-    return quantum, classical
+    return quantum, integrate_orbit(spec)

@@ -23,6 +23,7 @@ __all__ = [
     "QuadratureSpec",
     "EllipticConvention",
     "integrate_1d",
+    "bisect",
     "bessel_k",
     "elliptic_k_complete",
     "elliptic_k_linear_sin",
@@ -182,6 +183,20 @@ def integrate_1d(f, lo, hi, spec=None):
         return value
     value, _ = _integrate_finite(_decay_transform(f, hi, -1.0), 0.0, 1.0, spec)
     return value
+
+
+def bisect(below, lo, hi):
+    """Shrink a bracket with below(lo) true and below(hi) false to adjacent
+    floats: the midpoint replaces lo where below holds and hi elsewhere,
+    until it equals one of the ends.  Returns (lo, hi)."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

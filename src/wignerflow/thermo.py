@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError, ValidityError
-from .specfun import bessel_k
+from .specfun import bessel_k, bisect
 
 __all__ = [
     "ThermalEnsembleParams",
@@ -70,13 +70,7 @@ def beta_star(a):
         lo, hi = 0.5 * lo, lo
     while z_st_closed(hi, a) > 0.0:
         lo, hi = hi, 2.0 * hi
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if z_st_closed(mid, a) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
+    lo, hi = bisect(lambda beta: z_st_closed(beta, a) > 0.0, lo, hi)
     if z0_closed(hi, a) < sys.float_info.min:
         raise NumericalError(
             f"beta*(a={a}) is out of reach: Z0 underflows at beta = {hi}, "

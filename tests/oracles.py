@@ -10,6 +10,9 @@ of the first kind is reduced from the quartic turning-point form by hand.
 The table writer and the marching squares appear here in their
 one-record-at-a-time and one-cell-at-a-time forms, as references that the
 package's column-at-a-time and whole-array versions must match exactly.
+Likewise the section scans run one sample at a time, the bisections run a
+fixed number of halvings, and the orbit command's period probe and output
+run are two separate integrations.
 """
 
 import json
@@ -17,10 +20,11 @@ import math
 
 import numpy as np
 
-from wignerflow.errors import UsageError
-from wignerflow.model import HamiltonianKind, energy
-from wignerflow.specfun import QuadratureSpec, integrate_1d
-from wignerflow.thermo import quadrature_box
+from wignerflow import classical
+from wignerflow.errors import NumericalError, UsageError
+from wignerflow.model import HamiltonianKind, PhasePoint, energy
+from wignerflow.specfun import QuadratureSpec, im_erf_offset_scaled, integrate_1d
+from wignerflow.thermo import quadrature_box, z0_closed, z_st_closed
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=2000)
 
@@ -353,3 +357,165 @@ def zero_contours_per_cell(grid):
         polylines.append(chain)
     return [np.array([_edge_point(xs, ks, values, e) for e in chain])
             for chain in polylines]
+
+
+# ---------------------------------------------------------------------------
+# orbit periods: two integrations per member, one sample at a time
+# ---------------------------------------------------------------------------
+
+def measure_period_two_pass(model, start, step, periods):
+    """(period, trajectory) the way the orbit command once made them: a
+    fresh probe of 40, 80, ... 640 time units, retried on any numerical
+    failure, then a second fresh run over max(periods x period, 2 step)."""
+    last = None
+    for duration in (40.0, 80.0, 160.0, 320.0, 640.0):
+        try:
+            period = classical.orbit_period(classical.OrbitSpec.from_point(
+                model, start, step=step, duration=duration))
+            break
+        except NumericalError as exc:
+            last = exc
+    else:
+        raise last
+    spec = classical.OrbitSpec.from_point(
+        model, start, step=step, duration=max(periods * period, 2.0 * step))
+    return period, classical.integrate_orbit(spec)
+
+
+def section_crossings_per_sample(traj):
+    """classical.section_crossings, one sample interval at a time."""
+    xs, ks, tau = traj.x, traj.k, traj.tau
+    dxs = traj.meta["dx"]
+    times = []
+    for i in range(len(xs) - 1):
+        if xs[i] == 0.0 and ks[i] > 0.0:
+            times.append(tau[i])
+        elif xs[i] < 0.0 < xs[i + 1]:
+            times.append(classical._hermite_crossing(
+                tau[i], tau[i + 1], xs[i], xs[i + 1], dxs[i], dxs[i + 1]))
+    return times
+
+
+def return_to_start_per_sample(traj):
+    """classical.return_to_start, one sample interval at a time; None where
+    the trajectory does not return."""
+    xs, ks, tau = traj.x, traj.k, traj.tau
+    dks = traj.meta["dk"]
+    k0, x0 = ks[0], xs[0]
+    down = dks[0] < 0.0
+    x_side = math.copysign(1.0, x0)
+    for i in range(1, len(ks) - 1):
+        ki, kj = ks[i] - k0, ks[i + 1] - k0
+        crossing = (ki > 0.0 >= kj) if down else (ki < 0.0 <= kj)
+        if crossing and math.copysign(1.0, xs[i]) == x_side:
+            t_star = classical._hermite_crossing(tau[i], tau[i + 1], ki, kj,
+                                                 dks[i], dks[i + 1])
+            s = (t_star - tau[i]) / (tau[i + 1] - tau[i])
+            x_star = xs[i] + s * (xs[i + 1] - xs[i])
+            return float(t_star), float(abs(x_star - x0))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# bisections with a fixed number of halvings
+# ---------------------------------------------------------------------------
+
+def section_start_fixed(h, eps):
+    """LV section start: 200 halvings of [0, target + 1] for the positive
+    root of x + e^-x = (eps - 1) / a."""
+    target = (eps - 1.0) / h.a
+    lo, hi = 0.0, target + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid + math.exp(-mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return PhasePoint(0.5 * (lo + hi), 0.0)
+
+
+def lv_turning_point_fixed(eps):
+    """Lower turning point of the isotropic LV species, y = z = e^-x with x
+    from 200 halvings of [0, eps / 2] for x + e^-x = eps / 2."""
+    lo, hi = 0.0, 0.5 * eps
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid + math.exp(-mid) < 0.5 * eps:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(-0.5 * (lo + hi))
+
+
+def hermite_crossing_fixed(t0, t1, x0, x1, d0, d1):
+    """Zero of the cubic Hermite interpolant on [t0, t1]: 60 halvings."""
+    h = t1 - t0
+    lo, hi = 0.0, 1.0
+    flo = x0
+
+    def val(s):
+        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+        h10 = s * (1.0 - s) ** 2
+        h01 = s * s * (3.0 - 2.0 * s)
+        h11 = s * s * (s - 1.0)
+        return h00 * x0 + h10 * h * d0 + h01 * x1 + h11 * h * d1
+
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fm = val(mid)
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return t0 + h * 0.5 * (lo + hi)
+
+
+def kernel_zeros_fixed(params, upper, probes):
+    """gaussian._kernel_zeros with a per-probe scan and 80 halvings."""
+    al = params.alpha
+    if upper <= 0.0:
+        return []
+    n = max(int(probes), 400)
+    grid = np.linspace(0.0, upper, n + 1)
+    vals = im_erf_offset_scaled(al, grid)
+    zeros = []
+    for i in range(n):
+        v0, v1 = vals[i], vals[i + 1]
+        if v0 == 0.0 and grid[i] > 0.0:
+            zeros.append(float(grid[i]))
+        elif (v0 > 0.0) != (v1 > 0.0):
+            lo, hi = grid[i], grid[i + 1]
+            flo = v0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = im_erf_offset_scaled(al, float(mid))
+                if (fm > 0.0) == (flo > 0.0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            zeros.append(0.5 * (lo + hi))
+    merged = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 1e-9:
+            merged.append(z)
+    return merged
+
+
+def beta_star_inline(a):
+    """thermo.beta_star with its bisection written out: bracket, then halve
+    until the midpoint equals an end; the upper end is the root."""
+    lo, hi = 1e-3, 1.0
+    while not z_st_closed(lo, a) > 0.0:
+        lo, hi = 0.5 * lo, lo
+    while z_st_closed(hi, a) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if z_st_closed(mid, a) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    if z0_closed(hi, a) < 2.2250738585072014e-308:
+        raise NumericalError(f"beta*(a={a}) is out of reach")
+    return hi

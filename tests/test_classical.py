@@ -3,19 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from wignerflow.classical import (OrbitSpec, constraint_residual, hamilton_rhs,
-                                  integrate_orbit, lv_constraint_rhs,
-                                  lv_t_ode, orbit_period, return_to_start,
+from wignerflow import classical
+from wignerflow.classical import (OrbitSpec, Trajectory, constraint_residual,
+                                  hamilton_rhs, integrate_orbit,
+                                  lv_constraint_rhs, lv_t_ode, measured_orbit,
+                                  orbit_period, return_to_start,
                                   section_crossings, section_start,
                                   toda_closed_period, toda_constraint_rhs,
                                   toda_parametric_T, toda_species_analytic,
                                   toda_t_ode)
-from wignerflow.errors import DomainError, NumericalError
+from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.model import (HamiltonianKind, PhasePoint,
                               SeparableHamiltonian, energy)
 from wignerflow.specfun import EllipticConvention
 
-from oracles import toda_period_elliptic, toda_time_of_flight
+from oracles import (hermite_crossing_fixed, lv_turning_point_fixed,
+                     measure_period_two_pass, return_to_start_per_sample,
+                     section_crossings_per_sample, section_start_fixed,
+                     toda_period_elliptic, toda_time_of_flight)
 
 TODA = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
 LV = SeparableHamiltonian(HamiltonianKind.LV, 1.0)
@@ -244,3 +249,148 @@ class TestSectionMachinery:
         t_phase = 0.5 * (traj.y[i] + traj.z[i])
         t_species = toda_t_ode(eps, float(traj.tau[i]))
         assert abs(t_phase - t_species) < 1e-8
+
+
+class TestOneIntegration:
+    """measured_orbit: the period and the written orbit from one integration,
+    bit for bit the two fresh runs the orbit command used to make."""
+
+    @pytest.mark.parametrize("model, start, step, periods", [
+        (TODA, section_start(TODA, 2.5), 1e-3, 3.0),    # prefix of the probe
+        (LV, section_start(LV, 2.2), 1e-3, 10.0),       # probe continued
+        (SeparableHamiltonian(HamiltonianKind.LV, 4.0), PhasePoint(-0.3, 0.4),
+         2e-3, 3.0),                                    # explicit start
+        (SeparableHamiltonian(HamiltonianKind.TODA, 0.01),
+         section_start(SeparableHamiltonian(HamiltonianKind.TODA, 0.01), 1.02),
+         1e-2, 2.0),                                    # probe doubled twice
+    ], ids=["prefix", "continued", "explicit", "doubled"])
+    def test_matches_two_pass_oracle(self, model, start, step, periods):
+        period, traj = measured_orbit(model, start, step, periods)
+        ref_period, ref = measure_period_two_pass(model, start, step, periods)
+        assert period == ref_period
+        for name in ("tau", "x", "k", "y", "z", "energy_residual"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        for name in ("dx", "dk"):
+            assert np.array_equal(traj.meta[name], ref.meta[name]), name
+
+    def _count_steps(self, monkeypatch):
+        steps = []
+        core = classical._rk4
+
+        def counted(f, x, k, h, n_steps, stop=None):
+            steps.append(n_steps)
+            return core(f, x, k, h, n_steps, stop)
+
+        monkeypatch.setattr(classical, "_rk4", counted)
+        return steps
+
+    def test_drift_failure_raised_by_the_probe(self, monkeypatch):
+        # drift only grows with the duration, so the 40-unit probe's
+        # failure is final: no retry at 80, 160, 320 and 640 units
+        steps = self._count_steps(monkeypatch)
+        with pytest.raises(NumericalError, match="energy drift"):
+            measured_orbit(TODA, section_start(TODA, 6.0), 0.2, 3.0)
+        assert steps == [200]
+
+    def test_missing_crossing_extends_the_same_run(self, monkeypatch):
+        # the equilibrium never crosses the section: the probe is continued
+        # to 80, 160, 320 and 640 units, integrating each step once
+        steps = self._count_steps(monkeypatch)
+        with pytest.raises(NumericalError, match="within duration 640.0"):
+            measured_orbit(TODA, PhasePoint(0.0, 0.0), 0.05, 3.0)
+        assert steps == [800, 800, 1600, 3200, 6400]
+        assert sum(steps) == round(640.0 / 0.05)
+
+
+class TestWorkBudget:
+    def test_step_budget_refused_before_allocation(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("allocated or evaluated past the budget")
+
+        monkeypatch.setattr(classical.np, "empty", boom)
+        with pytest.raises(UsageError, match="work budget of 10000000"):
+            classical._rk4(boom, 0.5, 0.0, 1e-12, 4 * 10 ** 13)
+        spec = OrbitSpec.from_energy(TODA, 2.5, step=1e-12, duration=40.0)
+        with pytest.raises(UsageError, match="work budget"):
+            integrate_orbit(spec)
+
+
+class TestOneBisection:
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_lv_section_start_matches_fixed_count(self, a):
+        model = SeparableHamiltonian(HamiltonianKind.LV, a)
+        sweep = np.concatenate([1.0 + a + 10.0 ** -np.arange(1.0, 13.0),
+                                np.linspace(1.0 + a, 1.0 + a + 40.0, 389)[1:]])
+        assert len(sweep) == 400
+        for eps in sweep:
+            assert section_start(model, eps) == section_start_fixed(model, eps)
+
+    @pytest.mark.parametrize("eps", [2.0 + 1e-9, 2.01, 2.5, 4.0, 30.0])
+    def test_lv_turning_point_matches_fixed_count(self, eps):
+        # at tau = 0 the species sum is twice the turning-point population
+        assert lv_t_ode(eps, 0.0) == 2.0 * lv_turning_point_fixed(eps)
+
+    def test_hermite_crossing_matches_fixed_count(self):
+        # 60 halvings reach float resolution wherever the root s >= 2^-8;
+        # below that the old answer is 2^-60 coarser in s
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            t0 = float(rng.uniform(0.0, 60.0))
+            h = float(rng.choice([1e-3, 2e-3, 0.2]))
+            x0 = -float(rng.uniform(1e-9, 1e-2))
+            x1 = float(rng.uniform(1e-9, 1e-2))
+            d0, d1 = (float(v) for v in rng.uniform(0.1, 3.0, 2))
+            args = (t0, t0 + h, x0, x1, d0, d1)
+            new = classical._hermite_crossing(*args)
+            old = hermite_crossing_fixed(*args)
+            if (old - t0) / h >= 2.0 ** -8:
+                assert new == old
+            else:
+                assert abs(new - old) <= 2.0 ** -60 * h + math.ulp(new)
+
+
+class TestCrossingScan:
+    """The array scans pick the same sample intervals as the per-sample
+    loops, so the returned times are bit-identical."""
+
+    @staticmethod
+    def _cases():
+        lv4 = SeparableHamiltonian(HamiltonianKind.LV, 4.0)
+        specs = [OrbitSpec.from_energy(TODA, 2.5, step=1e-3, duration=30.0),
+                 OrbitSpec.from_energy(LV, 3.2, step=1e-3, duration=40.0),
+                 OrbitSpec.from_point(TODA, PhasePoint(0.0, 0.8), step=1e-3,
+                                      duration=20.0),
+                 OrbitSpec.from_point(lv4, PhasePoint(-0.3, -0.4), step=2e-3,
+                                      duration=20.0),
+                 OrbitSpec.from_energy(TODA, 4.0, step=1e-3, duration=3.0)]
+        trajs = [integrate_orbit(spec) for spec in specs]
+        from wignerflow.gaussian import (GaussianEnsembleParams,
+                                         integrate_quantum_leg)
+        trajs.append(integrate_quantum_leg(GaussianEnsembleParams(1.0, 1.0),
+                                           PhasePoint(0.6, 0.0), 2e-3, 20.0))
+        # exact zeros on samples, and a step onto zero from below
+        x = np.array([-1.0, 0.0, 1.0, 0.0, -1.0, -0.5, 0.0, 0.5, 1.0, 0.0])
+        k = np.array([1.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, -1.0, 1.0])
+        trajs.append(Trajectory(tau=np.arange(10.0), x=x, k=k, y=np.exp(-x),
+                                z=np.exp(-k), meta={"dx": np.ones(10),
+                                                    "dk": np.ones(10)}))
+        return trajs
+
+    def test_section_crossings_match_per_sample_loop(self):
+        for traj in self._cases():
+            new = section_crossings(traj)
+            old = section_crossings_per_sample(traj)
+            assert new == old
+            assert all(type(a) is type(b) for a, b in zip(new, old))
+
+    def test_return_to_start_matches_per_sample_loop(self):
+        returned = 0
+        for traj in self._cases():
+            old = return_to_start_per_sample(traj)
+            if old is None:
+                with pytest.raises(NumericalError, match="does not return"):
+                    return_to_start(traj)
+            else:
+                assert return_to_start(traj) == old
+                returned += 1
+        assert returned >= 5

@@ -55,6 +55,25 @@ class TestOrbit:
         assert (tmp_path / "o_eps2.5.csv").exists()
         assert (tmp_path / "o_eps2.2.csv").exists()
 
+    def test_explicit_start_is_one_member(self, tmp_path):
+        # --x0/--k0 fix the orbit, so repeated --eps values are no sweep
+        res = run_cli(["orbit", "--x0", "0.5", "--eps", "2.5", "--eps", "3",
+                       "--dt", "2e-3", "--periods", "1", "--out", "o.csv"],
+                      tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert parse_kv(res.stdout)["out"] == "o.csv"
+        assert res.stdout.count("out=") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv"]
+
+    def test_drift_failure_exits_1_at_the_probe(self, tmp_path):
+        # the 40-unit probe's drift is reported; longer probes drift more
+        res = run_cli(["orbit", "--eps", "6", "--dt", "0.2", "--out", "o.csv"],
+                      tmp_path)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "energy drift 5.184e-02" in res.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_json_format(self, tmp_path):
         res = run_cli(["orbit", "--eps", "2.5", "--dt", "5e-3", "--periods",
                        "1", "--format", "json", "--out", "o.json"], tmp_path)
@@ -263,6 +282,105 @@ class TestTrajectory:
         assert "does not return" in res.stderr
         assert "out=" not in res.stdout
         assert not (tmp_path / "tr.csv").exists()
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("args, says", [
+        (["orbit", "--dt", "1e-12"], "work budget of 10000000 steps"),
+        (["trajectory", "--dt", "1e-12", "--tau-max", "10"],
+         "work budget of 10000000 steps"),
+        (["field", "--grid", "1000000"], "work budget of 4000000 nodes"),
+    ])
+    def test_over_budget_exits_2(self, tmp_path, args, says):
+        res = run_cli(args + ["--out", "out.csv"], tmp_path)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert says in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("args", [["orbit", "--dt", "1e-12"],
+                                      ["field", "--grid", "1000000"]])
+    def test_refused_before_allocation(self, tmp_path, monkeypatch, capsys,
+                                       args):
+        import numpy as np
+
+        from wignerflow import cli
+
+        def boom(*args, **kwargs):
+            raise AssertionError("allocated past the budget")
+
+        for name in ("empty", "zeros", "linspace"):
+            monkeypatch.setattr(np, name, boom)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(args + ["--out", "out.csv"]) == 2
+        assert "work budget" in capsys.readouterr().err
+
+
+class TestInfiniteDuration:
+    @pytest.mark.parametrize("args", [
+        ["orbit", "--periods", "inf"],
+        ["trajectory", "--tau-max", "inf"],
+    ])
+    def test_infinite_duration_exits_3(self, tmp_path, args):
+        res = run_cli(args + ["--out", "out.csv"], tmp_path)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "duration < inf" in res.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+
+class TestOneIntegrationPerMember:
+    """Each orbit is integrated once: the period probe's run is the one
+    written, cut to length or continued from its last state."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        from wignerflow import classical, gaussian
+        calls = []
+        core = classical._rk4
+        orbits = classical.integrate_orbit
+
+        def counted(f, x, k, h, n_steps, stop=None):
+            calls.append(("quantum" if stop else "classical", n_steps))
+            return core(f, x, k, h, n_steps, stop)
+
+        def counted_orbit(spec):
+            calls.append(("integrate_orbit", spec.duration))
+            return orbits(spec)
+
+        monkeypatch.setattr(classical, "_rk4", counted)
+        monkeypatch.setattr(gaussian, "_rk4", counted)
+        monkeypatch.setattr(classical, "integrate_orbit", counted_orbit)
+        return calls
+
+    def test_orbit_member_runs_the_core_once(self, tmp_path, monkeypatch,
+                                              capsys):
+        from wignerflow import cli
+        calls = self._count(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["orbit", "--eps", "2.5", "--eps", "2.2", "--dt",
+                         "2e-3", "--periods", "3", "--out", "o.csv"]) == 0
+        # per member: one 40-unit probe, of which the 3 periods are a prefix
+        assert calls == [("integrate_orbit", 40.0), ("classical", 20000)] * 2
+        for name in ("o_eps2.5.csv", "o_eps2.2.csv"):
+            rows = (tmp_path / name).read_text().count("\n") - 1
+            assert 8000 < rows <= 20001
+
+    def test_trajectory_member_integrates_each_step_once(
+            self, tmp_path, monkeypatch, capsys):
+        from wignerflow import cli
+        calls = self._count(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["trajectory", "--a", "1", "--x0", "0.6", "--dt",
+                         "5e-3", "--out", "t.csv"]) == 0
+        kinds = [line.split(",", 1)[0] for line in
+                 (tmp_path / "t.csv").read_text().splitlines()[1:]]
+        classical_steps = kinds.count("classical") - 1
+        # ten periods exceed the 40-unit probe, which is continued once
+        assert classical_steps > 8000
+        assert calls == [("integrate_orbit", 40.0), ("classical", 8000),
+                         ("classical", classical_steps - 8000),
+                         ("quantum", kinds.count("quantum") - 1)]
 
 
 class TestSelfTest:

@@ -18,7 +18,7 @@ from wignerflow.classical import return_to_start
 from wignerflow.model import PhasePoint
 from wignerflow.specfun import QuadratureSpec, integrate_1d
 
-from oracles import gauss_legendre_2d
+from oracles import gauss_legendre_2d, kernel_zeros_fixed
 
 A1 = GaussianEnsembleParams(1.0)
 POINT = PhasePoint(0.7, 0.4)
@@ -312,6 +312,18 @@ class TestCirculation:
 
 
 class TestStagnationPoints:
+    @pytest.mark.parametrize("alpha, upper", [
+        (0.70710678, 8.0), (1.0, 5.0), (1.41421356, 4.0), (2.0, 3.0),
+        (2.7, 2.2)])
+    def test_kernel_zeros_match_fixed_count(self, alpha, upper):
+        # 80 halvings of a probe cell reach float resolution, where the
+        # shared bisection helper stops
+        from wignerflow.gaussian import _kernel_zeros
+        params = GaussianEnsembleParams(alpha, 4.0)
+        zeros = _kernel_zeros(params, upper, 800)
+        assert zeros
+        assert zeros == kernel_zeros_fixed(params, upper, 800)
+
     def test_origin_always_detected(self):
         for alpha in (2.0 ** -0.5, 1.0, 2.0 ** 0.5):
             pts = find_stagnation_points(GaussianEnsembleParams(alpha),

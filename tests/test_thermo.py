@@ -12,7 +12,8 @@ from wignerflow.thermo import (ThermalEnsembleParams, beta_star, currents_td,
                                epsilon_correction_xy, observables, w0, w0_xy,
                                w_st2, w_st2_xy, z0_closed, z_st_closed)
 
-from oracles import bessel_k_quadrature, fit_power, thermal_plane_integral
+from oracles import (bessel_k_quadrature, beta_star_inline, fit_power,
+                     thermal_plane_integral)
 
 
 def mp_z_st(mpmath, beta, a):
@@ -109,6 +110,11 @@ class TestPartitionFunctions:
         # is not a sign change
         with pytest.raises(NumericalError, match=re.escape(f"a={a}")):
             beta_star.__wrapped__(a)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.25, 0.5, 1.0, 2.0, 4.0, 3e5])
+    def test_beta_star_matches_written_out_bisection(self, a):
+        # the shared bisection helper runs the loop beta_star had inline
+        assert beta_star.__wrapped__(a) == beta_star_inline(a)
 
 
 class TestDistributions:
