@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
-                    SpeciesPair, energy, energy_xy)
+                    SpeciesPair, energy)
 from .specfun import (EllipticConvention, bisect, elliptic_k_complete,
                       elliptic_k_linear_sin, jacobi_sn)
 
@@ -99,7 +99,8 @@ class OrbitSpec:
 
     @classmethod
     def from_point(cls, model, start, **kw):
-        return cls(model=model, eps=energy(model, start), start=start, **kw)
+        return cls(model=model, eps=energy(model, start.x, start.k), start=start,
+                   **kw)
 
 
 @dataclass
@@ -171,7 +172,7 @@ def _orbit_from(spec, rows=None):
     else:  # copies, so that the longer arrays can be freed
         rows = [r[:n + 1].copy() for r in rows]
     xs, ks, dxs, dks = rows
-    residual = energy_xy(spec.model, xs, ks) - spec.eps
+    residual = energy(spec.model, xs, ks) - spec.eps
     traj = Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
                       y=np.exp(-xs), z=np.exp(-ks), energy_residual=residual,
                       eps=spec.eps, meta={"model": spec.model, "step": spec.step,
@@ -278,8 +279,11 @@ def measured_orbit(model, start, step, periods):
     A 40-unit probe, doubled up to 640 while it holds fewer than two section
     crossings, measures the period; the trajectory is the probe's prefix or
     its continuation.  A drift failure is raised at once: a longer run
-    drifts no less.
+    drifts no less.  periods must be positive and finite.
     """
+    if not 0.0 < periods < math.inf:
+        raise DomainError(f"periods = {periods}: require 0 < periods < inf, "
+                          f"so that 0 < duration < inf")
     spec = OrbitSpec.from_point(model, start, step=step, duration=40.0)
     traj = integrate_orbit(spec)
     while len(section_crossings(traj)) < 2 and spec.duration < 640.0:

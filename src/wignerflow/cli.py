@@ -24,7 +24,7 @@ from . import classical, fieldgrid, gaussian, thermo
 from .errors import DomainError, NumericalError, UsageError, ValidityError
 from .fieldgrid import GridSpec, column_table, export_table
 from .gaussian import GaussianEnsembleParams
-from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
+from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
 from .thermo import ThermalEnsembleParams
 
 _EXIT_OK = 0
@@ -64,7 +64,7 @@ def cmd_orbit(args):
     for eps in eps_values:
         if explicit:
             start = PhasePoint(args.x0 or 0.0, args.k0 or 0.0)
-            eps = classical.energy(model, start)
+            eps = energy(model, start.x, start.k)
         else:
             start = classical.section_start(model, eps)
         period, traj = classical.measured_orbit(model, start, args.dt,
@@ -73,10 +73,19 @@ def cmd_orbit(args):
         export_table(traj, args.format, path)
         _say(model=args.model, eps=eps, period=period,
              max_energy_drift=traj.max_drift, rows=len(traj), out=path)
+        del traj  # free this member's orbit before the next one integrates
     return _EXIT_OK
 
 
+def _require_tau_max(tau_max):
+    """--tau-max is 0 (the subcommand's default span) or a finite span."""
+    if not 0.0 <= tau_max < math.inf:
+        raise DomainError(f"--tau-max {tau_max}: require 0 (the default "
+                          f"span) or 0 < duration < inf")
+
+
 def cmd_analytic(args):
+    _require_tau_max(args.tau_max)
     eps_values = args.eps
     multiple = len(eps_values) > 1
     summaries = []
@@ -214,6 +223,7 @@ def cmd_stagnation(args):
 
 
 def cmd_trajectory(args):
+    _require_tau_max(args.tau_max)
     a_values = args.a or [1.0]
     multiple = len(a_values) > 1
     for a in a_values:
@@ -248,6 +258,7 @@ def cmd_trajectory(args):
         export_table(table, args.format, path)
         _say(alpha=args.alpha, a=a, rows=len(table), out=path)
         _say(**summary)
+        del q, c, table  # free this member's rows before the next one
     return _EXIT_OK
 
 
@@ -314,25 +325,24 @@ def _selftest():
     checks["heat_capacity_closed_vs_fd"] = abs(heat - fd) < 1e-6 * abs(heat)
 
     g1 = GaussianEnsembleParams(1.0)
-    p = PhasePoint(0.7, 0.4)
-    srs = gaussian.series_currents(g1, p, 14)
-    cls = gaussian.div_currents_closed(g1, p)
+    srs = gaussian.series_currents(g1, 0.7, 0.4, 14)
+    cls = gaussian.div_currents_closed(g1, 0.7, 0.4)
     checks["series_vs_closed"] = (
         abs(srs[0] - cls[0]) < 1e-12 and abs(srs[1] - cls[1]) < 1e-12)
 
     g02 = GaussianEnsembleParams(0.2)
-    wv = gaussian.velocity_w(g02, PhasePoint(0.3, 0.2))
+    wv = gaussian.velocity_w(g02, 0.3, 0.2)
     ref = (math.sinh(0.2), -math.sinh(0.3))
     checks["velocity_classical_limit"] = (
         math.hypot(wv[0] - ref[0], wv[1] - ref[1]) < 0.01)
 
     g4 = GaussianEnsembleParams(0.8, 4.0)
     h = 1e-5
-    fd = ((gaussian.velocity_w(g4, PhasePoint(0.7 + h, 0.4))[1]
-           - gaussian.velocity_w(g4, PhasePoint(0.7 - h, 0.4))[1])
-          - (gaussian.velocity_w(g4, PhasePoint(0.7, 0.4 + h))[0]
-             - gaussian.velocity_w(g4, PhasePoint(0.7, 0.4 - h))[0])) / (2 * h)
-    vort = gaussian.vorticity(g4, PhasePoint(0.7, 0.4))
+    fd = ((gaussian.velocity_w(g4, 0.7 + h, 0.4)[1]
+           - gaussian.velocity_w(g4, 0.7 - h, 0.4)[1])
+          - (gaussian.velocity_w(g4, 0.7, 0.4 + h)[0]
+             - gaussian.velocity_w(g4, 0.7, 0.4 - h)[0])) / (2 * h)
+    vort = gaussian.vorticity(g4, 0.7, 0.4)
     checks["vorticity_closed_vs_fd"] = abs(vort - fd) < 1e-8 * abs(vort)
 
     model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)

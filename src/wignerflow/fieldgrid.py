@@ -86,24 +86,24 @@ class FieldGrid:
 # of a vector pair, and _VECTOR keeps both
 _VECTOR = "xk"
 _GAUSSIAN_QUANTITIES = {
-    "g": (gaussian.gaussian_w_xy, None, False),
-    "jx": (gaussian.currents_closed_xy, 0, False),
-    "jk": (gaussian.currents_closed_xy, 1, False),
-    "j": (gaussian.currents_closed_xy, _VECTOR, False),
-    "divj": (gaussian.stationarity_div_j_xy, None, False),
-    "wx": (gaussian.velocity_w_xy, 0, True),
-    "wk": (gaussian.velocity_w_xy, 1, True),
-    "w": (gaussian.velocity_w_xy, _VECTOR, True),
-    "divw": (gaussian.liouville_div_w_xy, None, True),
-    "vort": (gaussian.vorticity_xy, None, True),
+    "g": (gaussian.gaussian_w, None, False),
+    "jx": (gaussian.currents_closed, 0, False),
+    "jk": (gaussian.currents_closed, 1, False),
+    "j": (gaussian.currents_closed, _VECTOR, False),
+    "divj": (gaussian.stationarity_div_j, None, False),
+    "wx": (gaussian.velocity_w, 0, True),
+    "wk": (gaussian.velocity_w, 1, True),
+    "w": (gaussian.velocity_w, _VECTOR, True),
+    "divw": (gaussian.liouville_div_w, None, True),
+    "vort": (gaussian.vorticity, None, True),
 }
 _THERMAL_QUANTITIES = {
-    "w0": (thermo.w0_xy, None, False),
-    "w_st2": (thermo.w_st2_xy, None, False),
-    "jx": (thermo.currents_td_xy, 0, False),
-    "jk": (thermo.currents_td_xy, 1, False),
-    "j": (thermo.currents_td_xy, _VECTOR, False),
-    "divw": (thermo.div_w_td_xy, None, False),
+    "w0": (thermo.w0, None, False),
+    "w_st2": (thermo.w_st2, None, False),
+    "jx": (thermo.currents_td, 0, False),
+    "jk": (thermo.currents_td, 1, False),
+    "j": (thermo.currents_td, _VECTOR, False),
+    "divw": (thermo.div_w_td, None, False),
 }
 
 QUANTITIES = {

@@ -78,27 +78,28 @@ class GaussianEnsembleParams:
 
 
 def _check_trust(params, x, k):
+    """(x, k) as float arrays; DomainError if any node lies outside the
+    velocity trust region.  An empty array passes."""
+    x = np.asarray(x, dtype=float)
+    k = np.asarray(k, dtype=float)
     lim = params.trust_limit()
-    if np.max(np.abs(x)) > lim or np.max(np.abs(k)) > lim:
+    if np.any(np.abs(x) > lim) or np.any(np.abs(k) > lim):
         raise DomainError(
             f"point outside the velocity trust region |x|,|k| <= {lim:.4f} "
             f"(alpha = {params.alpha})")
+    return x, k
 
 
 # ---------------------------------------------------------------------------
 # Wigner function, purity
 # ---------------------------------------------------------------------------
 
-def gaussian_w_xy(params, x, k):
+def gaussian_w(params, x, k):
+    """Isotropic Gaussian Wigner function (alpha^2/pi) e^{-alpha^2 (x^2+k^2)}."""
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     al2 = params.alpha * params.alpha
     return al2 / math.pi * np.exp(-al2 * (x * x + k * k))
-
-
-def gaussian_w(params, p):
-    """Isotropic Gaussian Wigner function (alpha^2/pi) e^{-alpha^2 (x^2+k^2)}."""
-    return float(gaussian_w_xy(params, p.x, p.k))
 
 
 def purity(params):
@@ -111,7 +112,8 @@ def purity(params):
 # closed-form currents and their divergences
 # ---------------------------------------------------------------------------
 
-def currents_closed_xy(params, x, k):
+def currents_closed(params, x, k):
+    """Error-function closed form of the Wigner current (J_x, J_k)."""
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     al, a = params.alpha, params.a
@@ -121,37 +123,22 @@ def currents_closed_xy(params, x, k):
     return jx, jk
 
 
-def currents_closed(params, p):
-    """Error-function closed form of the Wigner current (J_x, J_k)."""
-    jx, jk = currents_closed_xy(params, p.x, p.k)
-    return float(jx), float(jk)
-
-
-def div_currents_closed_xy(params, x, k):
+def div_currents_closed(params, x, k):
+    """(dJ_x/dx, dJ_k/dk) in closed form; each vanishes on both axes."""
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     al, a = params.alpha, params.a
     al2 = al * al
-    env = 2.0 * math.exp(al2 / 4.0) * gaussian_w_xy(params, x, k)
+    env = 2.0 * math.exp(al2 / 4.0) * gaussian_w(params, x, k)
     return (-env * np.sinh(k) * np.sin(al2 * x),
             env * a * np.sinh(x) * np.sin(al2 * k))
 
 
-def div_currents_closed(params, p):
-    """(dJ_x/dx, dJ_k/dk) in closed form; each vanishes on both axes."""
-    djx, djk = div_currents_closed_xy(params, p.x, p.k)
-    return float(djx), float(djk)
-
-
-def stationarity_div_j_xy(params, x, k):
-    djx, djk = div_currents_closed_xy(params, x, k)
-    return djx + djk
-
-
-def stationarity_div_j(params, p):
+def stationarity_div_j(params, x, k):
     """div J = -dW/dtau: the stationarity quantifier.  Identically zero on
     the diagonal x = k when a = 1."""
-    return float(stationarity_div_j_xy(params, p.x, p.k))
+    djx, djk = div_currents_closed(params, x, k)
+    return djx + djk
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +153,13 @@ def _velocity_rhs(params):
                          -a * c * kernel(al, k) * sinh(x))
 
 
-def velocity_w_xy(params, x, k):
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(k, dtype=float)
+def velocity_w(params, x, k):
+    """Quantum velocity w = J / G in the analytically cancelled form.
+
+    w_x depends on x only through the scaled kernel and on k through sinh;
+    the classical equilibrium at the origin survives: w(0, 0) = (0, 0).
+    """
+    x, k = _check_trust(params, x, k)
     al, a = params.alpha, params.a
     c = SQRT_PI / al
     wx = c * im_erf_offset_scaled(al, x) * np.sinh(k)
@@ -176,19 +167,13 @@ def velocity_w_xy(params, x, k):
     return wx, wk
 
 
-def velocity_w(params, p):
-    """Quantum velocity w = J / G in the analytically cancelled form.
+def liouville_div_w(params, x, k):
+    """div w, the quantumness (non-Liouville) quantifier, in closed form.
 
-    w_x depends on x only through the scaled kernel and on k through sinh;
-    the classical equilibrium at the origin survives: w(0, 0) = (0, 0).
+    Zero at the origin, nonzero generically; equals
+    (W div J - J . grad W) / W^2 with the Gaussian cancelled analytically.
     """
-    _check_trust(params, p.x, p.k)
-    return _velocity_rhs(params)(p.x, p.k)
-
-
-def liouville_div_w_xy(params, x, k):
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(k, dtype=float)
+    x, k = _check_trust(params, x, k)
     al, a = params.alpha, params.a
     al2 = al * al
     e4 = math.exp(al2 / 4.0)
@@ -200,26 +185,7 @@ def liouville_div_w_xy(params, x, k):
             + 2.0 * a * e4 * np.sin(al2 * k) * np.sinh(x))
 
 
-def liouville_div_w(params, p):
-    """div w, the quantumness (non-Liouville) quantifier, in closed form.
-
-    Zero at the origin, nonzero generically; equals
-    (W div J - J . grad W) / W^2 with the Gaussian cancelled analytically.
-    """
-    _check_trust(params, p.x, p.k)
-    return float(liouville_div_w_xy(params, p.x, p.k))
-
-
-def vorticity_xy(params, x, k):
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(k, dtype=float)
-    al, a = params.alpha, params.a
-    c = SQRT_PI / al
-    return -c * (a * im_erf_offset_scaled(al, k) * np.cosh(x)
-                 + im_erf_offset_scaled(al, x) * np.cosh(k))
-
-
-def vorticity(params, p, field="quantum"):
+def vorticity(params, x, k):
     """z-component of the curl of the velocity field, dw_k/dx - dw_x/dk.
 
     The classical limit is minus the phase-space Laplacian of the
@@ -228,19 +194,23 @@ def vorticity(params, p, field="quantum"):
     the curl is -(sqrt(pi)/alpha) (a S(k) cosh x + S(x) cosh k) with S the
     scaled kernel e^{(alpha chi)^2} F(chi).
     """
-    if field == "classical":
-        return -(params.a * math.cosh(p.x) + math.cosh(p.k))
-    if field != "quantum":
-        raise UsageError("field must be 'quantum' or 'classical'")
-    _check_trust(params, p.x, p.k)
-    return float(vorticity_xy(params, p.x, p.k))
+    x, k = _check_trust(params, x, k)
+    al, a = params.alpha, params.a
+    c = SQRT_PI / al
+    return -c * (a * im_erf_offset_scaled(al, k) * np.cosh(x)
+                 + im_erf_offset_scaled(al, x) * np.cosh(k))
 
 
 # ---------------------------------------------------------------------------
 # truncated series reference for the divergences
 # ---------------------------------------------------------------------------
 
-def series_currents_xy(params, x, k, eta_max):
+def series_currents(params, x, k, eta_max):
+    """(dJ_x/dx, dJ_k/dk) truncated at series order eta_max.
+
+    eta_max = 0 is the classical divergence (sinh k dG/dx, -a sinh x dG/dk);
+    the sum converges to the closed sine form as eta_max grows.
+    """
     if eta_max > 25:
         raise UsageError("eta_max above 25 exceeds the factorial guard")
     if eta_max < 0:
@@ -248,10 +218,9 @@ def series_currents_xy(params, x, k, eta_max):
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     al, a = params.alpha, params.a
-    g = gaussian_w_xy(params, x, k)
+    g = gaussian_w(params, x, k)
     coeff = al  # alpha^{2 eta + 1} / (4^eta (2 eta + 1)!)
-    djx = np.zeros_like(g)
-    djk = np.zeros_like(g)
+    djx = djk = 0.0
     for eta in range(eta_max + 1):
         if eta > 0:
             coeff *= al * al / (4.0 * (2.0 * eta) * (2.0 * eta + 1.0))
@@ -259,16 +228,6 @@ def series_currents_xy(params, x, k, eta_max):
         djx += -sign * coeff * hermite_odd(2 * eta + 1, al * x) * np.sinh(k) * g
         djk += a * sign * coeff * hermite_odd(2 * eta + 1, al * k) * np.sinh(x) * g
     return djx, djk
-
-
-def series_currents(params, p, eta_max):
-    """(dJ_x/dx, dJ_k/dk) truncated at series order eta_max.
-
-    eta_max = 0 is the classical divergence (sinh k dG/dx, -a sinh x dG/dk);
-    the sum converges to the closed sine form as eta_max grows.
-    """
-    djx, djk = series_currents_xy(params, p.x, p.k, eta_max)
-    return float(djx), float(djk)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +248,8 @@ def circulation_number(params, center, radius, samples=720):
         raise UsageError("radius must be positive")
     n = max(720, int(samples))
     phi = 2.0 * math.pi * np.arange(n) / n
-    px = center.x + radius * np.cos(phi)
-    pk = center.k + radius * np.sin(phi)
-    _check_trust(params, px, pk)
-    wx, wk = velocity_w_xy(params, px, pk)
+    wx, wk = velocity_w(params, center.x + radius * np.cos(phi),
+                        center.k + radius * np.sin(phi))
     speed = np.hypot(wx, wk)
     if np.min(speed) < 1e-12:
         raise NumericalError(
@@ -386,7 +343,7 @@ def find_stagnation_points(params, bbox, grid=200):
     candidates = sorted(set(candidates))
     points = []
     for cx, ck in candidates:
-        jx, jk = currents_closed_xy(params, cx, ck)
+        jx, jk = currents_closed(params, cx, ck)
         residual = float(np.hypot(jx, jk))
         # nearest-neighbor distance controls the circulation loop radius
         nn = min((math.hypot(cx - ox, ck - ok)

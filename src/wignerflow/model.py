@@ -80,13 +80,8 @@ class SeparableHamiltonian:
         return self.a * (x + np.exp(-x))
 
 
-def energy(h, p):
+def energy(h, x, k):
     """H(x, k); bounded below by 1 + a with equality only at the origin."""
-    return float(h.kinetic(p.k) + h.potential(p.x))
-
-
-def energy_xy(h, x, k):
-    """Vectorized H over coordinate arrays."""
     return h.kinetic(np.asarray(k, dtype=float)) + h.potential(np.asarray(x, dtype=float))
 
 

@@ -101,20 +101,17 @@ class ThermalEnsembleParams:
                 f"{beta_star(self.a):.6f}")
 
 
-def w0_xy(params, x, k):
-    """Classical distribution exp(-beta H_T) / Z0, vectorized."""
+def w0(params, x, k):
+    """Classical Maxwell-Boltzmann weight exp(-beta H_T) / Z0; normalized."""
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
     return np.exp(-b * (a * np.cosh(x) + np.cosh(k))) / z0_closed(b, a)
 
 
-def w0(params, p):
-    """Classical Maxwell-Boltzmann weight at a phase point; normalized."""
-    return float(w0_xy(params, p.x, p.k))
-
-
-def epsilon_correction_xy(params, x, k):
+def epsilon_correction(params, x, k):
+    """Quadratic-order relative correction: even in (x, k) -> (-x, -k) and
+    equal to -a beta^2 / 8 at the origin."""
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
@@ -123,33 +120,29 @@ def epsilon_correction_xy(params, x, k):
                           + np.tanh(k) * np.sinh(k)) - 1.0))
 
 
-def epsilon_correction(params, p):
-    """Quadratic-order relative correction: even in (x, k) -> (-x, -k) and
-    equal to -a beta^2 / 8 at the origin."""
-    return float(epsilon_correction_xy(params, p.x, p.k))
-
-
-def w_st2_xy(params, x, k):
+def w_st2(params, x, k):
+    """Corrected stationary distribution (Z0/Z_ST) W0 (1 + eps); normalized."""
     if params.order != "h2":
         raise UsageError("w_st2 requires order='h2' parameters")
     b, a = params.beta, params.a
     pref = z0_closed(b, a) / z_st_closed(b, a)
-    return pref * w0_xy(params, x, k) * (1.0 + epsilon_correction_xy(params, x, k))
+    return pref * w0(params, x, k) * (1.0 + epsilon_correction(params, x, k))
 
 
-def w_st2(params, p):
-    """Corrected stationary distribution (Z0/Z_ST) W0 (1 + eps); normalized."""
-    return float(w_st2_xy(params, p.x, p.k))
+def currents_td(params, x, k):
+    """Thermal current components (J_x, J_k).
 
-
-def currents_td_xy(params, x, k):
+    Classical order gives (sinh k, -a sinh x) W0; the h2 order adds the
+    printed quadratic-order bracket and eps corrections.  J_x vanishes on
+    k = 0 and J_k on x = 0 at either order.
+    """
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
-    w = w0_xy(params, x, k)
+    w = w0(params, x, k)
     if params.order == "classical":
         return np.sinh(k) * w, -a * np.sinh(x) * w
-    eps = epsilon_correction_xy(params, x, k)
+    eps = epsilon_correction(params, x, k)
     jx = np.sinh(k) * (1.0 + eps - a * b / 24.0
                        * (a * b * np.sinh(x) ** 2 - np.cosh(x))) * w
     jk = -a * np.sinh(x) * (1.0 + eps - b / 24.0
@@ -157,26 +150,7 @@ def currents_td_xy(params, x, k):
     return jx, jk
 
 
-def currents_td(params, p):
-    """Thermal current components (J_x, J_k).
-
-    Classical order gives (sinh k, -a sinh x) W0; the h2 order adds the
-    printed quadratic-order bracket and eps corrections.  J_x vanishes on
-    k = 0 and J_k on x = 0 at either order.
-    """
-    jx, jk = currents_td_xy(params, p.x, p.k)
-    return float(jx), float(jk)
-
-
-def div_w_td_xy(params, x, k):
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(k, dtype=float)
-    b, a = params.beta, params.a
-    return (a * b * b / 12.0 * np.sinh(x) * np.sinh(k)
-            * (a * np.cosh(x) - np.cosh(k)))
-
-
-def div_w_td(params, p):
+def div_w_td(params, x, k):
     """Flow-divergence quantifier of the corrected thermal velocity field:
 
         div w = (a beta^2 / 12) sinh x sinh k [a cosh x - cosh k].
@@ -184,7 +158,11 @@ def div_w_td(params, p):
     Vanishes on both axes and, for a = 1, on |x| = |k|; a nonzero value marks
     the departure from divergence-free classical transport.
     """
-    return float(div_w_td_xy(params, p.x, p.k))
+    x = np.asarray(x, dtype=float)
+    k = np.asarray(k, dtype=float)
+    b, a = params.beta, params.a
+    return (a * b * b / 12.0 * np.sinh(x) * np.sinh(k)
+            * (a * np.cosh(x) - np.cosh(k)))
 
 
 @dataclass(frozen=True)

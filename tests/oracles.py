@@ -169,7 +169,7 @@ def harmonic_residual(h, p):
     Diagnostic only: O(x^4, k^4) for the even Toda model, O(x^3) for LV.
     """
     quad = (1.0 + h.a) + 0.5 * (h.a * p.x * p.x + p.k * p.k)
-    return energy(h, p) - quad
+    return energy(h, p.x, p.k) - quad
 
 
 # ---------------------------------------------------------------------------

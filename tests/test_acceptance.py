@@ -20,16 +20,15 @@ from wignerflow.classical import (OrbitSpec, integrate_orbit, orbit_period,
                                   return_to_start, toda_closed_period,
                                   toda_species_analytic)
 from wignerflow.gaussian import (GaussianEnsembleParams, currents_closed,
-                                 currents_closed_xy, div_currents_closed_xy,
-                                 find_stagnation_points, gaussian_w_xy,
-                                 integrate_quantum_trajectory,
-                                 series_currents_xy, stationarity_div_j,
+                                 div_currents_closed, find_stagnation_points,
+                                 gaussian_w, integrate_quantum_trajectory,
+                                 series_currents, stationarity_div_j,
                                  velocity_w)
 from wignerflow.model import (HamiltonianKind, PhasePoint,
                               SeparableHamiltonian)
 from wignerflow.specfun import QuadratureSpec, bessel_k, integrate_1d
 from wignerflow.thermo import (ThermalEnsembleParams, currents_td,
-                               epsilon_correction_xy, observables, z0_closed,
+                               epsilon_correction, observables, z0_closed,
                                z_st_closed)
 
 from launcher import run_cli
@@ -113,7 +112,7 @@ def test_criterion_06_corrected_partition_function():
 
             def integrand(x, k):
                 return (np.exp(-beta * (a * np.cosh(x) + np.cosh(k)))
-                        * (1.0 + epsilon_correction_xy(params, x, k)))
+                        * (1.0 + epsilon_correction(params, x, k)))
 
             ref = thermal_plane_integral(integrand, beta, a)
             worst = max(worst, abs(z_st_closed(beta, a) - ref) / abs(ref))
@@ -150,10 +149,10 @@ def test_criterion_08_thermal_stationarity_order():
         params = ThermalEnsembleParams(float(beta), 1.0, "h2")
 
         def jx(x, k):
-            return currents_td(params, PhasePoint(x, k))[0]
+            return currents_td(params, x, k)[0]
 
         def jk(x, k):
-            return currents_td(params, PhasePoint(x, k))[1]
+            return currents_td(params, x, k)[1]
 
         div = ((jx(x0 + h, k0) - jx(x0 - h, k0))
                + (jk(x0, k0 + h) - jk(x0, k0 - h))) / (2.0 * h)
@@ -172,8 +171,8 @@ def test_criterion_09_series_vs_closed_form():
     x, k = np.meshgrid(xs, xs)
     for alpha in ALPHAS:
         params = GaussianEnsembleParams(alpha)
-        srs = series_currents_xy(params, x, k, 12)
-        cls = div_currents_closed_xy(params, x, k)
+        srs = series_currents(params, x, k, 12)
+        cls = div_currents_closed(params, x, k)
         for s, c in zip(srs, cls):
             mask = np.abs(c) > 1e-30
             worst = max(worst, float(np.max(np.abs(s - c)[mask]
@@ -188,20 +187,20 @@ def test_criterion_10_current_divergence_consistency():
     x, k = np.meshgrid(xs, xs)
     params = GaussianEnsembleParams(1.0)
     h = 1e-5
-    fd = ((currents_closed_xy(params, x + h, k)[0]
-           - currents_closed_xy(params, x - h, k)[0]) / (2.0 * h),
-          (currents_closed_xy(params, x, k + h)[1]
-           - currents_closed_xy(params, x, k - h)[1]) / (2.0 * h))
-    cls = div_currents_closed_xy(params, x, k)
+    fd = ((currents_closed(params, x + h, k)[0]
+           - currents_closed(params, x - h, k)[0]) / (2.0 * h),
+          (currents_closed(params, x, k + h)[1]
+           - currents_closed(params, x, k - h)[1]) / (2.0 * h))
+    cls = div_currents_closed(params, x, k)
     worst_fd = max(float(np.max(np.abs(fd[0] - cls[0]))),
                    float(np.max(np.abs(fd[1] - cls[1]))))
     rng = np.random.default_rng(7)
     worst_ftc = 0.0
     for x0, k0 in rng.uniform(-2.0, 2.0, size=(10, 2)):
         ref = integrate_1d(
-            lambda xx: float(div_currents_closed_xy(params, xx, k0)[0]),
+            lambda xx: float(div_currents_closed(params, xx, k0)[0]),
             -9.0, float(x0), QuadratureSpec(1e-13, 1e-11, 2000))
-        jx = currents_closed(params, PhasePoint(float(x0), float(k0)))[0]
+        jx = currents_closed(params, float(x0), float(k0))[0]
         worst_ftc = max(worst_ftc, abs(jx - ref))
     report("10", worst_fd < 1e-6 and worst_ftc < 1e-8,
            f"max |finite difference - closed| = {worst_fd:.2e}; "
@@ -214,13 +213,13 @@ def test_criterion_11_symmetry_suite():
     for t in np.linspace(-2.0, 2.0, 41):
         worst_diag = max(worst_diag,
                          abs(stationarity_div_j(params,
-                                                PhasePoint(float(t), float(t)))))
+                                                float(t), float(t))))
     worst_parity = 0.0
     rng = np.random.default_rng(11)
     for x, k in rng.uniform(-2.0, 2.0, size=(50, 2)):
-        jx, jk = currents_closed_xy(params, x, k)
-        jx_mx, jk_mx = currents_closed_xy(params, -x, k)
-        jx_mk, jk_mk = currents_closed_xy(params, x, -k)
+        jx, jk = currents_closed(params, x, k)
+        jx_mx, jk_mx = currents_closed(params, -x, k)
+        jx_mk, jk_mk = currents_closed(params, x, -k)
         worst_parity = max(
             worst_parity,
             abs(float(jx_mx - jx)), abs(float(jx_mk + jx)),
@@ -235,7 +234,7 @@ def test_criterion_12_classical_limit():
     worst = 0.0
     for x in np.linspace(-1.0, 1.0, 21):
         for k in np.linspace(-1.0, 1.0, 21):
-            wx, wk = velocity_w(params, PhasePoint(float(x), float(k)))
+            wx, wk = velocity_w(params, float(x), float(k))
             vx, vk = math.sinh(k), -math.sinh(x)
             worst = max(worst, math.hypot(wx - vx, wk - vk)
                         / (1.0 + math.hypot(vx, vk)))
@@ -286,7 +285,7 @@ def test_criterion_15_purity():
     for alpha in ALPHAS:
         params = GaussianEnsembleParams(alpha)
         val = 2.0 * math.pi * gauss_legendre_2d(
-            lambda x, k: gaussian_w_xy(params, x, k) ** 2,
+            lambda x, k: gaussian_w(params, x, k) ** 2,
             8.0 / alpha, 8.0 / alpha)
         worst = max(worst, abs(val - alpha * alpha))
     report("15", worst < 1e-8, f"max |2 pi Int W^2 - alpha^2| = {worst:.2e}")

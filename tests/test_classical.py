@@ -228,7 +228,7 @@ class TestSectionMachinery:
         for model, eps in ((TODA, 2.5), (LV, 3.2)):
             p = section_start(model, eps)
             assert p.k == 0.0 and p.x > 0.0
-            assert abs(energy(model, p) - eps) < 1e-9
+            assert abs(energy(model, p.x, p.k) - eps) < 1e-9
 
     def test_crossings_are_transversal(self):
         spec = OrbitSpec.from_energy(TODA, 2.5, step=1e-3, duration=30.0)
@@ -300,6 +300,14 @@ class TestOneIntegration:
             measured_orbit(TODA, PhasePoint(0.0, 0.0), 0.05, 3.0)
         assert steps == [800, 800, 1600, 3200, 6400]
         assert sum(steps) == round(640.0 / 0.05)
+
+    @pytest.mark.parametrize("periods", [0.0, -1.0, math.inf, math.nan])
+    def test_non_positive_duration_refused_before_integrating(
+            self, monkeypatch, periods):
+        steps = self._count_steps(monkeypatch)
+        with pytest.raises(DomainError, match="0 < periods < inf"):
+            measured_orbit(TODA, section_start(TODA, 2.5), 1e-3, periods)
+        assert steps == []
 
 
 class TestWorkBudget:

@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -249,10 +250,9 @@ class TestStagnation:
         assert rec["envelope_nodes"]
         # every envelope node sits where the speed is below the threshold
         from wignerflow.gaussian import GaussianEnsembleParams, velocity_w
-        from wignerflow.model import PhasePoint
         params = GaussianEnsembleParams(1.0, 4.0)
         for x, k in rec["envelope_nodes"][:20]:
-            wx, wk = velocity_w(params, PhasePoint(x, k))
+            wx, wk = velocity_w(params, x, k)
             assert (wx * wx + wk * wk) ** 0.5 < 0.08
 
 
@@ -327,6 +327,69 @@ class TestInfiniteDuration:
         assert "Traceback" not in res.stderr
         assert "duration < inf" in res.stderr
         assert not (tmp_path / "out.csv").exists()
+
+
+class TestNonPositiveDuration:
+    @pytest.mark.parametrize("args", [
+        ["orbit", "--periods", "-1"],
+        ["orbit", "--periods", "0"],
+        ["analytic", "--eps", "2.5", "--tau-max", "-1"],
+        ["analytic", "--eps", "2.5", "--tau-max", "inf"],
+        ["trajectory", "--tau-max", "-1"],
+    ])
+    def test_exits_3_and_writes_nothing(self, tmp_path, args):
+        res = run_cli(args + ["--out", "out.csv"], tmp_path)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "out=" not in res.stdout
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSweepMembersFreed:
+    """A sweep member's outputs are freed before the next member
+    integrates, so each member peaks at the size of one member."""
+
+    @staticmethod
+    def _track(monkeypatch):
+        """Weak references to every member output; the period probe of
+        each member first checks that the earlier ones are dead."""
+        from wignerflow import classical, cli, gaussian
+        refs = []
+        measured = classical.measured_orbit
+
+        def recorded(fn, pick=lambda out: out):
+            def wrapper(*args):
+                out = fn(*args)
+                refs.append(weakref.ref(pick(out)))
+                return out
+            return wrapper
+
+        def checked(*args):
+            assert all(ref() is None for ref in refs), "member output alive"
+            return recorded(measured, lambda out: out[1])(*args)
+
+        monkeypatch.setattr(classical, "measured_orbit", checked)
+        monkeypatch.setattr(gaussian, "integrate_quantum_leg",
+                            recorded(gaussian.integrate_quantum_leg))
+        monkeypatch.setattr(cli, "column_table", recorded(cli.column_table))
+        return refs
+
+    def test_orbit_sweep(self, tmp_path, monkeypatch, capsys):
+        from wignerflow import cli
+        refs = self._track(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["orbit", "--model", "lv", "--eps", "2.5", "--eps",
+                         "2.2", "--dt", "2e-3", "--periods", "1", "--out",
+                         "o.csv"]) == 0
+        assert len(refs) == 2
+
+    def test_trajectory_sweep(self, tmp_path, monkeypatch, capsys):
+        from wignerflow import cli
+        refs = self._track(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["trajectory", "--a", "1", "--a", "2", "--x0", "0.6",
+                         "--dt", "5e-3", "--out", "t.csv"]) == 0
+        assert len(refs) == 6  # classical, quantum and table per member
 
 
 class TestOneIntegrationPerMember:

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerflow import cli, fieldgrid, thermo
 from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   toda_closed_period, toda_species_series)
-from wignerflow.errors import UsageError, ValidityError
+from wignerflow.errors import DomainError, UsageError, ValidityError
 from wignerflow.fieldgrid import (QUANTITIES, FieldGrid, GridSpec, export_table,
                                   sample_field, zero_contours)
 from wignerflow.gaussian import (GaussianEnsembleParams, find_stagnation_points,
@@ -131,6 +132,48 @@ class TestSampling:
             GridSpec(1, -1, 0, 1, 5, 5)
         with pytest.raises(UsageError):
             GridSpec(-1, 1, -1, 1, 1, 5)
+
+
+class TestScalarCallsMatchGrid:
+    """Each quantity's function called with floats at one node agrees with
+    that node of sample_field.  Not bit for bit: numpy's array and scalar
+    transcendental paths may differ in the last bits."""
+
+    @pytest.mark.parametrize("family, quantity", [
+        (family, quantity) for family in ("gaussian", "thermal")
+        for quantity in QUANTITIES[family]])
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_node_value(self, family, quantity, data):
+        a = data.draw(st.floats(0.25, 4.0), label="a")
+        if family == "gaussian":
+            params = GaussianEnsembleParams(
+                data.draw(st.floats(0.2, 2.7), label="alpha"), a)
+            entry = fieldgrid._GAUSSIAN_QUANTITIES[quantity]
+        else:
+            # beta <= 2 lies below beta*(a) for every a in [0.25, 4]
+            order = data.draw(st.sampled_from(("classical", "h2")),
+                              label="order")
+            params = ThermalEnsembleParams(
+                data.draw(st.floats(0.05, 2.0), label="beta"), a,
+                "h2" if quantity == "w_st2" else order)
+            entry = fieldgrid._THERMAL_QUANTITIES[quantity]
+        x_lo, k_lo = (data.draw(st.floats(-8.0, 7.0)) for _ in range(2))
+        x_w, k_w = (data.draw(st.floats(0.1, 8.0)) for _ in range(2))
+        nx, nk = (data.draw(st.integers(2, 9)) for _ in range(2))
+        spec = GridSpec(x_lo, x_lo + x_w, k_lo, k_lo + k_w, nx, nk)
+        i = data.draw(st.integers(0, nx - 1))
+        j = data.draw(st.integers(0, nk - 1))
+        grid = sample_field(params, quantity, spec)
+        x, k = float(spec.x_nodes()[i]), float(spec.k_nodes()[j])
+        if grid.valid is not None and not grid.valid[j, i]:
+            with pytest.raises(DomainError):
+                fieldgrid._evaluate(entry, params, x, k)
+            return
+        value = fieldgrid._evaluate(entry, params, x, k)
+        node = grid.values[j, i]
+        assert np.all(np.abs(value - node)
+                      <= 1e-12 * np.maximum(1.0, np.abs(node)))
 
 
 class TestZeroContours:

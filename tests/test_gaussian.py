@@ -5,15 +5,11 @@ import pytest
 
 from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.gaussian import (GaussianEnsembleParams, circulation_number,
-                                 currents_closed, currents_closed_xy,
-                                 div_currents_closed, div_currents_closed_xy,
+                                 currents_closed, div_currents_closed,
                                  find_stagnation_points, gaussian_w,
-                                 gaussian_w_xy,
                                  integrate_quantum_trajectory,
                                  liouville_div_w, purity, series_currents,
-                                 series_currents_xy, stationarity_div_j,
-                                 velocity_w, velocity_w_xy, vorticity,
-                                 vorticity_xy)
+                                 stationarity_div_j, velocity_w, vorticity)
 from wignerflow.classical import return_to_start
 from wignerflow.model import PhasePoint
 from wignerflow.specfun import QuadratureSpec, integrate_1d
@@ -28,16 +24,16 @@ VORTICITY_CASES = [(1.0, 1.0, 0.7, 0.4), (0.5, 4.0, -1.3, 2.1),
 
 class TestWignerFunction:
     def test_peak_value(self):
-        assert gaussian_w(A1, PhasePoint(0.0, 0.0)) == 1.0 / math.pi
+        assert gaussian_w(A1, 0.0, 0.0) == 1.0 / math.pi
 
     def test_normalized(self):
-        total = gauss_legendre_2d(lambda x, k: gaussian_w_xy(A1, x, k),
+        total = gauss_legendre_2d(lambda x, k: gaussian_w(A1, x, k),
                                   8.0, 8.0)
         assert abs(total - 1.0) < 1e-10
 
     def test_radial_symmetry(self):
-        assert gaussian_w(A1, PhasePoint(0.3, 0.4)) == pytest.approx(
-            gaussian_w(A1, PhasePoint(0.5, 0.0)), rel=1e-12)
+        assert gaussian_w(A1, 0.3, 0.4) == pytest.approx(
+            gaussian_w(A1, 0.5, 0.0), rel=1e-12)
 
 
 class TestPurity:
@@ -50,15 +46,15 @@ class TestPurity:
     def test_quadrature_identity(self, alpha):
         params = GaussianEnsembleParams(alpha)
         val = 2.0 * math.pi * gauss_legendre_2d(
-            lambda x, k: gaussian_w_xy(params, x, k) ** 2,
+            lambda x, k: gaussian_w(params, x, k) ** 2,
             8.0 / alpha, 8.0 / alpha)
         assert abs(val - purity(params)) < 1e-8
 
 
 class TestDivergences:
     def test_vanish_on_axes(self):
-        assert div_currents_closed(A1, PhasePoint(0.0, 0.7)) == (0.0, -0.0)
-        djx, djk = div_currents_closed(A1, PhasePoint(0.7, 0.0))
+        assert div_currents_closed(A1, 0.0, 0.7) == (0.0, -0.0)
+        djx, djk = div_currents_closed(A1, 0.7, 0.0)
         assert djx == -0.0 and djk == 0.0
 
     @pytest.mark.parametrize("alpha", [2.0 ** -0.5, 1.0, 2.0 ** 0.5])
@@ -66,8 +62,8 @@ class TestDivergences:
         params = GaussianEnsembleParams(alpha)
         xs = np.linspace(-2.0, 2.0, 21)
         x, k = np.meshgrid(xs, xs)
-        srs = series_currents_xy(params, x, k, 12)
-        cls = div_currents_closed_xy(params, x, k)
+        srs = series_currents(params, x, k, 12)
+        cls = div_currents_closed(params, x, k)
         for s, c in zip(srs, cls):
             denom = np.maximum(np.abs(c), 1e-300)
             mask = np.abs(c) > 1e-30
@@ -75,8 +71,8 @@ class TestDivergences:
             assert np.max(np.abs(s[~mask])) < 1e-30  # exact zeros match
 
     def test_eta_zero_is_classical_divergence(self):
-        djx, djk = series_currents(A1, POINT, 0)
-        g = gaussian_w(A1, POINT)
+        djx, djk = series_currents(A1, POINT.x, POINT.k, 0)
+        g = gaussian_w(A1, POINT.x, POINT.k)
         assert abs(djx + 2.0 * POINT.x * math.sinh(POINT.k) * g) < 1e-15
         assert abs(djk - 2.0 * POINT.k * math.sinh(POINT.x) * g) < 1e-15
 
@@ -84,21 +80,21 @@ class TestDivergences:
         # linearizing the sine gives e^{alpha^2/4} times the classical
         # divergence; the prefactor itself only drops out as alpha -> 0
         p = PhasePoint(0.02, 0.015)
-        classical = -2.0 * p.x * math.sinh(p.k) * gaussian_w(A1, p)
-        djx, _ = div_currents_closed(A1, p)
+        classical = -2.0 * p.x * math.sinh(p.k) * gaussian_w(A1, p.x, p.k)
+        djx, _ = div_currents_closed(A1, p.x, p.k)
         assert abs(djx / classical - math.exp(0.25)) < 1e-3
         broad = GaussianEnsembleParams(0.2)
         classical = (-2.0 * 0.2 ** 2 * p.x * math.sinh(p.k)
-                     * gaussian_w(broad, p))
-        djx, _ = div_currents_closed(broad, p)
+                     * gaussian_w(broad, p.x, p.k))
+        djx, _ = div_currents_closed(broad, p.x, p.k)
         assert abs(djx - classical) / abs(classical) < 0.012
 
     def test_series_terms_decay(self):
         # successive term magnitudes shrink monotonically beyond eta = 3
         prev = None
         for eta in range(3, 12):
-            a = series_currents(A1, PhasePoint(2.0, 2.0), eta)
-            b = series_currents(A1, PhasePoint(2.0, 2.0), eta - 1)
+            a = series_currents(A1, 2.0, 2.0, eta)
+            b = series_currents(A1, 2.0, 2.0, eta - 1)
             term = abs(a[0] - b[0])
             if prev is not None:
                 assert term < prev
@@ -106,17 +102,17 @@ class TestDivergences:
 
     def test_eta_max_guard(self):
         with pytest.raises(UsageError):
-            series_currents(A1, POINT, 26)
+            series_currents(A1, POINT.x, POINT.k, 26)
 
 
 class TestCurrents:
     def test_zero_at_origin(self):
-        assert currents_closed(A1, PhasePoint(0.0, 0.0)) == (0.0, -0.0)
+        assert currents_closed(A1, 0.0, 0.0) == (0.0, -0.0)
 
     def test_fundamental_theorem_oracle(self):
-        jx, _ = currents_closed(A1, POINT)
+        jx, _ = currents_closed(A1, POINT.x, POINT.k)
         ref = integrate_1d(
-            lambda xx: float(div_currents_closed_xy(A1, xx, POINT.k)[0]),
+            lambda xx: float(div_currents_closed(A1, xx, POINT.k)[0]),
             -9.0, POINT.x, QuadratureSpec(1e-13, 1e-11, 2000))
         assert abs(jx - ref) < 1e-8
 
@@ -125,12 +121,12 @@ class TestCurrents:
         x = 0.9
         vals = []
         for k in (0.3, 1.1):
-            jx, _ = currents_closed(A1, PhasePoint(x, k))
+            jx, _ = currents_closed(A1, x, k)
             vals.append(jx / (math.sinh(k) * math.exp(-k * k)))
         assert abs(vals[0] - vals[1]) < 1e-14
 
     def test_classical_sign_near_origin(self):
-        jx, _ = currents_closed(A1, PhasePoint(0.0, 0.5))
+        jx, _ = currents_closed(A1, 0.0, 0.5)
         assert jx > 0.0
         expected = (1.0 / math.sqrt(math.pi) * 0.614952094696511
                     * math.sinh(0.5) * math.exp(-0.25))
@@ -138,9 +134,9 @@ class TestCurrents:
 
     def test_parity_suite(self):
         x, k = 0.8, 0.5
-        jx_pp, jk_pp = currents_closed(A1, PhasePoint(x, k))
-        jx_mp, jk_mp = currents_closed(A1, PhasePoint(-x, k))
-        jx_pm, jk_pm = currents_closed(A1, PhasePoint(x, -k))
+        jx_pp, jk_pp = currents_closed(A1, x, k)
+        jx_mp, jk_mp = currents_closed(A1, -x, k)
+        jx_pm, jk_pm = currents_closed(A1, x, -k)
         assert abs(jx_mp - jx_pp) < 1e-15  # even in x
         assert abs(jx_pm + jx_pp) < 1e-15  # odd in k
         assert abs(jk_pm - jk_pp) < 1e-15  # even in k
@@ -149,34 +145,34 @@ class TestCurrents:
 
 class TestStationarity:
     def test_diagonal_zero_for_isotropic(self):
-        assert stationarity_div_j(A1, PhasePoint(0.9, 0.9)) == 0.0
-        assert stationarity_div_j(A1, PhasePoint(0.0, 0.0)) == 0.0
+        assert stationarity_div_j(A1, 0.9, 0.9) == 0.0
+        assert stationarity_div_j(A1, 0.0, 0.0) == 0.0
 
     def test_matches_finite_differences_of_currents(self):
         h = 1e-5
         for p in (POINT, PhasePoint(-1.2, 0.3), PhasePoint(0.4, -1.6)):
-            fd = ((currents_closed(A1, PhasePoint(p.x + h, p.k))[0]
-                   - currents_closed(A1, PhasePoint(p.x - h, p.k))[0])
-                  + (currents_closed(A1, PhasePoint(p.x, p.k + h))[1]
-                     - currents_closed(A1, PhasePoint(p.x, p.k - h))[1])) / (2 * h)
-            assert abs(stationarity_div_j(A1, p) - fd) < 1e-6
+            fd = ((currents_closed(A1, p.x + h, p.k)[0]
+                   - currents_closed(A1, p.x - h, p.k)[0])
+                  + (currents_closed(A1, p.x, p.k + h)[1]
+                     - currents_closed(A1, p.x, p.k - h)[1])) / (2 * h)
+            assert abs(stationarity_div_j(A1, p.x, p.k) - fd) < 1e-6
 
 
 class TestVelocity:
     def test_fixed_point_at_origin(self):
-        assert velocity_w(A1, PhasePoint(0.0, 0.0)) == (0.0, -0.0)
+        assert velocity_w(A1, 0.0, 0.0) == (0.0, -0.0)
 
     def test_equals_current_over_wigner(self):
-        wx, wk = velocity_w(A1, POINT)
-        jx, jk = currents_closed(A1, POINT)
-        g = gaussian_w(A1, POINT)
+        wx, wk = velocity_w(A1, POINT.x, POINT.k)
+        jx, jk = currents_closed(A1, POINT.x, POINT.k)
+        g = gaussian_w(A1, POINT.x, POINT.k)
         assert abs(wx - jx / g) < 1e-13
         assert abs(wk - jk / g) < 1e-13
 
     def test_parity(self):
-        wx_pp, _ = velocity_w(A1, PhasePoint(0.8, 0.5))
-        wx_mp, _ = velocity_w(A1, PhasePoint(-0.8, 0.5))
-        wx_pm, _ = velocity_w(A1, PhasePoint(0.8, -0.5))
+        wx_pp, _ = velocity_w(A1, 0.8, 0.5)
+        wx_mp, _ = velocity_w(A1, -0.8, 0.5)
+        wx_pm, _ = velocity_w(A1, 0.8, -0.5)
         assert abs(wx_mp - wx_pp) < 1e-15
         assert abs(wx_pm + wx_pp) < 1e-15
 
@@ -185,7 +181,7 @@ class TestVelocity:
         worst = 0.0
         for x in np.linspace(-1.0, 1.0, 11):
             for k in np.linspace(-1.0, 1.0, 11):
-                wx, wk = velocity_w(params, PhasePoint(float(x), float(k)))
+                wx, wk = velocity_w(params, float(x), float(k))
                 vx, vk = math.sinh(k), -math.sinh(x)
                 scale = 1.0 + math.hypot(vx, vk)
                 worst = max(worst, math.hypot(wx - vx, wk - vk) / scale)
@@ -193,75 +189,63 @@ class TestVelocity:
 
     def test_trust_region_guard(self):
         with pytest.raises(DomainError):
-            velocity_w(A1, PhasePoint(6.5, 0.0))
+            velocity_w(A1, 6.5, 0.0)
         with pytest.raises(DomainError):
-            velocity_w(GaussianEnsembleParams(2.0), PhasePoint(3.5, 0.0))
+            velocity_w(GaussianEnsembleParams(2.0), 3.5, 0.0)
 
 
 class TestLiouville:
     def test_zero_at_origin(self):
-        assert liouville_div_w(A1, PhasePoint(0.0, 0.0)) == 0.0
+        assert liouville_div_w(A1, 0.0, 0.0) == 0.0
 
     def test_generically_nonzero(self):
-        assert abs(liouville_div_w(A1, PhasePoint(0.5, 0.2))) > 1e-4
+        assert abs(liouville_div_w(A1, 0.5, 0.2)) > 1e-4
 
     def test_matches_velocity_finite_differences(self):
         h = 1e-5
         for p in (POINT, PhasePoint(1.3, -0.6)):
-            fd = ((velocity_w(A1, PhasePoint(p.x + h, p.k))[0]
-                   - velocity_w(A1, PhasePoint(p.x - h, p.k))[0])
-                  + (velocity_w(A1, PhasePoint(p.x, p.k + h))[1]
-                     - velocity_w(A1, PhasePoint(p.x, p.k - h))[1])) / (2 * h)
-            assert abs(liouville_div_w(A1, p) - fd) < 1e-6
+            fd = ((velocity_w(A1, p.x + h, p.k)[0]
+                   - velocity_w(A1, p.x - h, p.k)[0])
+                  + (velocity_w(A1, p.x, p.k + h)[1]
+                     - velocity_w(A1, p.x, p.k - h)[1])) / (2 * h)
+            assert abs(liouville_div_w(A1, p.x, p.k) - fd) < 1e-6
 
     def test_quotient_identity(self):
         # div w = (W div J - J . grad W) / W^2 with grad W = -2 alpha^2 (x, k) W
         p = POINT
-        g = gaussian_w(A1, p)
-        jx, jk = currents_closed(A1, p)
-        div_j = stationarity_div_j(A1, p)
+        g = gaussian_w(A1, p.x, p.k)
+        jx, jk = currents_closed(A1, p.x, p.k)
+        div_j = stationarity_div_j(A1, p.x, p.k)
         ref = div_j / g + 2.0 * (p.x * jx + p.k * jk) / g
-        assert abs(liouville_div_w(A1, p) - ref) < 1e-12
+        assert abs(liouville_div_w(A1, p.x, p.k) - ref) < 1e-12
 
     def test_classical_limit_vanishes(self):
         params = GaussianEnsembleParams(0.2)
         p = PhasePoint(0.3, 0.2)
-        wx, wk = velocity_w(params, p)
-        assert abs(liouville_div_w(params, p)) / math.hypot(wx, wk) < 0.02
+        wx, wk = velocity_w(params, p.x, p.k)
+        assert (abs(liouville_div_w(params, p.x, p.k)) / math.hypot(wx, wk)
+                < 0.02)
 
 
 class TestVorticity:
-    def test_classical_at_origin(self):
-        assert vorticity(A1, PhasePoint(0.0, 0.0), "classical") == -2.0
-
-    def test_classical_anisotropic(self):
-        params = GaussianEnsembleParams(1.0, 4.0)
-        ref = -(4.0 * math.cosh(1.0) + 1.0)
-        assert abs(vorticity(params, PhasePoint(1.0, 0.0), "classical")
-                   - ref) < 1e-12
-
     def test_quantum_approaches_classical(self):
+        # the classical curl is minus the phase-space Laplacian of H
         params = GaussianEnsembleParams(0.2)
         p = PhasePoint(0.3, 0.2)
-        vq = vorticity(params, p, "quantum")
-        vc = vorticity(params, p, "classical")
+        vq = vorticity(params, p.x, p.k)
+        vc = -(params.a * math.cosh(p.x) + math.cosh(p.k))
         assert abs(vq - vc) / abs(vc) < 0.02
-
-    def test_field_selector(self):
-        with pytest.raises(UsageError):
-            vorticity(A1, POINT, "both")
 
     @pytest.mark.parametrize("alpha, a, x, k", VORTICITY_CASES)
     def test_closed_form_matches_velocity_differences(self, alpha, a, x, k):
         params = GaussianEnsembleParams(alpha, a)
         h = 1e-5
-        fd = ((velocity_w_xy(params, x + h, k)[1]
-               - velocity_w_xy(params, x - h, k)[1])
-              - (velocity_w_xy(params, x, k + h)[0]
-                 - velocity_w_xy(params, x, k - h)[0])) / (2.0 * h)
-        closed = vorticity(params, PhasePoint(x, k))
+        fd = ((velocity_w(params, x + h, k)[1]
+               - velocity_w(params, x - h, k)[1])
+              - (velocity_w(params, x, k + h)[0]
+                 - velocity_w(params, x, k - h)[0])) / (2.0 * h)
+        closed = vorticity(params, x, k)
         assert abs(closed - fd) < 1e-8 * abs(closed)
-        assert float(vorticity_xy(params, x, k)) == closed
 
     @pytest.mark.parametrize("alpha, a, x, k", VORTICITY_CASES)
     def test_closed_form_matches_mpmath_curl(self, alpha, a, x, k):
@@ -275,7 +259,7 @@ class TestVorticity:
             dwk_dx = mp.diff(lambda t: -a * c * scaled(k) * mp.sinh(t), x)
             dwx_dk = mp.diff(lambda t: c * scaled(x) * mp.sinh(t), k)
             ref = float(dwk_dx - dwx_dk)
-        closed = vorticity(GaussianEnsembleParams(alpha, a), PhasePoint(x, k))
+        closed = vorticity(GaussianEnsembleParams(alpha, a), x, k)
         assert abs(closed - ref) < 1e-12 * abs(ref)
 
 

@@ -8,9 +8,8 @@ from wignerflow import thermo
 from wignerflow.errors import NumericalError, UsageError, ValidityError
 from wignerflow.model import PhasePoint
 from wignerflow.thermo import (ThermalEnsembleParams, beta_star, currents_td,
-                               currents_td_xy, div_w_td, epsilon_correction,
-                               epsilon_correction_xy, observables, w0, w0_xy,
-                               w_st2, w_st2_xy, z0_closed, z_st_closed)
+                               div_w_td, epsilon_correction, observables, w0,
+                               w_st2, z0_closed, z_st_closed)
 
 from oracles import (bessel_k_quadrature, beta_star_inline, fit_power,
                      thermal_plane_integral)
@@ -119,32 +118,32 @@ class TestPartitionFunctions:
 
 class TestDistributions:
     def test_w0_peak_value(self):
-        assert abs(w0(P11, PhasePoint(0.0, 0.0))
+        assert abs(w0(P11, 0.0, 0.0)
                    - math.exp(-2.0) / z0_closed(1.0, 1.0)) < 1e-15
 
     def test_w0_parity(self):
-        assert w0(P11, PhasePoint(0.9, -0.4)) == w0(P11, PhasePoint(-0.9, 0.4))
+        assert w0(P11, 0.9, -0.4) == w0(P11, -0.9, 0.4)
 
     def test_w0_normalized(self):
-        total = thermal_plane_integral(lambda x, k: w0_xy(P11, x, k), 1.0, 1.0)
+        total = thermal_plane_integral(lambda x, k: w0(P11, x, k), 1.0, 1.0)
         assert abs(total - 1.0) < 1e-8
 
     def test_epsilon_at_origin(self):
-        assert epsilon_correction(P11, PhasePoint(0.0, 0.0)) == -0.125
+        assert epsilon_correction(P11, 0.0, 0.0) == -0.125
 
     def test_epsilon_parity(self):
-        assert (epsilon_correction(P11, PhasePoint(1.3, -0.7))
-                == epsilon_correction(P11, PhasePoint(-1.3, 0.7)))
+        assert (epsilon_correction(P11, 1.3, -0.7)
+                == epsilon_correction(P11, -1.3, 0.7))
 
     def test_epsilon_mean_matches_partition_ratio(self):
         mean = thermal_plane_integral(
-            lambda x, k: w0_xy(P11, x, k) * epsilon_correction_xy(P11, x, k),
+            lambda x, k: w0(P11, x, k) * epsilon_correction(P11, x, k),
             1.0, 1.0)
         ref = z_st_closed(1.0, 1.0) / z0_closed(1.0, 1.0) - 1.0
         assert abs(mean - ref) < 1e-6
 
     def test_w_st2_normalized(self):
-        total = thermal_plane_integral(lambda x, k: w_st2_xy(H11, x, k), 1.0, 1.0)
+        total = thermal_plane_integral(lambda x, k: w_st2(H11, x, k), 1.0, 1.0)
         assert abs(total - 1.0) < 1e-6
 
     def test_w_st2_approaches_w0_at_high_temperature(self):
@@ -155,8 +154,8 @@ class TestDistributions:
         for beta in betas:
             params = ThermalEnsembleParams(beta, 1.0, "h2")
             xs = np.linspace(-2.0, 2.0, 21)
-            w_corr = w_st2_xy(params, xs[None, :], xs[:, None])
-            w_free = w0_xy(params, xs[None, :], xs[:, None])
+            w_corr = w_st2(params, xs[None, :], xs[:, None])
+            w_free = w0(params, xs[None, :], xs[:, None])
             devs.append(np.max(np.abs(w_corr - w_free) / w_free))
         assert all(d1 > d2 for d1, d2 in zip(devs, devs[1:]))
         assert devs[-1] < 5e-3
@@ -169,18 +168,18 @@ class TestDistributions:
 
     def test_w_st2_requires_h2(self):
         with pytest.raises(UsageError):
-            w_st2(P11, PhasePoint(0.0, 0.0))
+            w_st2(P11, 0.0, 0.0)
 
 
 class TestCurrents:
     def test_vanish_on_axes(self):
-        assert currents_td(H11, PhasePoint(0.7, 0.0))[0] == 0.0
-        assert currents_td(H11, PhasePoint(0.0, 0.7))[1] == 0.0
+        assert currents_td(H11, 0.7, 0.0)[0] == 0.0
+        assert currents_td(H11, 0.0, 0.7)[1] == 0.0
 
     def test_classical_order_reproduces_classical_currents(self):
         p = PhasePoint(0.5, -0.8)
-        jx, jk = currents_td(P11, p)
-        w = w0(P11, p)
+        jx, jk = currents_td(P11, p.x, p.k)
+        w = w0(P11, p.x, p.k)
         assert abs(jx - math.sinh(p.k) * w) < 1e-15
         assert abs(jk + math.sinh(p.x) * w) < 1e-15
 
@@ -190,8 +189,8 @@ class TestCurrents:
         p = PhasePoint(0.5, 0.5)
         devs = {}
         for beta in (0.4, 0.05, 0.02):
-            j_cl = currents_td(ThermalEnsembleParams(beta, 1.0), p)
-            j_h2 = currents_td(ThermalEnsembleParams(beta, 1.0, "h2"), p)
+            j_cl = currents_td(ThermalEnsembleParams(beta, 1.0), p.x, p.k)
+            j_h2 = currents_td(ThermalEnsembleParams(beta, 1.0, "h2"), p.x, p.k)
             devs[beta] = abs(j_h2[0] - j_cl[0]) / abs(j_cl[0])
         assert devs[0.02] < devs[0.05] < devs[0.4]
         slope = devs[0.02] / 0.02
@@ -199,9 +198,9 @@ class TestCurrents:
 
     def test_axis_parity(self):
         x, k = 0.8, 0.5
-        jx_pp, jk_pp = currents_td(H11, PhasePoint(x, k))
-        jx_pm, jk_pm = currents_td(H11, PhasePoint(x, -k))
-        jx_mp, jk_mp = currents_td(H11, PhasePoint(-x, k))
+        jx_pp, jk_pp = currents_td(H11, x, k)
+        jx_pm, jk_pm = currents_td(H11, x, -k)
+        jx_mp, jk_mp = currents_td(H11, -x, k)
         assert abs(jx_pm + jx_pp) < 1e-12  # J_x odd in k
         assert abs(jx_mp - jx_pp) < 1e-12  # J_x even in x
         assert abs(jk_mp + jk_pp) < 1e-12  # J_k odd in x
@@ -210,19 +209,19 @@ class TestCurrents:
 
 class TestFlowDivergence:
     def test_vanishes_on_axes_and_diagonal(self):
-        assert div_w_td(H11, PhasePoint(0.9, 0.0)) == 0.0
-        assert div_w_td(H11, PhasePoint(0.0, 0.9)) == 0.0
-        assert div_w_td(H11, PhasePoint(0.8, 0.8)) == 0.0
+        assert div_w_td(H11, 0.9, 0.0) == 0.0
+        assert div_w_td(H11, 0.0, 0.9) == 0.0
+        assert div_w_td(H11, 0.8, 0.8) == 0.0
 
     def test_anisotropic_value(self):
         params = ThermalEnsembleParams(1.0, 4.0)
         ref = math.sinh(1.0) ** 2 * math.cosh(1.0)
-        assert abs(div_w_td(params, PhasePoint(1.0, 1.0)) - ref) < 1e-12
+        assert abs(div_w_td(params, 1.0, 1.0) - ref) < 1e-12
 
     def test_sign_flips_with_cosh_difference(self):
         params = ThermalEnsembleParams(1.0, 1.0)
-        inner = div_w_td(params, PhasePoint(0.5, 1.5))
-        outer = div_w_td(params, PhasePoint(1.5, 0.5))
+        inner = div_w_td(params, 0.5, 1.5)
+        outer = div_w_td(params, 1.5, 0.5)
         assert inner * outer < 0.0
 
 
