@@ -90,7 +90,9 @@ class OrbitSpec:
                 f"eps = {self.eps} violates the closed-orbit constraint "
                 f"eps > 1 + a = {1.0 + self.model.a}")
         if not 0.0 < self.step < self.duration < math.inf:
-            raise DomainError("require 0 < step < duration < inf")
+            raise DomainError(f"step = {self.step}, duration = "
+                              f"{self.duration}: require 0 < step < "
+                              f"duration < inf")
 
     @classmethod
     def from_energy(cls, model, eps, **kw):

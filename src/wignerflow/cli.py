@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -271,7 +272,8 @@ def _selftest():
     independent numerical route."""
     from .specfun import (EllipticConvention, QuadratureSpec, bessel_k,
                           elliptic_k_complete, hermite_odd, im_erf_offset,
-                          integrate_1d, jacobi_sn)
+                          im_erf_offset_scaled, integrate_1d, jacobi_sn,
+                          scaled_kernel_table)
     checks = {}
 
     quad = QuadratureSpec(1e-13, 1e-12, 2000)
@@ -324,6 +326,17 @@ def _selftest():
     heat = thermo.observables(ThermalEnsembleParams(1.0, 1.0, "h2")).heat_capacity
     checks["heat_capacity_closed_vs_fd"] = abs(heat - fd) < 1e-6 * abs(heat)
 
+    def kernel_table_error(alpha):
+        lim = gaussian.TRUST_FACTOR / alpha
+        chi = np.linspace(-lim, lim, 201)
+        ref = im_erf_offset_scaled(alpha, chi)
+        kernel = scaled_kernel_table(alpha, lim)
+        err = max(abs(kernel(c) - r) for c, r in zip(chi.tolist(), ref))
+        return err / np.max(np.abs(ref))
+
+    checks["kernel_table_vs_faddeeva"] = all(
+        kernel_table_error(alpha) <= 1e-13 for alpha in (0.25, 1.0, 2.7))
+
     g1 = GaussianEnsembleParams(1.0)
     srs = gaussian.series_currents(g1, 0.7, 0.4, 14)
     cls = gaussian.div_currents_closed(g1, 0.7, 0.4)
@@ -362,6 +375,17 @@ def _selftest():
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number in exponent notation
+    (``--dt -1e-3``) as a value; argparse alone takes it for an option name
+    and only passes ``-1`` and ``-0.5``.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _positive_int(text):
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
@@ -376,7 +400,7 @@ def _table_output(p, default):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wignerflow",
         description="Phase-space dynamics of prey-predator Hamiltonians: "
                     "classical orbits, thermal and Gaussian Wigner flows.")

@@ -31,8 +31,8 @@ import numpy as np
 from .classical import OrbitSpec, Trajectory, _rk4, integrate_orbit
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
-from .specfun import (_scaled_kernel_scalar, bisect, hermite_odd,
-                      im_erf_offset, im_erf_offset_scaled)
+from .specfun import (bisect, hermite_odd, im_erf_offset,
+                      im_erf_offset_scaled, scaled_kernel_table)
 
 __all__ = [
     "GaussianEnsembleParams",
@@ -57,6 +57,10 @@ SQRT_PI = math.sqrt(math.pi)
 
 # the cancelled velocity form is well-conditioned for alpha*max(|x|,|k|) <= 6
 TRUST_FACTOR = 6.0
+
+# probes one kernel-zero scan may hold (stagnation --grid g scans
+# max(4 g, 800)); a larger scan is refused before any allocation
+MAX_ZERO_PROBES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -146,11 +150,12 @@ def stationarity_div_j(params, x, k):
 # ---------------------------------------------------------------------------
 
 def _velocity_rhs(params):
-    """w as a scalar function f(x, k), with the parameters bound once."""
-    al, a, kernel, sinh = params.alpha, params.a, _scaled_kernel_scalar, math.sinh
+    """w as a scalar function f(x, k), with the parameters and the kernel
+    table of alpha on the trust interval bound once."""
+    al, a, sinh = params.alpha, params.a, math.sinh
+    kernel = scaled_kernel_table(al, params.trust_limit())
     c = SQRT_PI / al
-    return lambda x, k: (c * kernel(al, x) * sinh(k),
-                         -a * c * kernel(al, k) * sinh(x))
+    return lambda x, k: (c * kernel(x) * sinh(k), -a * c * kernel(k) * sinh(x))
 
 
 def velocity_w(params, x, k):
@@ -275,6 +280,9 @@ def _kernel_zeros(params, upper, probes):
     if upper <= 0.0:
         return []
     n = max(int(probes), 400)
+    if n > MAX_ZERO_PROBES:
+        raise UsageError(f"a zero scan of {n} probes exceeds the work "
+                         f"budget of {MAX_ZERO_PROBES} probes")
     grid = np.linspace(0.0, upper, n + 1)
     vals = im_erf_offset_scaled(al, grid)
     on_node = (vals[:-1] == 0.0) & (grid[:-1] > 0.0)
@@ -369,7 +377,8 @@ def integrate_quantum_leg(params, start, step, duration):
     trajectory attached if it leaves the velocity trust region."""
     _check_trust(params, start.x, start.k)
     if not 0.0 < step < duration < math.inf:
-        raise DomainError("require 0 < step < duration < inf")
+        raise DomainError(f"step = {step}, duration = {duration}: "
+                          f"require 0 < step < duration < inf")
     lim = params.trust_limit()
 
     def outside(x, k):

@@ -8,7 +8,6 @@ integral and doubles as the independent oracle in the test suite.  All
 evaluations are pure: identical inputs give bit-identical outputs.
 """
 
-import cmath
 import heapq
 import math
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ __all__ = [
     "faddeeva_w",
     "im_erf_offset",
     "im_erf_offset_scaled",
+    "scaled_kernel_table",
 ]
 
 
@@ -408,9 +408,8 @@ _ISQRTPI = 1.0 / math.sqrt(math.pi)
 
 
 def _weideman_w(z):
-    # Horner evaluation of the Weideman rational approximation, Im z >= 0.
-    # Type-generic: a Python complex stays on pure-Python complex arithmetic
-    # (the scalar RK4 kernel), a complex ndarray is evaluated elementwise.
+    # Horner evaluation of the Weideman rational approximation, Im z >= 0,
+    # elementwise on a complex ndarray (a Python complex works as well).
     iz = 1j * z
     rm = _WEIDEMAN_L - iz
     ratio = (_WEIDEMAN_L + iz) / rm
@@ -476,11 +475,53 @@ def im_erf_offset_scaled(alpha, chi):
     return out
 
 
-def _scaled_kernel_scalar(alpha, chi):
-    # im_erf_offset_scaled for one float chi, on pure-Python complex
-    # arithmetic: no argument checks and no 0-d arrays on the RK4 hot path
-    x = alpha * abs(chi)
-    y = 0.5 * alpha
-    w = _weideman_w(complex(-y, x))
-    phase = cmath.exp(complex(0.0, -2.0 * x * y))
-    return -math.exp(y * y) * (phase * w).imag
+# Chebyshev table of the scaled kernel: the coefficient tail must fall below
+# _TABLE_TOL max|S| (a few ulps; the array kernel's own noise floor reaches
+# about 5 ulps at alpha = 10) within _TABLE_MAX_POINTS points
+_TABLE_TOL = 8.0 * np.finfo(float).eps
+_TABLE_MAX_POINTS = 513
+
+
+@lru_cache(maxsize=8)
+def scaled_kernel_table(alpha, limit):
+    """S = im_erf_offset_scaled(alpha, .) on |chi| <= limit as a function of
+    one float, for the scalar RK4 of the quantum velocity field.
+
+    S is even, so it is expanded in T_j(u), u = 2 (chi/limit)^2 - 1, from the
+    array kernel at n + 1 Chebyshev points (Trefethen, Approximation Theory
+    and Approximation Practice, SIAM 2013).  n doubles from 8 until the last
+    quarter of the coefficients lies below _TABLE_TOL max|S|; the trailing
+    coefficients below that are dropped, and the rest are summed by
+    Clenshaw's recurrence on floats.  S(-chi) equals S(chi) bit for bit.
+    Raises NumericalError, naming alpha, if _TABLE_MAX_POINTS points do not
+    suffice.
+    """
+    n = 8
+    while n + 1 <= _TABLE_MAX_POINTS:
+        u = np.cos(np.pi * np.arange(n + 1) / n)
+        s = im_erf_offset_scaled(alpha, limit * np.sqrt(0.5 + 0.5 * u))
+        # DCT-I of the node values through the FFT of their even extension
+        coef = np.fft.rfft(np.concatenate([s, s[-2:0:-1]])).real / n
+        coef[0] *= 0.5
+        coef[n] *= 0.5
+        small = np.abs(coef) <= _TABLE_TOL * np.max(np.abs(s))
+        if small[-(n // 4):].all():
+            break
+        n *= 2
+    else:
+        raise NumericalError(
+            f"scaled kernel table for alpha = {alpha} did not converge "
+            f"within {_TABLE_MAX_POINTS} Chebyshev points")
+    coef = coef[:np.flatnonzero(~small)[-1] + 1]
+    c0, rest = float(coef[0]), coef[:0:-1].tolist()
+    scale = 2.0 / (limit * limit)
+
+    def kernel(chi):
+        u = scale * chi * chi - 1.0
+        u2 = u + u
+        b1 = b2 = 0.0
+        for c in rest:
+            b1, b2 = c + u2 * b1 - b2, b1
+        return c0 + u * b1 - b2
+
+    return kernel

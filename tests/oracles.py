@@ -12,9 +12,12 @@ one-record-at-a-time and one-cell-at-a-time forms, as references that the
 package's column-at-a-time and whole-array versions must match exactly.
 Likewise the section scans run one sample at a time, the bisections run a
 fixed number of halvings, and the orbit command's period probe and output
-run are two separate integrations.
+run are two separate integrations.  The scaled kernel of the quantum RK4
+is evaluated point by point through the Weideman rational approximation,
+in place of the package's per-alpha Chebyshev table.
 """
 
+import cmath
 import json
 import math
 
@@ -23,7 +26,8 @@ import numpy as np
 from wignerflow import classical
 from wignerflow.errors import NumericalError, UsageError
 from wignerflow.model import HamiltonianKind, PhasePoint, energy
-from wignerflow.specfun import QuadratureSpec, im_erf_offset_scaled, integrate_1d
+from wignerflow.specfun import (QuadratureSpec, _weideman_w,
+                                im_erf_offset_scaled, integrate_1d)
 from wignerflow.thermo import quadrature_box, z0_closed, z_st_closed
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=2000)
@@ -519,3 +523,13 @@ def beta_star_inline(a):
     if z0_closed(hi, a) < 2.2250738585072014e-308:
         raise NumericalError(f"beta*(a={a}) is out of reach")
     return hi
+
+
+def scaled_kernel_weideman(alpha, chi):
+    """im_erf_offset_scaled for one float chi on pure-Python complex
+    arithmetic: the Weideman rational approximation, about 1e-15 relative."""
+    x = alpha * abs(chi)
+    y = 0.5 * alpha
+    w = _weideman_w(complex(-y, x))
+    phase = cmath.exp(complex(0.0, -2.0 * x * y))
+    return -math.exp(y * y) * (phase * w).imag

@@ -316,6 +316,67 @@ class TestWorkBudget:
         assert "work budget" in capsys.readouterr().err
 
 
+class TestKernelTableFailure:
+    def test_non_convergence_exits_1_naming_alpha(self, tmp_path,
+                                                  monkeypatch, capsys):
+        from wignerflow import cli, specfun
+        monkeypatch.setattr(specfun, "_TABLE_MAX_POINTS", 9)
+        specfun.scaled_kernel_table.cache_clear()
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = cli.main(["trajectory", "--alpha", "1.0", "--a", "1",
+                             "--tau-max", "1", "--out", "tr.csv"])
+        finally:
+            specfun.scaled_kernel_table.cache_clear()
+        assert code == 1
+        assert "alpha = 1.0 did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "tr.csv").exists()
+
+
+class TestZeroScanBudget:
+    def test_over_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        from wignerflow import cli
+        linspace = np.linspace
+
+        def guarded(start, stop, num=50, **kwargs):
+            if num > 10_000:
+                raise AssertionError("allocated past the budget")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", guarded)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["stagnation", "--grid", "1000000", "--alpha-steps",
+                         "1", "--out", "s.json"]) == 2
+        assert "work budget of 1000000 probes" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
+
+class TestNegativeExponentValues:
+    @pytest.mark.parametrize("args, says", [
+        (["orbit", "--dt", "-1e-3"], "step = -0.001"),
+        (["orbit", "--periods", "-1e-3"], "periods = -0.001"),
+        (["trajectory", "--dt", "-1e-3"], "step = -0.001"),
+        (["trajectory", "--tau-max", "-1e-3"], "--tau-max -0.001"),
+        (["analytic", "--eps", "2.5", "--dt", "-1e-3"], "step = -0.001"),
+        (["analytic", "--eps", "2.5", "--tau-max", "-1E-3"],
+         "--tau-max -0.001"),
+    ])
+    def test_exits_3_naming_the_value(self, tmp_path, args, says):
+        res = run_cli(args + ["--out", "out.csv"], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert says in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_exponent_start_is_a_value(self, tmp_path):
+        res = run_cli(["orbit", "--x0", "-1e-1", "--periods", "1", "--out",
+                       "o.csv"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "o.csv").exists()
+
+
 class TestInfiniteDuration:
     @pytest.mark.parametrize("args", [
         ["orbit", "--periods", "inf"],

@@ -1,20 +1,24 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from wignerflow import gaussian
 from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.gaussian import (GaussianEnsembleParams, circulation_number,
                                  currents_closed, div_currents_closed,
                                  find_stagnation_points, gaussian_w,
+                                 integrate_quantum_leg,
                                  integrate_quantum_trajectory,
                                  liouville_div_w, purity, series_currents,
                                  stationarity_div_j, velocity_w, vorticity)
-from wignerflow.classical import return_to_start
-from wignerflow.model import PhasePoint
+from wignerflow.classical import measured_orbit, return_to_start
+from wignerflow.model import HamiltonianKind, PhasePoint, SeparableHamiltonian
 from wignerflow.specfun import QuadratureSpec, integrate_1d
 
-from oracles import gauss_legendre_2d, kernel_zeros_fixed
+from oracles import (gauss_legendre_2d, kernel_zeros_fixed,
+                     scaled_kernel_weideman)
 
 A1 = GaussianEnsembleParams(1.0)
 POINT = PhasePoint(0.7, 0.4)
@@ -376,3 +380,45 @@ class TestQuantumTrajectory:
     def test_step_validation(self):
         with pytest.raises(DomainError):
             integrate_quantum_trajectory(A1, PhasePoint(0.5, 0.0), 0.0, 1.0)
+
+
+# the README trajectory members (ten classical periods, tau_max None) and
+# the trajectories benchmark workload's seed-1 members (tau_max 10)
+KERNEL_TABLE_MEMBERS = [(1.0, 0.25, 0.6, 0.0, None), (1.0, 1.0, 0.6, 0.0, None),
+                        (1.0, 4.0, 0.6, 0.0, None),
+                        (1.024, 0.502, 0.615, 0.0175, 10.0),
+                        (1.024, 0.9733, 0.615, 0.0175, 10.0),
+                        (1.024, 3.9802, 0.615, 0.0175, 10.0)]
+
+
+class TestKernelTableTrajectories:
+    """The quantum RK4 on the per-alpha kernel table against the same RK4
+    on the Weideman scalar kernel."""
+
+    @pytest.mark.parametrize("alpha, a, x0, k0, tau_max", KERNEL_TABLE_MEMBERS)
+    def test_rows_and_return_time_match_oracle(self, monkeypatch, alpha, a,
+                                               x0, k0, tau_max):
+        params = GaussianEnsembleParams(alpha, a)
+        start = PhasePoint(x0, k0)
+        if tau_max is None:
+            period, _ = measured_orbit(
+                SeparableHamiltonian(HamiltonianKind.TODA, a), start, 2e-3,
+                10.0)
+            tau_max = 10.0 * period
+        table = integrate_quantum_leg(params, start, 2e-3, tau_max)
+        monkeypatch.setattr(gaussian, "scaled_kernel_table",
+                            lambda al, lim: functools.partial(
+                                scaled_kernel_weideman, al))
+        oracle = integrate_quantum_leg(params, start, 2e-3, tau_max)
+        assert len(table) == len(oracle)
+        assert np.max(np.abs(table.x - oracle.x)) <= 1e-12
+        assert np.max(np.abs(table.k - oracle.k)) <= 1e-12
+        t_table, _ = return_to_start(table)
+        t_oracle, _ = return_to_start(oracle)
+        assert abs(t_table - t_oracle) <= 1e-9
+
+    def test_equilibrium_exactly_fixed(self):
+        for alpha in (1e-3, 1.0, 2.7):
+            q = integrate_quantum_leg(GaussianEnsembleParams(alpha, 4.0),
+                                      PhasePoint(0.0, 0.0), 1e-2, 1.0)
+            assert not q.x.any() and not q.k.any()

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wignerflow import specfun
 from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.specfun import (EllipticConvention, QuadratureSpec, bessel_k,
                                 elliptic_k_complete, elliptic_k_linear_sin,
                                 faddeeva_w, hermite_odd, im_erf_offset,
-                                im_erf_offset_scaled, integrate_1d, jacobi_sn)
+                                im_erf_offset_scaled, integrate_1d, jacobi_sn,
+                                scaled_kernel_table)
 
 from oracles import TIGHT, bessel_k_quadrature, erfi_maclaurin, im_erf_contour
 
@@ -262,3 +264,40 @@ class TestFaddeeva:
     def test_array_shape_preserved(self):
         z = np.array([[0.5 + 0.5j, 1.0 + 1.0j], [2.0j, 0.1 + 0.0j]])
         assert faddeeva_w(z).shape == (2, 2)
+
+
+class TestScaledKernelTable:
+    @pytest.mark.parametrize("alpha", [1e-3, 0.2, 1.0, 2.7, 5.0, 10.0])
+    def test_matches_array_kernel(self, alpha):
+        lim = 6.0 / alpha
+        kernel = scaled_kernel_table(alpha, lim)
+        chi = np.linspace(-lim, lim, 2001)
+        ref = im_erf_offset_scaled(alpha, chi)
+        got = np.array([kernel(c) for c in chi.tolist()])
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_even_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for alpha in (1e-3, 0.7, 1.0, 2.7, 10.0):
+            lim = 6.0 / alpha
+            kernel = scaled_kernel_table(alpha, lim)
+            for c in rng.uniform(-lim, lim, 200).tolist():
+                assert kernel(-c) == kernel(c)
+
+    def test_built_once_per_alpha(self):
+        assert scaled_kernel_table(1.0, 6.0) is scaled_kernel_table(1.0, 6.0)
+
+
+class TestScaledKernelTableNonConvergence:
+    @pytest.fixture(autouse=True)
+    def fresh_tables(self):
+        scaled_kernel_table.cache_clear()
+        yield
+        scaled_kernel_table.cache_clear()
+
+    @pytest.mark.parametrize("name, value", [("_TABLE_MAX_POINTS", 9),
+                                             ("_TABLE_TOL", 0.0)])
+    def test_raises_naming_alpha(self, monkeypatch, name, value):
+        monkeypatch.setattr(specfun, name, value)
+        with pytest.raises(NumericalError, match="alpha = 1.0 "):
+            scaled_kernel_table(1.0, 6.0)
