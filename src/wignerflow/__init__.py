@@ -8,7 +8,7 @@ stagnation/circulation analysis and semiclassical trajectories.
 
 from .classical import (OrbitSpec, TodaClosedForm, Trajectory,
                         constraint_residual, hamilton_rhs, integrate_orbit,
-                        orbit_period, return_to_start, toda_closed_period,
+                        period, return_to_start, toda_closed_period,
                         toda_parametric_T, toda_species_analytic)
 from .errors import (DomainError, NumericalError, UsageError, ValidityError,
                      WignerFlowError)

@@ -1,28 +1,32 @@
 """Classical dynamics: Hamilton equations, energy-audited orbit integration,
-period detection, and the closed-form isotropic Toda solution.
+exact orbital periods, and the closed-form isotropic Toda solution.
 
 Every trajectory, classical or quantum, in (x, k) or in the species (y, z),
-comes from one fixed-step RK4 core, ``_rk4``; ``measured_orbit`` measures a
-period and returns the orbit over several periods from one integration.
+comes from one fixed-step RK4 core, ``_rk4``.  The period of a closed orbit
+is not measured on a trajectory: ``period`` evaluates the time-of-flight
+integral T = (closed integral of) dx / K'(k(x)) of the level curve
+(Landau & Lifshitz, Mechanics, section 11), and ``measured_orbit``
+integrates the orbit once, over the span it returns.
 
 The closed-form machinery keeps two period values side by side:
 ``period_formula`` is the literal closed-form expression built on the
-linear-sine elliptic integral, and ``period_ode`` is the measured orbital
+linear-sine elliptic integral, and ``period_ode`` is the exact orbital
 period.  The two disagree (the formula diverges in the harmonic limit where
-the measured period tends to 2 pi), so the ratio is reported per energy and
-nothing is asserted about their equality.
+the period tends to 2 pi), so the ratio is reported per energy and nothing
+is asserted about their equality.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
                     SpeciesPair, energy)
-from .specfun import (EllipticConvention, bisect, elliptic_k_complete,
-                      elliptic_k_linear_sin, jacobi_sn)
+from .specfun import (EllipticConvention, QuadratureSpec, bisect,
+                      elliptic_k_complete, elliptic_k_linear_sin,
+                      integrate_1d, jacobi_sn)
 
 __all__ = [
     "OrbitSpec",
@@ -31,7 +35,7 @@ __all__ = [
     "hamilton_rhs",
     "section_start",
     "integrate_orbit",
-    "orbit_period",
+    "period",
     "measured_orbit",
     "toda_parametric_T",
     "toda_species_analytic",
@@ -156,24 +160,16 @@ def _rk4(f, x, k, h, n_steps, stop=None):
     return xs, ks, dxs, dks
 
 
-def _orbit_from(spec, rows=None):
-    """The run under spec: a fresh one, or from rows = (xs, ks, dxs, dks) of
-    an earlier run from spec.start, their prefix or their continuation from
-    the last state.  Each step depends on the state alone, so both equal the
-    fresh run bit for bit.  Raises NumericalError (carrying the trajectory)
-    if the energy drift exceeds ten times the declared tolerance.
+def integrate_orbit(spec):
+    """Fixed-step 4th-order integration of round(duration / step) steps
+    with a per-run energy-drift audit.
+
+    Raises NumericalError (carrying the trajectory) if the drift exceeds
+    ten times the declared tolerance.
     """
     n = max(1, int(round(spec.duration / spec.step)))
-    f = _rhs_scalar(spec.model)
-    if rows is None:
-        rows = _rk4(f, spec.start.x, spec.start.k, spec.step, n)
-    elif n >= len(rows[0]):
-        more = _rk4(f, float(rows[0][-1]), float(rows[1][-1]), spec.step,
-                    n + 1 - len(rows[0]))
-        rows = [np.concatenate([r[:-1], m]) for r, m in zip(rows, more)]
-    else:  # copies, so that the longer arrays can be freed
-        rows = [r[:n + 1].copy() for r in rows]
-    xs, ks, dxs, dks = rows
+    xs, ks, dxs, dks = _rk4(_rhs_scalar(spec.model), spec.start.x,
+                            spec.start.k, spec.step, n)
     residual = energy(spec.model, xs, ks) - spec.eps
     traj = Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
                       y=np.exp(-xs), z=np.exp(-ks), energy_residual=residual,
@@ -184,15 +180,6 @@ def _orbit_from(spec, rows=None):
             f"energy drift {traj.max_drift:.3e} exceeds 10 x tolerance "
             f"{spec.drift_tolerance:.1e}", payload=traj)
     return traj
-
-
-def integrate_orbit(spec):
-    """Fixed-step 4th-order integration with a per-run energy-drift audit.
-
-    Raises NumericalError (carrying the partial trajectory) if the drift
-    exceeds ten times the declared tolerance.
-    """
-    return _orbit_from(spec)
 
 
 def _hermite_crossing(t0, t1, x0, x1, d0, d1):
@@ -214,22 +201,6 @@ def _hermite_crossing(t0, t1, x0, x1, d0, d1):
 def _rising(v):
     """Mask over the sample intervals i with v[i] < 0 <= v[i + 1]."""
     return (v[:-1] < 0.0) & (v[1:] >= 0.0)
-
-
-def section_crossings(traj):
-    """Times at which x crosses its equilibrium value 0 with dx/dtau > 0.
-
-    The x = 0 line is transversal for both models (dx/dtau = K'(k) != 0 off
-    the equilibrium), which is what makes it usable as a period-counting
-    section; on the k = 0 line dx/dtau vanishes identically instead.
-    """
-    xs, ks, tau = traj.x, traj.k, traj.tau
-    dxs = traj.meta["dx"]
-    on = (xs[:-1] == 0.0) & (ks[:-1] > 0.0)
-    return [tau[i] if on[i] else
-            _hermite_crossing(tau[i], tau[i + 1], xs[i], xs[i + 1],
-                              dxs[i], dxs[i + 1])
-            for i in np.flatnonzero(on | (_rising(xs) & (xs[1:] != 0.0)))]
 
 
 def return_to_start(traj):
@@ -256,47 +227,139 @@ def return_to_start(traj):
     return float(t_star), float(abs(x_star - x0))
 
 
-def orbit_period(spec):
-    """Orbital period from interpolated section crossings.
+# ---------------------------------------------------------------------------
+# exact periods by time of flight
+# ---------------------------------------------------------------------------
 
-    Reproducible to ~1e-6 relative under step halving; raises NumericalError
-    when the duration does not contain a full revolution.
+# the integrands below are analytic on their closed intervals, so the
+# quadrature's error estimate is far above its actual error (a few 1e-16)
+_PERIOD_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13,
+                              max_subdivisions=200)
+
+
+def _exp_tail(d):
+    """e^d - 1 - d, by its Taylor series where expm1(d) - d would cancel."""
+    if abs(d) > 0.1:
+        return math.expm1(d) - d
+    t = 1.0
+    for n in range(11, 2, -1):
+        t = 1.0 + d * t / n
+    return 0.5 * d * d * t
+
+
+def _lv_root(g, side):
+    """The root v of v + e^-v = 1 + g, g > 0, with the sign of side: a
+    momentum branch k+- of the LV level curve, or (for g = (eps - 1 - a)/a)
+    one of its turning points x+-.
+
+    Halley's method on e^-v - 1 + v = g, started from the series
+    v = +-p + p^2/6 +- p^3/36 in p = sqrt(2 g) for small g and from
+    v+ = c - e^-c, v- = -ln(c + ln c) (c = 1 + g) for large g.  It
+    converges cubically, so a step below 1e-7 |v| leaves an error far below
+    float resolution; that takes at most three steps for g from 1e-15 to 1e3.
     """
-    return _period(integrate_orbit(spec), spec.duration)
+    p = math.sqrt(2.0 * g)
+    c = 1.0 + g
+    if side > 0:
+        v = p + p * p / 6.0 + p ** 3 / 36.0 if g <= 1.0 else c - math.exp(-c)
+    else:
+        v = -p + p * p / 6.0 - p ** 3 / 36.0 if g <= 3.0 else -math.log(
+            c + math.log(c))
+    for _ in range(8):
+        f = _exp_tail(-v) - g
+        if f == 0.0:
+            return v
+        slope = -math.expm1(-v)  # 1 - e^-v; the curvature is e^-v
+        step = f / slope / (1.0 - 0.5 * f * (1.0 - slope) / (slope * slope))
+        v -= step
+        if abs(step) <= 1e-7 * abs(v):
+            return v
+    raise NumericalError(f"root of v + e^-v = 1 + {g!r} did not converge")
 
 
-def _period(traj, duration):
-    times = section_crossings(traj)
-    if len(times) < 2:
-        raise NumericalError(
-            f"no complete section crossing within duration {duration}",
-            payload=traj)
-    return (times[-1] - times[0]) / (len(times) - 1)
+def _toda_period(a, eps):
+    """Four times the quarter orbit from (0, k_max) to (x_max, 0), where
+    dx/dtau = sinh k.  With x = x_max - s^2 the gap
+    g = cosh k - 1 = a (cosh x_max - cosh x)
+      = 2 a sinh(x_max - s^2/2) sinh(s^2/2)
+    has no cancellation, and sinh k = sqrt(g (g + 2))."""
+    x_max = math.acosh((eps - 1.0) / a)
+
+    def dtau_ds(s):
+        s2 = s * s
+        g = 2.0 * a * math.sinh(x_max - 0.5 * s2) * math.sinh(0.5 * s2)
+        return 2.0 * s / math.sqrt(g * (g + 2.0))
+
+    return 4.0 * integrate_1d(dtau_ds, 0.0, math.sqrt(x_max), _PERIOD_QUAD)
+
+
+def _lv_half_period(a, x_edge):
+    """Time the LV orbit spends with x between 0 and its turning point
+    x_edge, on both branches k+ > 0 (dx/dtau = 1 - e^-k > 0) and k- < 0.
+    With x = x_edge - d, d = +-s^2, the gap
+    g = k + e^-k - 1 = a (x_edge + e^-x_edge - x - e^-x)
+      = a ((1 - e^-x_edge) d - e^-x_edge (e^d - 1 - d))
+    has no cancellation.  From d = 1 on (x_edge > 1 only, so d <= x_edge)
+    the last term is taken as e^(d - x_edge) - e^-x_edge (1 + d), which
+    cannot overflow."""
+    side = math.copysign(1.0, x_edge)
+    slope, curve = -math.expm1(-x_edge), math.exp(-x_edge)
+
+    def dtau_ds(s):
+        d = side * s * s
+        tail = (curve * _exp_tail(d) if d < 1.0
+                else math.exp(d - x_edge) - curve * (1.0 + d))
+        g = a * (slope * d - tail)
+        return 2.0 * s * (1.0 / math.expm1(-_lv_root(g, -1.0))
+                          - 1.0 / math.expm1(-_lv_root(g, 1.0)))
+
+    return integrate_1d(dtau_ds, 0.0, math.sqrt(abs(x_edge)), _PERIOD_QUAD)
+
+
+def period(model, eps):
+    """Exact period of the closed orbit H = eps, by time of flight.
+
+    T = (closed integral of) dx / K'(k(x)) along the level curve, as a
+    quadrature on ``integrate_1d`` after a substitution x = x_edge -+ s^2
+    that removes the square-root singularity at each turning point: one
+    quarter orbit for Toda, the two halves x > 0 and x < 0 (each on both
+    momentum branches) for LV.  It agrees with a 30-digit evaluation to a
+    few 1e-16 relative.  At eps = 1 + a, the equilibrium, it is the
+    small-oscillation limit 2 pi / sqrt(a).
+    """
+    a = model.a
+    if not 1.0 + a <= eps < math.inf:
+        raise DomainError(f"eps = {eps}: a closed orbit needs "
+                          f"1 + a = {1.0 + a} <= eps < inf")
+    gap = eps - 1.0 - a
+    if gap <= 0.0:  # the equilibrium, to rounding
+        return 2.0 * math.pi / math.sqrt(a)
+    if model.kind is HamiltonianKind.TODA:
+        return _toda_period(a, eps)
+    return sum(_lv_half_period(a, _lv_root(gap / a, side))
+               for side in (1.0, -1.0))
 
 
 def measured_orbit(model, start, step, periods):
-    """(period, trajectory): the period of the orbit through start and the
-    orbit over max(periods x period, 2 step), from one integration.
+    """(period, trajectory): the exact period of the orbit through start
+    (``period``) and the orbit over max(periods x period, 2 step), from one
+    ``integrate_orbit`` run of round(duration / step) steps.
 
-    A 40-unit probe, doubled up to 640 while it holds fewer than two section
-    crossings, measures the period; the trajectory is the probe's prefix or
-    its continuation.  A drift failure is raised at once: a longer run
-    drifts no less.  periods must be positive and finite.
+    The equilibrium (0, 0) is a fixed point with no period: it raises
+    NumericalError before any integration.  periods must be positive and
+    finite.
     """
     if not 0.0 < periods < math.inf:
         raise DomainError(f"periods = {periods}: require 0 < periods < inf, "
                           f"so that 0 < duration < inf")
-    spec = OrbitSpec.from_point(model, start, step=step, duration=40.0)
-    traj = integrate_orbit(spec)
-    while len(section_crossings(traj)) < 2 and spec.duration < 640.0:
-        spec = replace(spec, duration=2.0 * spec.duration)
-        traj = _orbit_from(spec, (traj.x, traj.k, traj.meta["dx"],
-                                  traj.meta["dk"]))
-    period = _period(traj, spec.duration)
-    rows = traj.x, traj.k, traj.meta["dx"], traj.meta["dk"]
-    del traj  # the probe's derived columns are not needed past this point
-    spec = replace(spec, duration=max(periods * period, 2.0 * step))
-    return period, _orbit_from(spec, rows)
+    if start.x == 0.0 and start.k == 0.0:
+        raise NumericalError("the start (0, 0) is the equilibrium, a fixed "
+                             "point with no period")
+    eps = energy(model, start.x, start.k)
+    t = period(model, eps)
+    spec = OrbitSpec(model, eps, start, step=step,
+                     duration=max(periods * t, 2.0 * step))
+    return t, integrate_orbit(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +446,8 @@ def _species_series(rhs, y0, taus, step):
     """Species (y, z) at each of taus from y = z = y0 at tau = 0; each gap
     between samples is split into the fewest equal steps no longer than
     step.  Returns (y_array, z_array)."""
+    if not 0.0 < step < math.inf:
+        raise DomainError(f"step = {step}: require 0 < step < inf")
     ys, zs = np.empty(len(taus)), np.empty(len(taus))
     y = z = y0
     prev = 0.0
@@ -485,7 +550,7 @@ def resolve_convention(eps, period_ode, ode_step=1e-3):
     the literal frequency factor is inconsistent with the dynamics, so the
     waveforms run at the wrong speed).  The least-squares comparison is
     therefore phase-aligned - each reading is sampled over its own period and
-    compared with the ODE waveform over the measured period - which isolates
+    compared with the ODE waveform over the exact period - which isolates
     the wave shape and singles out the reading whose shape is dynamical.
 
     Returns (convention, lsq_parameter, lsq_modulus, res_parameter,
@@ -523,17 +588,19 @@ def resolve_convention(eps, period_ode, ode_step=1e-3):
 
 def toda_closed_period(eps, step=1e-3):
     """Fill the closed-form summary: amplitude bounds, kappa, the literal
-    closed-form period, the measured ODE period, and their ratio."""
+    closed-form period, the exact period (``period``, by time of flight;
+    its key stays period_ode) and their ratio.  step is the RK4 step of the
+    species waveform that ``resolve_convention`` compares the readings
+    with."""
     _require_isotropic_energy(eps)
     t_plus, t_minus = amplitude_bounds(eps)
     kap = kappa_of_eps(eps)
     s = math.sqrt(eps * eps - 4.0)
     period_formula = (8.0 * math.sqrt(2.0) * elliptic_k_linear_sin(kap)
                       / math.sqrt(eps + s - 2.0))
-    model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
-    spec = OrbitSpec.from_energy(model, eps, step=step, duration=30.0)
-    period_ode = orbit_period(spec)
-    conv, lsq_p, lsq_m, res_p, res_m, t_source = resolve_convention(eps, period_ode)
+    period_ode = period(SeparableHamiltonian(HamiltonianKind.TODA, 1.0), eps)
+    conv, lsq_p, lsq_m, res_p, res_m, t_source = resolve_convention(
+        eps, period_ode, step)
     return TodaClosedForm(
         eps=eps, kappa=kap, t_plus=t_plus, t_minus=t_minus,
         period_formula=period_formula, period_ode=period_ode,

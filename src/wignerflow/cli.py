@@ -4,9 +4,10 @@ Every subcommand is deterministic given its flags and writes tables through
 the fieldgrid exporters.  Repeated value flags form sweeps; with more than
 one sweep value the output path gains a ``_<name><value>`` suffix per
 member so each run maps to one file; an ``orbit`` with an explicit start is
-one member.  ``orbit`` and ``trajectory`` take a period and the rows written
-from one integration.  ``field`` and ``stagnation`` accept ``--threads`` for
-compatibility; each grid is one vectorized evaluation and it has no effect.
+one member.  ``orbit`` and ``trajectory`` print the exact period and
+integrate each classical orbit once, over the span they write.  ``field``
+and ``stagnation`` accept ``--threads`` for compatibility; each grid is one
+vectorized evaluation and it has no effect.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 domain or
 validity error.
@@ -33,6 +34,11 @@ _EXIT_NUMERICAL = 1
 _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
 
+# rows one table may hold (thermo: --steps times the --a values; analytic:
+# --samples; stagnation: --alpha-steps); a larger table is refused before
+# any allocation
+MAX_TABLE_ROWS = 1_000_000
+
 
 def _fmt(v):
     return format(float(v), ".12g")
@@ -43,6 +49,12 @@ def _say(**kv):
         if isinstance(value, float):
             value = _fmt(value)
         print(f"{key}={value}")
+
+
+def _require_rows(n):
+    if n > MAX_TABLE_ROWS:
+        raise UsageError(f"{n} rows exceed the work budget of "
+                         f"{MAX_TABLE_ROWS} rows per table")
 
 
 def _sweep_path(base, name, value, multiple):
@@ -87,6 +99,7 @@ def _require_tau_max(tau_max):
 
 def cmd_analytic(args):
     _require_tau_max(args.tau_max)
+    _require_rows(args.samples)
     eps_values = args.eps
     multiple = len(eps_values) > 1
     summaries = []
@@ -147,6 +160,7 @@ def cmd_thermo(args):
     a_values = args.a or [1.0]
     if not (args.beta_min > 0.0 and args.beta_max > args.beta_min):
         raise DomainError("need 0 < beta-min < beta-max")
+    _require_rows(args.steps * len(a_values))
     betas = np.linspace(args.beta_min, args.beta_max, args.steps)
     rows = [_thermo_row(a, float(beta), args.order)
             for a in a_values for beta in betas]
@@ -198,6 +212,7 @@ def cmd_stagnation(args):
         raise DomainError(
             f"bbox reach {reach} exceeds the trust region |x|,|k| <= "
             f"{limit:.4f} at alpha-max = {args.alpha_max}")
+    _require_rows(args.alpha_steps)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     records = []
     for alpha in alphas:
@@ -237,7 +252,7 @@ def cmd_trajectory(args):
                 params, start, args.dt,
                 args.tau_max if args.tau_max > 0 else 10.0)
         else:
-            # the classical companion is the period probe's own orbit
+            # the classical companion spans ten exact periods
             period, c = classical.measured_orbit(
                 SeparableHamiltonian(HamiltonianKind.TODA, a), start,
                 args.dt, 10.0)
@@ -363,6 +378,16 @@ def _selftest():
     traj = classical.integrate_orbit(spec)
     checks["orbit_energy_drift"] = traj.max_drift < 1e-10
 
+    def period_error(eps):
+        # against 4 K(m) / T+ with m = eps sqrt(eps^2 - 4) / T+^2 (a = 1)
+        t_plus, _ = classical.amplitude_bounds(eps)
+        m = eps * math.sqrt(eps * eps - 4.0) / (t_plus * t_plus)
+        ref = 4.0 * elliptic_k_complete(m) / t_plus
+        return abs(classical.period(model, eps) - ref) / ref
+
+    checks["period_tof_vs_elliptic"] = all(
+        period_error(eps) <= 1e-13 for eps in (2.1, 2.5, 4.0, 6.0))
+
     ok = True
     for name, passed in checks.items():
         _say(**{f"selftest_{name}": "pass" if passed else "fail"})
@@ -410,8 +435,8 @@ def build_parser():
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("orbit", formatter_class=fmt,
-                       help="integrate a classical orbit and "
-                            "measure its period")
+                       help="integrate a classical orbit over whole "
+                            "periods and print its exact period")
     p.add_argument("--model", choices=("toda", "lv"), default="toda",
                    help="Hamiltonian family")
     p.add_argument("--a", type=float, default=1.0,
@@ -426,7 +451,7 @@ def build_parser():
     p.add_argument("--dt", type=float, default=1e-3,
                    help="integration step")
     p.add_argument("--periods", type=float, default=3.0,
-                   help="duration in measured periods")
+                   help="duration in periods")
     _table_output(p, "orbit.csv")
     p.set_defaults(func=cmd_orbit)
 
@@ -436,7 +461,7 @@ def build_parser():
     p.add_argument("--eps", type=float, action="append", required=True,
                    help="energy > 2, repeatable for sweeps")
     p.add_argument("--tau-max", type=float, default=0.0,
-                   help="time span; 0 means one measured period")
+                   help="time span; 0 means one period")
     p.add_argument("--samples", type=_positive_int, default=1000,
                    help="rows in the table")
     p.add_argument("--dt", type=float, default=1e-3,

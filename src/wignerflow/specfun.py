@@ -433,10 +433,17 @@ def faddeeva_w(z):
     return w
 
 
+# the largest alpha whose e^{(alpha/2)^2} is a float (about 53.28)
+_ALPHA_MAX = 2.0 * math.sqrt(math.log(np.finfo(float).max))
+
+
 def _im_erf_parts(alpha, chi):
     """Common core: returns (x, y, Im[e^{-2ixy} w(-y + ix)]) with x = alpha|chi|."""
     if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha > 0.0):
         raise DomainError("alpha must be a positive finite real")
+    if alpha > _ALPHA_MAX:
+        raise DomainError(f"alpha = {alpha} exceeds {_ALPHA_MAX:.4f}, above "
+                          f"which e^((alpha/2)^2) overflows")
     chi_arr = np.asarray(chi, dtype=float)
     if not np.all(np.isfinite(chi_arr)):
         raise DomainError("chi must be finite")

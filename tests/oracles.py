@@ -10,11 +10,14 @@ of the first kind is reduced from the quartic turning-point form by hand.
 The table writer and the marching squares appear here in their
 one-record-at-a-time and one-cell-at-a-time forms, as references that the
 package's column-at-a-time and whole-array versions must match exactly.
-Likewise the section scans run one sample at a time, the bisections run a
-fixed number of halvings, and the orbit command's period probe and output
-run are two separate integrations.  The scaled kernel of the quantum RK4
-is evaluated point by point through the Weideman rational approximation,
-in place of the package's per-alpha Chebyshev table.
+Likewise the section scans run one sample at a time and the bisections
+run a fixed number of halvings.  The orbital period is also measured the
+way the package once did, from the section crossings of an RK4 orbit
+(``orbit_period``), and evaluated by time of flight in 30-digit mpmath
+arithmetic (``period_time_of_flight_mp``), against the package's exact
+``classical.period``.  The scaled kernel of the quantum RK4 is evaluated
+point by point through the Weideman rational approximation, in place of
+the package's per-alpha Chebyshev table.
 """
 
 import cmath
@@ -104,8 +107,9 @@ def toda_period_elliptic(eps):
     """
     s = math.sqrt(eps * eps - 4.0)
     t_plus = 0.5 * (eps + s)
-    m = eps * s / (t_plus * t_plus)
-    a_agm, b_agm = 1.0, math.sqrt(1.0 - m)
+    # 1 - m = 1 / T+^4 exactly (T+ T- = 1), so sqrt(1 - m) = 1 / T+^2
+    # carries no cancellation as m -> 1
+    a_agm, b_agm = 1.0, 1.0 / (t_plus * t_plus)
     for _ in range(80):
         if abs(a_agm - b_agm) <= 1e-15 * a_agm:
             break
@@ -364,30 +368,84 @@ def zero_contours_per_cell(grid):
 
 
 # ---------------------------------------------------------------------------
-# orbit periods: two integrations per member, one sample at a time
+# orbit periods: measured on an RK4 orbit, and by 30-digit time of flight
 # ---------------------------------------------------------------------------
 
-def measure_period_two_pass(model, start, step, periods):
-    """(period, trajectory) the way the orbit command once made them: a
-    fresh probe of 40, 80, ... 640 time units, retried on any numerical
-    failure, then a second fresh run over max(periods x period, 2 step)."""
-    last = None
-    for duration in (40.0, 80.0, 160.0, 320.0, 640.0):
-        try:
-            period = classical.orbit_period(classical.OrbitSpec.from_point(
-                model, start, step=step, duration=duration))
-            break
-        except NumericalError as exc:
-            last = exc
-    else:
-        raise last
-    spec = classical.OrbitSpec.from_point(
-        model, start, step=step, duration=max(periods * period, 2.0 * step))
-    return period, classical.integrate_orbit(spec)
+def section_crossings(traj):
+    """Times at which x crosses its equilibrium value 0 with dx/dtau > 0.
+
+    The x = 0 line is transversal for both models (dx/dtau = K'(k) != 0 off
+    the equilibrium), which is what makes it usable as a period-counting
+    section; on the k = 0 line dx/dtau vanishes identically instead.
+    """
+    xs, ks, tau = traj.x, traj.k, traj.tau
+    dxs = traj.meta["dx"]
+    on = (xs[:-1] == 0.0) & (ks[:-1] > 0.0)
+    return [tau[i] if on[i] else
+            classical._hermite_crossing(tau[i], tau[i + 1], xs[i], xs[i + 1],
+                                        dxs[i], dxs[i + 1])
+            for i in np.flatnonzero(on | (classical._rising(xs)
+                                          & (xs[1:] != 0.0)))]
+
+
+def orbit_period(spec):
+    """Orbital period measured on the RK4 orbit of spec: the mean spacing
+    of its interpolated section crossings.  Raises NumericalError when the
+    duration does not contain a full revolution."""
+    traj = classical.integrate_orbit(spec)
+    times = section_crossings(traj)
+    if len(times) < 2:
+        raise NumericalError(
+            f"no complete section crossing within duration {spec.duration}",
+            payload=traj)
+    return (times[-1] - times[0]) / (len(times) - 1)
+
+
+def period_time_of_flight_mp(model, eps):
+    """The period of the level curve H = eps in mpmath arithmetic, from the
+    float eps and a as given.
+
+    Toda: four quarter orbits, T = 4 Int_0^{x_max} dx / sinh k with
+    cosh k = eps - a cosh x.  LV: on H = eps, k solves k + e^-k = u(x) with
+    u = eps - a (x + e^-x), whose two roots are k = u + W_b(-e^-u) on the
+    Lambert-W branches b = 0 (k+ >= 0) and b = -1 (k- <= 0), and the
+    turning points solve x + e^-x = (eps - 1)/a the same way; with
+    dx/dtau = 1 - e^-k, T = Int [1/(1 - e^-k+) - 1/(1 - e^-k-)] dx.  Each
+    stretch between x = 0 and a turning point x_edge is substituted
+    x = x_edge -+ s^2 and integrated by Gauss-Legendre ``mpmath.quad``.
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        a, eps = mpmath.mpf(model.a), mpmath.mpf(eps)
+
+        def stretch(speed_inv, x_edge):
+            side = mpmath.sign(x_edge)
+            return mpmath.quad(
+                lambda s: 2 * s * speed_inv(x_edge - side * s * s),
+                [0, mpmath.sqrt(abs(x_edge))], method="gauss-legendre")
+
+        if model.kind is HamiltonianKind.TODA:
+            def toda(x):
+                u = eps - a * mpmath.cosh(x)
+                return 1 / mpmath.sqrt(u * u - 1)
+
+            return float(4 * stretch(toda, mpmath.acosh((eps - 1) / a)))
+
+        def lv(x):
+            u = eps - a * (x + mpmath.exp(-x))
+            k_plus, k_minus = (u + mpmath.lambertw(-mpmath.exp(-u), b).real
+                               for b in (0, -1))
+            return 1 / mpmath.expm1(-k_minus) - 1 / mpmath.expm1(-k_plus)
+
+        target = (eps - 1) / a
+        return float(sum(
+            stretch(lv, target + mpmath.lambertw(-mpmath.exp(-target), b).real)
+            for b in (0, -1)))
 
 
 def section_crossings_per_sample(traj):
-    """classical.section_crossings, one sample interval at a time."""
+    """section_crossings, one sample interval at a time."""
     xs, ks, tau = traj.x, traj.k, traj.tau
     dxs = traj.meta["dx"]
     times = []

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from wignerflow.classical import (OrbitSpec, integrate_orbit, orbit_period,
+from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   return_to_start, toda_closed_period,
                                   toda_species_analytic)
 from wignerflow.gaussian import (GaussianEnsembleParams, currents_closed,
@@ -32,8 +32,8 @@ from wignerflow.thermo import (ThermalEnsembleParams, currents_td,
                                z_st_closed)
 
 from launcher import run_cli
-from oracles import (fit_power, gauss_legendre_2d, thermal_plane_integral,
-                     toda_time_of_flight)
+from oracles import (fit_power, gauss_legendre_2d, orbit_period,
+                     thermal_plane_integral, toda_time_of_flight)
 
 TODA = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
 LV = SeparableHamiltonian(HamiltonianKind.LV, 1.0)

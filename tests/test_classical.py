@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from wignerflow import classical
 from wignerflow.classical import (OrbitSpec, Trajectory, constraint_residual,
                                   hamilton_rhs, integrate_orbit,
                                   lv_constraint_rhs, lv_t_ode, measured_orbit,
-                                  orbit_period, return_to_start,
-                                  section_crossings, section_start,
+                                  period, return_to_start, section_start,
                                   toda_closed_period, toda_constraint_rhs,
                                   toda_parametric_T, toda_species_analytic,
                                   toda_t_ode)
@@ -18,7 +19,8 @@ from wignerflow.model import (HamiltonianKind, PhasePoint,
 from wignerflow.specfun import EllipticConvention
 
 from oracles import (hermite_crossing_fixed, lv_turning_point_fixed,
-                     measure_period_two_pass, return_to_start_per_sample,
+                     orbit_period, period_time_of_flight_mp,
+                     return_to_start_per_sample, section_crossings,
                      section_crossings_per_sample, section_start_fixed,
                      toda_period_elliptic, toda_time_of_flight)
 
@@ -118,6 +120,63 @@ class TestPeriod:
         spec = OrbitSpec.from_energy(TODA, 2.5, step=1e-3, duration=2.0)
         with pytest.raises(NumericalError):
             orbit_period(spec)
+
+
+class TestExactPeriod:
+    """classical.period, the time-of-flight period, against independent
+    oracles."""
+
+    @pytest.mark.parametrize("eps", [2.0001, 2.1, 2.5, 4.0, 6.0, 10.0])
+    def test_against_elliptic_reduction(self, eps):
+        ref = toda_period_elliptic(eps)
+        assert abs(period(TODA, eps) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("gap", [1e-6, 0.5, 3.0])
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("kind", list(HamiltonianKind),
+                             ids=lambda kind: kind.value)
+    def test_against_mpmath_time_of_flight(self, kind, a, gap):
+        pytest.importorskip("mpmath")
+        model = SeparableHamiltonian(kind, a)
+        ref = period_time_of_flight_mp(model, 1.0 + a + gap)
+        assert abs(period(model, 1.0 + a + gap) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("kind", list(HamiltonianKind),
+                             ids=lambda kind: kind.value)
+    def test_harmonic_limit(self, kind, a):
+        # T = 2 pi / sqrt(a) (1 + O(eps - 1 - a)); the O() factor is below 1
+        model = SeparableHamiltonian(kind, a)
+        limit = 2.0 * math.pi / math.sqrt(a)
+        assert period(model, 1.0 + a) == limit
+        for gap in (1e-12, 1e-9, 1e-6):
+            assert abs(period(model, 1.0 + a + gap) - limit) <= gap * limit
+
+    def test_lv_far_turning_point(self):
+        # x+ = 1000 and beyond: e^-x_edge (e^d - 1 - d) is evaluated without
+        # forming e^d; on the k+ branch dx/dtau < 1, so T > x+ - x- > eps - 1
+        pytest.importorskip("mpmath")
+        ref = period_time_of_flight_mp(LV, 1e3)
+        assert abs(period(LV, 1e3) - ref) <= 1e-12 * ref
+        for eps in (1e6, 1e12):
+            assert eps - 1.0 < period(LV, eps) < 1.01 * eps
+
+    @pytest.mark.parametrize("eps", [1.9, -math.inf, math.inf, math.nan])
+    def test_domain(self, eps):
+        with pytest.raises(DomainError, match="closed orbit needs"):
+            period(TODA, eps)
+
+    @settings(max_examples=12, deadline=None, database=None)
+    @given(kind=st.sampled_from(list(HamiltonianKind)),
+           a=st.floats(0.25, 4.0), gap=st.floats(1e-3, 3.0))
+    def test_matches_rk4_measured_period(self, kind, a, gap):
+        # at step 1e-3 the measured period is within 1.2e-12 of the exact
+        # one over this range (a 0.25 .. 4, eps - 1 - a 0.01 .. 3)
+        model = SeparableHamiltonian(kind, a)
+        exact = period(model, 1.0 + a + gap)
+        measured = orbit_period(OrbitSpec.from_energy(
+            model, 1.0 + a + gap, step=1e-3, duration=2.5 * exact))
+        assert abs(measured - exact) <= 1e-10 * exact
 
 
 class TestParametricSolution:
@@ -252,28 +311,12 @@ class TestSectionMachinery:
 
 
 class TestOneIntegration:
-    """measured_orbit: the period and the written orbit from one integration,
-    bit for bit the two fresh runs the orbit command used to make."""
+    """measured_orbit: the exact period and one integrate_orbit run of
+    round(max(periods x period, 2 step) / step) steps, bit for bit a fresh
+    integration of the same span."""
 
-    @pytest.mark.parametrize("model, start, step, periods", [
-        (TODA, section_start(TODA, 2.5), 1e-3, 3.0),    # prefix of the probe
-        (LV, section_start(LV, 2.2), 1e-3, 10.0),       # probe continued
-        (SeparableHamiltonian(HamiltonianKind.LV, 4.0), PhasePoint(-0.3, 0.4),
-         2e-3, 3.0),                                    # explicit start
-        (SeparableHamiltonian(HamiltonianKind.TODA, 0.01),
-         section_start(SeparableHamiltonian(HamiltonianKind.TODA, 0.01), 1.02),
-         1e-2, 2.0),                                    # probe doubled twice
-    ], ids=["prefix", "continued", "explicit", "doubled"])
-    def test_matches_two_pass_oracle(self, model, start, step, periods):
-        period, traj = measured_orbit(model, start, step, periods)
-        ref_period, ref = measure_period_two_pass(model, start, step, periods)
-        assert period == ref_period
-        for name in ("tau", "x", "k", "y", "z", "energy_residual"):
-            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
-        for name in ("dx", "dk"):
-            assert np.array_equal(traj.meta[name], ref.meta[name]), name
-
-    def _count_steps(self, monkeypatch):
+    @staticmethod
+    def _count_steps(monkeypatch):
         steps = []
         core = classical._rk4
 
@@ -284,22 +327,54 @@ class TestOneIntegration:
         monkeypatch.setattr(classical, "_rk4", counted)
         return steps
 
-    def test_drift_failure_raised_by_the_probe(self, monkeypatch):
-        # drift only grows with the duration, so the 40-unit probe's
-        # failure is final: no retry at 80, 160, 320 and 640 units
+    @pytest.mark.parametrize("model, start, step, periods", [
+        (TODA, section_start(TODA, 2.5), 1e-3, 3.0),
+        (LV, section_start(LV, 2.2), 1e-3, 10.0),
+        (SeparableHamiltonian(HamiltonianKind.LV, 4.0), PhasePoint(-0.3, 0.4),
+         2e-3, 3.0),                                    # explicit start
+        (SeparableHamiltonian(HamiltonianKind.TODA, 0.01),
+         section_start(SeparableHamiltonian(HamiltonianKind.TODA, 0.01), 1.02),
+         1e-2, 2.0),                                    # 126 time units
+    ], ids=["toda", "lv", "explicit", "slow"])
+    def test_one_run_matches_fresh_integration(self, monkeypatch, model,
+                                               start, step, periods):
         steps = self._count_steps(monkeypatch)
-        with pytest.raises(NumericalError, match="energy drift"):
-            measured_orbit(TODA, section_start(TODA, 6.0), 0.2, 3.0)
-        assert steps == [200]
+        runs = []
+        orbits = classical.integrate_orbit
 
-    def test_missing_crossing_extends_the_same_run(self, monkeypatch):
-        # the equilibrium never crosses the section: the probe is continued
-        # to 80, 160, 320 and 640 units, integrating each step once
+        def counted_orbit(spec):
+            runs.append(spec)
+            return orbits(spec)
+
+        monkeypatch.setattr(classical, "integrate_orbit", counted_orbit)
+        t, traj = measured_orbit(model, start, step, periods)
+        assert t == period(model, energy(model, start.x, start.k))
+        duration = max(periods * t, 2.0 * step)
+        assert len(runs) == 1 and runs[0].duration == duration
+        assert steps == [round(duration / step)]
+        ref = orbits(OrbitSpec.from_point(model, start, step=step,
+                                          duration=duration))
+        for name in ("tau", "x", "k", "y", "z", "energy_residual"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        for name in ("dx", "dk"):
+            assert np.array_equal(traj.meta[name], ref.meta[name]), name
+
+    def test_drift_failure_raised_by_the_single_run(self, monkeypatch):
         steps = self._count_steps(monkeypatch)
-        with pytest.raises(NumericalError, match="within duration 640.0"):
-            measured_orbit(TODA, PhasePoint(0.0, 0.0), 0.05, 3.0)
-        assert steps == [800, 800, 1600, 3200, 6400]
-        assert sum(steps) == round(640.0 / 0.05)
+        start = section_start(TODA, 6.0)
+        with pytest.raises(NumericalError, match="energy drift") as err:
+            measured_orbit(TODA, start, 0.2, 3.0)
+        t = period(TODA, energy(TODA, start.x, start.k))
+        assert steps == [round(3.0 * t / 0.2)]
+        assert len(err.value.payload) == steps[0] + 1
+        assert f"energy drift {err.value.payload.max_drift:.3e}" in str(err.value)
+
+    @pytest.mark.parametrize("model", [TODA, LV], ids=["toda", "lv"])
+    def test_equilibrium_refused_before_integrating(self, monkeypatch, model):
+        steps = self._count_steps(monkeypatch)
+        with pytest.raises(NumericalError, match="equilibrium"):
+            measured_orbit(model, PhasePoint(0.0, 0.0), 0.05, 3.0)
+        assert steps == []
 
     @pytest.mark.parametrize("periods", [0.0, -1.0, math.inf, math.nan])
     def test_non_positive_duration_refused_before_integrating(

@@ -1,4 +1,5 @@
 import json
+import math
 import weakref
 from pathlib import Path
 
@@ -66,13 +67,23 @@ class TestOrbit:
         assert res.stdout.count("out=") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv"]
 
-    def test_drift_failure_exits_1_at_the_probe(self, tmp_path):
-        # the 40-unit probe's drift is reported; longer probes drift more
+    def test_drift_failure_exits_1_reporting_the_run(self, tmp_path):
+        # the one run over three exact periods (51 steps) is audited
+        from wignerflow import classical
+        from wignerflow.errors import NumericalError
+        from wignerflow.model import HamiltonianKind, SeparableHamiltonian
+        model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
+        spec = classical.OrbitSpec.from_energy(
+            model, 6.0, step=0.2, duration=3.0 * classical.period(model, 6.0))
+        with pytest.raises(NumericalError) as err:
+            classical.integrate_orbit(spec)
+        assert len(err.value.payload) == 52
         res = run_cli(["orbit", "--eps", "6", "--dt", "0.2", "--out", "o.csv"],
                       tmp_path)
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
-        assert "energy drift 5.184e-02" in res.stderr
+        assert f"energy drift {err.value.payload.max_drift:.3e}" in res.stderr
+        assert "energy drift 1.334e-02" in res.stderr
         assert not (tmp_path / "o.csv").exists()
 
     def test_json_format(self, tmp_path):
@@ -454,8 +465,8 @@ class TestSweepMembersFreed:
 
 
 class TestOneIntegrationPerMember:
-    """Each orbit is integrated once: the period probe's run is the one
-    written, cut to length or continued from its last state."""
+    """Each classical orbit is integrated once, over the span it writes:
+    its exact period sets the step count before the run starts."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -477,18 +488,32 @@ class TestOneIntegrationPerMember:
         monkeypatch.setattr(classical, "integrate_orbit", counted_orbit)
         return calls
 
+    @staticmethod
+    def _toda_period(start):
+        """The exact period of the a = 1 Toda orbit through start."""
+        from wignerflow import classical
+        from wignerflow.model import (HamiltonianKind, SeparableHamiltonian,
+                                      energy)
+        model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
+        return classical.period(model, energy(model, start.x, start.k))
+
     def test_orbit_member_runs_the_core_once(self, tmp_path, monkeypatch,
                                               capsys):
-        from wignerflow import cli
+        from wignerflow import classical, cli
+        from wignerflow.model import HamiltonianKind, SeparableHamiltonian
+        model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
         calls = self._count(monkeypatch)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["orbit", "--eps", "2.5", "--eps", "2.2", "--dt",
                          "2e-3", "--periods", "3", "--out", "o.csv"]) == 0
-        # per member: one 40-unit probe, of which the 3 periods are a prefix
-        assert calls == [("integrate_orbit", 40.0), ("classical", 20000)] * 2
-        for name in ("o_eps2.5.csv", "o_eps2.2.csv"):
-            rows = (tmp_path / name).read_text().count("\n") - 1
-            assert 8000 < rows <= 20001
+        expected = []
+        for eps, name in ((2.5, "o_eps2.5.csv"), (2.2, "o_eps2.2.csv")):
+            duration = 3.0 * self._toda_period(
+                classical.section_start(model, eps))
+            n = round(duration / 2e-3)
+            expected += [("integrate_orbit", duration), ("classical", n)]
+            assert (tmp_path / name).read_text().count("\n") - 1 == n + 1
+        assert calls == expected
 
     def test_trajectory_member_integrates_each_step_once(
             self, tmp_path, monkeypatch, capsys):
@@ -499,12 +524,76 @@ class TestOneIntegrationPerMember:
                          "5e-3", "--out", "t.csv"]) == 0
         kinds = [line.split(",", 1)[0] for line in
                  (tmp_path / "t.csv").read_text().splitlines()[1:]]
-        classical_steps = kinds.count("classical") - 1
-        # ten periods exceed the 40-unit probe, which is continued once
-        assert classical_steps > 8000
-        assert calls == [("integrate_orbit", 40.0), ("classical", 8000),
-                         ("classical", classical_steps - 8000),
+        from wignerflow.model import PhasePoint
+        duration = 10.0 * self._toda_period(PhasePoint(0.6, 0.0))
+        assert kinds.count("classical") - 1 == round(duration / 5e-3)
+        assert calls == [("integrate_orbit", duration),
+                         ("classical", kinds.count("classical") - 1),
                          ("quantum", kinds.count("quantum") - 1)]
+
+    def test_equilibrium_member_runs_no_step(self, tmp_path, monkeypatch,
+                                             capsys):
+        from wignerflow import cli
+        calls = self._count(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["orbit", "--x0", "0", "--k0", "0", "--dt", "0.05",
+                         "--out", "o.csv"]) == 1
+        assert "equilibrium" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAlphaOverflow:
+    """Above alpha = 53.28, e^{(alpha/2)^2} leaves the float range: the
+    kernel refuses alpha as a domain error instead of overflowing."""
+
+    @pytest.mark.parametrize("args", [
+        ["field", "--alpha", "60", "--bbox", "-0.05", "0.05", "-0.05", "0.05",
+         "--quantity", "w", "--grid", "5"],
+        ["stagnation", "--alpha-min", "60", "--alpha-max", "60",
+         "--alpha-steps", "1", "--bbox", "-0.05", "0.05", "-0.05", "0.05"],
+        ["trajectory", "--alpha", "60", "--x0", "0.05", "--tau-max", "1"],
+    ], ids=["field", "stagnation", "trajectory"])
+    def test_exits_3_naming_alpha_and_limit(self, tmp_path, args):
+        res = run_cli(args + ["--out", "out.csv"], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "alpha = 60.0 exceeds 53.2835" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_alpha_evaluates(self):
+        from wignerflow import specfun
+        top = specfun._ALPHA_MAX
+        assert math.isfinite(specfun.im_erf_offset_scaled(top, 0.01))
+        with pytest.raises(specfun.DomainError, match="exceeds 53.2835"):
+            specfun.im_erf_offset_scaled(math.nextafter(top, math.inf), 0.01)
+
+
+class TestRowBudget:
+    """Table row counts are refused before np.linspace allocates them."""
+
+    @pytest.mark.parametrize("args", [
+        ["thermo", "--a", "1", "--a", "2", "--a", "4", "--steps", "400000",
+         "--out", "t.csv"],
+        ["analytic", "--eps", "2.5", "--samples", "1000001", "--out", "a.csv"],
+        ["stagnation", "--alpha-steps", "1000001", "--out", "s.json"],
+    ], ids=["thermo", "analytic", "stagnation"])
+    def test_over_budget_exits_2(self, tmp_path, monkeypatch, capsys, args):
+        import numpy as np
+
+        from wignerflow import cli
+        linspace = np.linspace
+
+        def guarded(start, stop, num=50, **kwargs):
+            if num > 10_000:
+                raise AssertionError("allocated past the budget")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", guarded)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(args) == 2
+        assert "work budget of 1000000 rows" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSelfTest:
@@ -512,3 +601,4 @@ class TestSelfTest:
         res = run_cli(["--selftest"], tmp_path)
         assert res.returncode == 0
         assert "selftest=pass" in res.stdout
+        assert "selftest_period_tof_vs_elliptic=pass" in res.stdout
