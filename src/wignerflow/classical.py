@@ -1,19 +1,22 @@
 """Classical dynamics: Hamilton equations, energy-audited orbit integration,
 exact orbital periods, and the closed-form isotropic Toda solution.
 
-Every trajectory, classical or quantum, in (x, k) or in the species (y, z),
-comes from one fixed-step RK4 core, ``_rk4``.  The period of a closed orbit
-is not measured on a trajectory: ``period`` evaluates the time-of-flight
-integral T = (closed integral of) dx / K'(k(x)) of the level curve
-(Landau & Lifshitz, Mechanics, section 11), and ``measured_orbit``
-integrates the orbit once, over the span it returns.
+Every trajectory, classical or quantum, comes from one fixed-step RK4 core,
+``_rk4``.  The period of a closed orbit is not measured on a trajectory:
+``period`` evaluates the time-of-flight integral T = (closed integral of)
+dx / K'(k(x)) of the level curve (Landau & Lifshitz, Mechanics, section
+11), and ``measured_orbit`` integrates the orbit once, over the span it
+returns.
 
-The closed-form machinery keeps two period values side by side:
-``period_formula`` is the literal closed-form expression built on the
-linear-sine elliptic integral, and ``period_ode`` is the exact orbital
-period.  The two disagree (the formula diverges in the harmonic limit where
-the period tends to 2 pi), so the ratio is reported per energy and nothing
-is asserted about their equality.
+The isotropic Toda species need no integration at all:
+``toda_species_series`` evaluates them in closed form from Jacobi sn and cn
+at the frequency T+/2 and parameter kappa.  The closed-form summary keeps
+two period values side by side: ``period_formula`` is the paper's literal
+expression built on the linear-sine elliptic integral, and ``period_ode``
+is the exact orbital period 4 K(kappa) / T+.  The two disagree (the
+formula diverges in the harmonic limit where the period tends to 2 pi), so
+the ratio is reported per energy and nothing is asserted about their
+equality.
 """
 
 import math
@@ -22,11 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
-from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
-                    SpeciesPair, energy)
-from .specfun import (EllipticConvention, QuadratureSpec, bisect,
-                      elliptic_k_complete, elliptic_k_linear_sin,
-                      integrate_1d, jacobi_sn)
+from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
+from .specfun import (QuadratureSpec, bisect, elliptic_k_linear_sin,
+                      integrate_1d, jacobi_sn_cn)
 
 __all__ = [
     "OrbitSpec",
@@ -37,11 +38,7 @@ __all__ = [
     "integrate_orbit",
     "period",
     "measured_orbit",
-    "toda_parametric_T",
-    "toda_species_analytic",
-    "toda_t_ode",
-    "lv_t_ode",
-    "constraint_residual",
+    "toda_species_series",
     "toda_closed_period",
 ]
 
@@ -165,11 +162,18 @@ def integrate_orbit(spec):
     with a per-run energy-drift audit.
 
     Raises NumericalError (carrying the trajectory) if the drift exceeds
-    ten times the declared tolerance.
+    ten times the declared tolerance, and NumericalError naming eps and the
+    step if a stage overflows.
     """
     n = max(1, int(round(spec.duration / spec.step)))
-    xs, ks, dxs, dks = _rk4(_rhs_scalar(spec.model), spec.start.x,
-                            spec.start.k, spec.step, n)
+    try:
+        xs, ks, dxs, dks = _rk4(_rhs_scalar(spec.model), spec.start.x,
+                                spec.start.k, spec.step, n)
+    except OverflowError:
+        raise NumericalError(
+            f"an RK4 stage left the float range at eps = {spec.eps:g}, "
+            f"dt = {spec.step:g}: the step is too coarse for this "
+            f"energy") from None
     residual = energy(spec.model, xs, ks) - spec.eps
     traj = Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
                       y=np.exp(-xs), z=np.exp(-ks), energy_residual=residual,
@@ -366,9 +370,18 @@ def measured_orbit(model, start, step, periods):
 # closed-form isotropic Toda solution
 # ---------------------------------------------------------------------------
 
+# The species hold to 1e-9 relative up to this energy.  Against 40-digit
+# mpmath the worst error grows as 3.4e-16 eps^2 (3.4e-10 at eps = 1000,
+# 7.6e-10 at 1500, 1.1e-9 at 2000): cn is rounded in absolute terms where
+# it falls towards kc = T-^2, at T = T+.
+ISOTROPIC_EPS_MAX = 1500.0
+
+
 def _require_isotropic_energy(eps):
-    if not eps > 2.0:
-        raise DomainError("the isotropic closed form requires eps > 2")
+    if not 2.0 < eps <= ISOTROPIC_EPS_MAX:
+        raise DomainError(f"eps = {eps}: the isotropic closed form requires "
+                          f"2 < eps <= {ISOTROPIC_EPS_MAX:g}, the energy up "
+                          f"to which its species hold to 1e-9")
 
 
 def amplitude_bounds(eps):
@@ -385,135 +398,30 @@ def kappa_of_eps(eps):
     return 2.0 * eps * s / (eps * (eps + s) - 2.0)
 
 
-def _lambda_literal(eps):
+def toda_species_series(eps, taus):
+    """Species (y, z) of the isotropic Toda dynamics at taus (a float or an
+    array), started at the lower turning point y = z = T-, in closed form.
+
+    The sum T = (y + z)/2 obeys Tdot^2 = T (T - eps)(T - T+)(T - T-).  Its
+    four-real-root reduction (Byrd & Friedman 1971; DLMF 22) is the paper's
+    waveform T = 2 / (s (1 - 2 sn^2) + eps), s = sqrt(eps^2 - 4), with
+    sn = sn(T+ tau / 2 | kappa), read as T = 1 / (T- + s cn^2) so that no
+    difference cancels; kc = sqrt(1 - kappa) = T-^2 exactly.  With
+    q = s sn cn T, q^2 = (T+ - T)(T - T-) and y z = T^2 / (1 + q^2), so for
+    r = sqrt(1 + q^2) the larger species is T (1 + |q|/r) and the smaller
+    T / (r (r + |q|)).  The prey z is the larger where sn cn >= 0, on the
+    rising half of T.
+    """
+    t_plus, _ = amplitude_bounds(eps)
     s = math.sqrt(eps * eps - 4.0)
-    return math.sqrt(eps + s - 2.0) / (2.0 * math.sqrt(2.0))
-
-
-def toda_parametric_T(eps, tau, convention=EllipticConvention.PARAMETER):
-    """Literal sn-parameterization of the species sum T(tau), isotropic model.
-
-        T = 2 / (sqrt(eps^2-4) (1 - 2 sn(lambda tau | kappa)^2) + eps)
-
-    T(0) = T- and the range over one period is exactly [T-, T+] under either
-    reading of the second sn argument; the readings differ in wave shape and
-    time scale, which resolve_convention measures against the integrated
-    dynamics.
-    """
-    _require_isotropic_energy(eps)
-    s = math.sqrt(eps * eps - 4.0)
-    kap = kappa_of_eps(eps)
-    sn = jacobi_sn(_lambda_literal(eps) * tau, kap, convention)
-    return 2.0 / (s * (1.0 - 2.0 * sn * sn) + eps)
-
-
-def _parametric_half_phase(eps, tau, convention):
-    """True when tau falls in the rising half of the T oscillation."""
-    kap = kappa_of_eps(eps)
-    m = kap if convention is EllipticConvention.PARAMETER else kap * kap
-    quarter = elliptic_k_complete(m)
-    u = _lambda_literal(eps) * tau
-    u -= 2.0 * quarter * math.floor(u / (2.0 * quarter))
-    return u <= quarter
-
-
-def toda_species_analytic(eps, tau, convention=EllipticConvention.PARAMETER):
-    """Species pair from the closed form: y, z = T -+ sqrt(T^2 - T/(eps - T)).
-
-    The discriminant vanishes at the turning points; values below -1e-12 are
-    a numerical failure, smaller negatives are clamped to zero.  The branch
-    assignment follows the oscillation phase: the prey z leads on the rising
-    half (z >= y), the predator y on the falling half.
-    """
-    t_val = toda_parametric_T(eps, tau, convention)
-    disc = t_val * t_val - t_val / (eps - t_val)
-    if disc < -1e-12:
-        raise NumericalError(f"species discriminant {disc:.3e} below clamp window")
-    root = math.sqrt(max(disc, 0.0))
-    sign = 1.0 if _parametric_half_phase(eps, tau, convention) else -1.0
-    return SpeciesPair(y=t_val - sign * root, z=t_val + sign * root)
-
-
-def _species_rhs_toda(y, z):
-    return 0.5 * (y * z - y / z), 0.5 * (z / y - y * z)
-
-
-def _species_rhs_lv(y, z):
-    return y * z - y, z - y * z
-
-
-def _species_series(rhs, y0, taus, step):
-    """Species (y, z) at each of taus from y = z = y0 at tau = 0; each gap
-    between samples is split into the fewest equal steps no longer than
-    step.  Returns (y_array, z_array)."""
-    if not 0.0 < step < math.inf:
-        raise DomainError(f"step = {step}: require 0 < step < inf")
-    ys, zs = np.empty(len(taus)), np.empty(len(taus))
-    y = z = y0
-    prev = 0.0
-    for i, tau in enumerate(map(float, taus)):
-        n = max(1, math.ceil(abs(tau - prev) / step))
-        path = _rk4(rhs, y, z, (tau - prev) / n, n)
-        y, z = ys[i], zs[i] = float(path[0][-1]), float(path[1][-1])
-        prev = tau
-    return ys, zs
-
-
-def toda_t_ode(eps, tau, step=1e-3):
-    """T(tau) = (y + z)/2 from direct integration of the isotropic species ODEs,
-    started at the lower turning point y = z = T-."""
-    ys, zs = toda_species_series(eps, [tau], step)
-    return 0.5 * (ys[0] + zs[0])
-
-
-def toda_species_series(eps, taus, step=1e-3):
-    """Species waveforms (y, z) of the isotropic Toda dynamics on a time grid,
-    started at the lower turning point.  Returns (y_array, z_array)."""
-    _, t_minus = amplitude_bounds(eps)
-    return _species_series(_species_rhs_toda, t_minus, taus, step)
-
-
-def lv_t_ode(eps, tau, step=1e-3):
-    """T(tau) = y + z for the isotropic LV system, started at its lower
-    turning point y = z = e^-x0 with x0 the positive root of x + e^-x = eps/2."""
-    if eps <= 2.0:
-        raise DomainError("the isotropic LV closed orbit requires eps > 2")
-    lo, hi = bisect(lambda x: x + math.exp(-x) < 0.5 * eps, 0.0, 0.5 * eps)
-    ys, zs = _species_series(_species_rhs_lv, math.exp(-0.5 * (lo + hi)),
-                             [tau], step)
-    return ys[0] + zs[0]
-
-
-def toda_constraint_rhs(eps, t_val):
-    """Right-hand side of the squared-velocity constraint, Toda form:
-    Tdot^2 = T^2 (T - eps)^2 + T (T - eps)."""
-    d = t_val - eps
-    return t_val * t_val * d * d + t_val * d
-
-
-def lv_constraint_rhs(eps, t_val):
-    """LV form: Tdot^2 = T^2 - 4 e^{T - eps}."""
-    return t_val * t_val - 4.0 * math.exp(t_val - eps)
-
-
-def constraint_residual(eps, tau, which="toda", t_of_tau=None, h=1e-4,
-                        convention=EllipticConvention.PARAMETER):
-    """Residual Tdot^2 - rhs(T) with Tdot by central differences of T(tau).
-
-    ``t_of_tau`` selects the T source; the default is the ODE-derived T for
-    both models (the literal sn parameterization fails this test, see
-    resolve_convention).
-    """
-    if which == "toda":
-        src = t_of_tau or (lambda t: toda_t_ode(eps, t))
-        rhs = toda_constraint_rhs
-    elif which == "lv":
-        src = t_of_tau or (lambda t: lv_t_ode(eps, t))
-        rhs = lv_constraint_rhs
-    else:
-        raise UsageError("which must be 'toda' or 'lv'")
-    tdot = (src(tau + h) - src(tau - h)) / (2.0 * h)
-    return tdot * tdot - rhs(eps, src(tau))
+    sn, cn = jacobi_sn_cn(0.5 * t_plus * np.asarray(taus, dtype=float),
+                          kc=1.0 / (t_plus * t_plus))
+    t_val = 1.0 / (1.0 / t_plus + s * cn * cn)
+    q = s * sn * cn * t_val
+    r = np.sqrt(1.0 + q * q)
+    big = t_val * (1.0 + np.abs(q) / r)
+    small = t_val / (r * (r + np.abs(q)))
+    return np.where(q >= 0.0, small, big), np.where(q >= 0.0, big, small)
 
 
 @dataclass(frozen=True)
@@ -527,83 +435,20 @@ class TodaClosedForm:
     period_formula: float
     period_ode: float
     period_ratio: float
-    convention: EllipticConvention
-    lsq_parameter: float
-    lsq_modulus: float
-    residual_parameter: float
-    residual_modulus: float
-    t_source: str
 
 
-def parametric_period(eps, convention):
-    """Period in tau of the literal sn parameterization under one reading:
-    sn^2 has period 2 K(m), so T repeats every 2 K(m) / lambda."""
-    kap = kappa_of_eps(eps)
-    m = kap if convention is EllipticConvention.PARAMETER else kap * kap
-    return 2.0 * elliptic_k_complete(m) / _lambda_literal(eps)
-
-
-def resolve_convention(eps, period_ode, ode_step=1e-3):
-    """Measure both sn readings against the ODE-derived T(tau) = (y + z)/2.
-
-    The constraint residual tests each reading literally (it fails for both:
-    the literal frequency factor is inconsistent with the dynamics, so the
-    waveforms run at the wrong speed).  The least-squares comparison is
-    therefore phase-aligned - each reading is sampled over its own period and
-    compared with the ODE waveform over the exact period - which isolates
-    the wave shape and singles out the reading whose shape is dynamical.
-
-    Returns (convention, lsq_parameter, lsq_modulus, res_parameter,
-    res_modulus, t_source); t_source is 'ode' when neither reading satisfies
-    the dynamical constraint to 1e-6.
-    """
-    taus = np.linspace(0.0, period_ode, 200)
-    ys, zs = toda_species_series(eps, taus, ode_step)
-    t_ode = 0.5 * (ys + zs)
-    stats = {}
-    for conv in (EllipticConvention.PARAMETER, EllipticConvention.MODULUS):
-        stretch = parametric_period(eps, conv) / period_ode
-        t_par = np.array([toda_parametric_T(eps, t * stretch, conv)
-                          for t in taus])
-        lsq = float(np.mean((t_par - t_ode) ** 2))
-        mids = [0.31 * period_ode, 0.47 * period_ode, 0.73 * period_ode]
-        res = max(abs(constraint_residual(
-            eps, t, "toda",
-            t_of_tau=lambda tt, c=conv: toda_parametric_T(eps, tt, c)))
-            for t in mids)
-        stats[conv] = (lsq, res)
-    par, mod = (stats[EllipticConvention.PARAMETER],
-                stats[EllipticConvention.MODULUS])
-    if min(par[1], mod[1]) < 1e-6:
-        # a reading satisfies the constraint outright: it wins
-        chosen = (EllipticConvention.PARAMETER if par[1] <= mod[1]
-                  else EllipticConvention.MODULUS)
-    else:
-        # neither does; decide by wave shape
-        chosen = (EllipticConvention.PARAMETER if par[0] <= mod[0]
-                  else EllipticConvention.MODULUS)
-    t_source = "analytic" if stats[chosen][1] < 1e-6 else "ode"
-    return chosen, par[0], mod[0], par[1], mod[1], t_source
-
-
-def toda_closed_period(eps, step=1e-3):
-    """Fill the closed-form summary: amplitude bounds, kappa, the literal
-    closed-form period, the exact period (``period``, by time of flight;
-    its key stays period_ode) and their ratio.  step is the RK4 step of the
-    species waveform that ``resolve_convention`` compares the readings
-    with."""
-    _require_isotropic_energy(eps)
+def toda_closed_period(eps):
+    """Fill the closed-form summary: amplitude bounds, kappa, the paper's
+    closed-form period 8 sqrt(2) K_linsin(kappa) / sqrt(eps + s - 2), the
+    exact period (``period``, by time of flight; its key stays period_ode)
+    and their ratio."""
     t_plus, t_minus = amplitude_bounds(eps)
-    kap = kappa_of_eps(eps)
     s = math.sqrt(eps * eps - 4.0)
-    period_formula = (8.0 * math.sqrt(2.0) * elliptic_k_linear_sin(kap)
+    period_formula = (8.0 * math.sqrt(2.0)
+                      * elliptic_k_linear_sin(kc=1.0 / (t_plus * t_plus))
                       / math.sqrt(eps + s - 2.0))
     period_ode = period(SeparableHamiltonian(HamiltonianKind.TODA, 1.0), eps)
-    conv, lsq_p, lsq_m, res_p, res_m, t_source = resolve_convention(
-        eps, period_ode, step)
     return TodaClosedForm(
-        eps=eps, kappa=kap, t_plus=t_plus, t_minus=t_minus,
+        eps=eps, kappa=kappa_of_eps(eps), t_plus=t_plus, t_minus=t_minus,
         period_formula=period_formula, period_ode=period_ode,
-        period_ratio=period_formula / period_ode,
-        convention=conv, lsq_parameter=lsq_p, lsq_modulus=lsq_m,
-        residual_parameter=res_p, residual_modulus=res_m, t_source=t_source)
+        period_ratio=period_formula / period_ode)

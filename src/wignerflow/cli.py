@@ -5,9 +5,11 @@ the fieldgrid exporters.  Repeated value flags form sweeps; with more than
 one sweep value the output path gains a ``_<name><value>`` suffix per
 member so each run maps to one file; an ``orbit`` with an explicit start is
 one member.  ``orbit`` and ``trajectory`` print the exact period and
-integrate each classical orbit once, over the span they write.  ``field``
-and ``stagnation`` accept ``--threads`` for compatibility; each grid is one
-vectorized evaluation and it has no effect.
+integrate each classical orbit once, over the span they write.
+``analytic`` tabulates the exact closed form and integrates nothing, so its
+``--dt`` has no effect; likewise ``field`` and ``stagnation`` accept
+``--threads`` for compatibility, since each grid is one vectorized
+evaluation.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 domain or
 validity error.
@@ -100,22 +102,24 @@ def _require_tau_max(tau_max):
 def cmd_analytic(args):
     _require_tau_max(args.tau_max)
     _require_rows(args.samples)
-    eps_values = args.eps
-    multiple = len(eps_values) > 1
+    multiple = len(args.eps) > 1
     summaries = []
-    for eps in eps_values:
-        closed = classical.toda_closed_period(eps, step=args.dt)
+    # every energy's domain is checked before the first file is written
+    for closed in [classical.toda_closed_period(eps) for eps in args.eps]:
+        eps = closed.eps
         tau_max = args.tau_max if args.tau_max > 0 else closed.period_ode
         taus = np.linspace(0.0, tau_max, args.samples)
-        ys, zs = classical.toda_species_series(eps, taus, step=args.dt)
+        ys, zs = classical.toda_species_series(eps, taus)
         path = _sweep_path(args.out, "eps", eps, multiple)
         export_table(column_table({"tau": taus, "T": 0.5 * (ys + zs),
                                    "y": ys, "z": zs}), args.format, path)
+        # the sn argument is the parameter kappa, and the table is the
+        # closed form itself
         summary = {
             "eps": eps, "kappa": closed.kappa, "t_plus": closed.t_plus,
             "t_minus": closed.t_minus, "period_formula": closed.period_formula,
             "period_ode": closed.period_ode, "period_ratio": closed.period_ratio,
-            "convention": closed.convention.value, "t_source": closed.t_source,
+            "convention": "parameter", "t_source": "analytic",
         }
         summaries.append(summary)
         _say(out=path, **summary)
@@ -285,10 +289,9 @@ def cmd_trajectory(args):
 def _selftest():
     """Fast oracle suite: every check pits a closed form against an
     independent numerical route."""
-    from .specfun import (EllipticConvention, QuadratureSpec, bessel_k,
-                          elliptic_k_complete, hermite_odd, im_erf_offset,
-                          im_erf_offset_scaled, integrate_1d, jacobi_sn,
-                          scaled_kernel_table)
+    from .specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
+                          hermite_odd, im_erf_offset, im_erf_offset_scaled,
+                          integrate_1d, jacobi_sn_cn, scaled_kernel_table)
     checks = {}
 
     quad = QuadratureSpec(1e-13, 1e-12, 2000)
@@ -305,10 +308,12 @@ def _selftest():
 
     v = integrate_1d(lambda t: 1.0 / math.sqrt(1.0 - 0.5 * math.sin(t) ** 2),
                      0.0, math.pi / 2.0, quad)
-    checks["elliptic_vs_quadrature"] = abs(v - elliptic_k_complete(0.5)) < 1e-12
+    checks["elliptic_vs_quadrature"] = abs(
+        v - elliptic_k_complete(kc=math.sqrt(0.5))) < 1e-12
 
-    quarter = elliptic_k_complete(0.3)
-    checks["sn_quarter_period"] = abs(jacobi_sn(quarter, 0.3) - 1.0) < 1e-12
+    quarter = elliptic_k_complete(kc=math.sqrt(0.7))
+    checks["sn_quarter_period"] = abs(
+        jacobi_sn_cn(quarter, kc=math.sqrt(0.7))[0] - 1.0) < 1e-12
 
     x, y = 2.0, 0.5
     v = (2.0 / math.sqrt(math.pi)) * math.exp(-x * x) * integrate_1d(
@@ -379,10 +384,10 @@ def _selftest():
     checks["orbit_energy_drift"] = traj.max_drift < 1e-10
 
     def period_error(eps):
-        # against 4 K(m) / T+ with m = eps sqrt(eps^2 - 4) / T+^2 (a = 1)
+        # against 4 K(m) / T+ with m = eps sqrt(eps^2 - 4) / T+^2 (a = 1),
+        # so sqrt(1 - m) = 1 / T+^2
         t_plus, _ = classical.amplitude_bounds(eps)
-        m = eps * math.sqrt(eps * eps - 4.0) / (t_plus * t_plus)
-        ref = 4.0 * elliptic_k_complete(m) / t_plus
+        ref = 4.0 * elliptic_k_complete(kc=1.0 / (t_plus * t_plus)) / t_plus
         return abs(classical.period(model, eps) - ref) / ref
 
     checks["period_tof_vs_elliptic"] = all(
@@ -459,13 +464,16 @@ def build_parser():
                        help="closed-form isotropic Toda species solution "
                             "and period summary")
     p.add_argument("--eps", type=float, action="append", required=True,
-                   help="energy > 2, repeatable for sweeps")
+                   help=f"energy, 2 < eps <= "
+                        f"{classical.ISOTROPIC_EPS_MAX:g}, repeatable for "
+                        f"sweeps")
     p.add_argument("--tau-max", type=float, default=0.0,
                    help="time span; 0 means one period")
     p.add_argument("--samples", type=_positive_int, default=1000,
                    help="rows in the table")
     p.add_argument("--dt", type=float, default=1e-3,
-                   help="integration step for the reference dynamics")
+                   help="accepted for compatibility; has no effect, the "
+                        "table is the exact closed form")
     _table_output(p, "analytic.csv")
     p.set_defaults(func=cmd_analytic)
 

@@ -3,15 +3,16 @@
 Everything downstream (partition functions, closed-form currents, elliptic
 parameterizations) is built on the functions here.  The Bessel functions K0
 and K1 come from Temme's series and Steed's continued fraction, with no
-quadrature; the quadrature engine evaluates the linear-sine elliptic
-integral and doubles as the independent oracle in the test suite.  All
-evaluations are pure: identical inputs give bit-identical outputs.
+quadrature; the elliptic integrals and Jacobi functions share one
+arithmetic-geometric mean.  The quadrature engine evaluates the
+time-of-flight periods and doubles as the independent oracle in the test
+suite.  All evaluations are pure: identical inputs give bit-identical
+outputs.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -20,13 +21,12 @@ from .errors import DomainError, NumericalError, UsageError
 
 __all__ = [
     "QuadratureSpec",
-    "EllipticConvention",
     "integrate_1d",
     "bisect",
     "bessel_k",
     "elliptic_k_complete",
     "elliptic_k_linear_sin",
-    "jacobi_sn",
+    "jacobi_sn_cn",
     "hermite_odd",
     "faddeeva_w",
     "im_erf_offset",
@@ -282,92 +282,76 @@ def bessel_k(order, arg):
 
 
 # ---------------------------------------------------------------------------
-# elliptic integrals and Jacobi sn
+# elliptic integrals and Jacobi sn, cn
 # ---------------------------------------------------------------------------
 
-class EllipticConvention(Enum):
-    """Meaning of the second argument of sn: the parameter m or the modulus
-    kappa with m = kappa**2."""
-
-    PARAMETER = "parameter"
-    MODULUS = "modulus"
-
-
-def _agm(a, b):
+def _agm_levels(kc):
+    """The arithmetic-geometric mean of 1 and kc, and the pairs (a_n, b_n)
+    of the descending Landen recurrence before each of its halvings."""
+    if not 0.0 < kc <= 1.0:
+        raise DomainError(f"complementary modulus kc = {kc!r}: require "
+                          f"0 < kc <= 1, that is parameter m = 1 - kc^2 in "
+                          f"[0, 1)")
+    a, b, steps = 1.0, float(kc), []
     # quadratic convergence; the 1e-15 floor keeps 1-ulp oscillation from
     # stalling the loop, and the residual (a-b)^2 term is ~1e-30 relative
     for _ in range(60):
-        if abs(a - b) <= 1e-15 * abs(a):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
-def elliptic_k_complete(m):
-    """Complete elliptic integral of the first kind K(m), parameter form.
-
-    K(m) = Int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt = pi / (2 agm(1, sqrt(1-m))).
-    """
-    if not (0.0 <= m < 1.0):
-        raise DomainError("elliptic parameter must lie in [0, 1)")
-    return math.pi / (2.0 * _agm(1.0, math.sqrt(1.0 - m)))
-
-
-_LINEAR_SIN_QUAD = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12, max_subdivisions=2000)
-
-
-def elliptic_k_linear_sin(kappa):
-    """Complete elliptic-type integral with a linear sine in the integrand:
-
-        4 * Int_0^{pi/2} [1 - kappa sin(theta)]^{-1/2} dtheta.
-
-    This is not the standard K(m); both are exposed so the closed-form period
-    expression built on this integral can be compared against the measured
-    orbital period.
-    """
-    if not (0.0 <= kappa < 1.0):
-        raise DomainError("kappa must lie in [0, 1); the integrand is singular at 1")
-    return 4.0 * integrate_1d(
-        lambda t: 1.0 / math.sqrt(1.0 - kappa * math.sin(t)),
-        0.0, 0.5 * math.pi, _LINEAR_SIN_QUAD)
-
-
-def _sn_parameter(convention, m_or_kappa):
-    if convention is EllipticConvention.PARAMETER:
-        m = float(m_or_kappa)
-    elif convention is EllipticConvention.MODULUS:
-        m = float(m_or_kappa) ** 2
-    else:
-        raise UsageError(f"unknown elliptic convention {convention!r}")
-    if not (0.0 <= m < 1.0):
-        raise DomainError("sn parameter must lie in [0, 1)")
-    return m
-
-
-def jacobi_sn(u, m_or_kappa, convention=EllipticConvention.PARAMETER):
-    """Jacobi elliptic sn(u | m) via the descending Landen (AGM) recurrence.
-
-    The second argument is the parameter m by default; pass
-    ``EllipticConvention.MODULUS`` for sn(u | kappa) with m = kappa**2.
-    """
-    m = _sn_parameter(convention, m_or_kappa)
-    if m == 0.0:
-        return math.sin(u)
-    # reduce by full periods to keep the backward phase recurrence accurate
-    period = 4.0 * elliptic_k_complete(m)
-    u = u - period * round(u / period)
-    a, b = 1.0, math.sqrt(1.0 - m)
-    levels = []  # (a_n, c_n) for n = 1..N
-    for _ in range(60):
         if abs(a - b) <= 1e-15 * a:
             break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        levels.append((a, c))
-    phi = (2.0 ** len(levels)) * a * u
-    for a_n, c_n in reversed(levels):
-        s = c_n * math.sin(phi) / a_n
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, s))))
-    return math.sin(phi)
+        steps.append((a, b))
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b), steps
+
+
+def elliptic_k_complete(*, kc):
+    """Complete elliptic integral of the first kind K(m), m = 1 - kc^2.
+
+    K(m) = Int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt = pi / (2 agm(1, kc)).
+    The complementary modulus kc is the AGM's own start value, so a caller
+    that knows 1 - m exactly keeps K accurate as m -> 1.
+    """
+    return math.pi / (2.0 * _agm_levels(kc)[0])
+
+
+def elliptic_k_linear_sin(*, kc):
+    """Complete elliptic-type integral with a linear sine in the integrand,
+
+        4 Int_0^{pi/2} [1 - kappa sin(theta)]^{-1/2} dtheta,  kappa = 1 - kc^2,
+
+    in closed form: 8 / sqrt(1 + kappa) (K(m) - F(pi/4 | m)), m =
+    2 kappa / (1 + kappa), whose complementary modulus kc / sqrt(2 - kc^2)
+    carries no cancellation as kappa -> 1.  F comes from the same Landen
+    sequence as K: the phase doubles per level with tan(phi_{n+1} - phi_n)
+    = (b_n / a_n) tan phi_n, and F(phi | m) = phi_N / (2^N agm) (Abramowitz
+    & Stegun 17.6), so K - F = (2^N pi/2 - phi_N) / (2^N agm).
+    """
+    if not 0.0 < kc <= 1.0:
+        raise DomainError(f"kc = {kc!r}: require 0 < kc <= 1, that is "
+                          f"kappa = 1 - kc^2 in [0, 1)")
+    agm, steps = _agm_levels(kc / math.sqrt(2.0 - kc * kc))
+    phi = 0.25 * math.pi
+    for a, b in steps:
+        t = math.atan(b / a * math.tan(phi))
+        phi += t + math.pi * round((phi - t) / math.pi)
+    scale = 2.0 ** len(steps)
+    return (8.0 / math.sqrt(2.0 - kc * kc)
+            * (scale * 0.5 * math.pi - phi) / (scale * agm))
+
+
+def jacobi_sn_cn(u, *, kc):
+    """Jacobi elliptic (sn(u | m), cn(u | m)), m = 1 - kc^2, on a float or
+    an array, by the descending Landen (AGM) recurrence: u is reduced by
+    whole periods 4 K(m), the phase phi = 2^N agm u is carried back down the
+    levels by phi_{n-1} = (phi_n + asin((a - b)/(a + b) sin phi_n)) / 2,
+    and sn, cn = sin phi, cos phi.
+    """
+    agm, steps = _agm_levels(kc)
+    phi = agm * np.asarray(u, dtype=float)
+    phi = 2.0 ** len(steps) * (phi - 2.0 * math.pi
+                               * np.round(phi / (2.0 * math.pi)))
+    for a, b in reversed(steps):
+        phi = 0.5 * (phi + np.arcsin((a - b) / (a + b) * np.sin(phi)))
+    return np.sin(phi), np.cos(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +491,10 @@ def scaled_kernel_table(alpha, limit):
     while n + 1 <= _TABLE_MAX_POINTS:
         u = np.cos(np.pi * np.arange(n + 1) / n)
         s = im_erf_offset_scaled(alpha, limit * np.sqrt(0.5 + 0.5 * u))
+        # node values scaled by 2^-e into [0.5, 1) in magnitude, so that
+        # the FFT cannot overflow; the power of two leaves every bit as is
+        e = math.frexp(float(np.max(np.abs(s))))[1]
+        s = np.ldexp(s, -e)
         # DCT-I of the node values through the FFT of their even extension
         coef = np.fft.rfft(np.concatenate([s, s[-2:0:-1]])).real / n
         coef[0] *= 0.5
@@ -519,7 +507,7 @@ def scaled_kernel_table(alpha, limit):
         raise NumericalError(
             f"scaled kernel table for alpha = {alpha} did not converge "
             f"within {_TABLE_MAX_POINTS} Chebyshev points")
-    coef = coef[:np.flatnonzero(~small)[-1] + 1]
+    coef = np.ldexp(coef[:np.flatnonzero(~small)[-1] + 1], e)
     c0, rest = float(coef[0]), coef[:0:-1].tolist()
     scale = 2.0 / (limit * limit)
 

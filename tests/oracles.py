@@ -5,8 +5,10 @@ plane integrals use tensor Gauss-Legendre rules instead of the adaptive
 engine, the Bessel functions come from the adaptive engine on their
 integral representation instead of the series and continued fraction, the
 Toda period comes from a time-of-flight quadrature of the level
-curve rather than from orbit integration, and the complete elliptic integral
-of the first kind is reduced from the quartic turning-point form by hand.
+curve rather than from orbit integration, the complete elliptic integral
+of the first kind is reduced from the quartic turning-point form by hand,
+and the isotropic Toda species come from RK4 on their own equations of
+motion in place of the package's closed form.
 The table writer and the marching squares appear here in their
 one-record-at-a-time and one-cell-at-a-time forms, as references that the
 package's column-at-a-time and whole-array versions must match exactly.
@@ -116,6 +118,26 @@ def toda_period_elliptic(eps):
         a_agm, b_agm = 0.5 * (a_agm + b_agm), math.sqrt(a_agm * b_agm)
     k_complete = math.pi / (2.0 * a_agm)
     return 4.0 * k_complete / t_plus
+
+
+def toda_species_rk4(eps, taus, step):
+    """Species (y, z) of the isotropic Toda dynamics at each of taus, by RK4
+    on y' = (y z - y/z)/2, z' = (z/y - y z)/2 from the lower turning point
+    y = z = T- at tau = 0; each gap between samples is split into the fewest
+    equal steps no longer than step.  The reference for the closed form
+    ``classical.toda_species_series``."""
+    def rhs(y, z):
+        return 0.5 * (y * z - y / z), 0.5 * (z / y - y * z)
+
+    ys, zs = np.empty(len(taus)), np.empty(len(taus))
+    y = z = 0.5 * (eps - math.sqrt(eps * eps - 4.0))
+    prev = 0.0
+    for i, tau in enumerate(map(float, taus)):
+        n = max(1, math.ceil(abs(tau - prev) / step))
+        path = classical._rk4(rhs, y, z, (tau - prev) / n, n)
+        y, z = ys[i], zs[i] = float(path[0][-1]), float(path[1][-1])
+        prev = tau
+    return ys, zs
 
 
 def im_erf_contour(alpha, chi):
@@ -494,19 +516,6 @@ def section_start_fixed(h, eps):
         else:
             hi = mid
     return PhasePoint(0.5 * (lo + hi), 0.0)
-
-
-def lv_turning_point_fixed(eps):
-    """Lower turning point of the isotropic LV species, y = z = e^-x with x
-    from 200 halvings of [0, eps / 2] for x + e^-x = eps / 2."""
-    lo, hi = 0.0, 0.5 * eps
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + math.exp(-mid) < 0.5 * eps:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(-0.5 * (lo + hi))
 
 
 def hermite_crossing_fixed(t0, t1, x0, x1, d0, d1):

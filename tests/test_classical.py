@@ -6,23 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignerflow import classical
-from wignerflow.classical import (OrbitSpec, Trajectory, constraint_residual,
-                                  hamilton_rhs, integrate_orbit,
-                                  lv_constraint_rhs, lv_t_ode, measured_orbit,
-                                  period, return_to_start, section_start,
-                                  toda_closed_period, toda_constraint_rhs,
-                                  toda_parametric_T, toda_species_analytic,
-                                  toda_t_ode)
+from wignerflow.classical import (ISOTROPIC_EPS_MAX, OrbitSpec, Trajectory,
+                                  hamilton_rhs, integrate_orbit, kappa_of_eps,
+                                  measured_orbit, period, return_to_start,
+                                  section_start, toda_closed_period,
+                                  toda_species_series)
 from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.model import (HamiltonianKind, PhasePoint,
                               SeparableHamiltonian, energy)
-from wignerflow.specfun import EllipticConvention
+from wignerflow.specfun import jacobi_sn_cn
 
-from oracles import (hermite_crossing_fixed, lv_turning_point_fixed,
-                     orbit_period, period_time_of_flight_mp,
-                     return_to_start_per_sample, section_crossings,
-                     section_crossings_per_sample, section_start_fixed,
-                     toda_period_elliptic, toda_time_of_flight)
+from oracles import (hermite_crossing_fixed, orbit_period,
+                     period_time_of_flight_mp, return_to_start_per_sample,
+                     section_crossings, section_crossings_per_sample,
+                     section_start_fixed, toda_period_elliptic,
+                     toda_species_rk4, toda_time_of_flight)
 
 TODA = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
 LV = SeparableHamiltonian(HamiltonianKind.LV, 1.0)
@@ -179,38 +177,72 @@ class TestExactPeriod:
         assert abs(measured - exact) <= 1e-10 * exact
 
 
+def _species_sum(eps, taus):
+    ys, zs = toda_species_series(eps, taus)
+    return 0.5 * (ys + zs)
+
+
+def _toda_constraint_rhs(eps, t_val):
+    """Tdot^2 = T (T - eps)(T - T+)(T - T-) = T^2 (T - eps)^2 + T (T - eps)."""
+    d = t_val - eps
+    return t_val * t_val * d * d + t_val * d
+
+
 class TestParametricSolution:
     def test_starts_at_lower_bound(self):
-        assert toda_parametric_T(2.5, 0.0) == 0.5
+        assert _species_sum(2.5, 0.0) == 0.5
 
     def test_range_is_amplitude_interval(self):
-        taus = np.linspace(0.0, 40.0, 2000)
-        vals = np.array([toda_parametric_T(2.5, float(t)) for t in taus])
+        vals = _species_sum(2.5, np.linspace(0.0, 40.0, 2000))
         assert np.all(vals >= 0.5 - 1e-12)
         assert np.all(vals <= 2.0 + 1e-12)
         assert np.max(vals) > 1.999  # the upper bound is attained
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            toda_parametric_T(2.0, 1.0)
+            toda_species_series(2.0, 1.0)
+
+    def test_energy_limit(self):
+        ys, zs = toda_species_series(ISOTROPIC_EPS_MAX, [0.0, 0.01])
+        assert np.all(np.isfinite(ys)) and np.all(np.isfinite(zs))
+        with pytest.raises(DomainError, match="eps <= 1500"):
+            toda_species_series(math.nextafter(ISOTROPIC_EPS_MAX, math.inf),
+                                0.0)
 
     def test_species_turning_point(self):
-        sp = toda_species_analytic(2.5, 0.0)
-        assert sp.y == 0.5 and sp.z == 0.5
+        ys, zs = toda_species_series(2.5, 0.0)
+        assert ys == 0.5 and zs == 0.5
 
     @pytest.mark.parametrize("eps", [2.1, 2.5, 4.0, 6.0])
     def test_level_curve_identity(self, eps):
-        for tau in np.linspace(0.0, 10.0, 101):
-            sp = toda_species_analytic(eps, float(tau))
-            lhs = 0.5 * (sp.y + 1.0 / sp.y + sp.z + 1.0 / sp.z)
-            assert abs(lhs - eps) < 1e-10
+        ys, zs = toda_species_series(eps, np.linspace(0.0, 10.0, 101))
+        lhs = 0.5 * (ys + 1.0 / ys + zs + 1.0 / zs)
+        assert np.max(np.abs(lhs - eps)) < 1e-10
 
     def test_product_constraint(self):
-        for tau in (0.3, 1.1, 2.9):
-            eps = 2.5
-            sp = toda_species_analytic(eps, tau)
-            t_val = 0.5 * (sp.y + sp.z)
-            assert abs(sp.y * sp.z * (eps - t_val) - t_val) < 1e-12
+        eps = 2.5
+        ys, zs = toda_species_series(eps, np.array([0.3, 1.1, 2.9]))
+        t_val = 0.5 * (ys + zs)
+        assert np.max(np.abs(ys * zs * (eps - t_val) - t_val)) < 1e-12
+
+    @pytest.mark.parametrize("eps", [2.1, 2.5, 4.0, 6.0])
+    def test_matches_rk4_species(self, eps):
+        # RK4 at dt = 2.5e-4 is within about 1e-13 of the closed form over
+        # one period (1.5e-13 measured at eps = 6)
+        taus = np.linspace(0.0, period(TODA, eps), 201)
+        ys, zs = toda_species_series(eps, taus)
+        ry, rz = toda_species_rk4(eps, taus, 2.5e-4)
+        assert np.max(np.abs(ys - ry) / ry) <= 1e-11
+        assert np.max(np.abs(zs - rz) / rz) <= 1e-11
+
+    @pytest.mark.parametrize("eps", [2.1, 2.5, 4.0, 6.0, 100.0, 1500.0])
+    def test_table_closes(self, eps):
+        # after one exact period both species are back at T- = 1/T+ (the
+        # summary's (eps - s)/2 cancels at large eps: 2e-11 off at 1000)
+        closed = toda_closed_period(eps)
+        ys, zs = toda_species_series(eps, closed.period_ode)
+        assert abs(ys * closed.t_plus - 1.0) <= 1e-13
+        assert abs(zs * closed.t_plus - 1.0) <= 1e-13
 
 
 class TestDynamicalConstraint:
@@ -218,35 +250,31 @@ class TestDynamicalConstraint:
         for eps in (2.1, 2.5, 4.0):
             s = math.sqrt(eps * eps - 4.0)
             for t_val in (0.5 * (eps + s), 0.5 * (eps - s)):
-                assert abs(toda_constraint_rhs(eps, t_val)) < 1e-12
+                assert abs(_toda_constraint_rhs(eps, t_val)) < 1e-12
 
-    def test_ode_t_satisfies_toda_constraint(self):
-        for tau in (0.9, 1.7, 2.4):
-            r = constraint_residual(2.5, tau, "toda")
-            assert abs(r) < 1e-6
-
-    def test_ode_t_satisfies_lv_constraint(self):
-        for tau in (0.6, 1.1):
-            r = constraint_residual(2.5, tau, "lv")
-            assert abs(r) < 1e-6
-
-    def test_lv_level_curve_identity(self):
-        # with y + z = T and y z = e^{T - eps}: a y + z - ln(y^a z) = eps
-        eps = 2.5
-        t_val = lv_t_ode(eps, 0.8)
-        disc = t_val * t_val - 4.0 * math.exp(t_val - eps)
-        y = 0.5 * (t_val + math.sqrt(disc))
-        z = 0.5 * (t_val - math.sqrt(disc))
-        assert abs(y + z - math.log(y * z) - eps) < 1e-9
+    def test_closed_form_satisfies_toda_constraint(self):
+        # Tdot by central differences of the closed form: the h^2 error is
+        # at most 1.1e-7 relative here
+        h = 1e-4
+        for eps in (2.1, 2.5, 4.0, 6.0):
+            for tau in (0.9, 1.7, 2.4):
+                t_lo, t_mid, t_hi = _species_sum(eps, [tau - h, tau, tau + h])
+                tdot = (t_hi - t_lo) / (2.0 * h)
+                rhs = _toda_constraint_rhs(eps, t_mid)
+                assert abs(tdot * tdot - rhs) <= 1e-6 * rhs
 
     def test_literal_parameterization_fails_constraint(self):
-        # the literal frequency factor runs the waveform at the wrong speed,
-        # so the sn form violates the constraint under either reading
-        for conv in EllipticConvention:
-            r = constraint_residual(
-                2.5, 1.3, "toda",
-                t_of_tau=lambda t, c=conv: toda_parametric_T(2.5, t, c))
-            assert abs(r) > 1e-3
+        # the paper's frequency sqrt(eps + s - 2) / (2 sqrt 2) in place of
+        # T+/2 runs the same waveform at the wrong speed, so it violates
+        # the constraint
+        eps, h, tau = 2.5, 1e-4, 1.3
+        s = math.sqrt(eps * eps - 4.0)
+        freq = math.sqrt(eps + s - 2.0) / (2.0 * math.sqrt(2.0))
+        kc = math.sqrt(1.0 - kappa_of_eps(eps))
+        sn = jacobi_sn_cn(freq * np.array([tau - h, tau, tau + h]), kc=kc)[0]
+        t_lo, t_mid, t_hi = 2.0 / (s * (1.0 - 2.0 * sn * sn) + eps)
+        tdot = (t_hi - t_lo) / (2.0 * h)
+        assert abs(tdot * tdot - _toda_constraint_rhs(eps, t_mid)) > 1e-3
 
 
 class TestClosedFormSummary:
@@ -266,16 +294,6 @@ class TestClosedFormSummary:
         assert cf.period_ratio > 0.0
         assert cf.period_formula == pytest.approx(
             cf.period_ratio * cf.period_ode)
-
-    def test_parameter_reading_matches_wave_shape(self):
-        cf = toda_closed_period(2.5)
-        assert cf.convention is EllipticConvention.PARAMETER
-        assert cf.lsq_parameter < 1e-10
-        assert cf.lsq_modulus > 1e-4
-        # neither reading satisfies the constraint literally
-        assert cf.t_source == "ode"
-        assert cf.residual_parameter > 1e-3
-        assert cf.residual_modulus > 1e-3
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -297,17 +315,17 @@ class TestSectionMachinery:
         gaps = np.diff(times)
         assert np.allclose(gaps, gaps[0], rtol=1e-6)
 
-    def test_t_ode_consistency_between_routes(self):
-        # species-ODE route agrees with the phase-space orbit route
-        eps = 2.5
+    def test_closed_form_matches_phase_space_orbit(self):
+        # the phase-space RK4 orbit from the lower turning point
+        # y = z = T- = 1/2 (x = k = ln 2, eps = 2.5) carries the species
+        # y = e^-x, z = e^-k of the closed form
         spec = OrbitSpec.from_point(
             TODA, PhasePoint(math.log(2.0), math.log(2.0)),
-            step=1e-3, duration=3.0)
+            step=1e-3, duration=6.0)
         traj = integrate_orbit(spec)
-        i = len(traj) // 2
-        t_phase = 0.5 * (traj.y[i] + traj.z[i])
-        t_species = toda_t_ode(eps, float(traj.tau[i]))
-        assert abs(t_phase - t_species) < 1e-8
+        ys, zs = toda_species_series(spec.eps, traj.tau)
+        assert np.max(np.abs(traj.y - ys) / ys) < 1e-10
+        assert np.max(np.abs(traj.z - zs) / zs) < 1e-10
 
 
 class TestOneIntegration:
@@ -407,11 +425,6 @@ class TestOneBisection:
         assert len(sweep) == 400
         for eps in sweep:
             assert section_start(model, eps) == section_start_fixed(model, eps)
-
-    @pytest.mark.parametrize("eps", [2.0 + 1e-9, 2.01, 2.5, 4.0, 30.0])
-    def test_lv_turning_point_matches_fixed_count(self, eps):
-        # at tau = 0 the species sum is twice the turning-point population
-        assert lv_t_ode(eps, 0.0) == 2.0 * lv_turning_point_fixed(eps)
 
     def test_hermite_crossing_matches_fixed_count(self):
         # 60 halvings reach float resolution wherever the root s >= 2^-8;

@@ -86,6 +86,17 @@ class TestOrbit:
         assert "energy drift 1.334e-02" in res.stderr
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["1e4", "2e6"])
+    def test_overflowing_step_exits_1(self, tmp_path, eps):
+        # at dt = 1e-3 the first RK4 stage at x = acosh(eps - 1) leaves the
+        # float range of sinh
+        res = run_cli(["orbit", "--model", "toda", "--eps", eps,
+                       "--out", "o.csv"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        assert f"eps = {float(eps):g}, dt = 0.001" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_format(self, tmp_path):
         res = run_cli(["orbit", "--eps", "2.5", "--dt", "5e-3", "--periods",
                        "1", "--format", "json", "--out", "o.json"], tmp_path)
@@ -109,11 +120,63 @@ class TestAnalytic:
         t_vals = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(0.5 - 1e-9 <= t <= 2.0 + 1e-9 for t in t_vals)
         summary = json.loads((tmp_path / "an_summary.json").read_text())
-        assert summary[0]["t_source"] == "ode"
+        assert summary[0]["t_source"] == "analytic"
 
     def test_harmonic_boundary_exits_3(self, tmp_path):
         res = run_cli(["analytic", "--eps", "2.0", "--out", "an.csv"], tmp_path)
         assert res.returncode == 3
+
+    def test_runs_no_rk4(self, tmp_path, monkeypatch, capsys):
+        from wignerflow import classical, cli
+        calls = []
+        core = classical._rk4
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return core(*args, **kwargs)
+
+        monkeypatch.setattr(classical, "_rk4", counted)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analytic", "--eps", "6", "--eps", "2.1",
+                         "--out", "an.csv"]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("eps", [70.0, 100.0, 1000.0])
+    def test_high_energy_summary_against_mpmath(self, tmp_path, monkeypatch,
+                                                capsys, eps):
+        # kappa, the linear-sine period formula and the exact period
+        # 4 K(kappa) / T+, all from the float eps in 40-digit arithmetic
+        mpmath = pytest.importorskip("mpmath")
+        from wignerflow import cli
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analytic", "--eps", str(eps), "--samples", "50",
+                         "--out", "an.csv"]) == 0
+        summary = json.loads((tmp_path / "an_summary.json").read_text())[0]
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eps)
+            s = mpmath.sqrt(e * e - 4)
+            kappa = 2 * e * s / (e * (e + s) - 2)
+            t_plus = (e + s) / 2
+            linear_sine = 4 * mpmath.quad(
+                lambda t: 1 / mpmath.sqrt(1 - kappa * mpmath.sin(t)),
+                [0] + [mpmath.pi / 2 - mpmath.mpf(10) ** -j
+                       for j in range(1, 10)] + [mpmath.pi / 2])
+            expected = {
+                "kappa": kappa,
+                "period_formula": 8 * mpmath.sqrt(2) * linear_sine
+                / mpmath.sqrt(e + s - 2),
+                "period_ode": 4 * mpmath.ellipk(kappa) / t_plus}
+        for key, ref in expected.items():
+            assert abs(summary[key] - float(ref)) <= 1e-12 * float(ref), key
+
+    @pytest.mark.parametrize("eps", ["1501", "1e4", "1e8"])
+    def test_above_the_energy_limit_exits_3(self, tmp_path, eps):
+        res = run_cli(["analytic", "--eps", "2.5", "--eps", eps,
+                       "--out", "an.csv"], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "2 < eps <= 1500" in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestThermo:
@@ -343,6 +406,22 @@ class TestKernelTableFailure:
         assert "alpha = 1.0 did not converge" in capsys.readouterr().err
         assert not (tmp_path / "tr.csv").exists()
 
+    def test_node_values_near_the_float_limit_do_not_overflow(
+            self, tmp_path, monkeypatch, capsys):
+        # at alpha = 53.28 the kernel reaches 1e308; the FFT of its even
+        # extension overflowed and warned before the clean exit 1
+        import warnings
+
+        from wignerflow import cli
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["trajectory", "--alpha", "53.28", "--x0", "0.05",
+                             "--tau-max", "1", "--out", "tr.csv"])
+        assert code == 1
+        assert "alpha = 53.28 did not converge" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestZeroScanBudget:
     def test_over_budget_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -370,7 +449,7 @@ class TestNegativeExponentValues:
         (["orbit", "--periods", "-1e-3"], "periods = -0.001"),
         (["trajectory", "--dt", "-1e-3"], "step = -0.001"),
         (["trajectory", "--tau-max", "-1e-3"], "--tau-max -0.001"),
-        (["analytic", "--eps", "2.5", "--dt", "-1e-3"], "step = -0.001"),
+        (["analytic", "--eps", "-1e-3"], "eps = -0.001"),
         (["analytic", "--eps", "2.5", "--tau-max", "-1E-3"],
          "--tau-max -0.001"),
     ])

@@ -5,10 +5,10 @@ import pytest
 
 from wignerflow import specfun
 from wignerflow.errors import DomainError, NumericalError, UsageError
-from wignerflow.specfun import (EllipticConvention, QuadratureSpec, bessel_k,
-                                elliptic_k_complete, elliptic_k_linear_sin,
-                                faddeeva_w, hermite_odd, im_erf_offset,
-                                im_erf_offset_scaled, integrate_1d, jacobi_sn,
+from wignerflow.specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
+                                elliptic_k_linear_sin, faddeeva_w, hermite_odd,
+                                im_erf_offset, im_erf_offset_scaled,
+                                integrate_1d, jacobi_sn_cn,
                                 scaled_kernel_table)
 
 from oracles import TIGHT, bessel_k_quadrature, erfi_maclaurin, im_erf_contour
@@ -109,30 +109,37 @@ class TestBesselK:
         assert bessel_k(0, 1e3) == 0.0 and bessel_k(1, 1e300) == 0.0
 
 
+def _sn(u, m):
+    return jacobi_sn_cn(u, kc=math.sqrt(1.0 - m))[0]
+
+
 class TestEllipticK:
     def test_zero_parameter(self):
-        assert abs(elliptic_k_complete(0.0) - math.pi / 2.0) < 1e-15
+        assert abs(elliptic_k_complete(kc=1.0) - math.pi / 2.0) < 1e-15
 
     def test_half_parameter_vs_quadrature(self):
         ref = integrate_1d(
             lambda t: 1.0 / math.sqrt(1.0 - 0.5 * math.sin(t) ** 2),
             0.0, math.pi / 2.0, TIGHT)
-        assert abs(elliptic_k_complete(0.5) - ref) < 1e-12
+        assert abs(elliptic_k_complete(kc=math.sqrt(0.5)) - ref) < 1e-12
 
     def test_monotone_in_parameter(self):
-        assert elliptic_k_complete(0.99) > elliptic_k_complete(0.5)
-        assert math.isfinite(elliptic_k_complete(0.99))
+        assert elliptic_k_complete(kc=0.1) > elliptic_k_complete(kc=0.7)
+        assert math.isfinite(elliptic_k_complete(kc=0.1))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            elliptic_k_complete(1.0)
-        with pytest.raises(DomainError):
-            elliptic_k_complete(-0.1)
+        for kc in (0.0, -0.1, 1.1, math.nan):
+            with pytest.raises(DomainError):
+                elliptic_k_complete(kc=kc)
+
+    def test_complementary_modulus_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            elliptic_k_complete(0.5)
 
 
 class TestLinearSineIntegral:
     def test_zero_kappa(self):
-        assert abs(elliptic_k_linear_sin(0.0) - 2.0 * math.pi) < 1e-12
+        assert abs(elliptic_k_linear_sin(kc=1.0) - 2.0 * math.pi) < 1e-15
 
     def test_half_kappa_vs_fixed_rule(self):
         # independent oracle: fixed high-order Gauss-Legendre on [0, pi/2]
@@ -140,47 +147,81 @@ class TestLinearSineIntegral:
         theta = 0.25 * math.pi * (u + 1.0)
         ref = 4.0 * 0.25 * math.pi * float(
             np.sum(w / np.sqrt(1.0 - 0.5 * np.sin(theta))))
-        assert abs(elliptic_k_linear_sin(0.5) - ref) < 1e-10
+        assert abs(elliptic_k_linear_sin(kc=math.sqrt(0.5)) - ref) < 1e-13
 
     def test_near_singular_kappa_finite(self):
-        v = elliptic_k_linear_sin(0.9375)
+        v = elliptic_k_linear_sin(kc=0.25)  # kappa = 0.9375
         assert math.isfinite(v) and v > 0.0
 
+    @pytest.mark.parametrize("one_minus_kappa", [
+        1.0, 0.75, 0.5, 0.0625, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_against_mpmath_quadrature(self, one_minus_kappa):
+        # measured within 2.1e-16 relative; the integrand's peak near
+        # pi/2 narrows to a width of sqrt(1 - kappa), so the 40-digit
+        # reference splits the range at pi/2 - 10^-j
+        mpmath = pytest.importorskip("mpmath")
+        kc = math.sqrt(one_minus_kappa)
+        with mpmath.workdps(40):
+            kappa = 1 - mpmath.mpf(kc) ** 2
+            ref = 4 * mpmath.quad(
+                lambda t: 1 / mpmath.sqrt(1 - kappa * mpmath.sin(t)),
+                [0] + [mpmath.pi / 2 - mpmath.mpf(10) ** -j
+                       for j in range(1, 10)] + [mpmath.pi / 2])
+        value = elliptic_k_linear_sin(kc=kc)
+        assert abs(value - float(ref)) <= 1e-12 * float(ref)
+
     def test_domain(self):
-        with pytest.raises(DomainError):
-            elliptic_k_linear_sin(1.0)
+        for kc in (0.0, 1.5, 2.0, math.nan):
+            with pytest.raises(DomainError):
+                elliptic_k_linear_sin(kc=kc)
 
 
 class TestJacobiSn:
     def test_odd_at_zero(self):
-        assert jacobi_sn(0.0, 0.7) == 0.0
+        sn, cn = jacobi_sn_cn(0.0, kc=math.sqrt(0.3))
+        assert sn == 0.0 and cn == 1.0
 
     def test_degenerate_parameter_is_sine(self):
-        assert abs(jacobi_sn(0.7, 0.0) - math.sin(0.7)) < 1e-15
+        sn, cn = jacobi_sn_cn(0.7, kc=1.0)
+        assert abs(sn - math.sin(0.7)) < 1e-15
+        assert abs(cn - math.cos(0.7)) < 1e-15
 
     def test_quarter_period_identity(self):
-        quarter = elliptic_k_complete(0.3)
-        assert abs(jacobi_sn(quarter, 0.3) - 1.0) < 1e-12
+        quarter = elliptic_k_complete(kc=math.sqrt(0.7))
+        assert abs(_sn(quarter, 0.3) - 1.0) < 1e-12
 
     def test_bounded_and_periodic(self):
         m = 0.9375
-        period = 4.0 * elliptic_k_complete(m)
-        for u in np.linspace(-8.0, 8.0, 47):
-            s = jacobi_sn(float(u), m)
-            assert abs(s) <= 1.0 + 1e-15
-            assert abs(jacobi_sn(float(u) + period, m) - s) < 1e-10
+        period = 4.0 * elliptic_k_complete(kc=0.25)
+        u = np.linspace(-8.0, 8.0, 47)
+        sn, cn = jacobi_sn_cn(u, kc=0.25)
+        assert np.all(np.abs(sn) <= 1.0 + 1e-15)
+        assert np.max(np.abs(sn * sn + cn * cn - 1.0)) < 1e-15
+        assert np.max(np.abs(_sn(u + period, m) - sn)) < 1e-10
 
-    def test_modulus_convention(self):
-        kappa = 0.6
-        direct = jacobi_sn(1.1, kappa * kappa, EllipticConvention.PARAMETER)
-        via_modulus = jacobi_sn(1.1, kappa, EllipticConvention.MODULUS)
-        assert direct == via_modulus
+    @pytest.mark.parametrize("kc", [0.9, 0.25, 1e-3, 1e-6])
+    def test_against_mpmath(self, kc):
+        mpmath = pytest.importorskip("mpmath")
+        quarter = elliptic_k_complete(kc=kc)
+        u = np.linspace(-2.5 * quarter, 2.5 * quarter, 41)
+        sn, cn = jacobi_sn_cn(u, kc=kc)
+        with mpmath.workdps(30):
+            m = 1 - mpmath.mpf(kc) ** 2
+            for ui, s, c in zip(u, sn, cn):
+                assert abs(s - float(mpmath.ellipfun("sn", ui, m=m))) < 1e-13
+                assert abs(c - float(mpmath.ellipfun("cn", ui, m=m))) < 1e-13
+
+    def test_array_matches_floats(self):
+        u = np.linspace(-3.0, 3.0, 13)
+        sn, cn = jacobi_sn_cn(u, kc=0.4)
+        for ui, s, c in zip(u, sn, cn):
+            assert jacobi_sn_cn(float(ui), kc=0.4) == (s, c)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            jacobi_sn(0.3, 1.0)
-        with pytest.raises(DomainError):
-            jacobi_sn(0.3, 1.2, EllipticConvention.MODULUS)
+            jacobi_sn_cn(0.3, kc=0.0)
+        with pytest.raises(TypeError):
+            jacobi_sn_cn(0.3, 0.5)
 
 
 class TestHermiteOdd:
