@@ -385,10 +385,11 @@ def _require_isotropic_energy(eps):
 
 
 def amplitude_bounds(eps):
-    """T+- = (eps +- sqrt(eps^2 - 4))/2, the roots of T^2 - eps T + 1."""
+    """T+- = (eps +- sqrt(eps^2 - 4))/2, the roots of T^2 - eps T + 1.
+    T- is taken as 1/T+ (T+ T- = 1), which does not cancel as eps grows."""
     _require_isotropic_energy(eps)
-    s = math.sqrt(eps * eps - 4.0)
-    return 0.5 * (eps + s), 0.5 * (eps - s)
+    t_plus = 0.5 * (eps + math.sqrt(eps * eps - 4.0))
+    return t_plus, 1.0 / t_plus
 
 
 def kappa_of_eps(eps):
@@ -412,11 +413,11 @@ def toda_species_series(eps, taus):
     T / (r (r + |q|)).  The prey z is the larger where sn cn >= 0, on the
     rising half of T.
     """
-    t_plus, _ = amplitude_bounds(eps)
+    t_plus, t_minus = amplitude_bounds(eps)
     s = math.sqrt(eps * eps - 4.0)
     sn, cn = jacobi_sn_cn(0.5 * t_plus * np.asarray(taus, dtype=float),
                           kc=1.0 / (t_plus * t_plus))
-    t_val = 1.0 / (1.0 / t_plus + s * cn * cn)
+    t_val = 1.0 / (t_minus + s * cn * cn)
     q = s * sn * cn * t_val
     r = np.sqrt(1.0 + q * q)
     big = t_val * (1.0 + np.abs(q) / r)

@@ -211,25 +211,28 @@ def cmd_field(args):
 def cmd_stagnation(args):
     bbox = tuple(args.bbox)
     reach = max(abs(v) for v in bbox)
-    limit = gaussian.TRUST_FACTOR / args.alpha_max
-    if reach > limit:
+    # both sweep ends are built, so every member's alpha is valid
+    _, top = (GaussianEnsembleParams(v, args.a)
+              for v in sorted((args.alpha_min, args.alpha_max)))
+    if reach > top.trust_limit():
         raise DomainError(
             f"bbox reach {reach} exceeds the trust region |x|,|k| <= "
-            f"{limit:.4f} at alpha-max = {args.alpha_max}")
+            f"{top.trust_limit():.4f} at alpha = {top.alpha}")
     _require_rows(args.alpha_steps)
+    if args.emit_envelope:
+        spec = GridSpec(*bbox, args.grid, args.grid)
+        xs, ks = spec.x_nodes(), spec.k_nodes()
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     records = []
     for alpha in alphas:
         params = GaussianEnsembleParams(float(alpha), args.a)
-        points = gaussian.find_stagnation_points(params, bbox, grid=args.grid)
+        points = gaussian.find_stagnation_points(params, bbox)
         rec = {"alpha": float(alpha),
                "points": fieldgrid.as_table(points).records()}
         if args.emit_envelope:
-            spec = GridSpec(*bbox, args.grid, args.grid)
             wgrid = fieldgrid.sample_field(params, "w", spec)
             mag = np.hypot(wgrid.values[..., 0], wgrid.values[..., 1])
             mask = (mag < args.envelope_threshold) & wgrid.valid
-            xs, ks = spec.x_nodes(), spec.k_nodes()
             jj, ii = np.nonzero(mask)
             rec["envelope_nodes"] = [[float(xs[i]), float(ks[j])]
                                      for j, i in zip(jj, ii)]
@@ -534,7 +537,7 @@ def build_parser():
                    metavar=("XLO", "XHI", "KLO", "KHI"),
                    help="search window; must stay inside the trust region")
     p.add_argument("--grid", type=int, default=200,
-                   help="probe density for zero scans")
+                   help="nodes per axis of the --emit-envelope grid")
     p.add_argument("--emit-envelope", action="store_true",
                    help="also list grid nodes with |w| below the threshold")
     p.add_argument("--envelope-threshold", type=float, default=0.08,

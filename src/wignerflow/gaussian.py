@@ -58,11 +58,6 @@ SQRT_PI = math.sqrt(math.pi)
 # the cancelled velocity form is well-conditioned for alpha*max(|x|,|k|) <= 6
 TRUST_FACTOR = 6.0
 
-# probes one kernel-zero scan may hold (stagnation --grid g scans
-# max(4 g, 800)); a larger scan is refused before any allocation
-MAX_ZERO_PROBES = 1_000_000
-
-
 @dataclass(frozen=True)
 class GaussianEnsembleParams:
     """Gaussian spread parameter alpha and Toda anisotropy a."""
@@ -73,7 +68,8 @@ class GaussianEnsembleParams:
     def __post_init__(self):
         if not (isinstance(self.alpha, (int, float)) and self.alpha > 0.0
                 and math.isfinite(self.alpha)):
-            raise DomainError("alpha must be positive and finite")
+            raise DomainError(f"alpha = {self.alpha} must be positive and "
+                              f"finite")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise DomainError("a must be positive and finite")
 
@@ -273,35 +269,26 @@ def circulation_number(params, center, radius, samples=720):
     return 0.0
 
 
-def _kernel_zeros(params, upper, probes):
-    """Zeros of the current kernel F(chi) on (0, upper], by sign scan plus
-    bisection on the scaled (Gaussian-cancelled) form."""
+def _kernel_zeros(params, upper):
+    """Zeros of the current kernel F(chi) on (0, upper], to adjacent floats.
+
+    F'(chi) = -(2 alpha/sqrt(pi)) e^{alpha^2/4} e^{-alpha^2 chi^2}
+    sin(alpha^2 chi), so F is strictly monotone between the nodes
+    n pi/alpha^2.  Each node interval, cut at upper, thus holds a zero
+    exactly where the scaled kernel differs in sign at its ends, and one
+    bisection of that interval finds it."""
     al = params.alpha
-    if upper <= 0.0:
-        return []
-    n = max(int(probes), 400)
-    if n > MAX_ZERO_PROBES:
-        raise UsageError(f"a zero scan of {n} probes exceeds the work "
-                         f"budget of {MAX_ZERO_PROBES} probes")
-    grid = np.linspace(0.0, upper, n + 1)
-    vals = im_erf_offset_scaled(al, grid)
-    on_node = (vals[:-1] == 0.0) & (grid[:-1] > 0.0)
+    step = math.pi / (al * al)
+    nodes = step * np.arange(math.ceil(upper / step))
+    nodes = np.append(nodes[nodes < upper], upper)
+    up = im_erf_offset_scaled(al, nodes) > 0.0
     zeros = []
-    for i in np.flatnonzero(on_node | ((vals[:-1] > 0.0) != (vals[1:] > 0.0))):
-        if on_node[i]:
-            zeros.append(float(grid[i]))
-            continue
-        lo, hi = bisect(lambda chi, up=vals[i] > 0.0:
-                        (im_erf_offset_scaled(al, chi) > 0.0) == up,
-                        float(grid[i]), float(grid[i + 1]))
+    for i in np.flatnonzero(up[:-1] != up[1:]):
+        lo, hi = bisect(lambda chi, s=up[i]:
+                        (im_erf_offset_scaled(al, chi) > 0.0) == s,
+                        float(nodes[i]), float(nodes[i + 1]))
         zeros.append(0.5 * (lo + hi))
-    # merge near-coincident detections (exact grid-node zeros can otherwise
-    # seed a second root in the neighboring cell)
-    merged = []
-    for z in zeros:
-        if not merged or z - merged[-1] > 1e-9:
-            merged.append(z)
-    return merged
+    return zeros
 
 
 @dataclass(frozen=True)
@@ -311,61 +298,46 @@ class StagnationPoint:
     location: PhasePoint
     residual: float
     circulation: float
-    kind: str  # 'vortex_cw' | 'vortex_ccw' | 'saddle_or_separatrix'
+    kind: str  # 'vortex_cw' (the origin) | 'saddle_or_separatrix'
 
 
-def _classify(gamma):
-    if gamma >= 0.5:
-        return "vortex_ccw"
-    if gamma <= -0.5:
-        return "vortex_cw"
-    return "saddle_or_separatrix"
-
-
-def find_stagnation_points(params, bbox, grid=200):
-    """All zeros of the current inside bbox = (x_lo, x_hi, k_lo, k_hi).
+def find_stagnation_points(params, bbox):
+    """All zeros of the current inside bbox = (x_lo, x_hi, k_lo, k_hi),
+    sorted by (x, k), each with its residual |J| and exact class.
 
     The zero set is separable: J_x = 0 on {k = 0} and {F(x) = 0}, J_k = 0 on
     {x = 0} and {F(k) = 0}, so stagnation points are the origin plus the
-    lattice of kernel-zero pairs.  Each point is refined to |J| < 1e-10 and
-    annotated with the circulation number measured on a loop of one third of
-    its nearest-neighbor distance.  Sorted by (x, k) for reproducibility.
+    lattice of kernel-zero pairs (``_kernel_zeros``).  The linearisation of
+    w = (c S(x) sinh k, -a c S(k) sinh x) fixes each class.  At the origin
+    the Jacobian is [[0, c S(0)], [-a c S(0), 0]] with S(0) = erfi(alpha/2)
+    > 0, a clockwise centre: circulation -1.0, class 'vortex_cw'.  At a
+    kernel-zero pair S vanishes in both components, so the Jacobian is
+    diagonal with real eigenvalues and no loop is circled monotonically:
+    circulation 0.0, class 'saddle_or_separatrix'.  ``circulation_number``
+    measures the same values on loops around the points.
     """
     x_lo, x_hi, k_lo, k_hi = bbox
     if not (x_lo < x_hi and k_lo < k_hi):
         raise UsageError("bbox must satisfy x_lo < x_hi and k_lo < k_hi")
     lim = params.trust_limit()
-    if max(abs(x_lo), abs(x_hi), abs(k_lo), abs(k_hi)) > lim:
+    upper = max(abs(x_lo), abs(x_hi), abs(k_lo), abs(k_hi))
+    if upper > lim:
         raise DomainError(
             f"bbox exceeds the velocity trust region |x|,|k| <= {lim:.4f}")
-    upper = max(abs(x_lo), abs(x_hi), abs(k_lo), abs(k_hi))
-    zeros = _kernel_zeros(params, upper, probes=max(grid * 4, 800))
-    xs = [0.0] + [s * z for z in zeros for s in (+1.0, -1.0)]
-    candidates = []
-    for cx in xs:
-        for ck in xs:
-            if (cx == 0.0) != (ck == 0.0):
-                continue  # axis points off the origin carry current
-            if x_lo <= cx <= x_hi and k_lo <= ck <= k_hi:
-                candidates.append((cx, ck))
-    candidates = sorted(set(candidates))
-    points = []
-    for cx, ck in candidates:
-        jx, jk = currents_closed(params, cx, ck)
-        residual = float(np.hypot(jx, jk))
-        # nearest-neighbor distance controls the circulation loop radius
-        nn = min((math.hypot(cx - ox, ck - ok)
-                  for ox, ok in candidates if (ox, ok) != (cx, ck)),
-                 default=min(x_hi - x_lo, k_hi - k_lo))
-        radius = nn / 3.0
-        max_r = lim - max(abs(cx), abs(ck))
-        radius = min(radius, 0.9 * max_r) if max_r > 0.0 else radius
-        gamma = circulation_number(params, PhasePoint(cx, ck), radius)
-        points.append(StagnationPoint(location=PhasePoint(cx, ck),
-                                      residual=residual,
-                                      circulation=gamma,
-                                      kind=_classify(gamma)))
-    return points
+    xs = [0.0] + [s * z for z in _kernel_zeros(params, upper)
+                  for s in (+1.0, -1.0)]
+    # axis points off the origin carry current
+    coords = sorted({(cx, ck) for cx in xs for ck in xs
+                     if (cx == 0.0) == (ck == 0.0)
+                     and x_lo <= cx <= x_hi and k_lo <= ck <= k_hi})
+    # |J| point by point: at a root it is rounding noise, and numpy rounds a
+    # complex product on 0-d and on 1-d arrays differently
+    return [StagnationPoint(
+                location=PhasePoint(cx, ck),
+                residual=float(np.hypot(*currents_closed(params, cx, ck))),
+                circulation=-1.0 if cx == 0.0 else 0.0,
+                kind="vortex_cw" if cx == 0.0 else "saddle_or_separatrix")
+            for cx, ck in coords]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ way the package once did, from the section crossings of an RK4 orbit
 arithmetic (``period_time_of_flight_mp``), against the package's exact
 ``classical.period``.  The scaled kernel of the quantum RK4 is evaluated
 point by point through the Weideman rational approximation, in place of
-the package's per-alpha Chebyshev table.
+the package's per-alpha Chebyshev table.  The classes of the stagnation
+points, exact from the linearised flow in the package, are measured here
+as the winding of the velocity around a loop about each point.
 """
 
 import cmath
@@ -30,6 +32,7 @@ import numpy as np
 
 from wignerflow import classical
 from wignerflow.errors import NumericalError, UsageError
+from wignerflow.gaussian import circulation_number
 from wignerflow.model import HamiltonianKind, PhasePoint, energy
 from wignerflow.specfun import (QuadratureSpec, _weideman_w,
                                 im_erf_offset_scaled, integrate_1d)
@@ -542,7 +545,9 @@ def hermite_crossing_fixed(t0, t1, x0, x1, d0, d1):
 
 
 def kernel_zeros_fixed(params, upper, probes):
-    """gaussian._kernel_zeros with a per-probe scan and 80 halvings."""
+    """Kernel zeros on (0, upper] from a scan of probes uniform cells, each
+    sign change refined by 80 halvings (gaussian._kernel_zeros brackets
+    between the extrema of F instead)."""
     al = params.alpha
     if upper <= 0.0:
         return []
@@ -570,6 +575,25 @@ def kernel_zeros_fixed(params, upper, probes):
         if not merged or z - merged[-1] > 1e-9:
             merged.append(z)
     return merged
+
+
+def stagnation_windings(params, points, bbox):
+    """circulation_number around each stagnation point, on a loop of one
+    third of its nearest-neighbour distance (the shorter bbox side for a
+    lone point), shrunk to 0.9 of its distance to the trust-region edge."""
+    x_lo, x_hi, k_lo, k_hi = bbox
+    lim = params.trust_limit()
+    coords = [(s.location.x, s.location.k) for s in points]
+    windings = []
+    for cx, ck in coords:
+        nn = min((math.hypot(cx - ox, ck - ok)
+                  for ox, ok in coords if (ox, ok) != (cx, ck)),
+                 default=min(x_hi - x_lo, k_hi - k_lo))
+        radius = nn / 3.0
+        max_r = lim - max(abs(cx), abs(ck))
+        radius = min(radius, 0.9 * max_r) if max_r > 0.0 else radius
+        windings.append(circulation_number(params, PhasePoint(cx, ck), radius))
+    return windings
 
 
 def beta_star_inline(a):

@@ -284,6 +284,18 @@ class TestClosedFormSummary:
         assert abs(cf.t_plus * cf.t_minus - 1.0) < 1e-12
         assert abs(cf.t_plus + cf.t_minus - cf.eps) < 1e-12
 
+    @pytest.mark.parametrize("eps", [100.0, 1000.0, 1500.0])
+    def test_amplitude_bounds_against_mpmath(self, eps):
+        # T- = 1/T+ has no cancellation; (eps - s)/2 was 2.1e-11 relative
+        # off at eps = 1000
+        mpmath = pytest.importorskip("mpmath")
+        t_plus, t_minus = classical.amplitude_bounds(eps)
+        with mpmath.workdps(30):
+            s = mpmath.sqrt(mpmath.mpf(eps) ** 2 - 4)
+            exact = ((eps + s) / 2, (eps - s) / 2)
+            for value, ref in zip((t_plus, t_minus), exact):
+                assert abs((value - ref) / ref) <= 1e-15
+
     def test_kappa_value(self):
         cf = toda_closed_period(2.5)
         assert abs(cf.kappa - 0.9375) < 1e-15

@@ -424,6 +424,10 @@ class TestKernelTableFailure:
 
 
 class TestZeroScanBudget:
+    """The kernel zeros are bracketed between the extrema of F, so --grid
+    sizes only the --emit-envelope grid, and an over-budget grid is refused
+    before the first sweep member runs."""
+
     def test_over_budget_exits_2(self, tmp_path, monkeypatch, capsys):
         import numpy as np
 
@@ -437,10 +441,12 @@ class TestZeroScanBudget:
 
         monkeypatch.setattr(np, "linspace", guarded)
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["stagnation", "--grid", "1000000", "--alpha-steps",
-                         "1", "--out", "s.json"]) == 2
-        assert "work budget of 1000000 probes" in capsys.readouterr().err
-        assert not (tmp_path / "s.json").exists()
+        assert cli.main(["stagnation", "--grid", "1000000", "--emit-envelope",
+                         "--alpha-steps", "1", "--out", "s.json"]) == 2
+        out, err = capsys.readouterr()
+        assert "work budget of 4000000 nodes" in err
+        assert "stagnation_count" not in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNegativeExponentValues:
@@ -452,6 +458,8 @@ class TestNegativeExponentValues:
         (["analytic", "--eps", "-1e-3"], "eps = -0.001"),
         (["analytic", "--eps", "2.5", "--tau-max", "-1E-3"],
          "--tau-max -0.001"),
+        (["stagnation", "--alpha-max", "0"], "alpha = 0.0 must be positive"),
+        (["stagnation", "--alpha-max", "-1"], "alpha = -1.0 must be positive"),
     ])
     def test_exits_3_naming_the_value(self, tmp_path, args, says):
         res = run_cli(args + ["--out", "out.csv"], tmp_path)

@@ -15,10 +15,11 @@ from wignerflow.gaussian import (GaussianEnsembleParams, circulation_number,
                                  stationarity_div_j, velocity_w, vorticity)
 from wignerflow.classical import measured_orbit, return_to_start
 from wignerflow.model import HamiltonianKind, PhasePoint, SeparableHamiltonian
-from wignerflow.specfun import QuadratureSpec, integrate_1d
+from wignerflow.specfun import (QuadratureSpec, im_erf_offset_scaled,
+                                integrate_1d)
 
 from oracles import (gauss_legendre_2d, kernel_zeros_fixed,
-                     scaled_kernel_weideman)
+                     scaled_kernel_weideman, stagnation_windings)
 
 A1 = GaussianEnsembleParams(1.0)
 POINT = PhasePoint(0.7, 0.4)
@@ -287,7 +288,7 @@ class TestCirculation:
         pts = find_stagnation_points(params, (-3.0, 3.0, -3.0, 3.0))
         off_axis = [s for s in pts if s.location.x > 0 and s.location.k > 0]
         assert off_axis
-        assert off_axis[0].circulation == 0.0
+        assert circulation_number(params, off_axis[0].location, 0.3) == 0.0
 
     def test_degenerate_loop_error(self):
         # a loop passing through the origin touches a zero of the field
@@ -299,18 +300,51 @@ class TestCirculation:
             circulation_number(A1, PhasePoint(0.0, 0.0), 0.0)
 
 
+README_SWEEP = [float(v) for v in np.linspace(0.25, 2.7, 10)]
+
+
 class TestStagnationPoints:
     @pytest.mark.parametrize("alpha, upper", [
         (0.70710678, 8.0), (1.0, 5.0), (1.41421356, 4.0), (2.0, 3.0),
-        (2.7, 2.2)])
+        (2.7, 2.2)] + [(alpha, 2.0) for alpha in README_SWEEP]
+        + [(alpha, 6.0 / alpha) for alpha in README_SWEEP])
     def test_kernel_zeros_match_fixed_count(self, alpha, upper):
-        # 80 halvings of a probe cell reach float resolution, where the
-        # shared bisection helper stops
+        # bisection to adjacent floats lands on the same zero from the
+        # extremum brackets as from 80 halvings of an 800-probe cell
         from wignerflow.gaussian import _kernel_zeros
         params = GaussianEnsembleParams(alpha, 4.0)
-        zeros = _kernel_zeros(params, upper, 800)
-        assert zeros
+        zeros = _kernel_zeros(params, upper)
         assert zeros == kernel_zeros_fixed(params, upper, 800)
+        # one zero in each whole interval between extrema of F
+        full = math.floor(upper * alpha * alpha / math.pi)
+        assert full <= len(zeros) <= full + 1
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.7, 5.0, 10.0])
+    def test_kernel_changes_sign_once_between_extrema(self, alpha):
+        # the premise of the bracket scan: F' vanishes only at n pi/alpha^2,
+        # so F, and the scaled kernel with it, changes sign at most once
+        # between neighbouring nodes (here exactly once, on every interval
+        # that starts inside the trust region)
+        step = math.pi / (alpha * alpha)
+        for n in range(math.ceil(6.0 / alpha / step)):
+            chi = np.linspace(n * step, (n + 1) * step, 200)
+            positive = im_erf_offset_scaled(alpha, chi) > 0.0
+            assert np.count_nonzero(positive[1:] != positive[:-1]) == 1
+
+    @pytest.mark.parametrize("alpha, a, bbox", [
+        (2.7, 4.0, (-2.0, 2.0, -2.0, 2.0)),
+        (1.5, 0.5, (-3.0, 3.0, -3.0, 3.0)),
+        (2.0 ** 0.5, 1.0, (-3.0, 3.0, -3.0, 3.0)),
+        (0.7071, 4.0, (-8.0, 8.0, -8.0, 8.0))])
+    def test_classes_match_measured_winding(self, alpha, a, bbox):
+        params = GaussianEnsembleParams(alpha, a)
+        pts = find_stagnation_points(params, bbox)
+        assert len(pts) > 1
+        classes = {-1.0: "vortex_cw", 0.0: "saddle_or_separatrix",
+                   1.0: "vortex_ccw"}
+        for s, winding in zip(pts, stagnation_windings(params, pts, bbox)):
+            assert abs(s.circulation - winding) <= 1e-13
+            assert s.kind == classes[s.circulation]
 
     def test_origin_always_detected(self):
         for alpha in (2.0 ** -0.5, 1.0, 2.0 ** 0.5):
