@@ -59,11 +59,21 @@ def _require_rows(n):
                          f"{MAX_TABLE_ROWS} rows per table")
 
 
-def _sweep_path(base, name, value, multiple):
-    if not multiple:
-        return base
+def _sweep_paths(base, name, values):
+    """Every sweep member's output path: ``base`` for one member, else
+    ``base`` with a ``_<name><value>`` suffix.  Two members that would
+    write one path are a usage error, raised before any member runs."""
+    if len(values) == 1:
+        return [base]
     stem, ext = os.path.splitext(base)
-    return f"{stem}_{name}{format(value, 'g')}{ext}"
+    owners = {}
+    for value in values:
+        path = f"{stem}_{name}{format(value, 'g')}{ext}"
+        if path in owners:
+            raise UsageError(f"--{name} {owners[path]!r} and {value!r} would "
+                             f"both write {path}")
+        owners[path] = value
+    return list(owners)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +85,8 @@ def cmd_orbit(args):
     model = SeparableHamiltonian(kind, args.a)
     explicit = args.x0 is not None or args.k0 is not None
     eps_values = [None] if explicit else args.eps or [2.5]
-    multiple = len(eps_values) > 1
-    for eps in eps_values:
+    for eps, path in zip(eps_values,
+                         _sweep_paths(args.out, "eps", eps_values)):
         if explicit:
             start = PhasePoint(args.x0 or 0.0, args.k0 or 0.0)
             eps = energy(model, start.x, start.k)
@@ -84,7 +94,6 @@ def cmd_orbit(args):
             start = classical.section_start(model, eps)
         period, traj = classical.measured_orbit(model, start, args.dt,
                                                 args.periods)
-        path = _sweep_path(args.out, "eps", eps, multiple)
         export_table(traj, args.format, path)
         _say(model=args.model, eps=eps, period=period,
              max_energy_drift=traj.max_drift, rows=len(traj), out=path)
@@ -102,15 +111,15 @@ def _require_tau_max(tau_max):
 def cmd_analytic(args):
     _require_tau_max(args.tau_max)
     _require_rows(args.samples)
-    multiple = len(args.eps) > 1
+    paths = _sweep_paths(args.out, "eps", args.eps)
     summaries = []
     # every energy's domain is checked before the first file is written
-    for closed in [classical.toda_closed_period(eps) for eps in args.eps]:
+    for closed, path in zip([classical.toda_closed_period(eps)
+                             for eps in args.eps], paths):
         eps = closed.eps
         tau_max = args.tau_max if args.tau_max > 0 else closed.period_ode
         taus = np.linspace(0.0, tau_max, args.samples)
         ys, zs = classical.toda_species_series(eps, taus)
-        path = _sweep_path(args.out, "eps", eps, multiple)
         export_table(column_table({"tau": taus, "T": 0.5 * (ys + zs),
                                    "y": ys, "z": zs}), args.format, path)
         # the sn argument is the parameter kappa, and the table is the
@@ -198,10 +207,8 @@ def cmd_field(args):
         def make(v):
             return ThermalEnsembleParams(v, args.a, args.order)
 
-    multiple = len(sweep) > 1
-    for value in sweep:
+    for value, path in zip(sweep, _sweep_paths(args.out, name, sweep)):
         grid = fieldgrid.sample_field(make(value), args.quantity, spec)
-        path = _sweep_path(args.out, name, value, multiple)
         export_table(grid, args.format, path)
         _say(ensemble=args.ensemble, **{name: value}, quantity=args.quantity,
              rows=spec.nx * spec.nk, out=path)
@@ -212,17 +219,20 @@ def cmd_stagnation(args):
     bbox = tuple(args.bbox)
     reach = max(abs(v) for v in bbox)
     # both sweep ends are built, so every member's alpha is valid
-    _, top = (GaussianEnsembleParams(v, args.a)
-              for v in sorted((args.alpha_min, args.alpha_max)))
+    for alpha in (args.alpha_min, args.alpha_max):
+        GaussianEnsembleParams(alpha, args.a)
+    _require_rows(args.alpha_steps)
+    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+    # the trust region shrinks as alpha grows: the largest member that runs
+    # bounds it (one step runs --alpha-min alone)
+    top = GaussianEnsembleParams(float(alphas.max()), args.a)
     if reach > top.trust_limit():
         raise DomainError(
             f"bbox reach {reach} exceeds the trust region |x|,|k| <= "
             f"{top.trust_limit():.4f} at alpha = {top.alpha}")
-    _require_rows(args.alpha_steps)
     if args.emit_envelope:
         spec = GridSpec(*bbox, args.grid, args.grid)
         xs, ks = spec.x_nodes(), spec.k_nodes()
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     records = []
     for alpha in alphas:
         params = GaussianEnsembleParams(float(alpha), args.a)
@@ -248,8 +258,7 @@ def cmd_stagnation(args):
 def cmd_trajectory(args):
     _require_tau_max(args.tau_max)
     a_values = args.a or [1.0]
-    multiple = len(a_values) > 1
-    for a in a_values:
+    for a, path in zip(a_values, _sweep_paths(args.out, "a", a_values)):
         params = GaussianEnsembleParams(args.alpha, a)
         start = PhasePoint(args.x0, args.k0)
         gaussian._check_trust(params, start.x, start.k)
@@ -277,7 +286,6 @@ def cmd_trajectory(args):
             summary = dict(quantum_return_time=tq, quantum_closure=dq,
                            classical_return_time=tc, classical_closure=dc,
                            dephasing=abs(tq - tc))
-        path = _sweep_path(args.out, "a", a, multiple)
         export_table(table, args.format, path)
         _say(alpha=args.alpha, a=a, rows=len(table), out=path)
         _say(**summary)
@@ -292,6 +300,7 @@ def cmd_trajectory(args):
 def _selftest():
     """Fast oracle suite: every check pits a closed form against an
     independent numerical route."""
+    from .csvfloats import float_slots
     from .specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
                           hermite_odd, im_erf_offset, im_erf_offset_scaled,
                           integrate_1d, jacobi_sn_cn, scaled_kernel_table)
@@ -359,6 +368,19 @@ def _selftest():
 
     checks["kernel_table_vs_faddeeva"] = all(
         kernel_table_error(alpha) <= 1e-13 for alpha in (0.25, 1.0, 2.7))
+
+    # CSV float cells against format(): ties of round-half-even, every
+    # power of ten with both neighbours, a subnormal, signed zeros and the
+    # non-finite values
+    ties = [(4 * 10 ** 15 + 2 * i + 1) / 4 for i in range(50)]
+    tens = [float(f"1e{k}") for k in range(-300, 300)]
+    values = np.array(
+        ties + [-t for t in ties] + tens
+        + [math.nextafter(t, d) for t in tens for d in (0.0, math.inf)]
+        + [5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    checks["csv_cells_vs_format"] = (
+        fieldgrid._csv_rows([float_slots(values)])
+        == "".join(f"{x:.17g}\n" for x in values.tolist()))
 
     g1 = GaussianEnsembleParams(1.0)
     srs = gaussian.series_currents(g1, 0.7, 0.4, 14)

@@ -250,15 +250,17 @@ def zero_contours(grid):
 # serialization
 # ---------------------------------------------------------------------------
 
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 512
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class Table:
-    """Named columns, written one block of rows at a time: ``blocks(cells)``
-    yields per block one list of cells per column, ``cells`` formatting one
-    whole 1-D numpy column (float, integer, bool or str).  A plain class: a
-    dataclass would cost every process about a millisecond at import."""
+    """Named columns, written one block of at most ``_BLOCK_ROWS`` rows at a
+    time: ``blocks(cells)`` yields per block a list of cell sequences that
+    stand side by side in column order, as ``cells`` returns them for a list
+    of the block's equally long 1-D numpy columns (float, integer, bool or
+    str).  A plain class: a dataclass would cost every process about a
+    millisecond at import."""
 
     def __init__(self, names, rows, blocks):
         self.names, self.rows, self.blocks = tuple(names), rows, blocks
@@ -269,7 +271,7 @@ class Table:
     def records(self):
         """The rows as dicts of Python values, for nested JSON documents."""
         return [dict(zip(self.names, row))
-                for cols in self.blocks(_values) for row in zip(*cols)]
+                for cols in self.blocks(_block_values) for row in zip(*cols)]
 
 
 def column_table(columns):
@@ -283,13 +285,14 @@ def column_table(columns):
 
     def blocks(cells):
         for lo in range(0, rows, _BLOCK_ROWS):
-            yield [cells(c[lo:lo + _BLOCK_ROWS]) for c in cols]
+            yield cells([c[lo:lo + _BLOCK_ROWS] for c in cols])
 
     return Table(tuple(columns), rows, blocks)
 
 
 def _grid_table(grid):
-    """One block per grid row (fixed k); each axis is formatted once."""
+    """Blocks of whole grid rows (fixed k), or of pieces of one grid row
+    when it is longer than a block; each axis is formatted once."""
     spec, v = grid.spec, grid.values
     comps = [v[..., 0], v[..., 1]] if grid.is_vector else [v]
     names = ("x", "k") + (("vx", "vk") if grid.is_vector else ("value",))
@@ -298,9 +301,17 @@ def _grid_table(grid):
         names += ("valid",)
 
     def blocks(cells):
-        x_cells = cells(spec.x_nodes())
-        for j, k_cell in enumerate(cells(spec.k_nodes())):
-            yield [x_cells, [k_cell] * spec.nx] + [cells(c[j]) for c in comps]
+        rows = max(1, _BLOCK_ROWS // spec.nx)
+        width = min(spec.nx, _BLOCK_ROWS)
+        xs = spec.x_nodes()
+        x_cells = cells([np.tile(xs, rows)])[0]
+        k_cells = cells([spec.k_nodes()])[0]
+        for j0 in range(0, spec.nk, rows):
+            for i0 in range(0, spec.nx, width):
+                part = (slice(j0, j0 + rows), slice(i0, i0 + width))
+                k = _repeat_cells(k_cells[part[0]], len(xs[part[1]]))
+                yield [x_cells[i0:i0 + len(k)], k,
+                       *cells([c[part].reshape(-1) for c in comps])]
 
     return Table(names, spec.nx * spec.nk, blocks)
 
@@ -329,10 +340,82 @@ def _values(col):
     return (col.astype(int) if col.dtype.kind == "b" else col).tolist()
 
 
-def _csv_cells(col):
-    if col.dtype.kind == "f":
-        return list(map(format, col.tolist(), repeat(".17g")))
-    return list(map(str, _values(col)))
+def _block_values(cols):
+    return [_values(c) for c in cols]
+
+
+def _repeat_cells(cells, n):
+    """Each cell n times over: rows of a slot array, or list items."""
+    if isinstance(cells, np.ndarray):
+        return np.repeat(cells, n, axis=0)
+    return [cell for cell in cells for _ in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# CSV cells: each cell's text in a fixed-width slot of bytes, _PAD after it
+# and a separator in its last byte; the slots of a block stand side by side
+# and _PAD is dropped when the block is joined.  0xFF is no byte of UTF-8
+# text, so string cells keep every byte.  Floats carry 17 significant
+# digits, as format(x, ".17g") writes them.
+# ---------------------------------------------------------------------------
+
+_PAD = 0xFF
+
+
+def _formatted_slots(values, width=None):
+    """Float slots written by format() itself, one cell at a time."""
+    return _text_slots(np.array(
+        list(map(format, values.tolist(), repeat(".17g")))), width)
+
+
+def _text_slots(text, width=None):
+    """(len(text), width) uint8 of a 1-D str array: each cell's UTF-8
+    bytes, _PAD after them and a comma in the last byte; width defaults to
+    the longest cell plus one."""
+    text = np.ascontiguousarray(text)
+    codes = text.view(np.uint32).reshape(len(text), -1)
+    if codes.max(initial=0) < 128:  # ASCII: one byte per code point
+        data, lengths = codes, np.char.str_len(text)
+    else:
+        encoded = [c.encode() for c in text.tolist()]
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        data = np.array(encoded, dtype=bytes)
+        data = data.view(np.uint8).reshape(len(text), -1)
+    slots = np.full((len(text), width or data.shape[1] + 1), _PAD, np.uint8)
+    slots[:, :data.shape[1]] = np.where(
+        np.arange(data.shape[1]) < lengths[:, None], data, _PAD)
+    slots[:, -1] = ord(",")
+    return slots
+
+
+def _str_slots(col):
+    """Slots of an integer, bool or str column, each cell as str() writes
+    it (a bool as 0 or 1)."""
+    if col.dtype.kind == "b":
+        slots = np.full((len(col), 2), ord(","), np.uint8)
+        slots[:, 0] = col.view(np.uint8) + 48
+        return slots
+    return _text_slots(col.astype(str, copy=False))
+
+
+def _csv_cells(cols, float_slots):
+    """One block's columns as slot arrays that join side by side into its
+    rows; all its float cells are written by one float_slots call, and a
+    block of float columns only is one array."""
+    is_float = [c.dtype.kind == "f" for c in cols]
+    if not any(is_float):
+        return [_str_slots(c) for c in cols]
+    floats = np.stack([c for c, f in zip(cols, is_float) if f], 1,
+                      dtype=float).reshape(-1)
+    slots = float_slots(floats)
+    width = slots.shape[1]
+    slots = slots.reshape(len(cols[0]), -1)
+    if all(is_float):
+        return [slots]
+    per_column = iter(slots.reshape(len(cols[0]), -1, width)
+                      .transpose(1, 0, 2))
+    return [next(per_column) if f else _str_slots(c)
+            for c, f in zip(cols, is_float)]
 
 
 def _json_cells(col):
@@ -346,10 +429,29 @@ def _json_cells(col):
                     _values(col)))
 
 
+def _json_block(cols):
+    return [_json_cells(c) for c in cols]
+
+
+def _csv_rows(parts):
+    """One block's slot arrays joined into its CSV text."""
+    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\xff").decode()
+
+
 def _write_csv(fh, table):
+    if table.rows > _BLOCK_ROWS:
+        from .csvfloats import float_slots
+    else:
+        # one block: the kernel's fixed cost, about 80 us per block and, once
+        # per process, 3 ms to compile its module and 0.7 MB of numpy code
+        # pages, outweighs format()'s 0.7 us per cell
+        float_slots = _formatted_slots
     fh.write(",".join(table.names) + "\n")
-    for cols in table.blocks(_csv_cells):
-        fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+    blocks = table.blocks(lambda cols: _csv_cells(cols, float_slots))
+    for text in map(_csv_rows, blocks):
+        fh.write(text)
 
 
 def _write_json(fh, table):
@@ -360,7 +462,7 @@ def _write_json(fh, table):
     row = " {\n" + ",\n".join("  " + json.dumps(n).replace("%", "%%") + ": %s"
                               for n in table.names) + "\n }"
     sep = "[\n"
-    for cols in table.blocks(_json_cells):
+    for cols in table.blocks(_json_block):
         fh.write(sep + ",\n".join(map(row.__mod__, zip(*cols))))
         sep = ",\n"
     fh.write("\n]\n")

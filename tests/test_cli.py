@@ -314,6 +314,23 @@ class TestStagnation:
                        "-3", "3", "--out", "s.json"], tmp_path)
         assert res.returncode == 3
 
+    @pytest.mark.parametrize("steps, code", [("1", 0), ("2", 3)])
+    def test_trust_check_uses_the_largest_member_that_runs(
+            self, tmp_path, monkeypatch, capsys, steps, code):
+        # one step runs --alpha-min = 1 alone, whose trust region |x|,|k| <= 6
+        # holds the bbox; with two steps alpha = 4 runs too (limit 1.5)
+        from wignerflow import cli
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["stagnation", "--alpha-min", "1", "--alpha-max", "4",
+                         "--alpha-steps", steps, "--bbox", "-3", "3", "-3",
+                         "3", "--out", "s.json"]) == code
+        if code:
+            assert "at alpha = 4.0" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+        else:
+            records = json.loads((tmp_path / "s.json").read_text())
+            assert [r["alpha"] for r in records] == [1.0]
+
     def test_envelope_emission(self, tmp_path):
         res = run_cli(["stagnation", "--a", "4", "--alpha-min", "1.0",
                        "--alpha-max", "1.0", "--alpha-steps", "1",
@@ -688,4 +705,51 @@ class TestSelfTest:
         res = run_cli(["--selftest"], tmp_path)
         assert res.returncode == 0
         assert "selftest=pass" in res.stdout
+        assert "selftest_csv_cells_vs_format=pass" in res.stdout
         assert "selftest_period_tof_vs_elliptic=pass" in res.stdout
+
+
+class TestSweepPathCollisions:
+    """Sweep members whose values print alike under 'g' would write one
+    file: every member's path is resolved first, and a collision exits 2
+    naming both values and the path, before any file is written."""
+
+    @pytest.mark.parametrize("args, says", [
+        (["orbit", "--model", "toda", "--eps", "2.5000001", "--eps",
+          "2.5000002", "--out", "o.csv"],
+         "--eps 2.5000001 and 2.5000002 would both write o_eps2.5.csv"),
+        (["analytic", "--eps", "4", "--eps", "2.5", "--eps", "4.0000001",
+          "--out", "an.csv"],
+         "--eps 4.0 and 4.0000001 would both write an_eps4.csv"),
+        (["field", "--alpha", "1", "--alpha", "1.0000001", "--grid", "5",
+          "--out", "f.csv"],
+         "--alpha 1.0 and 1.0000001 would both write f_alpha1.csv"),
+        (["field", "--ensemble", "thermal", "--beta", "2", "--beta", "2",
+          "--grid", "5", "--out", "f.csv"],
+         "--beta 2.0 and 2.0 would both write f_beta2.csv"),
+        (["trajectory", "--a", "1", "--a", "1", "--tau-max", "1",
+          "--out", "t.csv"],
+         "--a 1.0 and 1.0 would both write t_a1.csv"),
+    ], ids=["orbit", "analytic", "field", "field-thermal", "trajectory"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                        args, says):
+        from wignerflow import cli
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(args) == 2
+        out, err = capsys.readouterr()
+        assert says in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_distinct_values_keep_their_suffixes(self, tmp_path, monkeypatch,
+                                                 capsys):
+        from wignerflow import cli
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["field", "--alpha", "0.5", "--alpha", "1",
+                         "--alpha", "1.0000001", "--grid", "5",
+                         "--out", "f.csv"]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert cli.main(["field", "--alpha", "0.5", "--alpha", "1.0000001",
+                         "--grid", "5", "--out", "f.csv"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "f_alpha0.5.csv", "f_alpha1.csv"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerflow import cli, fieldgrid, thermo
+from wignerflow import cli, csvfloats, fieldgrid, thermo
 from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   toda_closed_period, toda_species_series)
 from wignerflow.errors import DomainError, UsageError, ValidityError
@@ -491,8 +491,9 @@ class TestExportReference:
 
 
 def test_block_writer_peak_memory(tmp_path):
-    """Writing one grid row per block keeps the peak allocation of an export
-    at a fraction of the record writer's, which holds every row at once."""
+    """Writing blocks of at most 512 rows keeps the peak allocation of an
+    export at a fraction of the record writer's, which holds every row at
+    once."""
     grid = sample_field(A1, "w", GridSpec(-2, 2, -2, 2, 201, 201))
     assert grid.valid is not None
     for fmt in ("csv", "json"):
@@ -506,3 +507,165 @@ def test_block_writer_peak_memory(tmp_path):
             finally:
                 tracemalloc.stop()
         assert peaks["table"] <= peaks["records"] / 4, (fmt, peaks)
+
+
+# ---------------------------------------------------------------------------
+# CSV float kernel against format(x, ".17g")
+# ---------------------------------------------------------------------------
+
+def kernel_text(values):
+    """The kernel's cells of values, one per line, whatever their count."""
+    values = np.asarray(values, dtype=float)
+    return fieldgrid._csv_rows([csvfloats.float_slots(values)])
+
+
+def format_text(values):
+    return "".join(format(float(x), ".17g") + "\n" for x in values)
+
+
+def constructed_ties(count, seed=0):
+    """(odd n)/4 for n in [4e15, 9e15]: exact doubles whose 18th digit is a
+    5 followed by zeros, so round-half-even decides their 17th."""
+    n = np.random.default_rng(seed).integers(4 * 10 ** 15, 9 * 10 ** 15,
+                                             count) | 1
+    return n.astype(float) / 4
+
+
+def power_of_ten_neighbours():
+    tens = [float(f"1e{k}") for k in range(-300, 300)]
+    return np.array(tens + [math.nextafter(t, d) for t in tens
+                            for d in (0.0, math.inf)])
+
+
+def carry_set():
+    """The largest double below 10^k wherever its 17-digit rounding carries
+    to 10^k, for k in [-300, 300)."""
+    from fractions import Fraction
+    out = []
+    for k in range(-300, 300):
+        power = Fraction(10) ** k
+        below = float(power)
+        if Fraction(below) >= power:
+            below = math.nextafter(below, 0.0)
+        if format(below, ".17g").split("e")[0].strip("0.") == "1":
+            out.append(below)
+    return np.array(out)
+
+
+class TestCsvFloatKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=1, max_size=64))
+    def test_hypothesis_floats(self, values):
+        assert kernel_text(values) == format_text(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_random_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert kernel_text(values) == format_text(values)
+
+    def test_ties_match_and_go_through_format(self):
+        ties = constructed_ties(20_000)
+        ties = np.concatenate([ties, -ties])
+        assert kernel_text(ties) == format_text(ties)
+        _, _, exact = csvfloats.float_digits(ties)
+        assert not exact.any()
+
+    def test_power_of_ten_neighbours(self):
+        values = power_of_ten_neighbours()
+        values = np.concatenate([values, -values])
+        assert kernel_text(values) == format_text(values)
+
+    def test_carry_set(self):
+        values = carry_set()
+        assert len(values) >= 10
+        values = np.concatenate([values, -values])
+        assert kernel_text(values) == format_text(values)
+
+    def test_every_layout(self):
+        # 1 to 17 significant digits at every decimal exponent from -30 to
+        # 30: each fixed and exponent layout, both signs, trailing zeros
+        rng = np.random.default_rng(3)
+        values = [float(f"{rng.integers(10 ** (d - 1), 10 ** d)}e{p}")
+                  for d in range(1, 18) for p in range(-30 - d, 31 - d)]
+        values = np.array(values + [-v for v in values])
+        assert kernel_text(values) == format_text(values)
+        _, _, exact = csvfloats.float_digits(values)
+        assert exact.mean() > 0.99
+
+    def test_special_values(self):
+        # zeros (every masked grid node) are the kernel's; non-finite and
+        # extreme values go through format()
+        zeros = np.array([0.0, -0.0])
+        others = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e-281,
+                           1e281, -1.7976931348623157e308])
+        values = np.concatenate([zeros, others, zeros])
+        assert kernel_text(values) == format_text(values)
+        assert csvfloats.float_digits(zeros)[2].all()
+        assert not csvfloats.float_digits(others)[2].any()
+
+    def test_one_block_tables_skip_the_kernel(self, tmp_path, monkeypatch):
+        calls = []
+        kernel = csvfloats.float_slots
+        monkeypatch.setattr(csvfloats, "float_slots",
+                            lambda v: calls.append(len(v)) or kernel(v))
+        for rows in (512, 513):
+            export_table(fieldgrid.column_table({"a": np.ones(rows) / 3}),
+                         "csv", tmp_path / "t.csv")
+        assert calls == [512, 1]
+
+    def test_kernel_does_not_mutate_its_input(self):
+        values = np.array([0.0, 1.5, math.nan, -2.0])
+        csvfloats.float_slots(values)
+        assert values[1] == 1.5 and math.isnan(values[2])
+
+
+def mixed_columns(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 6, rows)
+    floats[::7] = 0.0
+    return {"kind": np.array(["quantum", "classical", "été", ""])
+            [np.arange(rows) % 4],
+            "tau": np.linspace(0.0, 3.0, rows), "x": floats,
+            "n": np.arange(rows) - rows // 2, "flag": np.arange(rows) % 3 == 0,
+            "k": constructed_ties(rows, seed), "y": -floats[::-1]}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+class TestBlockBoundaries:
+    """Block boundaries against the record writer: blocks hold 512 rows,
+    and a table of one block is written by format(), a longer one by the
+    kernel."""
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1023, 1024, 1025,
+                                      2049])
+    def test_mixed_tables(self, tmp_path, fmt, rows):
+        columns = mixed_columns(rows)
+        records = [dict(zip(columns, row))
+                   for row in zip(*(c.tolist() for c in columns.values()))]
+        assert_same_files(fieldgrid.column_table(columns), records, tmp_path,
+                          fmt)
+
+    @pytest.mark.parametrize("rows", [511, 512, 1025])
+    def test_float_only_tables(self, tmp_path, fmt, rows):
+        rng = np.random.default_rng(rows)
+        columns = {n: rng.standard_normal(rows) for n in ("a", "b", "c")}
+        records = [dict(zip(columns, row))
+                   for row in zip(*(c.tolist() for c in columns.values()))]
+        assert_same_files(fieldgrid.column_table(columns), records, tmp_path,
+                          fmt)
+
+    @pytest.mark.parametrize("quantity, box, nx, nk", [
+        ("divj", (-2, 2, -2, 2), 2, 2),
+        ("vort", (-8, 8, -8, 8), 2, 2),
+        ("divj", (-2, 2, -2, 2), 151, 151),
+        ("w", (-8, 8, -8, 8), 151, 151),
+        ("vort", (-8, 8, -8, 8), 151, 151),
+        ("vort", (-8, 8, -8, 8), 1100, 3),
+    ])
+    def test_grids(self, tmp_path, fmt, quantity, box, nx, nk):
+        grid = sample_field(GaussianEnsembleParams(1.3), quantity,
+                            GridSpec(*box, nx, nk))
+        assert (grid.valid is not None) == (quantity != "divj")
+        assert_same_files(grid, oracles.as_records(grid), tmp_path, fmt)
