@@ -20,7 +20,6 @@ equality.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
 from .specfun import (QuadratureSpec, bisect, elliptic_k_linear_sin,
                       integrate_1d, jacobi_sn_cn)
+from .tables import column_table
 
 __all__ = [
     "OrbitSpec",
@@ -72,28 +72,23 @@ def section_start(h, eps):
     return PhasePoint(0.5 * (lo + hi), 0.0)
 
 
-@dataclass(frozen=True)
 class OrbitSpec:
     """Parameters of one orbit integration run."""
 
-    model: SeparableHamiltonian
-    eps: float
-    start: PhasePoint
-    step: float = 1e-3
-    duration: float = 60.0
-    drift_tolerance: float = 1e-8
-
-    def __post_init__(self):
+    def __init__(self, model, eps, start, step=1e-3, duration=60.0,
+                 drift_tolerance=1e-8):
         # equality holds only for the equilibrium point itself, which is a
         # valid degenerate trajectory when started from an explicit point
-        if self.eps < 1.0 + self.model.a:
+        if eps < 1.0 + model.a:
             raise DomainError(
-                f"eps = {self.eps} violates the closed-orbit constraint "
-                f"eps > 1 + a = {1.0 + self.model.a}")
-        if not 0.0 < self.step < self.duration < math.inf:
-            raise DomainError(f"step = {self.step}, duration = "
-                              f"{self.duration}: require 0 < step < "
-                              f"duration < inf")
+                f"eps = {eps} violates the closed-orbit constraint "
+                f"eps > 1 + a = {1.0 + model.a}")
+        if not 0.0 < step < duration < math.inf:
+            raise DomainError(f"step = {step}, duration = {duration}: "
+                              f"require 0 < step < duration < inf")
+        self.model, self.eps, self.start = model, eps, start
+        self.step, self.duration = step, duration
+        self.drift_tolerance = drift_tolerance
 
     @classmethod
     def from_energy(cls, model, eps, **kw):
@@ -106,18 +101,14 @@ class OrbitSpec:
                    **kw)
 
 
-@dataclass
 class Trajectory:
     """Time-stamped phase-space samples with derived species values."""
 
-    tau: np.ndarray
-    x: np.ndarray
-    k: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    energy_residual: np.ndarray | None = None
-    eps: float | None = None
-    meta: dict = field(default_factory=dict)
+    def __init__(self, tau, x, k, y, z, energy_residual=None, eps=None,
+                 meta=None):
+        self.tau, self.x, self.k, self.y, self.z = tau, x, k, y, z
+        self.energy_residual, self.eps = energy_residual, eps
+        self.meta = {} if meta is None else meta
 
     def __len__(self):
         return len(self.tau)
@@ -128,6 +119,20 @@ class Trajectory:
             return None
         return float(np.max(np.abs(self.energy_residual)))
 
+    def table(self):
+        """Columns tau, x, k, y, z and, where present, energy_residual."""
+        names = ("tau", "x", "k", "y", "z", "energy_residual")
+        return column_table({n: getattr(self, n) for n in names
+                             if getattr(self, n) is not None})
+
+
+def _step_count(duration, step):
+    """round(duration / step) RK4 steps, at least one.  A count beyond the
+    work budget stays a float (inf for a subnormal step), for ``_rk4`` to
+    refuse."""
+    n = duration / step
+    return n if n > MAX_RK4_STEPS else max(1, int(round(n)))
+
 
 def _rk4(f, x, k, h, n_steps, stop=None):
     """n_steps classical RK4 steps of (dx, dk)/dtau = f(x, k) from (x, k).
@@ -137,7 +142,7 @@ def _rk4(f, x, k, h, n_steps, stop=None):
     that state carries zero derivatives.
     """
     if n_steps > MAX_RK4_STEPS:
-        raise UsageError(f"{n_steps} RK4 steps exceed the work budget of "
+        raise UsageError(f"{n_steps:.3g} RK4 steps exceed the work budget of "
                          f"{MAX_RK4_STEPS} steps per integration")
     xs, ks, dxs, dks = (np.empty(n_steps + 1) for _ in range(4))
     h2 = 0.5 * h
@@ -165,7 +170,7 @@ def integrate_orbit(spec):
     ten times the declared tolerance, and NumericalError naming eps and the
     step if a stage overflows.
     """
-    n = max(1, int(round(spec.duration / spec.step)))
+    n = _step_count(spec.duration, spec.step)
     try:
         xs, ks, dxs, dks = _rk4(_rhs_scalar(spec.model), spec.start.x,
                                 spec.start.k, spec.step, n)
@@ -278,7 +283,8 @@ def _lv_root(g, side):
         v -= step
         if abs(step) <= 1e-7 * abs(v):
             return v
-    raise NumericalError(f"root of v + e^-v = 1 + {g!r} did not converge")
+    raise NumericalError(f"root of v + e^-v = 1 + {float(g)!r} did not "
+                         f"converge")
 
 
 def _toda_period(a, eps):
@@ -425,17 +431,15 @@ def toda_species_series(eps, taus):
     return np.where(q >= 0.0, small, big), np.where(q >= 0.0, big, small)
 
 
-@dataclass(frozen=True)
 class TodaClosedForm:
     """Closed-form summary for one isotropic energy."""
 
-    eps: float
-    kappa: float
-    t_plus: float
-    t_minus: float
-    period_formula: float
-    period_ode: float
-    period_ratio: float
+    def __init__(self, eps, kappa, t_plus, t_minus, period_formula,
+                 period_ode, period_ratio):
+        self.eps, self.kappa = eps, kappa
+        self.t_plus, self.t_minus = t_plus, t_minus
+        self.period_formula, self.period_ode = period_formula, period_ode
+        self.period_ratio = period_ratio
 
 
 def toda_closed_period(eps):

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every subcommand is deterministic given its flags and writes tables through
-the fieldgrid exporters.  Repeated value flags form sweeps; with more than
+the table writer.  Repeated value flags form sweeps; with more than
 one sweep value the output path gains a ``_<name><value>`` suffix per
 member so each run maps to one file; an ``orbit`` with an explicit start is
 one member.  ``orbit`` and ``trajectory`` print the exact period and
@@ -13,6 +13,10 @@ evaluation.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 domain or
 validity error.
+
+At module level only the standard library, numpy, ``errors`` and the table
+writer are imported; each subcommand imports the modules it runs, so a
+process loads and compiles no code that its subcommand does not run.
 """
 
 import argparse
@@ -24,12 +28,8 @@ import sys
 
 import numpy as np
 
-from . import classical, fieldgrid, gaussian, thermo
 from .errors import DomainError, NumericalError, UsageError, ValidityError
-from .fieldgrid import GridSpec, column_table, export_table
-from .gaussian import GaussianEnsembleParams
-from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
-from .thermo import ThermalEnsembleParams
+from .tables import column_table, export_table
 
 _EXIT_OK = 0
 _EXIT_NUMERICAL = 1
@@ -81,6 +81,9 @@ def _sweep_paths(base, name, values):
 # ---------------------------------------------------------------------------
 
 def cmd_orbit(args):
+    from . import classical
+    from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
+                        energy)
     kind = HamiltonianKind.TODA if args.model == "toda" else HamiltonianKind.LV
     model = SeparableHamiltonian(kind, args.a)
     explicit = args.x0 is not None or args.k0 is not None
@@ -109,6 +112,7 @@ def _require_tau_max(tau_max):
 
 
 def cmd_analytic(args):
+    from . import classical
     _require_tau_max(args.tau_max)
     _require_rows(args.samples)
     paths = _sweep_paths(args.out, "eps", args.eps)
@@ -142,42 +146,44 @@ def cmd_analytic(args):
 _THERMO_COLUMNS = ("a", "beta", "z", "energy", "heat_capacity", "valid")
 
 
-def _thermo_row(a, beta, order):
-    """One thermo table row; beyond beta* at order h2 the row is flagged
-    valid=0, any other domain failure names the row and stops the sweep."""
-    try:
-        obs = thermo.observables(ThermalEnsembleParams(beta, a, order))
-    except ValidityError:
-        if order == "classical":
-            raise
-        return a, beta, 0.0, 0.0, 0.0, 0
-    except DomainError as exc:
-        raise DomainError(f"row beta = {beta!r}, a = {a!r}: {exc}") from exc
-    return (a, beta, obs.z0 if order == "classical" else obs.z_st,
-            obs.energy, obs.heat_capacity, 1)
-
-
-def _beta_star(a, order):
-    """beta*(a); None where it is out of float reach at classical order,
-    whose rows do not depend on it.  At order h2 the failure propagates,
-    before any file is written."""
-    try:
-        return thermo.beta_star(a)
-    except NumericalError:
-        if order == "h2":
-            raise
-        return None
-
-
 def cmd_thermo(args):
+    from .thermo import ThermalEnsembleParams, beta_star, observables
+    order = args.order
+
+    def thermo_row(a, beta):
+        """One table row; beyond beta* at order h2 the row is flagged
+        valid=0, any other domain failure names the row and stops the
+        sweep."""
+        try:
+            obs = observables(ThermalEnsembleParams(beta, a, order))
+        except ValidityError:
+            if order == "classical":
+                raise
+            return a, beta, 0.0, 0.0, 0.0, 0
+        except DomainError as exc:
+            raise DomainError(f"row beta = {beta!r}, a = {a!r}: "
+                              f"{exc}") from exc
+        return (a, beta, obs.z0 if order == "classical" else obs.z_st,
+                obs.energy, obs.heat_capacity, 1)
+
+    def star_or_none(a):
+        """beta*(a); None where it is out of float reach at classical
+        order, whose rows do not depend on it.  At order h2 the failure
+        propagates, before any file is written."""
+        try:
+            return beta_star(a)
+        except NumericalError:
+            if order == "h2":
+                raise
+            return None
+
     a_values = args.a or [1.0]
     if not (args.beta_min > 0.0 and args.beta_max > args.beta_min):
         raise DomainError("need 0 < beta-min < beta-max")
     _require_rows(args.steps * len(a_values))
     betas = np.linspace(args.beta_min, args.beta_max, args.steps)
-    rows = [_thermo_row(a, float(beta), args.order)
-            for a in a_values for beta in betas]
-    stars = [_beta_star(a, args.order) for a in a_values]
+    rows = [thermo_row(a, float(beta)) for a in a_values for beta in betas]
+    stars = [star_or_none(a) for a in a_values]
     if not any(row[-1] for row in rows):  # h2 only, so no beta* is None
         raise DomainError(
             "the whole requested beta range lies outside the validity domain; "
@@ -185,7 +191,7 @@ def cmd_thermo(args):
                         for a, star in zip(a_values, stars)))
     export_table(column_table(dict(zip(_THERMO_COLUMNS, zip(*rows)))),
                  args.format, args.out)
-    _say(order=args.order, rows=len(rows), out=args.out)
+    _say(order=order, rows=len(rows), out=args.out)
     for a, star in zip(a_values, stars):
         _say(**{f"beta_star_a{format(a, 'g')}":
                 "unavailable" if star is None else star})
@@ -193,6 +199,9 @@ def cmd_thermo(args):
 
 
 def cmd_field(args):
+    from .fieldgrid import GridSpec, sample_field
+    from .gaussian import GaussianEnsembleParams
+    from .thermo import ThermalEnsembleParams
     spec = GridSpec(*args.bbox, args.grid, args.grid)
     if args.ensemble == "gaussian":
         sweep = args.alpha or [1.0]
@@ -208,7 +217,7 @@ def cmd_field(args):
             return ThermalEnsembleParams(v, args.a, args.order)
 
     for value, path in zip(sweep, _sweep_paths(args.out, name, sweep)):
-        grid = fieldgrid.sample_field(make(value), args.quantity, spec)
+        grid = sample_field(make(value), args.quantity, spec)
         export_table(grid, args.format, path)
         _say(ensemble=args.ensemble, **{name: value}, quantity=args.quantity,
              rows=spec.nx * spec.nk, out=path)
@@ -216,6 +225,7 @@ def cmd_field(args):
 
 
 def cmd_stagnation(args):
+    from .gaussian import GaussianEnsembleParams, find_stagnation_points
     bbox = tuple(args.bbox)
     reach = max(abs(v) for v in bbox)
     # both sweep ends are built, so every member's alpha is valid
@@ -231,16 +241,21 @@ def cmd_stagnation(args):
             f"bbox reach {reach} exceeds the trust region |x|,|k| <= "
             f"{top.trust_limit():.4f} at alpha = {top.alpha}")
     if args.emit_envelope:
+        if not args.envelope_threshold > 0.0:
+            raise DomainError(f"--envelope-threshold "
+                              f"{args.envelope_threshold}: require a "
+                              f"positive speed bound, else the envelope is "
+                              f"empty")
+        from .fieldgrid import GridSpec, sample_field
         spec = GridSpec(*bbox, args.grid, args.grid)
         xs, ks = spec.x_nodes(), spec.k_nodes()
     records = []
     for alpha in alphas:
         params = GaussianEnsembleParams(float(alpha), args.a)
-        points = gaussian.find_stagnation_points(params, bbox)
-        rec = {"alpha": float(alpha),
-               "points": fieldgrid.as_table(points).records()}
+        points = find_stagnation_points(params, bbox)
+        rec = {"alpha": float(alpha), "points": [p.row() for p in points]}
         if args.emit_envelope:
-            wgrid = fieldgrid.sample_field(params, "w", spec)
+            wgrid = sample_field(params, "w", spec)
             mag = np.hypot(wgrid.values[..., 0], wgrid.values[..., 1])
             mask = (mag < args.envelope_threshold) & wgrid.valid
             jj, ii = np.nonzero(mask)
@@ -256,10 +271,12 @@ def cmd_stagnation(args):
 
 
 def cmd_trajectory(args):
+    from . import classical, gaussian
+    from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
     _require_tau_max(args.tau_max)
     a_values = args.a or [1.0]
     for a, path in zip(a_values, _sweep_paths(args.out, "a", a_values)):
-        params = GaussianEnsembleParams(args.alpha, a)
+        params = gaussian.GaussianEnsembleParams(args.alpha, a)
         start = PhasePoint(args.x0, args.k0)
         gaussian._check_trust(params, start.x, start.k)
         at_equilibrium = start.x == 0.0 and start.k == 0.0
@@ -291,139 +308,6 @@ def cmd_trajectory(args):
         _say(**summary)
         del q, c, table  # free this member's rows before the next one
     return _EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# self test
-# ---------------------------------------------------------------------------
-
-def _selftest():
-    """Fast oracle suite: every check pits a closed form against an
-    independent numerical route."""
-    from .csvfloats import float_slots
-    from .specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
-                          hermite_odd, im_erf_offset, im_erf_offset_scaled,
-                          integrate_1d, jacobi_sn_cn, scaled_kernel_table)
-    checks = {}
-
-    quad = QuadratureSpec(1e-13, 1e-12, 2000)
-    k0_spec = QuadratureSpec(1e-300, 1e-13, 2000)  # relative tolerance only
-
-    def k0_quad(x):
-        return integrate_1d(lambda t: math.exp(-x * math.cosh(t))
-                            if t < 700 else 0.0, 0.0, math.inf, k0_spec)
-
-    # one argument on each branch: Temme's series and the continued fraction
-    checks["bessel_vs_quadrature"] = all(
-        abs(k0_quad(x) - bessel_k(0, x)) < 1e-12 * bessel_k(0, x)
-        for x in (1.0, 5.0))
-
-    v = integrate_1d(lambda t: 1.0 / math.sqrt(1.0 - 0.5 * math.sin(t) ** 2),
-                     0.0, math.pi / 2.0, quad)
-    checks["elliptic_vs_quadrature"] = abs(
-        v - elliptic_k_complete(kc=math.sqrt(0.5))) < 1e-12
-
-    quarter = elliptic_k_complete(kc=math.sqrt(0.7))
-    checks["sn_quarter_period"] = abs(
-        jacobi_sn_cn(quarter, kc=math.sqrt(0.7))[0] - 1.0) < 1e-12
-
-    x, y = 2.0, 0.5
-    v = (2.0 / math.sqrt(math.pi)) * math.exp(-x * x) * integrate_1d(
-        lambda t: math.exp(t * t) * math.cos(2.0 * x * t), 0.0, y, quad)
-    checks["im_erf_vs_contour"] = abs(v - im_erf_offset(1.0, 2.0)) < 1e-10
-
-    s, arg = 0.3, 0.7
-    total = 0.0
-    for eta in range(21):
-        order = 2 * eta + 1
-        total += hermite_odd(order, arg) * s ** order / math.factorial(order)
-    ref = math.exp(-s * s) * math.sinh(2.0 * s * arg)
-    checks["hermite_generating"] = abs(total - ref) < 1e-12
-
-    params = ThermalEnsembleParams(1.0, 1.0)
-    xm, km = thermo.quadrature_box(1.0, 1.0)
-    u, w = np.polynomial.legendre.leggauss(160)
-    gx = u * xm
-    gk = u * km
-    wx = w * xm
-    wk = w * km
-    grid = np.exp(-(np.cosh(gx)[None, :] + np.cosh(gk)[:, None]))
-    z_quad = float(wk @ grid @ wx)
-    checks["z0_vs_quadrature"] = (
-        abs(z_quad - thermo.z0_closed(1.0, 1.0)) / z_quad < 1e-10)
-
-    h = 1e-4
-    ln_z = [math.log(thermo.z_st_closed(1.0 + d, 1.0)) for d in (-h, 0.0, h)]
-    fd = (ln_z[2] - 2.0 * ln_z[1] + ln_z[0]) / (h * h)
-    heat = thermo.observables(ThermalEnsembleParams(1.0, 1.0, "h2")).heat_capacity
-    checks["heat_capacity_closed_vs_fd"] = abs(heat - fd) < 1e-6 * abs(heat)
-
-    def kernel_table_error(alpha):
-        lim = gaussian.TRUST_FACTOR / alpha
-        chi = np.linspace(-lim, lim, 201)
-        ref = im_erf_offset_scaled(alpha, chi)
-        kernel = scaled_kernel_table(alpha, lim)
-        err = max(abs(kernel(c) - r) for c, r in zip(chi.tolist(), ref))
-        return err / np.max(np.abs(ref))
-
-    checks["kernel_table_vs_faddeeva"] = all(
-        kernel_table_error(alpha) <= 1e-13 for alpha in (0.25, 1.0, 2.7))
-
-    # CSV float cells against format(): ties of round-half-even, every
-    # power of ten with both neighbours, a subnormal, signed zeros and the
-    # non-finite values
-    ties = [(4 * 10 ** 15 + 2 * i + 1) / 4 for i in range(50)]
-    tens = [float(f"1e{k}") for k in range(-300, 300)]
-    values = np.array(
-        ties + [-t for t in ties] + tens
-        + [math.nextafter(t, d) for t in tens for d in (0.0, math.inf)]
-        + [5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf])
-    checks["csv_cells_vs_format"] = (
-        fieldgrid._csv_rows([float_slots(values)])
-        == "".join(f"{x:.17g}\n" for x in values.tolist()))
-
-    g1 = GaussianEnsembleParams(1.0)
-    srs = gaussian.series_currents(g1, 0.7, 0.4, 14)
-    cls = gaussian.div_currents_closed(g1, 0.7, 0.4)
-    checks["series_vs_closed"] = (
-        abs(srs[0] - cls[0]) < 1e-12 and abs(srs[1] - cls[1]) < 1e-12)
-
-    g02 = GaussianEnsembleParams(0.2)
-    wv = gaussian.velocity_w(g02, 0.3, 0.2)
-    ref = (math.sinh(0.2), -math.sinh(0.3))
-    checks["velocity_classical_limit"] = (
-        math.hypot(wv[0] - ref[0], wv[1] - ref[1]) < 0.01)
-
-    g4 = GaussianEnsembleParams(0.8, 4.0)
-    h = 1e-5
-    fd = ((gaussian.velocity_w(g4, 0.7 + h, 0.4)[1]
-           - gaussian.velocity_w(g4, 0.7 - h, 0.4)[1])
-          - (gaussian.velocity_w(g4, 0.7, 0.4 + h)[0]
-             - gaussian.velocity_w(g4, 0.7, 0.4 - h)[0])) / (2 * h)
-    vort = gaussian.vorticity(g4, 0.7, 0.4)
-    checks["vorticity_closed_vs_fd"] = abs(vort - fd) < 1e-8 * abs(vort)
-
-    model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
-    spec = classical.OrbitSpec.from_energy(model, 2.5, step=1e-3, duration=12.0)
-    traj = classical.integrate_orbit(spec)
-    checks["orbit_energy_drift"] = traj.max_drift < 1e-10
-
-    def period_error(eps):
-        # against 4 K(m) / T+ with m = eps sqrt(eps^2 - 4) / T+^2 (a = 1),
-        # so sqrt(1 - m) = 1 / T+^2
-        t_plus, _ = classical.amplitude_bounds(eps)
-        ref = 4.0 * elliptic_k_complete(kc=1.0 / (t_plus * t_plus)) / t_plus
-        return abs(classical.period(model, eps) - ref) / ref
-
-    checks["period_tof_vs_elliptic"] = all(
-        period_error(eps) <= 1e-13 for eps in (2.1, 2.5, 4.0, 6.0))
-
-    ok = True
-    for name, passed in checks.items():
-        _say(**{f"selftest_{name}": "pass" if passed else "fail"})
-        ok = ok and passed
-    _say(selftest="pass" if ok else "fail")
-    return _EXIT_OK if ok else _EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +373,8 @@ def build_parser():
                        help="closed-form isotropic Toda species solution "
                             "and period summary")
     p.add_argument("--eps", type=float, action="append", required=True,
-                   help=f"energy, 2 < eps <= "
-                        f"{classical.ISOTROPIC_EPS_MAX:g}, repeatable for "
-                        f"sweeps")
+                   # the bound is classical.ISOTROPIC_EPS_MAX
+                   help="energy, 2 < eps <= 1500, repeatable for sweeps")
     p.add_argument("--tau-max", type=float, default=0.0,
                    help="time span; 0 means one period")
     p.add_argument("--samples", type=_positive_int, default=1000,
@@ -530,9 +413,9 @@ def build_parser():
     p.add_argument("--order", choices=("classical", "h2"), default="h2",
                    help="thermal expansion order")
     p.add_argument("--quantity", default="divj",
-                   help="gaussian: %s; thermal: %s" % (
-                       "|".join(fieldgrid.QUANTITIES["gaussian"]),
-                       "|".join(fieldgrid.QUANTITIES["thermal"])))
+                   # the names of fieldgrid.QUANTITIES
+                   help="gaussian: divj|divw|g|j|jk|jx|vort|w|wk|wx; "
+                        "thermal: divw|j|jk|jx|w0|w_st2")
     p.add_argument("--bbox", type=float, nargs=4,
                    default=[-2.0, 2.0, -2.0, 2.0],
                    metavar=("XLO", "XHI", "KLO", "KHI"),
@@ -593,7 +476,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.selftest:
-            return _selftest()
+            from .selftest import run
+            checks = run()
+            for name, passed in checks.items():
+                _say(**{f"selftest_{name}": "pass" if passed else "fail"})
+            ok = all(checks.values())
+            _say(selftest="pass" if ok else "fail")
+            return _EXIT_OK if ok else _EXIT_NUMERICAL
         if not getattr(args, "func", None):
             parser.print_help()
             return _EXIT_USAGE

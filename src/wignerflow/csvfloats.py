@@ -9,7 +9,7 @@ than 1e-13.  A cell whose fraction lies within 1e-9 of 1/2 (a possible tie
 of round-half-even), whose n leaves [10^16, 10^17) (log10 off by one next
 to a power of ten), or that is not finite or, zeros aside, outside that
 range is written by format() itself.  A cell's text fills a slot of
-``SLOT`` bytes, in the layout of the CSV writer in ``fieldgrid``:
+``SLOT`` bytes, in the layout of the CSV writer in ``tables``:
 
     byte  0      the sign
     1, 2         "0." when -4 <= e < 0
@@ -19,15 +19,15 @@ range is written by format() itself.  A cell's text fills a slot of
     40..44       "e", the exponent's sign and two or three digits
     47           the separator
 
-The fieldgrid writer imports this module for its first table of more than
-one block, so a process that writes no such table never compiles it.
+The table writer imports this module for its first CSV table of more
+than 512 rows, so a process that writes no such table never compiles it.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .fieldgrid import _PAD, _formatted_slots
+from .tables import _PAD, _formatted_slots
 
 SLOT = 48
 _E_RANGE = (-281, 281)  # floor(log10 |x|) for 1e-280 <= |x| <= 1e280

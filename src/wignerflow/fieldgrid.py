@@ -1,25 +1,21 @@
-"""Uniform phase-space grids of flow quantities, zero-contour extraction,
-and CSV/JSON serialization.
+"""Uniform phase-space grids of flow quantities and zero-contour
+extraction.
 
 Every sampled quantity is a closed form built from 1-D factors f(x) g(k) of
 the separable Hamiltonian, so a grid is one numpy broadcast of its kernel
 over the x nodes (a row) and the k nodes (a column), with no per-row loop.
 Grids are row-major with x fastest: file rows loop k in the outer loop and x
 in the inner one, so byte-identical output is reproducible across runs.
-CSV floats carry 17 significant digits and JSON floats their shortest repr;
-both round-trip doubles exactly.
+The table writer lives in ``tables``; its public names are re-exported
+here.
 """
-
-import json
-from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import gaussian, thermo
-from .classical import Trajectory
 from .errors import UsageError
-from .gaussian import GaussianEnsembleParams, StagnationPoint
+from .gaussian import GaussianEnsembleParams
+from .tables import Table, as_table, column_table, export_table
 from .thermo import ThermalEnsembleParams
 
 __all__ = [
@@ -36,27 +32,26 @@ __all__ = [
 
 # nodes one grid may hold; a larger grid is refused before any allocation
 MAX_GRID_NODES = 4_000_000
+# nodes per block of a grid table: the CSV float kernel's fixed cost per
+# call is spread over a thousand nodes, and a block's joined text stays
+# small (3072 nodes cut a 151-node divj export by another 10% but raised
+# its peak memory by 1.3 MB)
+_GRID_BLOCK_NODES = 1024
 
 
-@dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling window: inclusive ranges and node counts."""
 
-    x_lo: float
-    x_hi: float
-    k_lo: float
-    k_hi: float
-    nx: int
-    nk: int
-
-    def __post_init__(self):
-        if not (self.x_lo < self.x_hi and self.k_lo < self.k_hi):
+    def __init__(self, x_lo, x_hi, k_lo, k_hi, nx, nk):
+        if not (x_lo < x_hi and k_lo < k_hi):
             raise UsageError("grid ranges must satisfy lo < hi")
-        if self.nx < 2 or self.nk < 2:
+        if nx < 2 or nk < 2:
             raise UsageError("grids need at least 2 nodes per axis")
-        if self.nx * self.nk > MAX_GRID_NODES:
-            raise UsageError(f"{self.nx} x {self.nk} grid nodes exceed the "
-                             f"work budget of {MAX_GRID_NODES} nodes")
+        if nx * nk > MAX_GRID_NODES:
+            raise UsageError(f"{nx} x {nk} grid nodes exceed the work budget "
+                             f"of {MAX_GRID_NODES} nodes")
+        self.x_lo, self.x_hi, self.k_lo, self.k_hi = x_lo, x_hi, k_lo, k_hi
+        self.nx, self.nk = nx, nk
 
     def x_nodes(self):
         return np.linspace(self.x_lo, self.x_hi, self.nx)
@@ -65,20 +60,52 @@ class GridSpec:
         return np.linspace(self.k_lo, self.k_hi, self.nk)
 
 
-@dataclass
 class FieldGrid:
     """Sampled values on a GridSpec; vector quantities have a trailing axis
     of size 2.  ``valid`` (when present) flags nodes inside the velocity
     trust region; flagged-out nodes hold zeros, never silent garbage."""
 
-    spec: GridSpec
-    quantity: str
-    values: np.ndarray
-    valid: np.ndarray | None = None
+    def __init__(self, spec, quantity, values, valid=None):
+        self.spec, self.quantity, self.values = spec, quantity, values
+        self.valid = valid
 
     @property
     def is_vector(self):
         return self.values.ndim == 3
+
+    def table(self):
+        """Columns x, k, the value or vx, vk, and valid where present, in
+        blocks of whole grid rows (fixed k) with about _GRID_BLOCK_NODES
+        nodes, or of pieces of one grid row when it is longer than a block;
+        each axis is formatted once."""
+        spec, v = self.spec, self.values
+        comps = [v[..., 0], v[..., 1]] if self.is_vector else [v]
+        names = ("x", "k") + (("vx", "vk") if self.is_vector else ("value",))
+        if self.valid is not None:
+            comps.append(self.valid)
+            names += ("valid",)
+
+        def blocks(cells):
+            rows = max(1, _GRID_BLOCK_NODES // spec.nx)
+            width = min(spec.nx, _GRID_BLOCK_NODES)
+            xs = spec.x_nodes()
+            x_cells = cells([np.tile(xs, rows)])[0]
+            k_cells = cells([spec.k_nodes()])[0]
+            for j0 in range(0, spec.nk, rows):
+                for i0 in range(0, spec.nx, width):
+                    part = (slice(j0, j0 + rows), slice(i0, i0 + width))
+                    k = _repeat_cells(k_cells[part[0]], len(xs[part[1]]))
+                    yield [x_cells[i0:i0 + len(k)], k,
+                           *cells([c[part].reshape(-1) for c in comps])]
+
+        return Table(names, spec.nx * spec.nk, blocks)
+
+
+def _repeat_cells(cells, n):
+    """Each cell n times over: rows of a slot array, or list items."""
+    if isinstance(cells, np.ndarray):
+        return np.repeat(cells, n, axis=0)
+    return [cell for cell in cells for _ in range(n)]
 
 
 # quantity -> (closed form f(params, x, k), component, needs trust mask) per
@@ -244,243 +271,3 @@ def zero_contours(grid):
     xs, ks = grid.spec.x_nodes(), grid.spec.k_nodes()
     return [np.array([_edge_point(xs, ks, values, e) for e in chain])
             for chain in polylines]
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_BLOCK_ROWS = 512
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-class Table:
-    """Named columns, written one block of at most ``_BLOCK_ROWS`` rows at a
-    time: ``blocks(cells)`` yields per block a list of cell sequences that
-    stand side by side in column order, as ``cells`` returns them for a list
-    of the block's equally long 1-D numpy columns (float, integer, bool or
-    str).  A plain class: a dataclass would cost every process about a
-    millisecond at import."""
-
-    def __init__(self, names, rows, blocks):
-        self.names, self.rows, self.blocks = tuple(names), rows, blocks
-
-    def __len__(self):
-        return self.rows
-
-    def records(self):
-        """The rows as dicts of Python values, for nested JSON documents."""
-        return [dict(zip(self.names, row))
-                for cols in self.blocks(_block_values) for row in zip(*cols)]
-
-
-def column_table(columns):
-    """Table of a dict of equally long 1-D columns; each column's numpy
-    dtype decides how its cells are written."""
-    cols = [np.asarray(c) for c in columns.values()]
-    rows = len(cols[0]) if cols else 0
-    if any(c.ndim != 1 or len(c) != rows or c.dtype.kind not in "biufU"
-           for c in cols):
-        raise UsageError("columns must be equally long 1-D numbers or strings")
-
-    def blocks(cells):
-        for lo in range(0, rows, _BLOCK_ROWS):
-            yield cells([c[lo:lo + _BLOCK_ROWS] for c in cols])
-
-    return Table(tuple(columns), rows, blocks)
-
-
-def _grid_table(grid):
-    """Blocks of whole grid rows (fixed k), or of pieces of one grid row
-    when it is longer than a block; each axis is formatted once."""
-    spec, v = grid.spec, grid.values
-    comps = [v[..., 0], v[..., 1]] if grid.is_vector else [v]
-    names = ("x", "k") + (("vx", "vk") if grid.is_vector else ("value",))
-    if grid.valid is not None:
-        comps.append(grid.valid)
-        names += ("valid",)
-
-    def blocks(cells):
-        rows = max(1, _BLOCK_ROWS // spec.nx)
-        width = min(spec.nx, _BLOCK_ROWS)
-        xs = spec.x_nodes()
-        x_cells = cells([np.tile(xs, rows)])[0]
-        k_cells = cells([spec.k_nodes()])[0]
-        for j0 in range(0, spec.nk, rows):
-            for i0 in range(0, spec.nx, width):
-                part = (slice(j0, j0 + rows), slice(i0, i0 + width))
-                k = _repeat_cells(k_cells[part[0]], len(xs[part[1]]))
-                yield [x_cells[i0:i0 + len(k)], k,
-                       *cells([c[part].reshape(-1) for c in comps])]
-
-    return Table(names, spec.nx * spec.nk, blocks)
-
-
-def as_table(obj):
-    """The Table of a grid, trajectory, stagnation list or Table."""
-    if isinstance(obj, Table):
-        return obj
-    if isinstance(obj, FieldGrid):
-        return _grid_table(obj)
-    if isinstance(obj, Trajectory):
-        names = ("tau", "x", "k", "y", "z", "energy_residual")
-        return column_table({n: getattr(obj, n) for n in names
-                             if getattr(obj, n) is not None})
-    if (isinstance(obj, (list, tuple))
-            and all(isinstance(s, StagnationPoint) for s in obj)):
-        return column_table({
-            "x": [s.location.x for s in obj], "k": [s.location.k for s in obj],
-            "residual": [s.residual for s in obj],
-            "circulation": [s.circulation for s in obj],
-            "class": [s.kind for s in obj]})
-    raise UsageError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-def _values(col):
-    return (col.astype(int) if col.dtype.kind == "b" else col).tolist()
-
-
-def _block_values(cols):
-    return [_values(c) for c in cols]
-
-
-def _repeat_cells(cells, n):
-    """Each cell n times over: rows of a slot array, or list items."""
-    if isinstance(cells, np.ndarray):
-        return np.repeat(cells, n, axis=0)
-    return [cell for cell in cells for _ in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# CSV cells: each cell's text in a fixed-width slot of bytes, _PAD after it
-# and a separator in its last byte; the slots of a block stand side by side
-# and _PAD is dropped when the block is joined.  0xFF is no byte of UTF-8
-# text, so string cells keep every byte.  Floats carry 17 significant
-# digits, as format(x, ".17g") writes them.
-# ---------------------------------------------------------------------------
-
-_PAD = 0xFF
-
-
-def _formatted_slots(values, width=None):
-    """Float slots written by format() itself, one cell at a time."""
-    return _text_slots(np.array(
-        list(map(format, values.tolist(), repeat(".17g")))), width)
-
-
-def _text_slots(text, width=None):
-    """(len(text), width) uint8 of a 1-D str array: each cell's UTF-8
-    bytes, _PAD after them and a comma in the last byte; width defaults to
-    the longest cell plus one."""
-    text = np.ascontiguousarray(text)
-    codes = text.view(np.uint32).reshape(len(text), -1)
-    if codes.max(initial=0) < 128:  # ASCII: one byte per code point
-        data, lengths = codes, np.char.str_len(text)
-    else:
-        encoded = [c.encode() for c in text.tolist()]
-        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-        data = np.array(encoded, dtype=bytes)
-        data = data.view(np.uint8).reshape(len(text), -1)
-    slots = np.full((len(text), width or data.shape[1] + 1), _PAD, np.uint8)
-    slots[:, :data.shape[1]] = np.where(
-        np.arange(data.shape[1]) < lengths[:, None], data, _PAD)
-    slots[:, -1] = ord(",")
-    return slots
-
-
-def _str_slots(col):
-    """Slots of an integer, bool or str column, each cell as str() writes
-    it (a bool as 0 or 1)."""
-    if col.dtype.kind == "b":
-        slots = np.full((len(col), 2), ord(","), np.uint8)
-        slots[:, 0] = col.view(np.uint8) + 48
-        return slots
-    return _text_slots(col.astype(str, copy=False))
-
-
-def _csv_cells(cols, float_slots):
-    """One block's columns as slot arrays that join side by side into its
-    rows; all its float cells are written by one float_slots call, and a
-    block of float columns only is one array."""
-    is_float = [c.dtype.kind == "f" for c in cols]
-    if not any(is_float):
-        return [_str_slots(c) for c in cols]
-    floats = np.stack([c for c, f in zip(cols, is_float) if f], 1,
-                      dtype=float).reshape(-1)
-    slots = float_slots(floats)
-    width = slots.shape[1]
-    slots = slots.reshape(len(cols[0]), -1)
-    if all(is_float):
-        return [slots]
-    per_column = iter(slots.reshape(len(cols[0]), -1, width)
-                      .transpose(1, 0, 2))
-    return [next(per_column) if f else _str_slots(c)
-            for c, f in zip(cols, is_float)]
-
-
-def _json_cells(col):
-    """Cells as json writes them: float repr, NaN, Infinity, ints, strings."""
-    if col.dtype.kind == "f":
-        cells = list(map(float.__repr__, col.tolist()))
-        if np.isfinite(col).all():
-            return cells
-        return [_JSON_NONFINITE.get(c, c) for c in cells]
-    return list(map(json.dumps if col.dtype.kind == "U" else str,
-                    _values(col)))
-
-
-def _json_block(cols):
-    return [_json_cells(c) for c in cols]
-
-
-def _csv_rows(parts):
-    """One block's slot arrays joined into its CSV text."""
-    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    block[:, -1] = ord("\n")
-    return block.tobytes().translate(None, b"\xff").decode()
-
-
-def _write_csv(fh, table):
-    if table.rows > _BLOCK_ROWS:
-        from .csvfloats import float_slots
-    else:
-        # one block: the kernel's fixed cost, about 80 us per block and, once
-        # per process, 3 ms to compile its module and 0.7 MB of numpy code
-        # pages, outweighs format()'s 0.7 us per cell
-        float_slots = _formatted_slots
-    fh.write(",".join(table.names) + "\n")
-    blocks = table.blocks(lambda cols: _csv_cells(cols, float_slots))
-    for text in map(_csv_rows, blocks):
-        fh.write(text)
-
-
-def _write_json(fh, table):
-    """The layout of ``json.dump(rows, fh, indent=1)`` plus a newline."""
-    if not table.rows:
-        fh.write("[]\n")
-        return
-    row = " {\n" + ",\n".join("  " + json.dumps(n).replace("%", "%%") + ": %s"
-                              for n in table.names) + "\n }"
-    sep = "[\n"
-    for cols in table.blocks(_json_block):
-        fh.write(sep + ",\n".join(map(row.__mod__, zip(*cols))))
-        sep = ",\n"
-    fh.write("\n]\n")
-
-
-def export_table(obj, fmt, path):
-    """Write a grid, trajectory, stagnation list or Table as CSV (a header
-    row, 17-significant-digit floats) or JSON (``json.dump(..., indent=1)``
-    of one object per row, shortest round-trip floats), one block of rows at
-    a time.  An empty table is refused as CSV and written as ``[]`` in JSON.
-    """
-    table = as_table(obj)
-    if fmt not in ("csv", "json"):
-        raise UsageError("format must be 'csv' or 'json'")
-    if fmt == "csv" and not table.rows:
-        raise UsageError("refusing to write an empty table")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            (_write_csv if fmt == "csv" else _write_json)(fh, table)
-    except OSError as exc:
-        raise IOError(f"failed writing {path}: {exc}") from exc

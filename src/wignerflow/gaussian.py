@@ -24,11 +24,11 @@ product is ever formed.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import OrbitSpec, Trajectory, _rk4, integrate_orbit
+from .classical import (OrbitSpec, Trajectory, _rk4, _step_count,
+                        integrate_orbit)
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
 from .specfun import (bisect, hermite_odd, im_erf_offset,
@@ -58,20 +58,17 @@ SQRT_PI = math.sqrt(math.pi)
 # the cancelled velocity form is well-conditioned for alpha*max(|x|,|k|) <= 6
 TRUST_FACTOR = 6.0
 
-@dataclass(frozen=True)
+
 class GaussianEnsembleParams:
     """Gaussian spread parameter alpha and Toda anisotropy a."""
 
-    alpha: float
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not (isinstance(self.alpha, (int, float)) and self.alpha > 0.0
-                and math.isfinite(self.alpha)):
-            raise DomainError(f"alpha = {self.alpha} must be positive and "
-                              f"finite")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
+    def __init__(self, alpha, a=1.0):
+        if not (isinstance(alpha, (int, float)) and alpha > 0.0
+                and math.isfinite(alpha)):
+            raise DomainError(f"alpha = {alpha} must be positive and finite")
+        if not (a > 0.0 and math.isfinite(a)):
             raise DomainError("a must be positive and finite")
+        self.alpha, self.a = alpha, a
 
     def trust_limit(self):
         return TRUST_FACTOR / self.alpha
@@ -291,14 +288,20 @@ def _kernel_zeros(params, upper):
     return zeros
 
 
-@dataclass(frozen=True)
 class StagnationPoint:
-    """Located zero of the Wigner current with its circulation class."""
+    """Located zero of the Wigner current with its circulation class:
+    'vortex_cw' (the origin) or 'saddle_or_separatrix'."""
 
-    location: PhasePoint
-    residual: float
-    circulation: float
-    kind: str  # 'vortex_cw' (the origin) | 'saddle_or_separatrix'
+    def __init__(self, location, residual, circulation, kind):
+        self.location, self.residual = location, residual
+        self.circulation, self.kind = circulation, kind
+
+    def row(self):
+        """The point as one table or JSON row: x, k, residual, circulation
+        and class."""
+        return {"x": self.location.x, "k": self.location.k,
+                "residual": self.residual, "circulation": self.circulation,
+                "class": self.kind}
 
 
 def find_stagnation_points(params, bbox):
@@ -357,7 +360,7 @@ def integrate_quantum_leg(params, start, step, duration):
         return abs(x) > lim or abs(k) > lim
 
     xs, ks, dxs, dks = _rk4(_velocity_rhs(params), start.x, start.k, step,
-                            max(1, int(round(duration / step))), outside)
+                            _step_count(duration, step), outside)
     tau = step * np.arange(len(xs))
     quantum = Trajectory(tau=tau, x=xs, k=ks, y=np.exp(-xs), z=np.exp(-ks),
                          meta={"params": params, "step": step, "dx": dxs,

@@ -9,7 +9,6 @@ equilibrium at the origin (y = z = 1).
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,43 +30,33 @@ class HamiltonianKind(Enum):
     TODA = "toda"
 
 
-@dataclass(frozen=True)
 class PhasePoint:
     """Dimensionless phase-space point (position x, momentum k)."""
 
-    x: float
-    k: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.k)):
+    def __init__(self, x, k):
+        if not (math.isfinite(x) and math.isfinite(k)):
             raise DomainError("phase point coordinates must be finite")
+        self.x, self.k = x, k
 
 
-@dataclass(frozen=True)
 class SpeciesPair:
     """Normalized predator (y) and prey (z) populations."""
 
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (self.y > 0.0 and self.z > 0.0):
+    def __init__(self, y, z):
+        if not (y > 0.0 and z > 0.0):
             raise DomainError("species populations must be positive")
+        self.y, self.z = y, z
 
 
-@dataclass(frozen=True)
 class SeparableHamiltonian:
     """Model selector plus the anisotropy parameter a > 0."""
 
-    kind: HamiltonianKind
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.kind, HamiltonianKind):
+    def __init__(self, kind, a=1.0):
+        if not isinstance(kind, HamiltonianKind):
             raise UsageError("kind must be a HamiltonianKind")
-        if not (isinstance(self.a, (int, float)) and self.a > 0.0
-                and math.isfinite(self.a)):
+        if not (isinstance(a, (int, float)) and a > 0.0 and math.isfinite(a)):
             raise DomainError("anisotropy parameter a must be positive and finite")
+        self.kind, self.a = kind, a
 
     def kinetic(self, k):
         if self.kind is HamiltonianKind.TODA:

@@ -12,7 +12,6 @@ outputs.
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -39,19 +38,16 @@ __all__ = [
 # adaptive Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and subdivision budget for :func:`integrate_1d`."""
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+    def __init__(self, abs_tol=1e-12, rel_tol=1e-10, max_subdivisions=2000):
+        if not (abs_tol > 0.0 and rel_tol > 0.0):
             raise UsageError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
+        if max_subdivisions < 1:
             raise UsageError("max_subdivisions must be >= 1")
+        self.abs_tol, self.rel_tol = abs_tol, rel_tol
+        self.max_subdivisions = max_subdivisions
 
 
 # 15-point Kronrod extension of 7-point Gauss (nodes on [-1, 1], positive half).
@@ -375,9 +371,12 @@ def hermite_odd(order, arg):
 # Faddeeva function and the offset imaginary error function
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _weideman_coefficients(n_terms=64):
     # Rational (Weideman) approximation of the Faddeeva function on the upper
     # half-plane; n_terms = 64 gives ~1e-15 relative error on |Im z| <= 2.
+    # Computed on first use, so a process that never evaluates the Faddeeva
+    # function never imports numpy.fft.
     m = 2 * n_terms
     k = np.arange(-m + 1, m)
     ell = math.sqrt(n_terms / math.sqrt(2.0))
@@ -387,18 +386,18 @@ def _weideman_coefficients(n_terms=64):
     return ell, coef[1:n_terms + 1][::-1]  # descending powers
 
 
-_WEIDEMAN_L, _WEIDEMAN_COEF = _weideman_coefficients()
 _ISQRTPI = 1.0 / math.sqrt(math.pi)
 
 
 def _weideman_w(z):
     # Horner evaluation of the Weideman rational approximation, Im z >= 0,
     # elementwise on a complex ndarray (a Python complex works as well).
+    ell, coef = _weideman_coefficients()
     iz = 1j * z
-    rm = _WEIDEMAN_L - iz
-    ratio = (_WEIDEMAN_L + iz) / rm
+    rm = ell - iz
+    ratio = (ell + iz) / rm
     p = 0j
-    for c in _WEIDEMAN_COEF:
+    for c in coef:
         p = p * ratio + c
     return 2.0 * p / (rm * rm) + _ISQRTPI / rm
 

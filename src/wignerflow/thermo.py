@@ -10,7 +10,6 @@ located once by bisection to float resolution and quoted in errors.
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -78,27 +77,24 @@ def beta_star(a):
     return hi
 
 
-@dataclass(frozen=True)
 class ThermalEnsembleParams:
-    """Inverse temperature, anisotropy, and expansion order."""
+    """Inverse temperature, anisotropy, and expansion order ('classical' or
+    'h2')."""
 
-    beta: float
-    a: float = 1.0
-    order: str = "classical"  # 'classical' or 'h2'
-
-    def __post_init__(self):
-        if not (isinstance(self.beta, (int, float)) and self.beta > 0.0
-                and math.isfinite(self.beta)):
+    def __init__(self, beta, a=1.0, order="classical"):
+        if not (isinstance(beta, (int, float)) and beta > 0.0
+                and math.isfinite(beta)):
             raise DomainError("beta must be positive and finite")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
+        if not (a > 0.0 and math.isfinite(a)):
             raise DomainError("a must be positive and finite")
-        if self.order not in ("classical", "h2"):
+        if order not in ("classical", "h2"):
             raise UsageError("order must be 'classical' or 'h2'")
-        if self.order == "h2" and z_st_closed(self.beta, self.a) <= 0.0:
+        if order == "h2" and z_st_closed(beta, a) <= 0.0:
             raise ValidityError(
-                f"Z_ST <= 0 at beta = {self.beta}: the quadratic-order ensemble "
-                f"is valid only for beta < beta*(a={self.a}) = "
-                f"{beta_star(self.a):.6f}")
+                f"Z_ST <= 0 at beta = {beta}: the quadratic-order ensemble "
+                f"is valid only for beta < beta*(a={a}) = "
+                f"{beta_star(a):.6f}")
+        self.beta, self.a, self.order = beta, a, order
 
 
 def w0(params, x, k):
@@ -165,15 +161,12 @@ def div_w_td(params, x, k):
             * (a * np.cosh(x) - np.cosh(k)))
 
 
-@dataclass(frozen=True)
 class ThermalObservables:
     """Partition functions, internal energy and heat capacity at one order."""
 
-    z0: float
-    z_st: float
-    energy: float
-    heat_capacity: float
-    order: str
+    def __init__(self, z0, z_st, energy, heat_capacity, order):
+        self.z0, self.z_st, self.energy = z0, z_st, energy
+        self.heat_capacity, self.order = heat_capacity, order
 
 
 def _bessel_log_slopes(u):

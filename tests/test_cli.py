@@ -50,6 +50,15 @@ class TestOrbit:
                       tmp_path)
         assert res.returncode == 3
 
+    def test_lv_root_failure_prints_a_plain_float(self, tmp_path):
+        res = run_cli(["orbit", "--model", "lv", "--eps", "1e300", "--out",
+                       "o.csv"], tmp_path)
+        assert res.returncode == 1
+        assert ("numerical failure: root of v + e^-v = 1 + "
+                "1.825267067076112e+295 did not converge\n") in res.stderr
+        assert "np.float64" not in res.stderr
+        assert not (tmp_path / "o.csv").exists()
+
     def test_eps_sweep_writes_one_file_each(self, tmp_path):
         res = run_cli(["orbit", "--eps", "2.5", "--eps", "2.2", "--dt", "2e-3",
                        "--periods", "1", "--out", "o.csv"], tmp_path)
@@ -346,6 +355,22 @@ class TestStagnation:
             wx, wk = velocity_w(params, x, k)
             assert (wx * wx + wk * wk) ** 0.5 < 0.08
 
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-1e-3"])
+    def test_empty_envelope_threshold_exits_3(self, tmp_path, monkeypatch,
+                                              capsys, threshold):
+        # no speed is below a threshold <= 0 or NaN: every member's
+        # envelope would be silently empty, so no member runs
+        from wignerflow import cli, gaussian
+        monkeypatch.setattr(gaussian, "find_stagnation_points", None)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["stagnation", "--alpha-steps", "2", "--grid", "21",
+                         "--emit-envelope", "--envelope-threshold",
+                         threshold, "--out", "s.json"]) == 3
+        out, err = capsys.readouterr()
+        assert f"--envelope-threshold {float(threshold)}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTrajectory:
     def test_dephasing_summary(self, tmp_path):
@@ -380,6 +405,12 @@ class TestWorkBudget:
         (["orbit", "--dt", "1e-12"], "work budget of 10000000 steps"),
         (["trajectory", "--dt", "1e-12", "--tau-max", "10"],
          "work budget of 10000000 steps"),
+        # the count in three significant digits, inf for a subnormal step
+        (["orbit", "--dt", "1e-300"], "error: 1.68e+301 RK4 steps exceed"),
+        (["trajectory", "--tau-max", "1e300"], "error: 5e+302 RK4 steps"),
+        (["orbit", "--dt", "5e-324"], "error: inf RK4 steps exceed"),
+        (["trajectory", "--dt", "5e-324", "--tau-max", "1"],
+         "error: inf RK4 steps exceed"),
         (["field", "--grid", "1000000"], "work budget of 4000000 nodes"),
     ])
     def test_over_budget_exits_2(self, tmp_path, args, says):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerflow import cli, csvfloats, fieldgrid, thermo
+from wignerflow import cli, csvfloats, fieldgrid, tables, thermo
 from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   toda_closed_period, toda_species_series)
 from wignerflow.errors import DomainError, UsageError, ValidityError
@@ -516,7 +516,7 @@ def test_block_writer_peak_memory(tmp_path):
 def kernel_text(values):
     """The kernel's cells of values, one per line, whatever their count."""
     values = np.asarray(values, dtype=float)
-    return fieldgrid._csv_rows([csvfloats.float_slots(values)])
+    return tables._csv_rows([csvfloats.float_slots(values)])
 
 
 def format_text(values):
@@ -634,9 +634,9 @@ def mixed_columns(rows, seed=0):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 class TestBlockBoundaries:
-    """Block boundaries against the record writer: blocks hold 512 rows,
-    and a table of one block is written by format(), a longer one by the
-    kernel."""
+    """Block boundaries against the record writer: column-table blocks hold
+    512 rows and grid blocks about 1024 nodes; a table of at most 512
+    rows is written by format(), a longer one by the kernel."""
 
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1023, 1024, 1025,
                                       2049])
@@ -662,7 +662,9 @@ class TestBlockBoundaries:
         ("divj", (-2, 2, -2, 2), 151, 151),
         ("w", (-8, 8, -8, 8), 151, 151),
         ("vort", (-8, 8, -8, 8), 151, 151),
+        # grid rows longer than a block of 1024 nodes are written in pieces
         ("vort", (-8, 8, -8, 8), 1100, 3),
+        ("w", (-8, 8, -8, 8), 1100, 2),
     ])
     def test_grids(self, tmp_path, fmt, quantity, box, nx, nk):
         grid = sample_field(GaussianEnsembleParams(1.3), quantity,

@@ -1,0 +1,90 @@
+"""Each process loads only the modules its subcommand runs.  The import
+graph is checked in fresh interpreters, since the test process itself has
+loaded every module."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+import wignerflow
+from wignerflow import classical, cli, fieldgrid, tables
+
+from launcher import launch
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def loaded_modules(tmp_path, code):
+    """The names in sys.modules after a fresh interpreter runs code."""
+    res = launch(["-c", f"import json, sys\n{code}\n"
+                  "print(json.dumps(sorted(sys.modules)))"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def run_loads(tmp_path, argv):
+    return loaded_modules(tmp_path, "from wignerflow import cli\n"
+                          f"assert cli.main({argv!r}) == 0")
+
+
+def test_cli_import_loads_only_the_writer(tmp_path):
+    modules = loaded_modules(tmp_path, "import wignerflow.cli")
+    assert {m for m in modules if m.startswith("wignerflow")} == {
+        "wignerflow", "wignerflow.cli", "wignerflow.errors",
+        "wignerflow.tables"}
+
+
+def test_thermo_loads_no_grid_or_orbit_code(tmp_path):
+    modules = run_loads(tmp_path, ["thermo", "--a", "1", "--order", "h2",
+                                   "--steps", "5", "--out", "t.csv"])
+    assert "wignerflow.thermo" in modules
+    for name in ("wignerflow.classical", "wignerflow.gaussian",
+                 "wignerflow.fieldgrid", "wignerflow.model", "dataclasses",
+                 "numpy.fft"):
+        assert name not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--periods", "1", "--out", "o.csv"],
+    ["analytic", "--eps", "4", "--samples", "10", "--out", "a.csv"],
+])
+def test_orbit_and_analytic_load_no_ensemble_code(tmp_path, argv):
+    modules = run_loads(tmp_path, argv)
+    assert "wignerflow.classical" in modules
+    for name in ("wignerflow.gaussian", "wignerflow.thermo",
+                 "wignerflow.fieldgrid"):
+        assert name not in modules
+
+
+def test_help_texts_match_the_modules():
+    """The help texts are literals, so that building the parser imports
+    neither fieldgrid nor classical."""
+    sub = next(a for a in cli.build_parser()._actions
+               if a.dest == "command").choices
+    helps = {(name, a.dest): a.help for name in ("field", "analytic")
+             for a in sub[name]._actions}
+    assert helps["field", "quantity"] == "gaussian: %s; thermal: %s" % (
+        "|".join(fieldgrid.QUANTITIES["gaussian"]),
+        "|".join(fieldgrid.QUANTITIES["thermal"]))
+    assert (f"2 < eps <= {classical.ISOTROPIC_EPS_MAX:g},"
+            in helps["analytic", "eps"])
+
+
+def test_writer_is_one_object_everywhere():
+    assert fieldgrid.export_table is tables.export_table is cli.export_table
+    assert fieldgrid.column_table is tables.column_table is cli.column_table
+    assert wignerflow.export_table is tables.export_table
+
+
+def test_readme_library_names_resolve():
+    block = re.search(r"from wignerflow import \(([^)]*)\)",
+                      README.read_text(encoding="utf-8")).group(1)
+    names = [n.strip() for n in block.replace("\n", " ").split(",")]
+    assert len(names) > 10
+    for name in names + wignerflow.__all__:
+        assert getattr(wignerflow, name) is not None, name
+        assert name in dir(wignerflow)
+    with pytest.raises(AttributeError):
+        wignerflow.no_such_name
