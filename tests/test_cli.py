@@ -405,13 +405,13 @@ class TestWorkBudget:
         (["orbit", "--dt", "1e-12"], "work budget of 10000000 steps"),
         (["trajectory", "--dt", "1e-12", "--tau-max", "10"],
          "work budget of 10000000 steps"),
+        (["field", "--grid", "1000000"], "work budget of 4000000 nodes"),
         # the count in three significant digits, inf for a subnormal step
         (["orbit", "--dt", "1e-300"], "error: 1.68e+301 RK4 steps exceed"),
         (["trajectory", "--tau-max", "1e300"], "error: 5e+302 RK4 steps"),
         (["orbit", "--dt", "5e-324"], "error: inf RK4 steps exceed"),
         (["trajectory", "--dt", "5e-324", "--tau-max", "1"],
          "error: inf RK4 steps exceed"),
-        (["field", "--grid", "1000000"], "work budget of 4000000 nodes"),
     ])
     def test_over_budget_exits_2(self, tmp_path, args, says):
         res = run_cli(args + ["--out", "out.csv"], tmp_path)
