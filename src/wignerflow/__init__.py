@@ -13,7 +13,7 @@ module.
 import importlib
 
 _EXPORTS = {
-    "classical": ("OrbitSpec", "TodaClosedForm", "Trajectory", "hamilton_rhs",
+    "classical": ("OrbitSpec", "TodaClosedForm", "Trajectory",
                   "integrate_orbit", "period", "return_to_start",
                   "toda_closed_period", "toda_species_series"),
     "errors": ("DomainError", "NumericalError", "UsageError", "ValidityError",
@@ -26,7 +26,7 @@ _EXPORTS = {
                  "liouville_div_w", "purity", "series_currents",
                  "stationarity_div_j", "velocity_w", "vorticity"),
     "model": ("HamiltonianKind", "PhasePoint", "SeparableHamiltonian",
-              "SpeciesPair", "energy", "species_from_phase"),
+              "energy"),
     "specfun": ("QuadratureSpec", "bessel_k", "elliptic_k_complete",
                 "elliptic_k_linear_sin", "faddeeva_w", "hermite_odd",
                 "im_erf_offset", "im_erf_offset_scaled", "integrate_1d",

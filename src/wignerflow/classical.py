@@ -5,8 +5,8 @@ Every trajectory, classical or quantum, comes from one fixed-step RK4 core,
 ``_rk4``.  The period of a closed orbit is not measured on a trajectory:
 ``period`` evaluates the time-of-flight integral T = (closed integral of)
 dx / K'(k(x)) of the level curve (Landau & Lifshitz, Mechanics, section
-11), and ``measured_orbit`` integrates the orbit once, over the span it
-returns.
+11) from the energy gap g = eps - 1 - a, and ``measured_orbit`` integrates
+the orbit once, over the span it returns.
 
 The isotropic Toda species need no integration at all:
 ``toda_species_series`` evaluates them in closed form from Jacobi sn and cn
@@ -25,15 +25,14 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
-from .specfun import (QuadratureSpec, bisect, elliptic_k_linear_sin,
-                      integrate_1d, jacobi_sn_cn)
+from .specfun import (QuadratureSpec, bisect, elliptic_k_complete,
+                      elliptic_k_linear_sin, integrate_1d, jacobi_sn_cn)
 from .tables import column_table
 
 __all__ = [
     "OrbitSpec",
     "Trajectory",
     "TodaClosedForm",
-    "hamilton_rhs",
     "section_start",
     "integrate_orbit",
     "period",
@@ -46,14 +45,13 @@ __all__ = [
 # RK4 steps per integration; a longer run is refused before any allocation
 MAX_RK4_STEPS = 10_000_000
 
-
-def hamilton_rhs(h, p):
-    """(dx/dtau, dk/dtau) = (dH/dk, -dH/dx); vanishes at the origin."""
-    return _rhs_scalar(h)(p.x, p.k)
+# an orbit whose energy drifts by more than ten times this fails its audit
+DRIFT_TOLERANCE = 1e-8
 
 
 def _rhs_scalar(h):
-    """Hamilton's equations as a scalar function f(x, k), a bound once."""
+    """Hamilton's equations (dx/dtau, dk/dtau) = (dH/dk, -dH/dx) as a scalar
+    function f(x, k), a bound once; f vanishes at the origin."""
     a, sinh, exp = h.a, math.sinh, math.exp
     if h.kind is HamiltonianKind.TODA:
         return lambda x, k: (sinh(k), -a * sinh(x))
@@ -61,22 +59,22 @@ def _rhs_scalar(h):
 
 
 def section_start(h, eps):
-    """Point on the k = 0 section (x > 0 side) of the level curve H = eps."""
-    if eps <= 1.0 + h.a:
+    """Point on the k = 0 section (x > 0 side) of the level curve H = eps.
+    With d = (eps - 1 - a)/a it solves 2 sinh^2(x/2) = d (Toda) or
+    x + e^-x = 1 + d (LV), to a few ulps, since 1 + d is never rounded."""
+    gap = eps - 1.0 - h.a
+    if not gap > 0.0:
         raise DomainError(f"closed orbits require eps > 1 + a = {1.0 + h.a}")
-    if h.kind is HamiltonianKind.TODA:
-        return PhasePoint(math.acosh((eps - 1.0) / h.a), 0.0)
-    # positive root of a (x + e^-x) = eps - 1
-    target = (eps - 1.0) / h.a
-    lo, hi = bisect(lambda x: x + math.exp(-x) < target, 0.0, target + 1.0)
-    return PhasePoint(0.5 * (lo + hi), 0.0)
+    d = gap / h.a
+    if h.kind is HamiltonianKind.LV:
+        return PhasePoint(_lv_root(d, 1.0), 0.0)
+    return PhasePoint(2.0 * math.asinh(math.sqrt(0.5 * d)), 0.0)
 
 
 class OrbitSpec:
     """Parameters of one orbit integration run."""
 
-    def __init__(self, model, eps, start, step=1e-3, duration=60.0,
-                 drift_tolerance=1e-8):
+    def __init__(self, model, eps, start, step=1e-3, duration=60.0):
         # equality holds only for the equilibrium point itself, which is a
         # valid degenerate trajectory when started from an explicit point
         if eps < 1.0 + model.a:
@@ -88,7 +86,6 @@ class OrbitSpec:
                               f"require 0 < step < duration < inf")
         self.model, self.eps, self.start = model, eps, start
         self.step, self.duration = step, duration
-        self.drift_tolerance = drift_tolerance
 
     @classmethod
     def from_energy(cls, model, eps, **kw):
@@ -102,13 +99,13 @@ class OrbitSpec:
 
 
 class Trajectory:
-    """Time-stamped phase-space samples with derived species values."""
+    """Time-stamped phase-space samples (x, k), the flow (dx, dk) at each,
+    and the species y = e^-x (predator), z = e^-k (prey)."""
 
-    def __init__(self, tau, x, k, y, z, energy_residual=None, eps=None,
-                 meta=None):
-        self.tau, self.x, self.k, self.y, self.z = tau, x, k, y, z
-        self.energy_residual, self.eps = energy_residual, eps
-        self.meta = {} if meta is None else meta
+    def __init__(self, tau, x, k, dx, dk, energy_residual=None):
+        self.tau, self.x, self.k, self.dx, self.dk = tau, x, k, dx, dk
+        self.y, self.z = np.exp(-x), np.exp(-k)
+        self.energy_residual = energy_residual
 
     def __len__(self):
         return len(self.tau)
@@ -167,7 +164,7 @@ def integrate_orbit(spec):
     with a per-run energy-drift audit.
 
     Raises NumericalError (carrying the trajectory) if the drift exceeds
-    ten times the declared tolerance, and NumericalError naming eps and the
+    ten times ``DRIFT_TOLERANCE``, and NumericalError naming eps and the
     step if a stage overflows.
     """
     n = _step_count(spec.duration, spec.step)
@@ -180,14 +177,12 @@ def integrate_orbit(spec):
             f"dt = {spec.step:g}: the step is too coarse for this "
             f"energy") from None
     residual = energy(spec.model, xs, ks) - spec.eps
-    traj = Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
-                      y=np.exp(-xs), z=np.exp(-ks), energy_residual=residual,
-                      eps=spec.eps, meta={"model": spec.model, "step": spec.step,
-                                          "dx": dxs, "dk": dks})
-    if traj.max_drift > 10.0 * spec.drift_tolerance:
+    traj = Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks, dx=dxs,
+                      dk=dks, energy_residual=residual)
+    if traj.max_drift > 10.0 * DRIFT_TOLERANCE:
         raise NumericalError(
             f"energy drift {traj.max_drift:.3e} exceeds 10 x tolerance "
-            f"{spec.drift_tolerance:.1e}", payload=traj)
+            f"{DRIFT_TOLERANCE:.1e}", payload=traj)
     return traj
 
 
@@ -219,8 +214,7 @@ def return_to_start(traj):
     direction of motion and on the starting side in x, then interpolates the
     crossing time and position.  Returns (return_time, closure_distance).
     """
-    xs, ks, tau = traj.x, traj.k, traj.tau
-    dks = traj.meta["dk"]
+    xs, ks, tau, dks = traj.x, traj.k, traj.tau, traj.dk
     x0, dk = xs[0], ks - ks[0]
     crossing = _rising(-dk if dks[0] < 0.0 else dk)
     crossing &= np.copysign(1.0, xs[:-1]) == math.copysign(1.0, x0)
@@ -240,16 +234,21 @@ def return_to_start(traj):
 # exact periods by time of flight
 # ---------------------------------------------------------------------------
 
-# the integrands below are analytic on their closed intervals, so the
+# the LV integrand below is analytic on its closed intervals, so the
 # quadrature's error estimate is far above its actual error (a few 1e-16)
 _PERIOD_QUAD = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-13,
                               max_subdivisions=200)
 
 
 def _exp_tail(d):
-    """e^d - 1 - d, by its Taylor series where expm1(d) - d would cancel."""
-    if abs(d) > 0.1:
+    """e^d - 1 - d, to about two ulps, where expm1(d) - d would cancel: by
+    its Taylor series for |d| <= 0.1, and up to |d| = 2 by the halving
+    tail(d) = expm1(d/2)^2 + 2 tail(d/2), a sum of terms >= 0."""
+    if abs(d) > 2.0:
         return math.expm1(d) - d
+    if abs(d) > 0.1:
+        t = math.expm1(0.5 * d)
+        return t * t + 2.0 * _exp_tail(0.5 * d)
     t = 1.0
     for n in range(11, 2, -1):
         t = 1.0 + d * t / n
@@ -287,20 +286,15 @@ def _lv_root(g, side):
                          f"converge")
 
 
-def _toda_period(a, eps):
-    """Four times the quarter orbit from (0, k_max) to (x_max, 0), where
-    dx/dtau = sinh k.  With x = x_max - s^2 the gap
-    g = cosh k - 1 = a (cosh x_max - cosh x)
-      = 2 a sinh(x_max - s^2/2) sinh(s^2/2)
-    has no cancellation, and sinh k = sqrt(g (g + 2))."""
-    x_max = math.acosh((eps - 1.0) / a)
-
-    def dtau_ds(s):
-        s2 = s * s
-        g = 2.0 * a * math.sinh(x_max - 0.5 * s2) * math.sinh(0.5 * s2)
-        return 2.0 * s / math.sqrt(g * (g + 2.0))
-
-    return 4.0 * integrate_1d(dtau_ds, 0.0, math.sqrt(x_max), _PERIOD_QUAD)
+def _toda_period_closed(a, gap):
+    """The Toda period at the energy gap g = eps - 1 - a > 0.  In c = cosh x
+    the time of flight is T = 4 Int_1^c1 dc / sqrt((c^2 - 1)((eps - a c)^2
+    - 1)), a quartic with the real roots -1, 1 and c1,2 = (eps -+ 1)/a, so
+    (Byrd & Friedman 1971, 252.00) T = 8 K(k_c) / (p q) with p = sqrt(g + 2),
+    q = sqrt(g + 2 a) and k_c = 2 sqrt(a) / (p q): no difference to cancel,
+    and no product that could overflow."""
+    pq = math.sqrt(gap + 2.0) * math.sqrt(gap + 2.0 * a)
+    return 8.0 * elliptic_k_complete(kc=2.0 * math.sqrt(a) / pq) / pq
 
 
 def _lv_half_period(a, x_edge):
@@ -327,15 +321,14 @@ def _lv_half_period(a, x_edge):
 
 
 def period(model, eps):
-    """Exact period of the closed orbit H = eps, by time of flight.
-
-    T = (closed integral of) dx / K'(k(x)) along the level curve, as a
-    quadrature on ``integrate_1d`` after a substitution x = x_edge -+ s^2
-    that removes the square-root singularity at each turning point: one
-    quarter orbit for Toda, the two halves x > 0 and x < 0 (each on both
-    momentum branches) for LV.  It agrees with a 30-digit evaluation to a
-    few 1e-16 relative.  At eps = 1 + a, the equilibrium, it is the
-    small-oscillation limit 2 pi / sqrt(a).
+    """Exact period of the closed orbit H = eps: the time of flight
+    T = (closed integral of) dx / K'(k(x)) along the level curve, in closed
+    form for Toda (``_toda_period_closed``), and for LV by quadrature on
+    ``integrate_1d`` after a substitution x = x_edge -+ s^2 that removes the
+    square-root singularity at each turning point, over the halves x > 0
+    and x < 0, each on both momentum branches.  Both agree with
+    high-precision evaluations to a few 1e-16 relative.  At eps = 1 + a,
+    the equilibrium, it is the small-oscillation limit 2 pi / sqrt(a).
     """
     a = model.a
     if not 1.0 + a <= eps < math.inf:
@@ -345,7 +338,7 @@ def period(model, eps):
     if gap <= 0.0:  # the equilibrium, to rounding
         return 2.0 * math.pi / math.sqrt(a)
     if model.kind is HamiltonianKind.TODA:
-        return _toda_period(a, eps)
+        return _toda_period_closed(a, gap)
     return sum(_lv_half_period(a, _lv_root(gap / a, side))
                for side in (1.0, -1.0))
 

@@ -4,12 +4,11 @@ Every subcommand is deterministic given its flags and writes tables through
 the table writer.  Repeated value flags form sweeps; with more than
 one sweep value the output path gains a ``_<name><value>`` suffix per
 member so each run maps to one file; an ``orbit`` with an explicit start is
-one member.  ``orbit`` and ``trajectory`` print the exact period and
-integrate each classical orbit once, over the span they write.
-``analytic`` tabulates the exact closed form and integrates nothing, so its
-``--dt`` has no effect; likewise ``field`` and ``stagnation`` accept
-``--threads`` for compatibility, since each grid is one vectorized
-evaluation.
+one member.  ``orbit`` prints the exact period, and ``orbit`` and
+``trajectory`` integrate each orbit once, over the span they write.
+``analytic`` tabulates the exact closed form and integrates nothing.
+``field`` and ``stagnation`` accept ``--threads`` for compatibility; it has
+no effect, since each grid is one vectorized evaluation.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 domain or
 validity error.
@@ -84,8 +83,7 @@ def cmd_orbit(args):
     from . import classical
     from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
                         energy)
-    kind = HamiltonianKind.TODA if args.model == "toda" else HamiltonianKind.LV
-    model = SeparableHamiltonian(kind, args.a)
+    model = SeparableHamiltonian(HamiltonianKind(args.model), args.a)
     explicit = args.x0 is not None or args.k0 is not None
     eps_values = [None] if explicit else args.eps or [2.5]
     for eps, path in zip(eps_values,
@@ -120,20 +118,15 @@ def cmd_analytic(args):
     # every energy's domain is checked before the first file is written
     for closed, path in zip([classical.toda_closed_period(eps)
                              for eps in args.eps], paths):
-        eps = closed.eps
         tau_max = args.tau_max if args.tau_max > 0 else closed.period_ode
         taus = np.linspace(0.0, tau_max, args.samples)
-        ys, zs = classical.toda_species_series(eps, taus)
+        ys, zs = classical.toda_species_series(closed.eps, taus)
         export_table(column_table({"tau": taus, "T": 0.5 * (ys + zs),
                                    "y": ys, "z": zs}), args.format, path)
         # the sn argument is the parameter kappa, and the table is the
         # closed form itself
-        summary = {
-            "eps": eps, "kappa": closed.kappa, "t_plus": closed.t_plus,
-            "t_minus": closed.t_minus, "period_formula": closed.period_formula,
-            "period_ode": closed.period_ode, "period_ratio": closed.period_ratio,
-            "convention": "parameter", "t_source": "analytic",
-        }
+        summary = {**vars(closed), "convention": "parameter",
+                   "t_source": "analytic"}
         summaries.append(summary)
         _say(out=path, **summary)
     stem, _ = os.path.splitext(args.out)
@@ -272,25 +265,24 @@ def cmd_stagnation(args):
 
 def cmd_trajectory(args):
     from . import classical, gaussian
-    from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
+    from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
+                        energy)
     _require_tau_max(args.tau_max)
     a_values = args.a or [1.0]
     for a, path in zip(a_values, _sweep_paths(args.out, "a", a_values)):
         params = gaussian.GaussianEnsembleParams(args.alpha, a)
         start = PhasePoint(args.x0, args.k0)
-        gaussian._check_trust(params, start.x, start.k)
         at_equilibrium = start.x == 0.0 and start.k == 0.0
+        # --tau-max, else ten exact periods, else ten time units at the
+        # equilibrium, which has no period
         if args.tau_max > 0 or at_equilibrium:
-            q, c = gaussian.integrate_quantum_trajectory(
-                params, start, args.dt,
-                args.tau_max if args.tau_max > 0 else 10.0)
+            span = args.tau_max or 10.0
         else:
-            # the classical companion spans ten exact periods
-            period, c = classical.measured_orbit(
-                SeparableHamiltonian(HamiltonianKind.TODA, a), start,
-                args.dt, 10.0)
-            q = gaussian.integrate_quantum_leg(params, start, args.dt,
-                                               10.0 * period)
+            model = SeparableHamiltonian(HamiltonianKind.TODA, a)
+            span = 10.0 * classical.period(model,
+                                           energy(model, start.x, start.k))
+        q, c = gaussian.integrate_quantum_trajectory(params, start, args.dt,
+                                                     span)
         table = column_table({
             "kind": np.repeat(["quantum", "classical"], [len(q), len(c)]),
             **{n: np.concatenate([getattr(q, n), getattr(c, n)])
@@ -379,9 +371,6 @@ def build_parser():
                    help="time span; 0 means one period")
     p.add_argument("--samples", type=_positive_int, default=1000,
                    help="rows in the table")
-    p.add_argument("--dt", type=float, default=1e-3,
-                   help="accepted for compatibility; has no effect, the "
-                        "table is the exact closed form")
     _table_output(p, "analytic.csv")
     p.set_defaults(func=cmd_analytic)
 

@@ -275,7 +275,8 @@ def _kernel_zeros(params, upper):
     exactly where the scaled kernel differs in sign at its ends, and one
     bisection of that interval finds it."""
     al = params.alpha
-    step = math.pi / (al * al)
+    # where alpha^2 underflows, the first extremum of F is beyond any float
+    step = math.pi / (al * al) if al * al > 0.0 else math.inf
     nodes = step * np.arange(math.ceil(upper / step))
     nodes = np.append(nodes[nodes < upper], upper)
     up = im_erf_offset_scaled(al, nodes) > 0.0
@@ -362,9 +363,7 @@ def integrate_quantum_leg(params, start, step, duration):
     xs, ks, dxs, dks = _rk4(_velocity_rhs(params), start.x, start.k, step,
                             _step_count(duration, step), outside)
     tau = step * np.arange(len(xs))
-    quantum = Trajectory(tau=tau, x=xs, k=ks, y=np.exp(-xs), z=np.exp(-ks),
-                         meta={"params": params, "step": step, "dx": dxs,
-                               "dk": dks, "kind": "quantum"})
+    quantum = Trajectory(tau=tau, x=xs, k=ks, dx=dxs, dk=dks)
     if outside(xs[-1], ks[-1]):
         raise NumericalError(
             f"quantum trajectory left the trust region at tau = {tau[-1]:.4f}",

@@ -19,9 +19,7 @@ __all__ = [
     "HamiltonianKind",
     "SeparableHamiltonian",
     "PhasePoint",
-    "SpeciesPair",
     "energy",
-    "species_from_phase",
 ]
 
 
@@ -39,15 +37,6 @@ class PhasePoint:
         self.x, self.k = x, k
 
 
-class SpeciesPair:
-    """Normalized predator (y) and prey (z) populations."""
-
-    def __init__(self, y, z):
-        if not (y > 0.0 and z > 0.0):
-            raise DomainError("species populations must be positive")
-        self.y, self.z = y, z
-
-
 class SeparableHamiltonian:
     """Model selector plus the anisotropy parameter a > 0."""
 
@@ -58,22 +47,13 @@ class SeparableHamiltonian:
             raise DomainError("anisotropy parameter a must be positive and finite")
         self.kind, self.a = kind, a
 
-    def kinetic(self, k):
-        if self.kind is HamiltonianKind.TODA:
-            return np.cosh(k)
-        return k + np.exp(-k)
-
-    def potential(self, x):
-        if self.kind is HamiltonianKind.TODA:
-            return self.a * np.cosh(x)
-        return self.a * (x + np.exp(-x))
-
 
 def energy(h, x, k):
-    """H(x, k); bounded below by 1 + a with equality only at the origin."""
-    return h.kinetic(np.asarray(k, dtype=float)) + h.potential(np.asarray(x, dtype=float))
-
-
-def species_from_phase(p):
-    """Map a phase point to populations: y = e^-x, z = e^-k."""
-    return SpeciesPair(y=math.exp(-p.x), z=math.exp(-p.k))
+    """H(x, k) = K(k) + V(x); bounded below by 1 + a with equality only at
+    the origin.  Beyond the float range it is inf, which the callers'
+    domain checks name."""
+    x, k = np.asarray(x, dtype=float), np.asarray(k, dtype=float)
+    with np.errstate(over="ignore"):
+        if h.kind is HamiltonianKind.TODA:
+            return np.cosh(k) + h.a * np.cosh(x)
+        return k + np.exp(-k) + h.a * (x + np.exp(-x))

@@ -89,7 +89,7 @@ def _gk15(f, a, b):
     """One Gauss-Kronrod panel on [a, b]; returns (value, error estimate)."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fv = np.array([f(c + h * t) for t in _NODES], dtype=float)
+    fv = np.array([f(c + h * t) for t in _NODES.tolist()], dtype=float)
     vk = h * float(_WEIGHTS_K @ fv)
     vg = h * float(_WEIGHTS_G @ fv[_GAUSS_IDX])
     # QUADPACK-style sharpened error estimate

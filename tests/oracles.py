@@ -16,12 +16,15 @@ Likewise the section scans run one sample at a time and the bisections
 run a fixed number of halvings.  The orbital period is also measured the
 way the package once did, from the section crossings of an RK4 orbit
 (``orbit_period``), and evaluated by time of flight in 30-digit mpmath
-arithmetic (``period_time_of_flight_mp``), against the package's exact
-``classical.period``.  The scaled kernel of the quantum RK4 is evaluated
-point by point through the Weideman rational approximation, in place of
-the package's per-alpha Chebyshev table.  The classes of the stagnation
-points, exact from the linearised flow in the package, are measured here
-as the winding of the velocity around a loop about each point.
+arithmetic (``period_time_of_flight_mp``; for Toda from the energy gap in
+40 digits, ``toda_period_mp``), against the package's exact
+``classical.period``.  The section starts come from mpmath's acosh and
+Lambert W (``section_start_mp``).  The scaled kernel of the quantum RK4 is
+evaluated point by point through the Weideman rational approximation, in
+place of the package's per-alpha Chebyshev table.  The classes of the
+stagnation points, exact from the linearised flow in the package, are
+measured here as the winding of the velocity around a loop about each
+point.
 """
 
 import cmath
@@ -403,8 +406,7 @@ def section_crossings(traj):
     the equilibrium), which is what makes it usable as a period-counting
     section; on the k = 0 line dx/dtau vanishes identically instead.
     """
-    xs, ks, tau = traj.x, traj.k, traj.tau
-    dxs = traj.meta["dx"]
+    xs, ks, tau, dxs = traj.x, traj.k, traj.tau, traj.dx
     on = (xs[:-1] == 0.0) & (ks[:-1] > 0.0)
     return [tau[i] if on[i] else
             classical._hermite_crossing(tau[i], tau[i + 1], xs[i], xs[i + 1],
@@ -469,10 +471,52 @@ def period_time_of_flight_mp(model, eps):
             for b in (0, -1)))
 
 
+def toda_period_mp(a, gap):
+    """The Toda period at the energy gap g = eps - 1 - a, by a 40-digit
+    time of flight from the float a and g as given.
+
+    With c = cosh x = 1 + (g/a) sin^2 theta the quarter orbit is
+    2 Int_0^{pi/2} dtheta / sqrt((2 a + g sin^2 theta)(2 + g cos^2 theta)),
+    and t = tan theta = e^u makes it the smooth integral over the real line
+    T = 8 Int e^u du / sqrt((2 a + (2 a + g) e^{2u}) (2 + g + 2 e^{2u})),
+    split where each factor turns from constant to growing.  The integrand
+    is scaled to at most 1, since ``mpmath.quad`` converges in absolute
+    terms.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        a, g = mpmath.mpf(a), mpmath.mpf(gap)
+        scale = mpmath.sqrt((2 * a + g) * (2 + g))
+
+        def integrand(u):
+            t2 = mpmath.exp(2 * u)
+            return mpmath.sqrt(t2 / ((2 * a / (2 * a + g) + t2)
+                                     * (1 + 2 * t2 / (2 + g))))
+
+        knees = sorted(mpmath.log(v) / 2 for v in (2 * a / (2 * a + g),
+                                                   (2 + g) / 2))
+        return float(8 * mpmath.quad(integrand, [-mpmath.inf, *knees,
+                                                 mpmath.inf]) / scale)
+
+
+def section_start_mp(model, eps):
+    """The x > 0 turning point of the level curve H = eps at k = 0, in
+    40-digit arithmetic from the float eps and a as given: acosh((eps - 1)/a)
+    for Toda, and for LV the root of x + e^-x = c = (eps - 1)/a,
+    x = c + W_0(-e^-c)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        c = (mpmath.mpf(eps) - 1) / mpmath.mpf(model.a)
+        if model.kind is HamiltonianKind.TODA:
+            return mpmath.acosh(c)
+        return c + mpmath.lambertw(-mpmath.exp(-c), 0).real
+
+
 def section_crossings_per_sample(traj):
     """section_crossings, one sample interval at a time."""
-    xs, ks, tau = traj.x, traj.k, traj.tau
-    dxs = traj.meta["dx"]
+    xs, ks, tau, dxs = traj.x, traj.k, traj.tau, traj.dx
     times = []
     for i in range(len(xs) - 1):
         if xs[i] == 0.0 and ks[i] > 0.0:
@@ -486,8 +530,7 @@ def section_crossings_per_sample(traj):
 def return_to_start_per_sample(traj):
     """classical.return_to_start, one sample interval at a time; None where
     the trajectory does not return."""
-    xs, ks, tau = traj.x, traj.k, traj.tau
-    dks = traj.meta["dk"]
+    xs, ks, tau, dks = traj.x, traj.k, traj.tau, traj.dk
     k0, x0 = ks[0], xs[0]
     down = dks[0] < 0.0
     x_side = math.copysign(1.0, x0)
@@ -506,20 +549,6 @@ def return_to_start_per_sample(traj):
 # ---------------------------------------------------------------------------
 # bisections with a fixed number of halvings
 # ---------------------------------------------------------------------------
-
-def section_start_fixed(h, eps):
-    """LV section start: 200 halvings of [0, target + 1] for the positive
-    root of x + e^-x = (eps - 1) / a."""
-    target = (eps - 1.0) / h.a
-    lo, hi = 0.0, target + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid + math.exp(-mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return PhasePoint(0.5 * (lo + hi), 0.0)
-
 
 def hermite_crossing_fixed(t0, t1, x0, x1, d0, d1):
     """Zero of the cubic Hermite interpolant on [t0, t1]: 60 halvings."""

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wignerflow import classical
 from wignerflow.classical import (ISOTROPIC_EPS_MAX, OrbitSpec, Trajectory,
-                                  hamilton_rhs, integrate_orbit, kappa_of_eps,
+                                  integrate_orbit, kappa_of_eps,
                                   measured_orbit, period, return_to_start,
                                   section_start, toda_closed_period,
                                   toda_species_series)
@@ -19,12 +19,17 @@ from wignerflow.specfun import jacobi_sn_cn
 from oracles import (hermite_crossing_fixed, orbit_period,
                      period_time_of_flight_mp, return_to_start_per_sample,
                      section_crossings, section_crossings_per_sample,
-                     section_start_fixed, toda_period_elliptic,
+                     section_start_mp, toda_period_elliptic, toda_period_mp,
                      toda_species_rk4, toda_time_of_flight)
 
 TODA = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
 LV = SeparableHamiltonian(HamiltonianKind.LV, 1.0)
 TWO_PI = 2.0 * math.pi
+
+
+def hamilton_rhs(h, p):
+    """(dx/dtau, dk/dtau) at p, from the RK4 core's right-hand side."""
+    return classical._rhs_scalar(h)(p.x, p.k)
 
 
 class TestHamiltonEquations:
@@ -75,8 +80,7 @@ class TestOrbitIntegration:
             assert d < 1e-6 + 2e-3  # one step spacing plus tolerance
 
     def test_drift_audit_failure_carries_partial(self):
-        spec = OrbitSpec.from_energy(TODA, 6.0, step=0.2, duration=40.0,
-                                     drift_tolerance=1e-12)
+        spec = OrbitSpec.from_energy(TODA, 6.0, step=0.2, duration=40.0)
         with pytest.raises(NumericalError) as err:
             integrate_orbit(spec)
         assert err.value.payload is not None
@@ -149,6 +153,19 @@ class TestExactPeriod:
         assert period(model, 1.0 + a) == limit
         for gap in (1e-12, 1e-9, 1e-6):
             assert abs(period(model, 1.0 + a + gap) - limit) <= gap * limit
+
+    @pytest.mark.parametrize("a", [1e-3, 0.25, 1.0, 4.0, 1e3, 1e8])
+    def test_toda_closed_form_against_mpmath(self, a):
+        # the quadrature it replaced was 9.5e-10 off at a = 1e8, failed to
+        # converge at gap 1e100 and returned NaN at gap 1e300
+        pytest.importorskip("mpmath")
+        for gap in (1e-12, 1e-6, 1.0, 1e6, 1e100, 1e300):
+            ref = toda_period_mp(a, gap)
+            got = classical._toda_period_closed(a, gap)
+            assert abs(got - ref) <= 1e-15 * ref, gap
+        model = SeparableHamiltonian(HamiltonianKind.TODA, a)
+        assert period(model, 1e300) == classical._toda_period_closed(
+            a, 1e300 - 1.0 - a)
 
     def test_lv_far_turning_point(self):
         # x+ = 1000 and beyond: e^-x_edge (e^d - 1 - d) is evaluated without
@@ -319,6 +336,24 @@ class TestSectionMachinery:
             assert p.k == 0.0 and p.x > 0.0
             assert abs(energy(model, p.x, p.k) - eps) < 1e-9
 
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0, 3.0, 1000.0])
+    def test_section_starts_match_mpmath(self, a):
+        # d = (eps - 1 - a)/a is never added to 1: the old acosh((eps - 1)/a)
+        # was 4.2% off at a = 1000, gap 1e-12, and a bisection on the
+        # rounded x + e^-x 2.2e12 ulps off at gap 1e-12
+        pytest.importorskip("mpmath")
+        sweep = np.concatenate([1.0 + a + 10.0 ** -np.arange(1.0, 13.0),
+                                np.linspace(1.0 + a, 1.0 + a + 40.0, 389)[1:]])
+        assert len(sweep) == 400
+        for kind in HamiltonianKind:
+            model = SeparableHamiltonian(kind, a)
+            for eps in sweep.tolist():
+                got = section_start(model, eps)
+                ref = section_start_mp(model, eps)
+                assert got.k == 0.0
+                assert abs(got.x - ref) <= 3.0 * math.ulp(float(ref)), (
+                    kind, eps)
+
     def test_crossings_are_transversal(self):
         spec = OrbitSpec.from_energy(TODA, 2.5, step=1e-3, duration=30.0)
         traj = integrate_orbit(spec)
@@ -384,10 +419,9 @@ class TestOneIntegration:
         assert steps == [round(duration / step)]
         ref = orbits(OrbitSpec.from_point(model, start, step=step,
                                           duration=duration))
-        for name in ("tau", "x", "k", "y", "z", "energy_residual"):
+        for name in ("tau", "x", "k", "dx", "dk", "y", "z",
+                     "energy_residual"):
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
-        for name in ("dx", "dk"):
-            assert np.array_equal(traj.meta[name], ref.meta[name]), name
 
     def test_drift_failure_raised_by_the_single_run(self, monkeypatch):
         steps = self._count_steps(monkeypatch)
@@ -429,17 +463,6 @@ class TestWorkBudget:
 
 
 class TestOneBisection:
-    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
-    def test_lv_section_start_matches_fixed_count(self, a):
-        model = SeparableHamiltonian(HamiltonianKind.LV, a)
-        sweep = np.concatenate([1.0 + a + 10.0 ** -np.arange(1.0, 13.0),
-                                np.linspace(1.0 + a, 1.0 + a + 40.0, 389)[1:]])
-        assert len(sweep) == 400
-        for eps in sweep:
-            got = section_start(model, eps)
-            ref = section_start_fixed(model, eps)
-            assert (got.x, got.k) == (ref.x, ref.k)
-
     def test_hermite_crossing_matches_fixed_count(self):
         # 60 halvings reach float resolution wherever the root s >= 2^-8;
         # below that the old answer is 2^-60 coarser in s
@@ -481,9 +504,8 @@ class TestCrossingScan:
         # exact zeros on samples, and a step onto zero from below
         x = np.array([-1.0, 0.0, 1.0, 0.0, -1.0, -0.5, 0.0, 0.5, 1.0, 0.0])
         k = np.array([1.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, -1.0, 1.0])
-        trajs.append(Trajectory(tau=np.arange(10.0), x=x, k=k, y=np.exp(-x),
-                                z=np.exp(-k), meta={"dx": np.ones(10),
-                                                    "dk": np.ones(10)}))
+        trajs.append(Trajectory(tau=np.arange(10.0), x=x, k=k,
+                                dx=np.ones(10), dk=np.ones(10)))
         return trajs
 
     def test_section_crossings_match_per_sample_loop(self):

@@ -59,6 +59,15 @@ class TestOrbit:
         assert "np.float64" not in res.stderr
         assert not (tmp_path / "o.csv").exists()
 
+    def test_lv_root_failure_prints_one_line(self, tmp_path):
+        # the quadrature evaluates its integrand on floats, so an overflow
+        # in the root's Halley step raises no numpy warning
+        res = run_cli(["orbit", "--model", "lv", "--eps", "1e300", "--out",
+                       "o.csv"], tmp_path)
+        assert res.returncode == 1
+        assert res.stderr == ("numerical failure: root of v + e^-v = 1 + "
+                              "1.825267067076112e+295 did not converge\n")
+
     def test_eps_sweep_writes_one_file_each(self, tmp_path):
         res = run_cli(["orbit", "--eps", "2.5", "--eps", "2.2", "--dt", "2e-3",
                        "--periods", "1", "--out", "o.csv"], tmp_path)
@@ -95,10 +104,11 @@ class TestOrbit:
         assert "energy drift 1.334e-02" in res.stderr
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("eps", ["1e4", "2e6"])
+    @pytest.mark.parametrize("eps", ["1e4", "2e6", "1.5e308"])
     def test_overflowing_step_exits_1(self, tmp_path, eps):
         # at dt = 1e-3 the first RK4 stage at x = acosh(eps - 1) leaves the
-        # float range of sinh
+        # float range of sinh; the start itself is finite up to the largest
+        # float energy
         res = run_cli(["orbit", "--model", "toda", "--eps", eps,
                        "--out", "o.csv"], tmp_path)
         assert res.returncode == 1, res.stderr
@@ -318,6 +328,19 @@ class TestStagnation:
                 gamma = point["circulation"]
                 assert min(abs(gamma - g) for g in (-1.0, 0.0, 1.0)) < 1e-3
 
+    @pytest.mark.parametrize("alpha", ["1e-160", "1e-300"])
+    def test_underflowing_alpha_keeps_the_origin(self, tmp_path, alpha):
+        # alpha^2 underflows to 0 below about 1.5e-162; the kernel has no
+        # extremum, and so no zero, on the window either way
+        res = run_cli(["stagnation", "--alpha-min", alpha, "--alpha-max",
+                       alpha, "--alpha-steps", "1", "--out", "s.json"],
+                      tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        records = json.loads((tmp_path / "s.json").read_text())
+        assert [(p["x"], p["k"], p["class"]) for p in records[0]["points"]] \
+            == [(0.0, 0.0, "vortex_cw")]
+
     def test_bbox_beyond_trust_exits_3(self, tmp_path):
         res = run_cli(["stagnation", "--alpha-max", "4.0", "--bbox", "-3", "3",
                        "-3", "3", "--out", "s.json"], tmp_path)
@@ -385,10 +408,40 @@ class TestTrajectory:
         header = (tmp_path / "tr.csv").read_text().split("\n", 1)[0]
         assert header == "kind,tau,x,k,y,z"
 
+    def test_default_span_is_ten_exact_periods(self, tmp_path):
+        # the default and an explicit --tau-max of ten exact periods run the
+        # one integration path, so they write the same bytes
+        from wignerflow import classical
+        from wignerflow.model import (HamiltonianKind, SeparableHamiltonian,
+                                      energy)
+        model = SeparableHamiltonian(HamiltonianKind.TODA, 2.0)
+        span = 10.0 * classical.period(model, energy(model, 0.5, 0.1))
+        args = ["trajectory", "--alpha", "1.2", "--a", "2", "--x0", "0.5",
+                "--k0", "0.1", "--dt", "5e-3"]
+        default = run_cli(args + ["--out", "d.csv"], tmp_path)
+        explicit = run_cli(args + ["--tau-max", repr(span), "--out", "e.csv"],
+                           tmp_path)
+        assert default.returncode == explicit.returncode == 0
+        assert ((tmp_path / "d.csv").read_bytes()
+                == (tmp_path / "e.csv").read_bytes())
+        assert (default.stdout.replace("out=d.csv", "")
+                == explicit.stdout.replace("out=e.csv", ""))
+
     def test_start_outside_trust_exits_3(self, tmp_path):
         res = run_cli(["trajectory", "--x0", "7.0", "--out", "tr.csv"],
                       tmp_path)
         assert res.returncode == 3
+
+    @pytest.mark.parametrize("alpha", ["1", "0.001"])
+    def test_start_beyond_float_energy_exits_3(self, tmp_path, alpha):
+        # cosh(800) is beyond the float range: the default span has no
+        # period to take, and no numpy warning reaches stderr
+        res = run_cli(["trajectory", "--alpha", alpha, "--x0", "800",
+                       "--out", "tr.csv"], tmp_path)
+        assert res.returncode == 3
+        assert res.stderr == ("domain error: eps = inf: a closed orbit needs "
+                              "1 + a = 2.0 <= eps < inf\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_return_within_duration_writes_nothing(self, tmp_path):
         res = run_cli(["trajectory", "--alpha", "1", "--a", "0.5", "--x0",
@@ -558,26 +611,31 @@ class TestSweepMembersFreed:
 
     @staticmethod
     def _track(monkeypatch):
-        """Weak references to every member output; the period probe of
-        each member first checks that the earlier ones are dead."""
+        """Weak references to every member output; the integration of each
+        member first checks that the earlier ones are dead."""
         from wignerflow import classical, cli, gaussian
         refs = []
-        measured = classical.measured_orbit
 
-        def recorded(fn, pick=lambda out: out):
+        def recorded(fn, pick=lambda out: [out]):
             def wrapper(*args):
                 out = fn(*args)
-                refs.append(weakref.ref(pick(out)))
+                refs.extend(weakref.ref(o) for o in pick(out))
                 return out
             return wrapper
 
-        def checked(*args):
-            assert all(ref() is None for ref in refs), "member output alive"
-            return recorded(measured, lambda out: out[1])(*args)
+        def checked(fn, pick):
+            def wrapper(*args):
+                assert all(ref() is None for ref in refs), \
+                    "member output alive"
+                return recorded(fn, pick)(*args)
+            return wrapper
 
-        monkeypatch.setattr(classical, "measured_orbit", checked)
-        monkeypatch.setattr(gaussian, "integrate_quantum_leg",
-                            recorded(gaussian.integrate_quantum_leg))
+        monkeypatch.setattr(classical, "measured_orbit",
+                            checked(classical.measured_orbit,
+                                    lambda out: [out[1]]))
+        monkeypatch.setattr(gaussian, "integrate_quantum_trajectory",
+                            checked(gaussian.integrate_quantum_trajectory,
+                                    lambda out: out))
         monkeypatch.setattr(cli, "column_table", recorded(cli.column_table))
         return refs
 
@@ -596,7 +654,7 @@ class TestSweepMembersFreed:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["trajectory", "--a", "1", "--a", "2", "--x0", "0.6",
                          "--dt", "5e-3", "--out", "t.csv"]) == 0
-        assert len(refs) == 6  # classical, quantum and table per member
+        assert len(refs) == 6  # quantum, classical and table per member
 
 
 class TestOneIntegrationPerMember:
@@ -609,6 +667,7 @@ class TestOneIntegrationPerMember:
         calls = []
         core = classical._rk4
         orbits = classical.integrate_orbit
+        trajectories = gaussian.integrate_quantum_trajectory
 
         def counted(f, x, k, h, n_steps, stop=None):
             calls.append(("quantum" if stop else "classical", n_steps))
@@ -618,9 +677,16 @@ class TestOneIntegrationPerMember:
             calls.append(("integrate_orbit", spec.duration))
             return orbits(spec)
 
+        def counted_trajectory(params, start, step, duration):
+            calls.append(("integrate_quantum_trajectory", duration))
+            return trajectories(params, start, step, duration)
+
         monkeypatch.setattr(classical, "_rk4", counted)
         monkeypatch.setattr(gaussian, "_rk4", counted)
         monkeypatch.setattr(classical, "integrate_orbit", counted_orbit)
+        monkeypatch.setattr(gaussian, "integrate_orbit", counted_orbit)
+        monkeypatch.setattr(gaussian, "integrate_quantum_trajectory",
+                            counted_trajectory)
         return calls
 
     @staticmethod
@@ -662,9 +728,10 @@ class TestOneIntegrationPerMember:
         from wignerflow.model import PhasePoint
         duration = 10.0 * self._toda_period(PhasePoint(0.6, 0.0))
         assert kinds.count("classical") - 1 == round(duration / 5e-3)
-        assert calls == [("integrate_orbit", duration),
-                         ("classical", kinds.count("classical") - 1),
-                         ("quantum", kinds.count("quantum") - 1)]
+        assert calls == [("integrate_quantum_trajectory", duration),
+                         ("quantum", kinds.count("quantum") - 1),
+                         ("integrate_orbit", duration),
+                         ("classical", kinds.count("classical") - 1)]
 
     def test_equilibrium_member_runs_no_step(self, tmp_path, monkeypatch,
                                              capsys):

@@ -465,7 +465,7 @@ class TestExportReference:
     def test_analytic_table_and_summary(self, tmp_path, fmt):
         out = tmp_path / f"an.{fmt}"
         assert cli.main(["analytic", "--eps", "2.5", "--eps", "4",
-                         "--samples", "7", "--dt", "1e-2", "--format", fmt,
+                         "--samples", "7", "--format", fmt,
                          "--out", str(out)]) == 0
         summaries = []
         for eps in (2.5, 4.0):
