@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "classical": ("OrbitSpec", "TodaClosedForm", "Trajectory",
                   "integrate_orbit", "period", "return_to_start",
-                  "toda_closed_period", "toda_species_series"),
+                  "toda_closed_period", "toda_orbit", "toda_species_series"),
     "errors": ("DomainError", "NumericalError", "UsageError", "ValidityError",
                "WignerFlowError"),
     "fieldgrid": ("FieldGrid", "GridSpec", "sample_field", "zero_contours"),

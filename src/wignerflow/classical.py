@@ -1,22 +1,22 @@
-"""Classical dynamics: Hamilton equations, energy-audited orbit integration,
-exact orbital periods, and the closed-form isotropic Toda solution.
+"""Classical dynamics: Hamilton equations, exact orbital periods, closed-form
+Toda orbits and energy-audited RK4 orbit integration.
 
-Every trajectory, classical or quantum, comes from one fixed-step RK4 core,
-``_rk4``.  The period of a closed orbit is not measured on a trajectory:
-``period`` evaluates the time-of-flight integral T = (closed integral of)
+The period of a closed orbit is not measured on a trajectory: ``period``
+evaluates the time-of-flight integral T = (closed integral of)
 dx / K'(k(x)) of the level curve (Landau & Lifshitz, Mechanics, section
-11) from the energy gap g = eps - 1 - a, and ``measured_orbit`` integrates
-the orbit once, over the span it returns.
+11) from the energy gap g = eps - 1 - a.  ``measured_orbit`` tabulates the
+orbit once, over the span it returns: a Toda orbit, for every a, in closed
+form (``toda_orbit``), an LV orbit by the one fixed-step RK4 core,
+``_rk4``, which also drives the quantum leg of ``gaussian``.
 
-The isotropic Toda species need no integration at all:
-``toda_species_series`` evaluates them in closed form from Jacobi sn and cn
-at the frequency T+/2 and parameter kappa.  The closed-form summary keeps
-two period values side by side: ``period_formula`` is the paper's literal
-expression built on the linear-sine elliptic integral, and ``period_ode``
-is the exact orbital period 4 K(kappa) / T+.  The two disagree (the
-formula diverges in the harmonic limit where the period tends to 2 pi), so
-the ratio is reported per energy and nothing is asserted about their
-equality.
+The isotropic Toda species have their own closed form,
+``toda_species_series``, at the frequency T+/2 and parameter kappa.  The
+closed-form summary keeps two period values side by side:
+``period_formula`` is the paper's literal expression built on the
+linear-sine elliptic integral, and ``period_ode`` is the exact orbital
+period 4 K(kappa) / T+.  The two disagree (the formula diverges in the
+harmonic limit where the period tends to 2 pi), so the ratio is reported
+per energy and nothing is asserted about their equality.
 """
 
 import math
@@ -25,8 +25,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
-from .specfun import (QuadratureSpec, bisect, elliptic_k_complete,
-                      elliptic_k_linear_sin, integrate_1d, jacobi_sn_cn)
+from .specfun import (QuadratureSpec, _landen_phase, bisect,
+                      elliptic_k_complete, elliptic_k_linear_sin,
+                      integrate_1d, jacobi_sn_cn)
 from .tables import column_table
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "integrate_orbit",
     "period",
     "measured_orbit",
+    "toda_orbit",
     "toda_species_series",
     "toda_closed_period",
 ]
@@ -131,6 +133,13 @@ def _step_count(duration, step):
     return n if n > MAX_RK4_STEPS else max(1, int(round(n)))
 
 
+def _require_steps(n_steps):
+    """Refuse more than MAX_RK4_STEPS steps before anything is allocated."""
+    if n_steps > MAX_RK4_STEPS:
+        raise UsageError(f"{n_steps:.3g} RK4 steps exceed the work budget of "
+                         f"{MAX_RK4_STEPS} steps per integration")
+
+
 def _rk4(f, x, k, h, n_steps, stop=None):
     """n_steps classical RK4 steps of (dx, dk)/dtau = f(x, k) from (x, k).
 
@@ -138,9 +147,7 @@ def _rk4(f, x, k, h, n_steps, stop=None):
     that reaches a state where stop(x, k) holds ends there, and the row of
     that state carries zero derivatives.
     """
-    if n_steps > MAX_RK4_STEPS:
-        raise UsageError(f"{n_steps:.3g} RK4 steps exceed the work budget of "
-                         f"{MAX_RK4_STEPS} steps per integration")
+    _require_steps(n_steps)
     xs, ks, dxs, dks = (np.empty(n_steps + 1) for _ in range(4))
     h2 = 0.5 * h
     for i in range(n_steps):
@@ -177,8 +184,13 @@ def integrate_orbit(spec):
             f"dt = {spec.step:g}: the step is too coarse for this "
             f"energy") from None
     residual = energy(spec.model, xs, ks) - spec.eps
-    traj = Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks, dx=dxs,
-                      dk=dks, energy_residual=residual)
+    return _audited(Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
+                               dx=dxs, dk=dks, energy_residual=residual))
+
+
+def _audited(traj):
+    """traj, once its energy drift is within ten times DRIFT_TOLERANCE;
+    otherwise NumericalError carrying it."""
     if traj.max_drift > 10.0 * DRIFT_TOLERANCE:
         raise NumericalError(
             f"energy drift {traj.max_drift:.3e} exceeds 10 x tolerance "
@@ -278,7 +290,8 @@ def _lv_root(g, side):
         if f == 0.0:
             return v
         slope = -math.expm1(-v)  # 1 - e^-v; the curvature is e^-v
-        step = f / slope / (1.0 - 0.5 * f * (1.0 - slope) / (slope * slope))
+        newton = f / slope  # Halley's factor: f e^-v / slope^2 overflows
+        step = newton / (1.0 - 0.5 * newton * ((1.0 - slope) / slope))
         v -= step
         if abs(step) <= 1e-7 * abs(v):
             return v
@@ -305,15 +318,19 @@ def _lv_half_period(a, x_edge):
       = a ((1 - e^-x_edge) d - e^-x_edge (e^d - 1 - d))
     has no cancellation.  From d = 1 on (x_edge > 1 only, so d <= x_edge)
     the last term is taken as e^(d - x_edge) - e^-x_edge (1 + d), which
-    cannot overflow."""
+    cannot overflow.  On the side x_edge < 0, where e^-x_edge and each term
+    may leave the float range before g does, e^-x_edge is factored out."""
     side = math.copysign(1.0, x_edge)
     slope, curve = -math.expm1(-x_edge), math.exp(-x_edge)
 
     def dtau_ds(s):
         d = side * s * s
-        tail = (curve * _exp_tail(d) if d < 1.0
-                else math.exp(d - x_edge) - curve * (1.0 + d))
-        g = a * (slope * d - tail)
+        if side < 0.0:
+            g = a * (curve * (slope / curve * d - _exp_tail(d)))
+        elif d < 1.0:
+            g = a * (slope * d - curve * _exp_tail(d))
+        else:
+            g = a * (slope * d - math.exp(d - x_edge) + curve * (1.0 + d))
         return 2.0 * s * (1.0 / math.expm1(-_lv_root(g, -1.0))
                           - 1.0 / math.expm1(-_lv_root(g, 1.0)))
 
@@ -345,8 +362,9 @@ def period(model, eps):
 
 def measured_orbit(model, start, step, periods):
     """(period, trajectory): the exact period of the orbit through start
-    (``period``) and the orbit over max(periods x period, 2 step), from one
-    ``integrate_orbit`` run of round(duration / step) steps.
+    (``period``) and the orbit over max(periods x period, 2 step) on the
+    grid of round(duration / step) steps: ``toda_orbit`` for Toda, one
+    ``integrate_orbit`` run for LV.
 
     The equilibrium (0, 0) is a fixed point with no period: it raises
     NumericalError before any integration.  periods must be positive and
@@ -362,18 +380,71 @@ def measured_orbit(model, start, step, periods):
     t = period(model, eps)
     spec = OrbitSpec(model, eps, start, step=step,
                      duration=max(periods * t, 2.0 * step))
-    return t, integrate_orbit(spec)
+    if model.kind is HamiltonianKind.LV:
+        return t, integrate_orbit(spec)
+    n = _step_count(spec.duration, step)
+    _require_steps(n)
+    return t, toda_orbit(model, eps, step * np.arange(n + 1), start)
 
 
 # ---------------------------------------------------------------------------
-# closed-form isotropic Toda solution
+# closed-form Toda solutions
 # ---------------------------------------------------------------------------
 
-# The species hold to 1e-9 relative up to this energy.  Against 40-digit
-# mpmath the worst error grows as 3.4e-16 eps^2 (3.4e-10 at eps = 1000,
-# 7.6e-10 at 1500, 1.1e-9 at 2000): cn is rounded in absolute terms where
-# it falls towards kc = T-^2, at T = T+.
-ISOTROPIC_EPS_MAX = 1500.0
+# toda_orbit holds H to about 2.6e-15 eps, rounding that above this energy
+# could reach the drift audit's bound 10 DRIFT_TOLERANCE
+TODA_ORBIT_EPS_MAX = 1e7
+
+
+def _toda_phase(a, start, taus):
+    """(x, k) at the times taus (an array) on the Toda orbit through
+    start (x0, k0); rows at tau = 0 hold the start itself.  With the gap
+    g = 2 sinh^2(k0/2) + 2a sinh^2(x0/2), p = sqrt(g + 2), q = sqrt(g + 2a),
+    sn, cn at u = p q tau / 2 + u0 and kc = 2 sqrt(a)/(p q), D = 2 + g cn^2
+    (Byrd & Friedman 256.00): x = 2 asinh(cn sqrt(g/D) p / sqrt(2a)),
+    k = -2 asinh(sn sqrt(g/D)), where cn sqrt(g/D) <= 1 and nothing
+    cancels.  sn(u0) : cn(u0) = -p sinh(k0/2) : sqrt(2a) sinh(x0/2) gives
+    u0 = F(phi0), or 2K - F(phi0) for x0 < 0, phi0 = asin(sn(u0)), by atan2
+    (no asin near +-1, no division by g)."""
+    sk, sx = math.sinh(0.5 * start.k), math.sinh(0.5 * start.x)
+    g = 2.0 * sk * sk + 2.0 * a * sx * sx
+    p, q = math.sqrt(g + 2.0), math.sqrt(g + 2.0 * a)
+    kc = min(1.0, 2.0 * math.sqrt(a) / (p * q))
+    phi, scale, den = _landen_phase(
+        math.atan2(-p * sk, math.sqrt(2.0 * a) * abs(sx)), kc)
+    u0 = (phi if start.x >= 0.0 else scale * math.pi - phi) / den
+    sn, cn = jacobi_sn_cn(0.5 * p * q * taus + u0, kc=kc)
+    root = np.sqrt(g / (2.0 + g * cn * cn))
+    # 0.0 + y turns a -0.0 into 0.0
+    x = 0.0 + 2.0 * np.arcsinh(cn * root * (p / math.sqrt(2.0 * a)))
+    k = 0.0 - 2.0 * np.arcsinh(sn * root)
+    return np.where(taus == 0.0, start.x, x), np.where(taus == 0.0, start.k, k)
+
+
+def toda_orbit(model, eps, taus, start=None):
+    """The Toda orbit H = eps at the times taus from start (by default the
+    section start), in closed form (``_toda_phase``): a Trajectory whose
+    energy_residual H - eps is audited as in ``integrate_orbit``.  Energies
+    above TODA_ORBIT_EPS_MAX are a DomainError."""
+    if not eps <= TODA_ORBIT_EPS_MAX:
+        raise DomainError(
+            f"eps = {eps:g}: the closed-form Toda orbit holds H = eps to the "
+            f"drift audit's {10.0 * DRIFT_TOLERANCE:g} only up to eps = "
+            f"{TODA_ORBIT_EPS_MAX:g}")
+    taus = np.asarray(taus, dtype=float)
+    x, k = _toda_phase(model.a, section_start(model, eps) if start is None
+                       else start, taus)
+    return _audited(Trajectory(tau=taus, x=x, k=k, dx=np.sinh(k),
+                               dk=-model.a * np.sinh(x),
+                               energy_residual=energy(model, x, k) - eps))
+
+
+# The species hold to 1e-9 relative up to this energy: against a 50-digit
+# mpmath evaluation of the same waveform their error is at most 2.3e-14 up
+# to eps = 1e4, 4.7e-14 up to 1e10 and 6e-13 at 1e150, since cn keeps its
+# relative accuracy where it falls towards kc = T-^2, at T = T+.  Above
+# about 1.3e154, eps^2 leaves the float range.
+ISOTROPIC_EPS_MAX = 1e150
 
 
 def _require_isotropic_energy(eps):

@@ -4,9 +4,11 @@ Every subcommand is deterministic given its flags and writes tables through
 the table writer.  Repeated value flags form sweeps; with more than
 one sweep value the output path gains a ``_<name><value>`` suffix per
 member so each run maps to one file; an ``orbit`` with an explicit start is
-one member.  ``orbit`` prints the exact period, and ``orbit`` and
-``trajectory`` integrate each orbit once, over the span they write.
-``analytic`` tabulates the exact closed form and integrates nothing.
+one member.  ``orbit`` prints the exact period; a Toda orbit, in ``orbit``
+and as the classical rows of ``trajectory``, is tabulated in closed form,
+and RK4 integrates each LV orbit and each quantum leg once, over the span
+it writes.  ``analytic`` tabulates the exact closed form and integrates
+nothing.
 ``field`` and ``stagnation`` accept ``--threads`` for compatibility; it has
 no effect, since each grid is one vectorized evaluation.
 
@@ -341,8 +343,9 @@ def build_parser():
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p = sub.add_parser("orbit", formatter_class=fmt,
-                       help="integrate a classical orbit over whole "
-                            "periods and print its exact period")
+                       help="tabulate a classical orbit over whole periods "
+                            "(Toda in closed form, LV by RK4) and print "
+                            "its exact period")
     p.add_argument("--model", choices=("toda", "lv"), default="toda",
                    help="Hamiltonian family")
     p.add_argument("--a", type=float, default=1.0,
@@ -355,7 +358,7 @@ def build_parser():
     p.add_argument("--k0", type=float, default=None,
                    help="explicit start k (overrides --eps)")
     p.add_argument("--dt", type=float, default=1e-3,
-                   help="integration step")
+                   help="time step of the rows (the LV integration step)")
     p.add_argument("--periods", type=float, default=3.0,
                    help="duration in periods")
     _table_output(p, "orbit.csv")
@@ -366,7 +369,7 @@ def build_parser():
                             "and period summary")
     p.add_argument("--eps", type=float, action="append", required=True,
                    # the bound is classical.ISOTROPIC_EPS_MAX
-                   help="energy, 2 < eps <= 1500, repeatable for sweeps")
+                   help="energy, 2 < eps <= 1e+150, repeatable for sweeps")
     p.add_argument("--tau-max", type=float, default=0.0,
                    help="time span; 0 means one period")
     p.add_argument("--samples", type=_positive_int, default=1000,
@@ -444,13 +447,15 @@ def build_parser():
 
     p = sub.add_parser("trajectory", formatter_class=fmt,
                        help="semiclassical trajectory of the quantum "
-                            "velocity field plus its classical companion")
+                            "velocity field (RK4) plus its classical Toda "
+                            "companion (closed form)")
     p.add_argument("--alpha", type=float, default=1.0, help="Gaussian spread")
     p.add_argument("--a", type=float, action="append",
                    help="anisotropy, repeatable")
     p.add_argument("--x0", type=float, default=0.6, help="start position")
     p.add_argument("--k0", type=float, default=0.0, help="start momentum")
-    p.add_argument("--dt", type=float, default=2e-3, help="integration step")
+    p.add_argument("--dt", type=float, default=2e-3,
+                   help="time step of the rows (the quantum RK4 step)")
     p.add_argument("--tau-max", type=float, default=0.0,
                    help="time span; 0 means ten classical periods")
     _table_output(p, "trajectory.csv")

@@ -27,10 +27,8 @@ import math
 
 import numpy as np
 
-from .classical import (OrbitSpec, Trajectory, _rk4, _step_count,
-                        integrate_orbit)
 from .errors import DomainError, NumericalError, UsageError
-from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian
+from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
 from .specfun import (bisect, hermite_odd, im_erf_offset,
                       im_erf_offset_scaled, scaled_kernel_table)
 
@@ -351,6 +349,8 @@ def find_stagnation_points(params, bbox):
 def integrate_quantum_leg(params, start, step, duration):
     """Integrate dxi/dtau = w(xi) from start; fails with the partial
     trajectory attached if it leaves the velocity trust region."""
+    # imported here, so that field and stagnation never compile classical
+    from .classical import Trajectory, _rk4, _step_count
     _check_trust(params, start.x, start.k)
     if not 0.0 < step < duration < math.inf:
         raise DomainError(f"step = {step}, duration = {duration}: "
@@ -372,9 +372,12 @@ def integrate_quantum_leg(params, start, step, duration):
 
 
 def integrate_quantum_trajectory(params, start, step, duration):
-    """Integrate dxi/dtau = w(xi) (``integrate_quantum_leg``) and the
-    classical companion from the same start; returns (quantum, classical)."""
+    """Integrate dxi/dtau = w(xi) (``integrate_quantum_leg``) and tabulate
+    the classical Toda companion from the same start on the same step grid,
+    in closed form (``classical.toda_orbit``); returns (quantum, classical)."""
+    from .classical import _step_count, toda_orbit
     quantum = integrate_quantum_leg(params, start, step, duration)
     model = SeparableHamiltonian(HamiltonianKind.TODA, params.a)
-    spec = OrbitSpec.from_point(model, start, step=step, duration=duration)
-    return quantum, integrate_orbit(spec)
+    taus = step * np.arange(_step_count(duration, step) + 1)
+    return quantum, toda_orbit(model, energy(model, start.x, start.k), taus,
+                               start)

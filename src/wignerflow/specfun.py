@@ -309,6 +309,19 @@ def elliptic_k_complete(*, kc):
     return math.pi / (2.0 * _agm_levels(kc)[0])
 
 
+def _landen_phase(phi, kc):
+    """(phi_N, 2^N, 2^N agm) of the descending Landen sequence from phi, at
+    m = 1 - kc^2, with tan(phi_{n+1} - phi_n) = (b_n / a_n) tan phi_n:
+    F(phi | m) = phi_N / (2^N agm) and K(m) = 2^N (pi/2) / (2^N agm)
+    (Abramowitz & Stegun 17.5, 17.6)."""
+    agm, steps = _agm_levels(kc)
+    for a, b in steps:
+        t = math.atan(b / a * math.tan(phi))
+        phi += t + math.pi * round((phi - t) / math.pi)
+    scale = 2.0 ** len(steps)
+    return phi, scale, scale * agm
+
+
 def elliptic_k_linear_sin(*, kc):
     """Complete elliptic-type integral with a linear sine in the integrand,
 
@@ -316,38 +329,40 @@ def elliptic_k_linear_sin(*, kc):
 
     in closed form: 8 / sqrt(1 + kappa) (K(m) - F(pi/4 | m)), m =
     2 kappa / (1 + kappa), whose complementary modulus kc / sqrt(2 - kc^2)
-    carries no cancellation as kappa -> 1.  F comes from the same Landen
-    sequence as K: the phase doubles per level with tan(phi_{n+1} - phi_n)
-    = (b_n / a_n) tan phi_n, and F(phi | m) = phi_N / (2^N agm) (Abramowitz
-    & Stegun 17.6), so K - F = (2^N pi/2 - phi_N) / (2^N agm).
+    carries no cancellation as kappa -> 1, nor does K - F =
+    (2^N pi/2 - phi_N) / (2^N agm) (``_landen_phase``).
     """
     if not 0.0 < kc <= 1.0:
         raise DomainError(f"kc = {kc!r}: require 0 < kc <= 1, that is "
                           f"kappa = 1 - kc^2 in [0, 1)")
-    agm, steps = _agm_levels(kc / math.sqrt(2.0 - kc * kc))
-    phi = 0.25 * math.pi
-    for a, b in steps:
-        t = math.atan(b / a * math.tan(phi))
-        phi += t + math.pi * round((phi - t) / math.pi)
-    scale = 2.0 ** len(steps)
-    return (8.0 / math.sqrt(2.0 - kc * kc)
-            * (scale * 0.5 * math.pi - phi) / (scale * agm))
+    root = math.sqrt(2.0 - kc * kc)
+    phi, scale, den = _landen_phase(0.25 * math.pi, kc / root)
+    return 8.0 / root * (scale * 0.5 * math.pi - phi) / den
 
 
 def jacobi_sn_cn(u, *, kc):
     """Jacobi elliptic (sn(u | m), cn(u | m)), m = 1 - kc^2, on a float or
-    an array, by the descending Landen (AGM) recurrence: u is reduced by
-    whole periods 4 K(m), the phase phi = 2^N agm u is carried back down the
-    levels by phi_{n-1} = (phi_n + asin((a - b)/(a + b) sin phi_n)) / 2,
-    and sn, cn = sin phi, cos phi.
+    an array, each accurate relative to its own size.
+
+    The Gauss transformation (Bulirsch 1965): cn/sn starts as agm cot t,
+    t = agm(1, kc) u, and goes down the Landen levels with dn by products
+    and sums of positive terms; both ratios are kept times sin t, so that
+    none overflows where sn vanishes.  Near u = K, cot t = tan(agm (K - u))
+    is the reflection cn(u) = kc sn(K - u) / dn(K - u), so cn is as accurate
+    as K - u, where cos(am u) is rounded in absolute terms.
     """
     agm, steps = _agm_levels(kc)
-    phi = agm * np.asarray(u, dtype=float)
-    phi = 2.0 ** len(steps) * (phi - 2.0 * math.pi
-                               * np.round(phi / (2.0 * math.pi)))
+    t = agm * np.asarray(u, dtype=float)
+    s, c = np.sin(t), np.cos(t)
+    s2 = s * s
+    ratio, cot, dn = c, agm * c, 1.0
     for a, b in reversed(steps):
-        phi = 0.5 * (phi + np.arcsin((a - b) / (a + b) * np.sin(phi)))
-    return np.sin(phi), np.cos(phi)
+        prod = ratio * cot
+        cot = cot * dn
+        dn = (b * s2 + prod) / (a * s2 + prod)
+        ratio = cot / a
+    norm = np.hypot(cot, s)
+    return s / norm, cot / norm
 
 
 # ---------------------------------------------------------------------------

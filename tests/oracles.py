@@ -500,6 +500,43 @@ def toda_period_mp(a, gap):
                                                  mpmath.inf]) / scale)
 
 
+def toda_orbit_mp(a, start, taus):
+    """(x, k, sensitivity) at taus on the Toda orbit through the float start,
+    in 50-digit arithmetic from the float a, start and taus: the closed form
+    x = 2 asinh(cn sqrt(g/D) sqrt((g + 2)/(2a))), k = -2 asinh(sn sqrt(g/D)),
+    D = 2 + g cn^2, at u = p q tau / 2 + u0 and parameter 1 - 4a/(p q)^2,
+    with g = cosh k0 + a cosh x0 - 1 - a, p q = sqrt((g + 2)(g + 2a)), and
+    u0 from sn(u0) = -sqrt((g + 2)/g) tanh(k0/2): F(asin sn(u0)) for x0 >= 0,
+    2K - F(asin sn(u0)) for x0 < 0, by mpmath's ellipf and ellipk.  The
+    sensitivity is |u| max(|dx/du|, |dk/du|), dx/du = 2 sinh k / (p q) and
+    dk/du = -2 a sinh x / (p q): how far a relative rounding of u moves
+    the phase point."""
+    import mpmath
+
+    dps = 50
+    with mpmath.workdps(dps):
+        a, x0, k0 = (mpmath.mpf(v) for v in (a, start.x, start.k))
+        g = mpmath.cosh(k0) + a * mpmath.cosh(x0) - 1 - a
+        pq = mpmath.sqrt((g + 2) * (g + 2 * a))
+        m = 1 - 4 * a / pq ** 2
+        phi0 = mpmath.asin(-mpmath.sqrt((g + 2) / g) * mpmath.tanh(k0 / 2))
+        u0 = mpmath.ellipf(phi0, m)
+        if x0 < 0:
+            u0 = 2 * mpmath.ellipk(m) - u0
+        xs, ks, sens = [], [], []
+        for tau in taus:
+            u = pq * mpmath.mpf(float(tau)) / 2 + u0
+            sn, cn = (mpmath.ellipfun(f, u, m=m) for f in ("sn", "cn"))
+            root = mpmath.sqrt(g / (2 + g * cn * cn))
+            x = 2 * mpmath.asinh(cn * root * mpmath.sqrt((g + 2) / (2 * a)))
+            k = -2 * mpmath.asinh(sn * root)
+            xs.append(x)
+            ks.append(k)
+            sens.append(float(abs(u) * 2 * max(abs(mpmath.sinh(k)),
+                                               a * abs(mpmath.sinh(x))) / pq))
+    return xs, ks, np.array(sens)
+
+
 def section_start_mp(model, eps):
     """The x > 0 turning point of the level curve H = eps at k = 0, in
     40-digit arithmetic from the float eps and a as given: acosh((eps - 1)/a)

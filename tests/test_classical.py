@@ -6,21 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wignerflow import classical
-from wignerflow.classical import (ISOTROPIC_EPS_MAX, OrbitSpec, Trajectory,
-                                  integrate_orbit, kappa_of_eps,
-                                  measured_orbit, period, return_to_start,
-                                  section_start, toda_closed_period,
+from wignerflow.classical import (ISOTROPIC_EPS_MAX, TODA_ORBIT_EPS_MAX,
+                                  OrbitSpec, Trajectory, integrate_orbit,
+                                  kappa_of_eps, measured_orbit, period,
+                                  return_to_start, section_start,
+                                  toda_closed_period, toda_orbit,
                                   toda_species_series)
 from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.model import (HamiltonianKind, PhasePoint,
                               SeparableHamiltonian, energy)
-from wignerflow.specfun import jacobi_sn_cn
+from wignerflow.specfun import elliptic_k_complete, jacobi_sn_cn
 
 from oracles import (hermite_crossing_fixed, orbit_period,
                      period_time_of_flight_mp, return_to_start_per_sample,
                      section_crossings, section_crossings_per_sample,
-                     section_start_mp, toda_period_elliptic, toda_period_mp,
-                     toda_species_rk4, toda_time_of_flight)
+                     section_start_mp, toda_orbit_mp, toda_period_elliptic,
+                     toda_period_mp, toda_species_rk4, toda_time_of_flight)
 
 TODA = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
 LV = SeparableHamiltonian(HamiltonianKind.LV, 1.0)
@@ -176,6 +177,22 @@ class TestExactPeriod:
         for eps in (1e6, 1e12):
             assert eps - 1.0 < period(LV, eps) < 1.01 * eps
 
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_lv_period_far_beyond_1e295(self, a):
+        # Halley's step in _lv_root overflowed to inf / inf above eps ~ 1e295
+        # and e^-x- times the x- stretch above ~2.5e305.  Here the period is
+        # x+ - x- plus a positive rest of order ln(eps) from the stretches
+        # near the turning points, 1e-297 of it: x+ - x- to rounding
+        mpmath = pytest.importorskip("mpmath")
+        model = SeparableHamiltonian(HamiltonianKind.LV, a)
+        for eps in (1e300, 1e305):
+            with mpmath.workdps(40):
+                c = (mpmath.mpf(eps) - 1) / a
+                x_plus, x_minus = (c + mpmath.lambertw(-mpmath.exp(-c), b).real
+                                   for b in (0, -1))
+                ref = float(x_plus - x_minus)
+            assert abs(period(model, eps) - ref) <= 1e-15 * ref, eps
+
     @pytest.mark.parametrize("eps", [1.9, -math.inf, math.inf, math.nan])
     def test_domain(self, eps):
         with pytest.raises(DomainError, match="closed orbit needs"):
@@ -222,7 +239,7 @@ class TestParametricSolution:
     def test_energy_limit(self):
         ys, zs = toda_species_series(ISOTROPIC_EPS_MAX, [0.0, 0.01])
         assert np.all(np.isfinite(ys)) and np.all(np.isfinite(zs))
-        with pytest.raises(DomainError, match="eps <= 1500"):
+        with pytest.raises(DomainError, match=r"eps <= 1e\+150"):
             toda_species_series(math.nextafter(ISOTROPIC_EPS_MAX, math.inf),
                                 0.0)
 
@@ -251,6 +268,24 @@ class TestParametricSolution:
         ry, rz = toda_species_rk4(eps, taus, 2.5e-4)
         assert np.max(np.abs(ys - ry) / ry) <= 1e-11
         assert np.max(np.abs(zs - rz) / rz) <= 1e-11
+
+    @pytest.mark.parametrize("eps", [1500.0, 1e6, 1e10])
+    def test_species_against_mpmath(self, eps):
+        # a second closed form: the general orbit through the lower turning
+        # point x = k = ln T+, in 50 digits (its modulus is 2/eps, not
+        # 1/T+^2); cn keeps its relative accuracy near T = T+, where the
+        # amplitude form was 3.4e-16 eps^2 off.  Measured within 4.7e-14
+        mpmath = pytest.importorskip("mpmath")
+        t_plus, _ = classical.amplitude_bounds(eps)
+        lower = PhasePoint(math.log(t_plus), math.log(t_plus))
+        taus = np.linspace(0.0, period(TODA, eps), 41)
+        ys, zs = toda_species_series(eps, taus)
+        rx, rk, _ = toda_orbit_mp(1.0, lower, taus)
+        with mpmath.workdps(50):
+            err = max(abs(mpmath.mpf(float(v)) * mpmath.exp(r) - 1)
+                      for vs, rs in ((ys, rx), (zs, rk))
+                      for v, r in zip(vs, rs))
+        assert err <= 1e-13
 
     @pytest.mark.parametrize("eps", [2.1, 2.5, 4.0, 6.0, 100.0, 1500.0])
     def test_table_closes(self, eps):
@@ -329,6 +364,105 @@ class TestClosedFormSummary:
             toda_closed_period(2.0)
 
 
+class TestTodaOrbit:
+    """toda_orbit, the closed-form Toda orbit for every a, against a 50-digit
+    evaluation, the RK4 reference and its own invariants."""
+
+    @staticmethod
+    def _quarter_times(a, start):
+        """Times at which u - u0 runs through 0, K/2, ..., 4K; from a
+        section start they include u = K and u = 3K."""
+        sk, sx = math.sinh(0.5 * start.k), math.sinh(0.5 * start.x)
+        g = 2.0 * sk * sk + 2.0 * a * sx * sx
+        pq = math.sqrt(g + 2.0) * math.sqrt(g + 2.0 * a)
+        quarter = elliptic_k_complete(kc=2.0 * math.sqrt(a) / pq)
+        return np.arange(9) * quarter / pq
+
+    @pytest.mark.parametrize("a", [1e-3, 0.25, 1.0, 4.0, 1e3, 1e8])
+    def test_species_against_mpmath(self, a):
+        # species y = e^-x, z = e^-k to 1e-14 relative, beyond the phase
+        # shift of a relative rounding of u itself, u |d(x, k)/du| ulps
+        # (u |d(x, k)/du| reaches 1e3 here; measured within 5e-15 plus
+        # 1.7 ulps of it)
+        mpmath = pytest.importorskip("mpmath")
+        starts = [PhasePoint(2.0 * math.asinh(math.sqrt(0.5 * g / a)), 0.0)
+                  for g in (1e-12, 1e-6, 1e-3, 1.0, 1e2, 1e3)]
+        starts += [PhasePoint(0.7, -0.2), PhasePoint(-0.4, 0.6),
+                   PhasePoint(0.0, -0.5)]
+        for start in starts:
+            taus = self._quarter_times(a, start)
+            x, k = classical._toda_phase(a, start, taus)
+            rx, rk, sensitivity = toda_orbit_mp(a, start, taus)
+            with mpmath.workdps(50):
+                err = [max(abs(mpmath.expm1(mpmath.mpf(float(v)) - r))
+                           for v, r in ((xi, rxi), (ki, rki)))
+                       for xi, ki, rxi, rki in zip(x, k, rx, rk)]
+            bound = 1e-14 + 2.0 * 2.0 ** -52 * sensitivity
+            assert np.all(np.array(err, dtype=float) <= bound), (start.x,
+                                                                 start.k)
+
+    def test_matches_rk4_on_the_readme_orbit(self):
+        # RK4 at dt = 2.5e-4 over three periods of a = 1, eps = 2.5: its
+        # truncation error is 3.6e-13 / 4^4 (3.6e-13 at the README's
+        # dt = 1e-3), and its rounding over 67,000 steps 5.3e-14
+        spec = OrbitSpec.from_energy(TODA, 2.5, step=2.5e-4,
+                                     duration=3.0 * period(TODA, 2.5))
+        ref = integrate_orbit(spec)
+        traj = toda_orbit(TODA, 2.5, ref.tau)
+        assert np.max(np.abs(traj.x - ref.x)) <= 1e-13
+        assert np.max(np.abs(traj.k - ref.k)) <= 1e-13
+
+    @pytest.mark.parametrize("x0, k0", [(0.6, 0.3), (0.6, -0.3), (-0.6, 0.3),
+                                        (-0.6, -0.3), (0.0, 0.8),
+                                        (-0.5, 0.0), (-0.0, -0.7)])
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    def test_off_section_starts(self, a, x0, k0):
+        # k0 of both signs and x0 < 0; the RK4 reference at step 5e-4 is
+        # within 5.3e-14 of the closed form over 10 time units
+        model = SeparableHamiltonian(HamiltonianKind.TODA, a)
+        spec = OrbitSpec.from_point(model, PhasePoint(x0, k0), step=5e-4,
+                                    duration=10.0)
+        ref = integrate_orbit(spec)
+        traj = toda_orbit(model, spec.eps, ref.tau, spec.start)
+        assert np.max(np.abs(traj.x - ref.x)) <= 1e-12
+        assert np.max(np.abs(traj.k - ref.k)) <= 1e-12
+        # row 0 is the start itself, sign of zero included
+        assert traj.x[:1].tobytes() == np.float64(x0).tobytes()
+        assert traj.k[:1].tobytes() == np.float64(k0).tobytes()
+        assert np.array_equal(traj.dx, np.sinh(traj.k))
+        assert np.array_equal(traj.dk, -a * np.sinh(traj.x))
+
+    def test_section_start_row_holds_positive_zero(self):
+        traj = toda_orbit(TODA, 2.5, np.linspace(0.0, 1.0, 5))
+        assert traj.x[0] == section_start(TODA, 2.5).x
+        assert traj.k[:1].tobytes() == np.float64(0.0).tobytes()
+
+    def test_equilibrium_gives_constant_rows(self):
+        model = SeparableHamiltonian(HamiltonianKind.TODA, 3.0)
+        taus = np.linspace(0.0, 50.0, 11)
+        with np.errstate(all="raise"):  # g = 0 is never a divisor
+            traj = toda_orbit(model, 4.0, taus, PhasePoint(0.0, 0.0))
+        for name in ("x", "k", "dx", "energy_residual"):
+            column = getattr(traj, name)
+            assert column.tobytes() == np.zeros(11).tobytes(), name
+        assert not traj.dk.any()
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
+    def test_energy_residual_at_rounding_level(self, a):
+        # measured at most 2.6e-15 eps
+        model = SeparableHamiltonian(HamiltonianKind.TODA, a)
+        for eps in (2.0 + a, 1e2 + a, 1e4, 2e6, TODA_ORBIT_EPS_MAX):
+            taus = np.linspace(0.0, 3.0 * period(model, eps), 2001)
+            traj = toda_orbit(model, eps, taus)
+            assert traj.max_drift <= 1e-14 * eps, eps
+
+    def test_energy_limit(self):
+        toda_orbit(TODA, TODA_ORBIT_EPS_MAX, [0.0, 1e-6])
+        with pytest.raises(DomainError, match="only up to eps = 1e"):
+            toda_orbit(TODA, math.nextafter(TODA_ORBIT_EPS_MAX, math.inf),
+                       [0.0])
+
+
 class TestSectionMachinery:
     def test_section_start_lies_on_level_curve(self):
         for model, eps in ((TODA, 2.5), (LV, 3.2)):
@@ -376,9 +510,10 @@ class TestSectionMachinery:
 
 
 class TestOneIntegration:
-    """measured_orbit: the exact period and one integrate_orbit run of
+    """measured_orbit: the exact period and the orbit on the grid of
     round(max(periods x period, 2 step) / step) steps, bit for bit a fresh
-    integration of the same span."""
+    evaluation of the same span: one integrate_orbit run for LV, the closed
+    form toda_orbit (no RK4 step) for Toda."""
 
     @staticmethod
     def _count_steps(monkeypatch):
@@ -413,22 +548,30 @@ class TestOneIntegration:
 
         monkeypatch.setattr(classical, "integrate_orbit", counted_orbit)
         t, traj = measured_orbit(model, start, step, periods)
-        assert t == period(model, energy(model, start.x, start.k))
+        eps = energy(model, start.x, start.k)
+        assert t == period(model, eps)
         duration = max(periods * t, 2.0 * step)
-        assert len(runs) == 1 and runs[0].duration == duration
-        assert steps == [round(duration / step)]
-        ref = orbits(OrbitSpec.from_point(model, start, step=step,
-                                          duration=duration))
+        n = round(duration / step)
+        if model.kind is HamiltonianKind.TODA:
+            # the closed form on the same step grid, with no RK4 step
+            assert runs == [] and steps == []
+            ref = toda_orbit(model, eps, step * np.arange(n + 1), start)
+        else:
+            assert len(runs) == 1 and runs[0].duration == duration
+            assert steps == [n]
+            ref = orbits(OrbitSpec.from_point(model, start, step=step,
+                                              duration=duration))
         for name in ("tau", "x", "k", "dx", "dk", "y", "z",
                      "energy_residual"):
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
     def test_drift_failure_raised_by_the_single_run(self, monkeypatch):
+        # an LV orbit: Toda rows are the closed form, with no step to drift
         steps = self._count_steps(monkeypatch)
-        start = section_start(TODA, 6.0)
+        start = section_start(LV, 6.0)
         with pytest.raises(NumericalError, match="energy drift") as err:
-            measured_orbit(TODA, start, 0.2, 3.0)
-        t = period(TODA, energy(TODA, start.x, start.k))
+            measured_orbit(LV, start, 0.2, 3.0)
+        t = period(LV, energy(LV, start.x, start.k))
         assert steps == [round(3.0 * t / 0.2)]
         assert len(err.value.payload) == steps[0] + 1
         assert f"energy drift {err.value.payload.max_drift:.3e}" in str(err.value)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -51,22 +52,30 @@ class TestOrbit:
         assert res.returncode == 3
 
     def test_lv_root_failure_prints_a_plain_float(self, tmp_path):
-        res = run_cli(["orbit", "--model", "lv", "--eps", "1e300", "--out",
-                       "o.csv"], tmp_path)
+        # (eps - 1 - a)/a = 2e308 overflows: the turning point has no float
+        res = run_cli(["orbit", "--model", "lv", "--a", "0.5", "--eps",
+                       "1e308", "--out", "o.csv"], tmp_path)
         assert res.returncode == 1
-        assert ("numerical failure: root of v + e^-v = 1 + "
-                "1.825267067076112e+295 did not converge\n") in res.stderr
+        assert ("numerical failure: root of v + e^-v = 1 + inf did not "
+                "converge\n") in res.stderr
         assert "np.float64" not in res.stderr
         assert not (tmp_path / "o.csv").exists()
 
     def test_lv_root_failure_prints_one_line(self, tmp_path):
-        # the quadrature evaluates its integrand on floats, so an overflow
-        # in the root's Halley step raises no numpy warning
-        res = run_cli(["orbit", "--model", "lv", "--eps", "1e300", "--out",
-                       "o.csv"], tmp_path)
+        res = run_cli(["orbit", "--model", "lv", "--a", "0.5", "--eps",
+                       "1e308", "--out", "o.csv"], tmp_path)
         assert res.returncode == 1
         assert res.stderr == ("numerical failure: root of v + e^-v = 1 + "
-                              "1.825267067076112e+295 did not converge\n")
+                              "inf did not converge\n")
+
+    def test_far_lv_orbit_exceeds_the_step_budget(self, tmp_path):
+        # the period at eps = 1e300 is 1e300 (its root overflowed to
+        # inf / inf in Halley's step); three periods are refused as work
+        res = run_cli(["orbit", "--model", "lv", "--eps", "1e300", "--out",
+                       "o.csv"], tmp_path)
+        assert res.returncode == 2
+        assert res.stderr == ("usage error: 3e+303 RK4 steps exceed the work "
+                              "budget of 10000000 steps per integration\n")
 
     def test_eps_sweep_writes_one_file_each(self, tmp_path):
         res = run_cli(["orbit", "--eps", "2.5", "--eps", "2.2", "--dt", "2e-3",
@@ -86,35 +95,52 @@ class TestOrbit:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["o.csv"]
 
     def test_drift_failure_exits_1_reporting_the_run(self, tmp_path):
-        # the one run over three exact periods (51 steps) is audited
+        # the one LV run over three exact periods (163 steps) is audited;
+        # Toda rows are the closed form, with no step to drift
+        from wignerflow import classical
+        from wignerflow.errors import NumericalError
+        from wignerflow.model import HamiltonianKind, SeparableHamiltonian
+        model = SeparableHamiltonian(HamiltonianKind.LV, 1.0)
+        spec = classical.OrbitSpec.from_energy(
+            model, 6.0, step=0.2, duration=3.0 * classical.period(model, 6.0))
+        with pytest.raises(NumericalError) as err:
+            classical.integrate_orbit(spec)
+        assert len(err.value.payload) == 164
+        res = run_cli(["orbit", "--model", "lv", "--eps", "6", "--dt", "0.2",
+                       "--out", "o.csv"], tmp_path)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert f"energy drift {err.value.payload.max_drift:.3e}" in res.stderr
+        assert "energy drift 3.774e-02" in res.stderr
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("eps", ["1e4", "2e6", "1.5e308"])
+    def test_overflowing_step_exits_1(self, tmp_path, eps):
+        # at dt = 1e-3 an RK4 stage from x = acosh(eps - 1) leaves the float
+        # range of sinh: the RK4 reference fails with the exit-1 error naming
+        # eps and dt.  orbit tabulates the closed form instead: exit 0 with
+        # the drift audit met, or exit 3 above its energy limit
         from wignerflow import classical
         from wignerflow.errors import NumericalError
         from wignerflow.model import HamiltonianKind, SeparableHamiltonian
         model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
         spec = classical.OrbitSpec.from_energy(
-            model, 6.0, step=0.2, duration=3.0 * classical.period(model, 6.0))
-        with pytest.raises(NumericalError) as err:
+            model, float(eps), step=1e-3,
+            duration=max(3.0 * classical.period(model, float(eps)), 2e-3))
+        says = re.escape(f"eps = {float(eps):g}, dt = 0.001")
+        with pytest.raises(NumericalError, match=says):
             classical.integrate_orbit(spec)
-        assert len(err.value.payload) == 52
-        res = run_cli(["orbit", "--eps", "6", "--dt", "0.2", "--out", "o.csv"],
-                      tmp_path)
-        assert res.returncode == 1
-        assert "Traceback" not in res.stderr
-        assert f"energy drift {err.value.payload.max_drift:.3e}" in res.stderr
-        assert "energy drift 1.334e-02" in res.stderr
-        assert not (tmp_path / "o.csv").exists()
-
-    @pytest.mark.parametrize("eps", ["1e4", "2e6", "1.5e308"])
-    def test_overflowing_step_exits_1(self, tmp_path, eps):
-        # at dt = 1e-3 the first RK4 stage at x = acosh(eps - 1) leaves the
-        # float range of sinh; the start itself is finite up to the largest
-        # float energy
         res = run_cli(["orbit", "--model", "toda", "--eps", eps,
                        "--out", "o.csv"], tmp_path)
-        assert res.returncode == 1, res.stderr
         assert "Traceback" not in res.stderr
-        assert f"eps = {float(eps):g}, dt = 0.001" in res.stderr
-        assert list(tmp_path.iterdir()) == []
+        if float(eps) <= classical.TODA_ORBIT_EPS_MAX:
+            assert res.returncode == 0, res.stderr
+            drift = float(parse_kv(res.stdout)["max_energy_drift"])
+            assert drift <= 1e-14 * float(eps)
+        else:
+            assert res.returncode == 3
+            assert "only up to eps = 1e+07" in res.stderr
+            assert list(tmp_path.iterdir()) == []
 
     def test_json_format(self, tmp_path):
         res = run_cli(["orbit", "--eps", "2.5", "--dt", "5e-3", "--periods",
@@ -188,14 +214,27 @@ class TestAnalytic:
         for key, ref in expected.items():
             assert abs(summary[key] - float(ref)) <= 1e-12 * float(ref), key
 
-    @pytest.mark.parametrize("eps", ["1501", "1e4", "1e8"])
+    @pytest.mark.parametrize("eps", ["1.0000000000000001e150", "1e154",
+                                     "1e300"])
     def test_above_the_energy_limit_exits_3(self, tmp_path, eps):
         res = run_cli(["analytic", "--eps", "2.5", "--eps", eps,
                        "--out", "an.csv"], tmp_path)
         assert res.returncode == 3, res.stderr
         assert "Traceback" not in res.stderr
-        assert "2 < eps <= 1500" in res.stderr
+        assert "2 < eps <= 1e+150" in res.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_high_energy_species_identity(self, tmp_path, monkeypatch, capsys):
+        # the species hold to 1e-9 at eps = 1e6 (the old bound was 1500)
+        from wignerflow import cli
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["analytic", "--eps", "1e6", "--samples", "101",
+                         "--out", "an.csv"]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in
+                (tmp_path / "an.csv").read_text().splitlines()[1:]]
+        for _, t_val, y, z in rows:
+            assert abs(0.5 * (y + 1.0 / y + z + 1.0 / z) / 1e6 - 1.0) <= 1e-9
+            assert 1e-6 * (1.0 - 1e-9) <= t_val <= 1e6 * (1.0 + 1e-9)
 
 
 class TestThermo:
@@ -658,8 +697,9 @@ class TestSweepMembersFreed:
 
 
 class TestOneIntegrationPerMember:
-    """Each classical orbit is integrated once, over the span it writes:
-    its exact period sets the step count before the run starts."""
+    """Each LV orbit and each quantum leg is integrated once, over the span
+    it writes: its exact period sets the step count before the run starts.
+    Classical Toda rows are the closed form and run no RK4 step."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -681,10 +721,9 @@ class TestOneIntegrationPerMember:
             calls.append(("integrate_quantum_trajectory", duration))
             return trajectories(params, start, step, duration)
 
+        # the quantum leg imports classical._rk4 when it runs
         monkeypatch.setattr(classical, "_rk4", counted)
-        monkeypatch.setattr(gaussian, "_rk4", counted)
         monkeypatch.setattr(classical, "integrate_orbit", counted_orbit)
-        monkeypatch.setattr(gaussian, "integrate_orbit", counted_orbit)
         monkeypatch.setattr(gaussian, "integrate_quantum_trajectory",
                             counted_trajectory)
         return calls
@@ -700,21 +739,27 @@ class TestOneIntegrationPerMember:
 
     def test_orbit_member_runs_the_core_once(self, tmp_path, monkeypatch,
                                               capsys):
+        # once per LV member; never for a Toda member
         from wignerflow import classical, cli
         from wignerflow.model import HamiltonianKind, SeparableHamiltonian
-        model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
         calls = self._count(monkeypatch)
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["orbit", "--eps", "2.5", "--eps", "2.2", "--dt",
-                         "2e-3", "--periods", "3", "--out", "o.csv"]) == 0
-        expected = []
-        for eps, name in ((2.5, "o_eps2.5.csv"), (2.2, "o_eps2.2.csv")):
-            duration = 3.0 * self._toda_period(
-                classical.section_start(model, eps))
-            n = round(duration / 2e-3)
-            expected += [("integrate_orbit", duration), ("classical", n)]
-            assert (tmp_path / name).read_text().count("\n") - 1 == n + 1
-        assert calls == expected
+        for kind in ("lv", "toda"):
+            model = SeparableHamiltonian(HamiltonianKind(kind), 1.0)
+            calls.clear()
+            assert cli.main(["orbit", "--model", kind, "--eps", "2.5",
+                             "--eps", "2.2", "--dt", "2e-3", "--periods",
+                             "3", "--out", f"{kind}.csv"]) == 0
+            expected = []
+            for eps in (2.5, 2.2):
+                duration = 3.0 * classical.period(model, eps)
+                n = round(duration / 2e-3)
+                if kind == "lv":
+                    expected += [("integrate_orbit", duration),
+                                 ("classical", n)]
+                text = (tmp_path / f"{kind}_eps{eps}.csv").read_text()
+                assert text.count("\n") - 1 == n + 1
+            assert calls == expected, kind
 
     def test_trajectory_member_integrates_each_step_once(
             self, tmp_path, monkeypatch, capsys):
@@ -728,10 +773,9 @@ class TestOneIntegrationPerMember:
         from wignerflow.model import PhasePoint
         duration = 10.0 * self._toda_period(PhasePoint(0.6, 0.0))
         assert kinds.count("classical") - 1 == round(duration / 5e-3)
+        # the classical rows are the closed form: no classical RK4 step
         assert calls == [("integrate_quantum_trajectory", duration),
-                         ("quantum", kinds.count("quantum") - 1),
-                         ("integrate_orbit", duration),
-                         ("classical", kinds.count("classical") - 1)]
+                         ("quantum", kinds.count("quantum") - 1)]
 
     def test_equilibrium_member_runs_no_step(self, tmp_path, monkeypatch,
                                              capsys):

@@ -78,6 +78,17 @@ def test_writer_is_one_object_everywhere():
     assert wignerflow.export_table is tables.export_table
 
 
+@pytest.mark.parametrize("argv", [
+    ["stagnation", "--alpha-steps", "1", "--out", "s.json"],
+    ["field", "--grid", "5", "--out", "f.csv"],
+])
+def test_grids_load_no_orbit_code(tmp_path, argv):
+    # gaussian imports classical only where a trajectory runs
+    modules = run_loads(tmp_path, argv)
+    assert "wignerflow.gaussian" in modules
+    assert "wignerflow.classical" not in modules
+
+
 def test_readme_library_names_resolve():
     block = re.search(r"from wignerflow import \(([^)]*)\)",
                       README.read_text(encoding="utf-8")).group(1)
