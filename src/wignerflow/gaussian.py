@@ -18,9 +18,9 @@ which contradicts their own leading term; the truncated series oracle
 ``series_currents`` pins the choice.)
 
 The velocity field w = J/G is evaluated in the Gaussian-cancelled form
-w_x = (sqrt(pi)/alpha) e^{alpha^2 x^2} F(x) sinh(k), where the exponential is
-absorbed analytically into the kernel evaluation, so no large-times-small
-product is ever formed.
+w_x = (sqrt(pi)/alpha) e^{alpha^2 x^2} F(x) sinh(k), the exponential absorbed
+into the kernel, so no large-times-small product is formed; the RK4 reads
+the kernel inline from the piecewise table of ``scaled_kernel_table``.
 """
 
 import math
@@ -141,12 +141,27 @@ def stationarity_div_j(params, x, k):
 # ---------------------------------------------------------------------------
 
 def _velocity_rhs(params):
-    """w as a scalar function f(x, k), with the parameters and the kernel
-    table of alpha on the trust interval bound once."""
-    al, a, sinh = params.alpha, params.a, math.sinh
-    kernel = scaled_kernel_table(al, params.trust_limit())
-    c = SQRT_PI / al
-    return lambda x, k: (c * kernel(x) * sinh(k), -a * c * kernel(k) * sinh(x))
+    """w as a scalar f(x, k) for the RK4: the kernel table's pieces, times
+    c = sqrt(pi)/alpha, evaluated inline for x and for k."""
+    table = scaled_kernel_table(params.alpha, params.trust_limit())
+    rows = (SQRT_PI / params.alpha * table.coef).tolist()
+    a, sinh, scale, top = params.a, math.sinh, table.scale, float(len(rows))
+    last = len(rows) - 1
+
+    def rhs(x, k):
+        u = scale * abs(x)
+        i = int(u) if u < top else last
+        t = u - i - 0.5
+        b, c, d, e, f, g, h, p = rows[i]  # Horner, constant first
+        sx = b + t * (c + t * (d + t * (e + t * (f + t * (g + t * (h + t * p))))))
+        u = scale * abs(k)
+        i = int(u) if u < top else last
+        t = u - i - 0.5
+        b, c, d, e, f, g, h, p = rows[i]
+        sk = b + t * (c + t * (d + t * (e + t * (f + t * (g + t * (h + t * p))))))
+        return sx * sinh(k), -a * sk * sinh(x)
+
+    return rhs
 
 
 def velocity_w(params, x, k):
@@ -347,8 +362,8 @@ def find_stagnation_points(params, bbox):
 # ---------------------------------------------------------------------------
 
 def integrate_quantum_leg(params, start, step, duration):
-    """Integrate dxi/dtau = w(xi) from start; fails with the partial
-    trajectory attached if it leaves the velocity trust region."""
+    """Integrate dxi/dtau = w(xi) from start; NumericalError if it leaves
+    the trust region (carrying the partial trajectory) or a stage overflows."""
     # imported here, so that field and stagnation never compile classical
     from .classical import Trajectory, _rk4, _step_count
     _check_trust(params, start.x, start.k)
@@ -360,8 +375,12 @@ def integrate_quantum_leg(params, start, step, duration):
     def outside(x, k):
         return abs(x) > lim or abs(k) > lim
 
-    xs, ks, dxs, dks = _rk4(_velocity_rhs(params), start.x, start.k, step,
-                            _step_count(duration, step), outside)
+    try:
+        xs, ks, dxs, dks = _rk4(_velocity_rhs(params), start.x, start.k,
+                                step, _step_count(duration, step), outside)
+    except OverflowError:
+        raise NumericalError(f"an RK4 stage left the float range at alpha = "
+                             f"{params.alpha:g}, dt = {step:g}") from None
     tau = step * np.arange(len(xs))
     quantum = Trajectory(tau=tau, x=xs, k=ks, dx=dxs, dk=dks)
     if outside(xs[-1], ks[-1]):

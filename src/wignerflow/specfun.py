@@ -4,10 +4,10 @@ Everything downstream (partition functions, closed-form currents, elliptic
 parameterizations) is built on the functions here.  The Bessel functions K0
 and K1 come from Temme's series and Steed's continued fraction, with no
 quadrature; the elliptic integrals and Jacobi functions share one
-arithmetic-geometric mean.  The quadrature engine evaluates the
-time-of-flight periods and doubles as the independent oracle in the test
-suite.  All evaluations are pure: identical inputs give bit-identical
-outputs.
+arithmetic-geometric mean; the scaled offset kernel has a piecewise
+polynomial table for scalar use.  The quadrature engine evaluates the
+time-of-flight periods and doubles as the test suite's independent oracle.
+All evaluations are pure: identical inputs give bit-identical outputs.
 """
 
 import heapq
@@ -480,57 +480,53 @@ def im_erf_offset_scaled(alpha, chi):
     return out
 
 
-# Chebyshev table of the scaled kernel: the coefficient tail must fall below
-# _TABLE_TOL max|S| (a few ulps; the array kernel's own noise floor reaches
-# about 5 ulps at alpha = 10) within _TABLE_MAX_POINTS points
-_TABLE_TOL = 8.0 * np.finfo(float).eps
-_TABLE_MAX_POINTS = 513
+# pieces double until within _TABLE_TOL max|S| (1 + alpha^2 |chi|) of the
+# array kernel, whose error grows with its rounded phase alpha^2 |chi|
+_TABLE_TOL = 16.0 * np.finfo(float).eps
+_TABLE_MAX_POINTS = 512 * 7 + 1  # 512 pieces: every alpha up to 17
 
 
 @lru_cache(maxsize=8)
 def scaled_kernel_table(alpha, limit):
     """S = im_erf_offset_scaled(alpha, .) on |chi| <= limit as a function of
-    one float, for the scalar RK4 of the quantum velocity field.
+    one float, for the RK4 of the quantum velocity field.
 
-    S is even, so it is expanded in T_j(u), u = 2 (chi/limit)^2 - 1, from the
-    array kernel at n + 1 Chebyshev points (Trefethen, Approximation Theory
-    and Approximation Practice, SIAM 2013).  n doubles from 8 until the last
-    quarter of the coefficients lies below _TABLE_TOL max|S|; the trailing
-    coefficients below that are dropped, and the rest are summed by
-    Clenshaw's recurrence on floats.  S(-chi) equals S(chi) bit for bit.
-    Raises NumericalError, naming alpha, if _TABLE_MAX_POINTS points do not
-    suffice.
+    Piece i = int(u), u = scale |chi|, scale = pieces/limit, holds the
+    coefficients (constant first) of the degree-7 interpolant of S at its
+    Chebyshev-Lobatto points, in t = u - i - 1/2; a |chi| beyond limit, as
+    RK4 stages reach, takes the last piece.  One product with a fixed matrix
+    fits all pieces.  The callable carries ``scale`` and ``coef`` for the
+    fused velocity field of ``gaussian``.  S(-chi) equals S(chi) bit for
+    bit.  NumericalError, naming alpha, if _TABLE_MAX_POINTS nodes fail.
     """
-    n = 8
-    while n + 1 <= _TABLE_MAX_POINTS:
-        u = np.cos(np.pi * np.arange(n + 1) / n)
-        s = im_erf_offset_scaled(alpha, limit * np.sqrt(0.5 + 0.5 * u))
-        # node values scaled by 2^-e into [0.5, 1) in magnitude, so that
-        # the FFT cannot overflow; the power of two leaves every bit as is
+    # 15 Chebyshev-Lobatto points on [-1, 1]: nodes (even), check points (odd)
+    pts = -np.cos(np.pi * np.arange(15) / 14)
+    fit = np.linalg.inv(np.vander(pts[::2], increasing=True)).T * 2.0 ** np.arange(8)
+    check = np.vander(0.5 * pts[1::2], 8, increasing=True).T
+    n = 1
+    while 7 * n + 1 <= _TABLE_MAX_POINTS:
+        chi = limit / n * (np.arange(n)[:, None] + 0.5 + 0.5 * pts)
+        s = im_erf_offset_scaled(alpha, chi)
+        # scaled by 2^-e into [0.5, 1), so that the fit cannot overflow
         e = math.frexp(float(np.max(np.abs(s))))[1]
         s = np.ldexp(s, -e)
-        # DCT-I of the node values through the FFT of their even extension
-        coef = np.fft.rfft(np.concatenate([s, s[-2:0:-1]])).real / n
-        coef[0] *= 0.5
-        coef[n] *= 0.5
-        small = np.abs(coef) <= _TABLE_TOL * np.max(np.abs(s))
-        if small[-(n // 4):].all():
+        # fitted relative to the first node, not to round a piece's mean
+        coef = (s[:, ::2] - s[:, :1]) @ fit
+        coef[:, 0] += s[:, 0]
+        tol = _TABLE_TOL * np.max(np.abs(s)) * (1.0 + alpha * alpha * chi)
+        if np.all(np.abs(coef @ check - s[:, 1::2]) <= tol[:, 1::2]):
             break
         n *= 2
     else:
         raise NumericalError(
             f"scaled kernel table for alpha = {alpha} did not converge "
-            f"within {_TABLE_MAX_POINTS} Chebyshev points")
-    coef = np.ldexp(coef[:np.flatnonzero(~small)[-1] + 1], e)
-    c0, rest = float(coef[0]), coef[:0:-1].tolist()
-    scale = 2.0 / (limit * limit)
+            f"within {_TABLE_MAX_POINTS} nodes")
+    coef, scale = np.ldexp(coef, e), n / limit
 
     def kernel(chi):
-        u = scale * chi * chi - 1.0
-        u2 = u + u
-        b1 = b2 = 0.0
-        for c in rest:
-            b1, b2 = c + u2 * b1 - b2, b1
-        return c0 + u * b1 - b2
+        u = scale * abs(chi)
+        i = int(u) if u < n else n - 1
+        return float(np.polyval(coef[i, ::-1], u - i - 0.5))
 
+    kernel.scale, kernel.coef = scale, coef
     return kernel

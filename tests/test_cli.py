@@ -530,6 +530,20 @@ class TestWorkBudget:
         assert "work budget" in capsys.readouterr().err
 
 
+class TestQuantumLegOverflow:
+    def test_overflowing_stage_exits_1_naming_alpha_and_dt(self, tmp_path):
+        # from x = 18 the flow moves k so fast that an RK4 stage's sinh
+        # leaves the float range long before the trust limit 30
+        res = run_cli(["trajectory", "--alpha", "0.2", "--x0", "18",
+                       "--tau-max", "1", "--out", "tr.csv"], tmp_path)
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stderr.strip().splitlines() == [
+            "numerical failure: an RK4 stage left the float range at "
+            "alpha = 0.2, dt = 0.002"]
+        assert not (tmp_path / "tr.csv").exists()
+
+
 class TestKernelTableFailure:
     def test_non_convergence_exits_1_naming_alpha(self, tmp_path,
                                                   monkeypatch, capsys):

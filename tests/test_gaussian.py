@@ -415,6 +415,31 @@ class TestQuantumTrajectory:
         with pytest.raises(DomainError):
             integrate_quantum_trajectory(A1, PhasePoint(0.5, 0.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [1e-3, 1.0, 2.7, 10.0])
+    def test_fused_velocity_matches_array_path(self, alpha):
+        params = GaussianEnsembleParams(alpha, 3.0)
+        # sinh leaves the float range beyond 710; w is 5e12 at 30
+        lim = min(params.trust_limit(), 30.0)
+        x, k = np.random.default_rng(3).uniform(-lim, lim, (2, 400))
+        rhs = gaussian._velocity_rhs(params)
+        got = np.array([rhs(*p) for p in zip(x.tolist(), k.tolist())]).T
+        ref = np.array(velocity_w(params, x, k))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("alpha, start", [
+        (1.0, (6.0, 0.3)), (1.0, (-6.0, -6.0)), (2.7, (0.1, 6.0 / 2.7))])
+    def test_start_at_trust_edge_leaves_with_partial(self, alpha, start):
+        # RK4 stages past the edge take the table's last piece; the run
+        # stops at the first state outside, with the rows so far attached
+        params = GaussianEnsembleParams(alpha, 1.0)
+        with pytest.raises(NumericalError, match="left the trust region") \
+                as err:
+            integrate_quantum_leg(params, PhasePoint(*start), 1e-2, 50.0)
+        partial = err.value.payload
+        assert len(partial) >= 2
+        assert (abs(partial.x[-1]) > params.trust_limit()
+                or abs(partial.k[-1]) > params.trust_limit())
+
 
 # the README trajectory members (ten classical periods, tau_max None) and
 # the trajectories benchmark workload's seed-1 members (tau_max 10)
@@ -426,8 +451,8 @@ KERNEL_TABLE_MEMBERS = [(1.0, 0.25, 0.6, 0.0, None), (1.0, 1.0, 0.6, 0.0, None),
 
 
 class TestKernelTableTrajectories:
-    """The quantum RK4 on the per-alpha kernel table against the same RK4
-    on the Weideman scalar kernel."""
+    """The quantum RK4 on the velocity field fused with the per-alpha kernel
+    table against the same RK4 on the Weideman scalar kernel."""
 
     @pytest.mark.parametrize("alpha, a, x0, k0, tau_max", KERNEL_TABLE_MEMBERS)
     def test_rows_and_return_time_match_oracle(self, monkeypatch, alpha, a,
@@ -440,9 +465,16 @@ class TestKernelTableTrajectories:
                 10.0)
             tau_max = 10.0 * period
         table = integrate_quantum_leg(params, start, 2e-3, tau_max)
-        monkeypatch.setattr(gaussian, "scaled_kernel_table",
-                            lambda al, lim: functools.partial(
-                                scaled_kernel_weideman, al))
+        # the same RK4 on the velocity field with the Weideman kernel
+        kernel = functools.partial(scaled_kernel_weideman, alpha)
+        c = math.sqrt(math.pi) / alpha
+
+        def weideman_rhs(x, k):
+            return (c * kernel(x) * math.sinh(k),
+                    -a * c * kernel(k) * math.sinh(x))
+
+        monkeypatch.setattr(gaussian, "_velocity_rhs",
+                            lambda p: weideman_rhs)
         oracle = integrate_quantum_leg(params, start, 2e-3, tau_max)
         assert len(table) == len(oracle)
         assert np.max(np.abs(table.x - oracle.x)) <= 1e-12

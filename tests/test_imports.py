@@ -58,6 +58,15 @@ def test_orbit_and_analytic_load_no_ensemble_code(tmp_path, argv):
         assert name not in modules
 
 
+def test_trajectory_loads_no_polynomial_package(tmp_path):
+    # the kernel table is fitted by one matrix product; numpy.fft still
+    # loads, for the Weideman coefficients of the array kernel
+    modules = run_loads(tmp_path, ["trajectory", "--tau-max", "10",
+                                   "--out", "t.csv"])
+    assert "wignerflow.gaussian" in modules
+    assert "numpy.polynomial" not in modules
+
+
 def test_help_texts_match_the_modules():
     """The help texts are literals, so that building the parser imports
     neither fieldgrid nor classical."""

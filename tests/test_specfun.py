@@ -308,7 +308,7 @@ class TestFaddeeva:
 
 
 class TestScaledKernelTable:
-    @pytest.mark.parametrize("alpha", [1e-3, 0.2, 1.0, 2.7, 5.0, 10.0])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.2, 1.0, 2.7, 5.0, 10.0, 15.0])
     def test_matches_array_kernel(self, alpha):
         lim = 6.0 / alpha
         kernel = scaled_kernel_table(alpha, lim)
@@ -327,6 +327,15 @@ class TestScaledKernelTable:
 
     def test_built_once_per_alpha(self):
         assert scaled_kernel_table(1.0, 6.0) is scaled_kernel_table(1.0, 6.0)
+
+    def test_beyond_the_limit_takes_the_last_piece(self):
+        # RK4 stages may overshoot the trust limit before the run stops
+        kernel = scaled_kernel_table(1.0, 6.0)
+        edge = kernel(6.0)
+        assert abs(edge - im_erf_offset_scaled(1.0, 6.0)) <= 1e-14
+        for chi in (6.0 + 1e-9, 6.5, 60.0):
+            assert isinstance(kernel(chi), float)
+        assert kernel(6.0 + 1e-9) == pytest.approx(edge, abs=1e-8)
 
 
 class TestScaledKernelTableNonConvergence:
