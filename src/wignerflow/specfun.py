@@ -481,7 +481,7 @@ def im_erf_offset_scaled(alpha, chi):
 
 
 # pieces double until within _TABLE_TOL max|S| (1 + alpha^2 |chi|) of the
-# array kernel, whose error grows with its rounded phase alpha^2 |chi|
+# array kernel, whose own error against mpmath grows with alpha^2 |chi|
 _TABLE_TOL = 16.0 * np.finfo(float).eps
 _TABLE_MAX_POINTS = 512 * 7 + 1  # 512 pieces: every alpha up to 17
 
