@@ -7,16 +7,16 @@ over the x nodes (a row) and the k nodes (a column), with no per-row loop.
 Grids are row-major with x fastest: file rows loop k in the outer loop and x
 in the inner one, so byte-identical output is reproducible across runs.
 The table writer lives in ``tables``; its public names are re-exported
-here.
+here.  Each ensemble module (``gaussian``, ``thermo``) holds the table of
+its grid quantities, so a grid loads only the module of its own ensemble.
 """
+
+import sys
 
 import numpy as np
 
-from . import gaussian, thermo
 from .errors import UsageError
-from .gaussian import GaussianEnsembleParams
 from .tables import Table, as_table, column_table, export_table
-from .thermo import ThermalEnsembleParams
 
 __all__ = [
     "GridSpec",
@@ -108,35 +108,23 @@ def _repeat_cells(cells, n):
     return [cell for cell in cells for _ in range(n)]
 
 
-# quantity -> (closed form f(params, x, k), component, needs trust mask) per
-# ensemble family; component None is a scalar form, 0 or 1 picks one entry
-# of a vector pair, and _VECTOR keeps both
-_VECTOR = "xk"
-_GAUSSIAN_QUANTITIES = {
-    "g": (gaussian.gaussian_w, None, False),
-    "jx": (gaussian.currents_closed, 0, False),
-    "jk": (gaussian.currents_closed, 1, False),
-    "j": (gaussian.currents_closed, _VECTOR, False),
-    "divj": (gaussian.stationarity_div_j, None, False),
-    "wx": (gaussian.velocity_w, 0, True),
-    "wk": (gaussian.velocity_w, 1, True),
-    "w": (gaussian.velocity_w, _VECTOR, True),
-    "divw": (gaussian.liouville_div_w, None, True),
-    "vort": (gaussian.vorticity, None, True),
-}
-_THERMAL_QUANTITIES = {
-    "w0": (thermo.w0, None, False),
-    "w_st2": (thermo.w_st2, None, False),
-    "jx": (thermo.currents_td, 0, False),
-    "jk": (thermo.currents_td, 1, False),
-    "j": (thermo.currents_td, _VECTOR, False),
-    "divw": (thermo.div_w_td, None, False),
+# the quantity names of each ensemble family's GRID_QUANTITIES table, spelled
+# out so that the command line's help and this module load neither family
+QUANTITIES = {
+    "gaussian": ("divj", "divw", "g", "j", "jk", "jx", "vort", "w", "wk",
+                 "wx"),
+    "thermal": ("divw", "j", "jk", "jx", "w0", "w_st2"),
 }
 
-QUANTITIES = {
-    "gaussian": tuple(sorted(_GAUSSIAN_QUANTITIES)),
-    "thermal": tuple(sorted(_THERMAL_QUANTITIES)),
-}
+
+def _quantity_table(params):
+    """GRID_QUANTITIES of the ensemble module that defines params' class."""
+    module = sys.modules.get(type(params).__module__)
+    table = getattr(module, "GRID_QUANTITIES", None)
+    if table is None:
+        raise UsageError(
+            "params must be Gaussian or Thermal ensemble parameters")
+    return table
 
 
 def _evaluate(entry, params, x, k):
@@ -145,8 +133,8 @@ def _evaluate(entry, params, x, k):
     out = form(params, x, k)
     if component is None:
         return out
-    if component == _VECTOR:
-        return np.stack(out, axis=-1)
+    if isinstance(component, tuple):
+        return np.stack([out[c] for c in component], axis=-1)
     return out[component]
 
 
@@ -159,14 +147,10 @@ def sample_field(params, quantity, spec, threads=None):
     column and each 1-D factor is evaluated nx + nk times.  Velocity-family
     gaussian quantities are masked to the trust region instead of
     extrapolated; the region is a box, so only its sub-grid is evaluated.
+    A node inside it whose value overflows is flagged out as well.
     ``threads`` is accepted for compatibility and has no effect.
     """
-    if isinstance(params, GaussianEnsembleParams):
-        table = _GAUSSIAN_QUANTITIES
-    elif isinstance(params, ThermalEnsembleParams):
-        table = _THERMAL_QUANTITIES
-    else:
-        raise UsageError("params must be Gaussian or Thermal ensemble parameters")
+    table = _quantity_table(params)
     if quantity not in table:
         raise UsageError(
             f"quantity {quantity!r} is not defined for this ensemble; "
@@ -175,7 +159,7 @@ def sample_field(params, quantity, spec, threads=None):
     _, component, needs_mask = entry
     xs = spec.x_nodes()
     ks = spec.k_nodes()
-    is_vector = component == _VECTOR
+    is_vector = isinstance(component, tuple)
     shape = (spec.nk, spec.nx, 2) if is_vector else (spec.nk, spec.nx)
     values = np.zeros(shape)
     if not needs_mask:
@@ -184,9 +168,16 @@ def sample_field(params, quantity, spec, threads=None):
     lim = params.trust_limit()
     in_x = np.abs(xs) <= lim
     in_k = np.abs(ks) <= lim
-    values[np.ix_(in_k, in_x)] = _evaluate(entry, params, xs[in_x][None, :],
-                                           ks[in_k][:, None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values[np.ix_(in_k, in_x)] = _evaluate(
+            entry, params, xs[in_x][None, :], ks[in_k][:, None])
     valid = in_k[:, None] & in_x[None, :]
+    # sinh and cosh overflow past |chi| = 710, which the trust region reaches
+    # for alpha below about 0.0085: such nodes are flagged out too
+    finite = np.isfinite(values)
+    if not finite.all():
+        valid &= finite.all(axis=-1) if is_vector else finite
+        values[~valid] = 0.0
     return FieldGrid(spec=spec, quantity=quantity, values=values, valid=valid)
 
 

@@ -212,6 +212,23 @@ def vorticity(params, x, k):
                  + im_erf_offset_scaled(al, x) * np.cosh(k))
 
 
+# quantity -> (closed form, component, needs trust mask) of a grid: component
+# None is a scalar form, 0 or 1 one entry of a vector pair, (0, 1) both; the
+# velocity family is masked to the trust region (see fieldgrid.sample_field)
+GRID_QUANTITIES = {
+    "g": (gaussian_w, None, False),
+    "jx": (currents_closed, 0, False),
+    "jk": (currents_closed, 1, False),
+    "j": (currents_closed, (0, 1), False),
+    "divj": (stationarity_div_j, None, False),
+    "wx": (velocity_w, 0, True),
+    "wk": (velocity_w, 1, True),
+    "w": (velocity_w, (0, 1), True),
+    "divw": (liouville_div_w, None, True),
+    "vort": (vorticity, None, True),
+}
+
+
 # ---------------------------------------------------------------------------
 # truncated series reference for the divergences
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def run():
         + [5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf])
     checks["csv_cells_vs_format"] = (
         _csv_rows([float_slots(values)])
-        == "".join(f"{x:.17g}\n" for x in values.tolist()))
+        == "".join(f"{x:.17g}\n" for x in values.tolist()).encode())
 
     g1 = GaussianEnsembleParams(1.0)
     srs = gaussian.series_currents(g1, 0.7, 0.4, 14)

@@ -154,13 +154,15 @@ def _json_block(cols):
 
 
 def _csv_rows(parts):
-    """One block's slot arrays joined into its CSV text."""
+    """One block's slot arrays joined into its CSV rows, UTF-8 bytes."""
     block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     block[:, -1] = ord("\n")
-    return block.tobytes().translate(None, b"\xff").decode()
+    return block.tobytes().translate(None, b"\xff")
 
 
 def _write_csv(fh, table):
+    """CSV rows to a binary file: each block's bytes are written as
+    joined, with no text layer between."""
     if table.rows > _BLOCK_ROWS:
         from .csvfloats import float_slots
     else:
@@ -168,10 +170,10 @@ def _write_csv(fh, table):
         # block and, once per process, 3 ms to compile its module and 0.7 MB
         # of numpy code pages, outweighs format()'s 0.7 us per cell
         float_slots = _formatted_slots
-    fh.write(",".join(table.names) + "\n")
+    fh.write((",".join(table.names) + "\n").encode())
     blocks = table.blocks(lambda cols: _csv_cells(cols, float_slots))
-    for text in map(_csv_rows, blocks):
-        fh.write(text)
+    for rows in map(_csv_rows, blocks):
+        fh.write(rows)
 
 
 def _write_json(fh, table):
@@ -200,7 +202,11 @@ def export_table(obj, fmt, path):
     if fmt == "csv" and not table.rows:
         raise UsageError("refusing to write an empty table")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            (_write_csv if fmt == "csv" else _write_json)(fh, table)
+        if fmt == "csv":
+            with open(path, "wb") as fh:
+                _write_csv(fh, table)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                _write_json(fh, table)
     except OSError as exc:
         raise IOError(f"failed writing {path}: {exc}") from exc

@@ -161,6 +161,18 @@ def div_w_td(params, x, k):
             * (a * np.cosh(x) - np.cosh(k)))
 
 
+# quantity -> (closed form, component, needs trust mask) of a grid: component
+# None is a scalar form, 0 or 1 one entry of a vector pair, (0, 1) both
+GRID_QUANTITIES = {
+    "w0": (w0, None, False),
+    "w_st2": (w_st2, None, False),
+    "jx": (currents_td, 0, False),
+    "jk": (currents_td, 1, False),
+    "j": (currents_td, (0, 1), False),
+    "divw": (div_w_td, None, False),
+}
+
+
 class ThermalObservables:
     """Partition functions, internal energy and heat capacity at one order."""
 

@@ -829,6 +829,37 @@ class TestAlphaOverflow:
             specfun.im_erf_offset_scaled(math.nextafter(top, math.inf), 0.01)
 
 
+class TestVelocityOverflow:
+    """Below alpha = 0.0085 the trust region reaches past |chi| = 710, where
+    sinh overflows: those nodes are flagged valid = 0 and hold zeros."""
+
+    # the nodes that stay finite: sinh k overflows in wx, sinh x in wk, and
+    # both in the others, except where a factor sinh 0 = 0 cancels them
+    @pytest.mark.parametrize("quantity, finite", [
+        ("w", lambda x, k: x == k == 0.0),
+        ("wx", lambda x, k: k == 0.0),
+        ("wk", lambda x, k: x == 0.0),
+        ("divw", lambda x, k: x == k == 0.0),
+        ("vort", lambda x, k: x == k == 0.0),
+    ], ids=["w", "wx", "wk", "divw", "vort"])
+    def test_overflowing_nodes_are_flagged_out(self, tmp_path, quantity,
+                                               finite):
+        res = run_cli(["field", "--alpha", "0.001", "--quantity", quantity,
+                       "--bbox", "-6000", "6000", "-6000", "6000",
+                       "--grid", "5", "--out", "f.csv"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "Warning" not in res.stderr
+        header, *rows = (tmp_path / "f.csv").read_text().splitlines()
+        assert header.endswith(",valid")
+        assert len(rows) == 25
+        for row in rows:
+            x, k, *values, valid = (float(v) for v in row.split(","))
+            assert all(math.isfinite(v) for v in values)
+            assert valid == finite(x, k)
+            if not valid:
+                assert values == [0.0] * len(values)
+
+
 class TestRowBudget:
     """Table row counts are refused before np.linspace allocates them."""
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerflow import cli, csvfloats, fieldgrid, tables, thermo
+from wignerflow import cli, csvfloats, fieldgrid, gaussian, tables, thermo
 from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   toda_closed_period, toda_species_series)
 from wignerflow.errors import DomainError, UsageError, ValidityError
@@ -27,9 +27,9 @@ def sample_row_by_row(params, quantity, spec):
     """Reference: evaluate the same kernel one k row at a time, masking each
     row node by node, as sample_field did before it broadcast."""
     if isinstance(params, GaussianEnsembleParams):
-        entry = fieldgrid._GAUSSIAN_QUANTITIES[quantity]
+        entry = gaussian.GRID_QUANTITIES[quantity]
     else:
-        entry = fieldgrid._THERMAL_QUANTITIES[quantity]
+        entry = thermo.GRID_QUANTITIES[quantity]
     needs_mask = entry[2]
     xs, ks = spec.x_nodes(), spec.k_nodes()
     rows, valid = [], []
@@ -149,7 +149,7 @@ class TestScalarCallsMatchGrid:
         if family == "gaussian":
             params = GaussianEnsembleParams(
                 data.draw(st.floats(0.2, 2.7), label="alpha"), a)
-            entry = fieldgrid._GAUSSIAN_QUANTITIES[quantity]
+            entry = gaussian.GRID_QUANTITIES[quantity]
         else:
             # beta <= 2 lies below beta*(a) for every a in [0.25, 4]
             order = data.draw(st.sampled_from(("classical", "h2")),
@@ -157,7 +157,7 @@ class TestScalarCallsMatchGrid:
             params = ThermalEnsembleParams(
                 data.draw(st.floats(0.05, 2.0), label="beta"), a,
                 "h2" if quantity == "w_st2" else order)
-            entry = fieldgrid._THERMAL_QUANTITIES[quantity]
+            entry = thermo.GRID_QUANTITIES[quantity]
         x_lo, k_lo = (data.draw(st.floats(-8.0, 7.0)) for _ in range(2))
         x_w, k_w = (data.draw(st.floats(0.1, 8.0)) for _ in range(2))
         nx, nk = (data.draw(st.integers(2, 9)) for _ in range(2))
@@ -514,13 +514,14 @@ def test_block_writer_peak_memory(tmp_path):
 # ---------------------------------------------------------------------------
 
 def kernel_text(values):
-    """The kernel's cells of values, one per line, whatever their count."""
+    """The kernel's cells of values, one per line, whatever their count, as
+    the bytes the CSV writer writes."""
     values = np.asarray(values, dtype=float)
     return tables._csv_rows([csvfloats.float_slots(values)])
 
 
 def format_text(values):
-    return "".join(format(float(x), ".17g") + "\n" for x in values)
+    return "".join(format(float(x), ".17g") + "\n" for x in values).encode()
 
 
 def constructed_ties(count, seed=0):

@@ -1,6 +1,6 @@
-"""Each process loads only the modules its subcommand runs.  The import
-graph is checked in fresh interpreters, since the test process itself has
-loaded every module."""
+"""Each process loads only the modules its subcommand runs, and only a CLI
+process freezes its start-up heap.  Both are checked in fresh interpreters,
+since the test process itself has loaded every module."""
 
 import json
 import re
@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import wignerflow
-from wignerflow import classical, cli, fieldgrid, tables
+from wignerflow import classical, cli, fieldgrid, gaussian, tables, thermo
 
-from launcher import launch
+from launcher import launch, run_cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -77,6 +77,9 @@ def test_help_texts_match_the_modules():
     assert helps["field", "quantity"] == "gaussian: %s; thermal: %s" % (
         "|".join(fieldgrid.QUANTITIES["gaussian"]),
         "|".join(fieldgrid.QUANTITIES["thermal"]))
+    assert fieldgrid.QUANTITIES == {
+        "gaussian": tuple(sorted(gaussian.GRID_QUANTITIES)),
+        "thermal": tuple(sorted(thermo.GRID_QUANTITIES))}
     assert (f"2 < eps <= {classical.ISOTROPIC_EPS_MAX:g},"
             in helps["analytic", "eps"])
 
@@ -90,12 +93,65 @@ def test_writer_is_one_object_everywhere():
 @pytest.mark.parametrize("argv", [
     ["stagnation", "--alpha-steps", "1", "--out", "s.json"],
     ["field", "--grid", "5", "--out", "f.csv"],
+    ["stagnation", "--alpha-steps", "1", "--emit-envelope", "--grid", "5",
+     "--out", "s.json"],
+    ["field", "--ensemble", "thermal", "--quantity", "divw", "--grid", "5",
+     "--out", "f.csv"],
 ])
 def test_grids_load_no_orbit_code(tmp_path, argv):
-    # gaussian imports classical only where a trajectory runs
+    # gaussian imports classical only where a trajectory runs, and a grid
+    # loads the module of its own ensemble only
+    own, other = "wignerflow.gaussian", "wignerflow.thermo"
+    if "thermal" in argv:
+        own, other = other, own
     modules = run_loads(tmp_path, argv)
-    assert "wignerflow.gaussian" in modules
+    assert own in modules
+    assert other not in modules
     assert "wignerflow.classical" not in modules
+
+
+def freeze_count(tmp_path, code):
+    """gc.get_freeze_count() after a fresh interpreter runs code."""
+    res = launch(["-c", f"import gc\n{code}\n"
+                  "print(gc.get_freeze_count())"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    return int(res.stdout.splitlines()[-1])
+
+
+def test_cli_import_freezes_the_start_up_heap(tmp_path):
+    assert freeze_count(tmp_path, "import wignerflow.cli") > 0
+
+
+def test_library_import_freezes_nothing(tmp_path):
+    # the README library sketch: grids without the command line
+    assert freeze_count(tmp_path, "import wignerflow.fieldgrid") == 0
+
+
+def test_main_calls_freeze_nothing(tmp_path):
+    argv = ["thermo", "--steps", "5", "--out", "t.csv"]
+    code = ("from wignerflow import cli\n"
+            "frozen = gc.get_freeze_count()\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert gc.get_freeze_count() == frozen, frozen")
+    assert freeze_count(tmp_path, code) > 0
+
+
+def test_frozen_process_flushes_its_output(tmp_path, capsys):
+    """A CLI process, whose start-up heap is frozen and not freed at exit,
+    still prints every summary line through a pipe and writes the same
+    file as an in-process run."""
+    argv = ["thermo", "--a", "1", "--a", "2", "--order", "h2", "--steps", "9",
+            "--out", "t.csv"]
+    res = run_cli(argv, tmp_path)
+    assert res.returncode == 0, res.stderr
+    inner = tmp_path / "in_process"
+    inner.mkdir()
+    assert cli.main(argv[:-1] + [str(inner / "t.csv")]) == 0
+    expected = capsys.readouterr().out.replace(str(inner / "t.csv"), "t.csv")
+    assert res.stdout == expected
+    assert len(res.stdout.splitlines()) == 5
+    assert (tmp_path / "t.csv").read_bytes() == (inner / "t.csv").read_bytes()
 
 
 def test_readme_library_names_resolve():
