@@ -505,8 +505,8 @@ def main(argv=None):
         return _EXIT_NUMERICAL
 
 
-# last statement of the module body, so that everything imported above is
-# frozen: the start-up heap is never traversed again, nor freed at exit
+# the last statement of the module body, so that everything above is frozen
+# (see the module docstring)
 gc.freeze()
 
 if __name__ == "__main__":

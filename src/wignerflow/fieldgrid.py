@@ -63,7 +63,8 @@ class GridSpec:
 class FieldGrid:
     """Sampled values on a GridSpec; vector quantities have a trailing axis
     of size 2.  ``valid`` (when present) flags nodes inside the velocity
-    trust region; flagged-out nodes hold zeros, never silent garbage."""
+    trust region whose value is finite; flagged-out nodes hold zeros, never
+    silent garbage."""
 
     def __init__(self, spec, quantity, values, valid=None):
         self.spec, self.quantity, self.values = spec, quantity, values
@@ -117,18 +118,10 @@ QUANTITIES = {
 }
 
 
-def _quantity_table(params):
-    """GRID_QUANTITIES of the ensemble module that defines params' class."""
-    module = sys.modules.get(type(params).__module__)
-    table = getattr(module, "GRID_QUANTITIES", None)
-    if table is None:
-        raise UsageError(
-            "params must be Gaussian or Thermal ensemble parameters")
-    return table
-
-
 def _evaluate(entry, params, x, k):
-    """One table entry's closed form at nodes (x, k); vectors stack last."""
+    """One table entry's closed form at nodes (x, k).  Component None is a
+    scalar form, 0 or 1 picks one entry of a vector pair, and (0, 1) stacks
+    both along a last axis."""
     form, component, _ = entry
     out = form(params, x, k)
     if component is None:
@@ -150,7 +143,12 @@ def sample_field(params, quantity, spec, threads=None):
     A node inside it whose value overflows is flagged out as well.
     ``threads`` is accepted for compatibility and has no effect.
     """
-    table = _quantity_table(params)
+    # the ensemble module that defines params' class holds its grid table
+    table = getattr(sys.modules.get(type(params).__module__),
+                    "GRID_QUANTITIES", None)
+    if table is None:
+        raise UsageError(
+            "params must be Gaussian or Thermal ensemble parameters")
     if quantity not in table:
         raise UsageError(
             f"quantity {quantity!r} is not defined for this ensemble; "

@@ -212,9 +212,9 @@ def vorticity(params, x, k):
                  + im_erf_offset_scaled(al, x) * np.cosh(k))
 
 
-# quantity -> (closed form, component, needs trust mask) of a grid: component
-# None is a scalar form, 0 or 1 one entry of a vector pair, (0, 1) both; the
-# velocity family is masked to the trust region (see fieldgrid.sample_field)
+# the grid table of fieldgrid.sample_field: quantity -> (closed form,
+# component as fieldgrid._evaluate reads it, needs trust mask); the velocity
+# family is masked to the trust region
 GRID_QUANTITIES = {
     "g": (gaussian_w, None, False),
     "jx": (currents_closed, 0, False),

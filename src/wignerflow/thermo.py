@@ -161,8 +161,8 @@ def div_w_td(params, x, k):
             * (a * np.cosh(x) - np.cosh(k)))
 
 
-# quantity -> (closed form, component, needs trust mask) of a grid: component
-# None is a scalar form, 0 or 1 one entry of a vector pair, (0, 1) both
+# the grid table of fieldgrid.sample_field: quantity -> (closed form,
+# component as fieldgrid._evaluate reads it, needs trust mask)
 GRID_QUANTITIES = {
     "w0": (w0, None, False),
     "w_st2": (w_st2, None, False),

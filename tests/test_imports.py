@@ -137,10 +137,12 @@ def test_main_calls_freeze_nothing(tmp_path):
     assert freeze_count(tmp_path, code) > 0
 
 
-def test_frozen_process_flushes_its_output(tmp_path, capsys):
+def test_frozen_process_flushes_its_output(tmp_path, capsys, monkeypatch):
     """A CLI process, whose start-up heap is frozen and not freed at exit,
     still prints every summary line through a pipe and writes the same
     file as an in-process run."""
+    # a block-buffered stdout, so that an exit that skips the flush shows
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     argv = ["thermo", "--a", "1", "--a", "2", "--order", "h2", "--steps", "9",
             "--out", "t.csv"]
     res = run_cli(argv, tmp_path)
