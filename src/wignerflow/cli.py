@@ -182,8 +182,8 @@ def cmd_thermo(args):
             return None
 
     a_values = args.a or [1.0]
-    if not (args.beta_min > 0.0 and args.beta_max > args.beta_min):
-        raise DomainError("need 0 < beta-min < beta-max")
+    if not 0.0 < args.beta_min < args.beta_max < math.inf:
+        raise DomainError("need 0 < --beta-min < --beta-max < inf")
     _require_rows(args.steps * len(a_values))
     betas = np.linspace(args.beta_min, args.beta_max, args.steps)
     rows = [thermo_row(a, float(beta)) for a in a_values for beta in betas]
@@ -415,7 +415,7 @@ def build_parser():
     p.add_argument("--order", choices=("classical", "h2"), default="h2",
                    help="thermal expansion order")
     p.add_argument("--quantity", default="divj",
-                   # the names of fieldgrid.QUANTITIES
+                   # the sorted GRID_QUANTITIES keys of gaussian and thermo
                    help="gaussian: divj|divw|g|j|jk|jx|vort|w|wk|wx; "
                         "thermal: divw|j|jk|jx|w0|w_st2")
     p.add_argument("--bbox", type=float, nargs=4,

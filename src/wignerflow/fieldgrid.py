@@ -21,7 +21,6 @@ from .tables import Table, as_table, column_table, export_table
 __all__ = [
     "GridSpec",
     "FieldGrid",
-    "QUANTITIES",
     "sample_field",
     "zero_contours",
     "Table",
@@ -43,8 +42,9 @@ class GridSpec:
     """Uniform sampling window: inclusive ranges and node counts."""
 
     def __init__(self, x_lo, x_hi, k_lo, k_hi, nx, nk):
-        if not (x_lo < x_hi and k_lo < k_hi):
-            raise UsageError("grid ranges must satisfy lo < hi")
+        if not (-np.inf < x_lo < x_hi < np.inf
+                and -np.inf < k_lo < k_hi < np.inf):
+            raise UsageError("grid ranges must satisfy -inf < lo < hi < inf")
         if nx < 2 or nk < 2:
             raise UsageError("grids need at least 2 nodes per axis")
         if nx * nk > MAX_GRID_NODES:
@@ -107,15 +107,6 @@ def _repeat_cells(cells, n):
     if isinstance(cells, np.ndarray):
         return np.repeat(cells, n, axis=0)
     return [cell for cell in cells for _ in range(n)]
-
-
-# the quantity names of each ensemble family's GRID_QUANTITIES table, spelled
-# out so that the command line's help and this module load neither family
-QUANTITIES = {
-    "gaussian": ("divj", "divw", "g", "j", "jk", "jx", "vort", "w", "wk",
-                 "wx"),
-    "thermal": ("divw", "j", "jk", "jx", "w0", "w_st2"),
-}
 
 
 def _evaluate(entry, params, x, k):

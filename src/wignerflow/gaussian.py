@@ -48,7 +48,6 @@ __all__ = [
     "circulation_number",
     "find_stagnation_points",
     "integrate_quantum_trajectory",
-    "integrate_quantum_leg",
 ]
 
 SQRT_PI = math.sqrt(math.pi)
@@ -262,7 +261,7 @@ def series_currents(params, x, k, eta_max):
 # flow topology: circulation and stagnation points
 # ---------------------------------------------------------------------------
 
-def circulation_number(params, center, radius, samples=720):
+def circulation_number(params, center, radius):
     """Circulation sense of the flow around a counterclockwise circle.
 
     Returns +1.0 when the velocity circulates the loop monotonically
@@ -274,8 +273,7 @@ def circulation_number(params, center, radius, samples=720):
     """
     if radius <= 0.0:
         raise UsageError("radius must be positive")
-    n = max(720, int(samples))
-    phi = 2.0 * math.pi * np.arange(n) / n
+    phi = 2.0 * math.pi * np.arange(720) / 720
     wx, wk = velocity_w(params, center.x + radius * np.cos(phi),
                         center.k + radius * np.sin(phi))
     speed = np.hypot(wx, wk)
@@ -378,11 +376,14 @@ def find_stagnation_points(params, bbox):
 # semiclassical trajectories of the quantum velocity field
 # ---------------------------------------------------------------------------
 
-def integrate_quantum_leg(params, start, step, duration):
-    """Integrate dxi/dtau = w(xi) from start; NumericalError if it leaves
-    the trust region (carrying the partial trajectory) or a stage overflows."""
+def integrate_quantum_trajectory(params, start, step, duration):
+    """Integrate dxi/dtau = w(xi) from start and tabulate the classical Toda
+    companion from the same start at the same times, in closed form
+    (``classical.toda_orbit``); returns (quantum, classical).
+    NumericalError if the quantum leg leaves the trust region (carrying the
+    partial leg) or a stage overflows."""
     # imported here, so that field and stagnation never compile classical
-    from .classical import Trajectory, _rk4, _step_count
+    from .classical import Trajectory, _rk4, _step_count, toda_orbit
     _check_trust(params, start.x, start.k)
     if not 0.0 < step < duration < math.inf:
         raise DomainError(f"step = {step}, duration = {duration}: "
@@ -404,16 +405,6 @@ def integrate_quantum_leg(params, start, step, duration):
         raise NumericalError(
             f"quantum trajectory left the trust region at tau = {tau[-1]:.4f}",
             payload=quantum)
-    return quantum
-
-
-def integrate_quantum_trajectory(params, start, step, duration):
-    """Integrate dxi/dtau = w(xi) (``integrate_quantum_leg``) and tabulate
-    the classical Toda companion from the same start on the same step grid,
-    in closed form (``classical.toda_orbit``); returns (quantum, classical)."""
-    from .classical import _step_count, toda_orbit
-    quantum = integrate_quantum_leg(params, start, step, duration)
     model = SeparableHamiltonian(HamiltonianKind.TODA, params.a)
-    taus = step * np.arange(_step_count(duration, step) + 1)
-    return quantum, toda_orbit(model, energy(model, start.x, start.k), taus,
+    return quantum, toda_orbit(model, energy(model, start.x, start.k), tau,
                                start)

@@ -52,18 +52,12 @@ def column_table(columns):
 
 
 def as_table(obj):
-    """The Table of a Table, of an object with a ``table()`` method (a grid
-    or a trajectory), or of a list of objects with a ``row()`` method, a
-    dict of one row's cells (stagnation points)."""
+    """The Table of a Table or of an object with a ``table()`` method (a
+    grid or a trajectory)."""
     if isinstance(obj, Table):
         return obj
     if callable(getattr(obj, "table", None)):
         return obj.table()
-    if (isinstance(obj, (list, tuple))
-            and all(callable(getattr(s, "row", None)) for s in obj)):
-        rows = [s.row() for s in obj]
-        return column_table({n: [r[n] for r in rows] for n in rows[0]}
-                            if rows else {})
     raise UsageError(f"cannot serialize object of type {type(obj).__name__}")
 
 

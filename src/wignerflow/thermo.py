@@ -89,7 +89,7 @@ class ThermalEnsembleParams:
             raise DomainError("a must be positive and finite")
         if order not in ("classical", "h2"):
             raise UsageError("order must be 'classical' or 'h2'")
-        if order == "h2" and z_st_closed(beta, a) <= 0.0:
+        if order == "h2" and not z_st_closed(beta, a) > 0.0:
             raise ValidityError(
                 f"Z_ST <= 0 at beta = {beta}: the quadratic-order ensemble "
                 f"is valid only for beta < beta*(a={a}) = "
@@ -98,11 +98,15 @@ class ThermalEnsembleParams:
 
 
 def w0(params, x, k):
-    """Classical Maxwell-Boltzmann weight exp(-beta H_T) / Z0; normalized."""
+    """Classical Maxwell-Boltzmann weight exp(-beta H_T) / Z0; normalized.
+    Where Z0 has underflowed to 0 the weight is undefined: ValidityError."""
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
-    return np.exp(-b * (a * np.cosh(x) + np.cosh(k))) / z0_closed(b, a)
+    z0 = z0_closed(b, a)
+    if not z0 > 0.0:
+        raise ValidityError(f"Z0 underflows to {z0!r} at beta = {b}, a = {a}")
+    return np.exp(-b * (a * np.cosh(x) + np.cosh(k))) / z0
 
 
 def epsilon_correction(params, x, k):

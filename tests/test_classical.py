@@ -641,9 +641,10 @@ class TestCrossingScan:
                  OrbitSpec.from_energy(TODA, 4.0, step=1e-3, duration=3.0)]
         trajs = [integrate_orbit(spec) for spec in specs]
         from wignerflow.gaussian import (GaussianEnsembleParams,
-                                         integrate_quantum_leg)
-        trajs.append(integrate_quantum_leg(GaussianEnsembleParams(1.0, 1.0),
-                                           PhasePoint(0.6, 0.0), 2e-3, 20.0))
+                                         integrate_quantum_trajectory)
+        trajs.append(integrate_quantum_trajectory(
+            GaussianEnsembleParams(1.0, 1.0), PhasePoint(0.6, 0.0), 2e-3,
+            20.0)[0])
         # exact zeros on samples, and a step onto zero from below
         x = np.array([-1.0, 0.0, 1.0, 0.0, -1.0, -0.5, 0.0, 0.5, 1.0, 0.0])
         k = np.array([1.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, -1.0, 1.0])

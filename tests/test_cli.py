@@ -299,6 +299,17 @@ class TestThermo:
                 else text.strip().split("\n")[1:])
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("bound", ["inf", "nan"])
+    def test_non_finite_beta_max_names_the_flags(self, tmp_path, bound):
+        res = run_cli(["thermo", "--beta-max", bound, "--out", "t.csv"],
+                      tmp_path)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "Warning" not in res.stderr
+        assert "need 0 < --beta-min < --beta-max < inf" in res.stderr
+        assert "row beta" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDegenerateCounts:
     @pytest.mark.parametrize("args", [
@@ -351,6 +362,49 @@ class TestField:
             assert res.returncode == 0
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestThermalFieldValidity:
+    """A thermal grid whose normalisation is not positive is refused: Z0
+    underflows to 0 from beta = 370.5 at a = 1, and at beta = 1 for
+    a = 1e8; Z_ST is NaN at beta = 1e300.  No file, no all-nan rows."""
+
+    @pytest.mark.parametrize("args, says", [
+        (["classical", "--beta", "800", "--quantity", "w0"], "Z0 underflows"),
+        (["classical", "--beta", "800", "--quantity", "jx"], "Z0 underflows"),
+        (["classical", "--a", "1e8", "--quantity", "j"], "Z0 underflows"),
+        (["classical", "--a", "1e8", "--quantity", "jk"], "Z0 underflows"),
+        (["h2", "--beta", "1e300", "--quantity", "w_st2"],
+         "Z_ST <= 0 at beta = 1e+300"),
+    ])
+    def test_exits_3_writing_nothing(self, tmp_path, args, says):
+        res = run_cli(["field", "--ensemble", "thermal", "--order", *args,
+                       "--grid", "5", "--out", "f.csv"], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "Warning" not in res.stderr
+        assert says in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_divw_needs_no_partition_function(self, tmp_path):
+        res = run_cli(["field", "--ensemble", "thermal", "--order",
+                       "classical", "--beta", "800", "--quantity", "divw",
+                       "--grid", "5", "--out", "f.csv"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert "nan" not in (tmp_path / "f.csv").read_text()
+
+
+class TestNonFiniteBounds:
+    @pytest.mark.parametrize("bbox", [["-1", "inf", "-1", "1"],
+                                      ["-1", "1", "-1", "inf"],
+                                      ["-1", "1", "nan", "1"]])
+    def test_field_bbox_is_usage_error(self, tmp_path, bbox):
+        res = run_cli(["field", "--bbox", *bbox, "--grid", "3",
+                       "--out", "f.csv"], tmp_path)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "grid ranges must satisfy -inf < lo < hi < inf" in res.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStagnation:

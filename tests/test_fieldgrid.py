@@ -11,7 +11,7 @@ from wignerflow import cli, csvfloats, fieldgrid, gaussian, tables, thermo
 from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   toda_closed_period, toda_species_series)
 from wignerflow.errors import DomainError, UsageError, ValidityError
-from wignerflow.fieldgrid import (QUANTITIES, FieldGrid, GridSpec, export_table,
+from wignerflow.fieldgrid import (FieldGrid, GridSpec, export_table,
                                   sample_field, zero_contours)
 from wignerflow.gaussian import (GaussianEnsembleParams, find_stagnation_points,
                                  integrate_quantum_trajectory)
@@ -21,6 +21,12 @@ from wignerflow.thermo import ThermalEnsembleParams
 import oracles
 
 A1 = GaussianEnsembleParams(1.0)
+
+
+def stagnation_table(points):
+    """The column table of the points' ``row()`` dicts."""
+    rows = [p.row() for p in points]
+    return fieldgrid.column_table({n: [r[n] for r in rows] for n in rows[0]})
 
 
 def sample_row_by_row(params, quantity, spec):
@@ -76,10 +82,10 @@ class TestSampling:
                                         (-8, 8, -8, 8, 41, 41),
                                         (6.5, 8, 6.5, 8, 5, 5)])
     def test_broadcast_equals_row_by_row(self, params, window):
-        family = ("gaussian" if isinstance(params, GaussianEnsembleParams)
-                  else "thermal")
+        family = (gaussian if isinstance(params, GaussianEnsembleParams)
+                  else thermo)
         spec = GridSpec(*window)
-        for quantity in QUANTITIES[family]:
+        for quantity in sorted(family.GRID_QUANTITIES):
             if quantity == "w_st2" and params.order != "h2":
                 continue
             grid = sample_field(params, quantity, spec)
@@ -133,6 +139,13 @@ class TestSampling:
         with pytest.raises(UsageError):
             GridSpec(-1, 1, -1, 1, 1, 5)
 
+    @pytest.mark.parametrize("bounds", [
+        (-1.0, math.inf, -1.0, 1.0), (-math.inf, 1.0, -1.0, 1.0),
+        (-1.0, 1.0, -math.inf, math.inf), (math.nan, 1.0, -1.0, 1.0)])
+    def test_non_finite_bound_rejected(self, bounds):
+        with pytest.raises(UsageError, match="-inf < lo < hi < inf"):
+            GridSpec(*bounds, 3, 3)
+
 
 class TestScalarCallsMatchGrid:
     """Each quantity's function called with floats at one node agrees with
@@ -141,7 +154,8 @@ class TestScalarCallsMatchGrid:
 
     @pytest.mark.parametrize("family, quantity", [
         (family, quantity) for family in ("gaussian", "thermal")
-        for quantity in QUANTITIES[family]])
+        for quantity in sorted({"gaussian": gaussian,
+                                "thermal": thermo}[family].GRID_QUANTITIES)])
     @settings(max_examples=40, deadline=None, database=None)
     @given(data=st.data())
     def test_node_value(self, family, quantity, data):
@@ -255,7 +269,7 @@ class TestExport:
         pts = find_stagnation_points(GaussianEnsembleParams(2.0 ** 0.5),
                                      (-3.0, 3.0, -3.0, 3.0))
         path = tmp_path / "stag.json"
-        export_table(pts, "json", path)
+        export_table(stagnation_table(pts), "json", path)
         records = json.loads(path.read_text())
         assert len(records) == len(pts)
         assert set(records[0]) == {"x", "k", "residual", "circulation", "class"}
@@ -403,15 +417,24 @@ class TestExportReference:
     def test_stagnation_list(self, tmp_path, fmt):
         pts = find_stagnation_points(GaussianEnsembleParams(2.0 ** 0.5),
                                      (-3.0, 3.0, -3.0, 3.0))
-        assert_same_files(pts, oracles.as_records(pts), tmp_path, fmt)
+        assert_same_files(stagnation_table(pts), oracles.as_records(pts),
+                          tmp_path, fmt)
 
     def test_empty_list(self, tmp_path, fmt):
+        empty = fieldgrid.column_table({})
         if fmt == "csv":
             with pytest.raises(UsageError):
-                export_table([], fmt, tmp_path / "table.csv")
+                export_table(empty, fmt, tmp_path / "table.csv")
             assert not (tmp_path / "table.csv").exists()
         else:
-            assert assert_same_files([], [], tmp_path, fmt) == b"[]\n"
+            assert assert_same_files(empty, [], tmp_path, fmt) == b"[]\n"
+
+    def test_point_list_is_refused(self, tmp_path, fmt):
+        # a list is no table: the caller builds one from the rows
+        pts = find_stagnation_points(A1, (-3.0, 3.0, -3.0, 3.0))
+        with pytest.raises(UsageError, match="cannot serialize"):
+            export_table(pts, fmt, tmp_path / f"table.{fmt}")
+        assert not (tmp_path / f"table.{fmt}").exists()
 
     def test_column_types(self, tmp_path, fmt):
         # floats whose repr is shorter than 17 digits, non-finite values,

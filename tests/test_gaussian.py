@@ -9,7 +9,6 @@ from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.gaussian import (GaussianEnsembleParams, circulation_number,
                                  currents_closed, div_currents_closed,
                                  find_stagnation_points, gaussian_w,
-                                 integrate_quantum_leg,
                                  integrate_quantum_trajectory,
                                  liouville_div_w, purity, series_currents,
                                  stationarity_div_j, velocity_w, vorticity)
@@ -405,6 +404,21 @@ class TestQuantumTrajectory:
         assert gap_q < 1e-3 and gap_c < 1e-3
         assert abs(t_q - t_c) > 1e-3  # the flows run at different speeds
 
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_legs_share_one_time_array(self, a):
+        # a README member: ten classical periods from (0.6, 0) at dt 2e-3;
+        # the classical leg is tabulated at the quantum leg's own times,
+        # which are the round(duration / step) + 1 grid once it completes
+        start = PhasePoint(0.6, 0.0)
+        period, _ = measured_orbit(
+            SeparableHamiltonian(HamiltonianKind.TODA, a), start, 2e-3, 10.0)
+        span = 10.0 * period
+        q, c = integrate_quantum_trajectory(GaussianEnsembleParams(1.0, a),
+                                            start, 2e-3, span)
+        assert np.array_equal(q.tau, c.tau)
+        assert np.array_equal(
+            c.tau, 2e-3 * np.arange(int(round(span / 2e-3)) + 1))
+
     def test_leaving_trust_region_fails_with_partial(self):
         with pytest.raises(NumericalError) as err:
             integrate_quantum_trajectory(A1, PhasePoint(5.9, 0.0), 1e-2, 30.0)
@@ -434,7 +448,8 @@ class TestQuantumTrajectory:
         params = GaussianEnsembleParams(alpha, 1.0)
         with pytest.raises(NumericalError, match="left the trust region") \
                 as err:
-            integrate_quantum_leg(params, PhasePoint(*start), 1e-2, 50.0)
+            integrate_quantum_trajectory(params, PhasePoint(*start), 1e-2,
+                                         50.0)[0]
         partial = err.value.payload
         assert len(partial) >= 2
         assert (abs(partial.x[-1]) > params.trust_limit()
@@ -464,7 +479,7 @@ class TestKernelTableTrajectories:
                 SeparableHamiltonian(HamiltonianKind.TODA, a), start, 2e-3,
                 10.0)
             tau_max = 10.0 * period
-        table = integrate_quantum_leg(params, start, 2e-3, tau_max)
+        table = integrate_quantum_trajectory(params, start, 2e-3, tau_max)[0]
         # the same RK4 on the velocity field with the Weideman kernel
         kernel = functools.partial(scaled_kernel_weideman, alpha)
         c = math.sqrt(math.pi) / alpha
@@ -475,7 +490,7 @@ class TestKernelTableTrajectories:
 
         monkeypatch.setattr(gaussian, "_velocity_rhs",
                             lambda p: weideman_rhs)
-        oracle = integrate_quantum_leg(params, start, 2e-3, tau_max)
+        oracle = integrate_quantum_trajectory(params, start, 2e-3, tau_max)[0]
         assert len(table) == len(oracle)
         assert np.max(np.abs(table.x - oracle.x)) <= 1e-12
         assert np.max(np.abs(table.k - oracle.k)) <= 1e-12
@@ -485,6 +500,7 @@ class TestKernelTableTrajectories:
 
     def test_equilibrium_exactly_fixed(self):
         for alpha in (1e-3, 1.0, 2.7):
-            q = integrate_quantum_leg(GaussianEnsembleParams(alpha, 4.0),
-                                      PhasePoint(0.0, 0.0), 1e-2, 1.0)
+            q = integrate_quantum_trajectory(
+                GaussianEnsembleParams(alpha, 4.0), PhasePoint(0.0, 0.0),
+                1e-2, 1.0)[0]
             assert not q.x.any() and not q.k.any()

@@ -75,11 +75,8 @@ def test_help_texts_match_the_modules():
     helps = {(name, a.dest): a.help for name in ("field", "analytic")
              for a in sub[name]._actions}
     assert helps["field", "quantity"] == "gaussian: %s; thermal: %s" % (
-        "|".join(fieldgrid.QUANTITIES["gaussian"]),
-        "|".join(fieldgrid.QUANTITIES["thermal"]))
-    assert fieldgrid.QUANTITIES == {
-        "gaussian": tuple(sorted(gaussian.GRID_QUANTITIES)),
-        "thermal": tuple(sorted(thermo.GRID_QUANTITIES))}
+        "|".join(sorted(gaussian.GRID_QUANTITIES)),
+        "|".join(sorted(thermo.GRID_QUANTITIES)))
     assert (f"2 < eps <= {classical.ISOTROPIC_EPS_MAX:g},"
             in helps["analytic", "eps"])
 
