@@ -27,7 +27,8 @@ _EXPORTS = {
                  "stationarity_div_j", "velocity_w", "vorticity"),
     "model": ("HamiltonianKind", "PhasePoint", "SeparableHamiltonian",
               "energy"),
-    "specfun": ("QuadratureSpec", "bessel_k", "elliptic_k_complete",
+    "scalar": ("bessel_k",),
+    "specfun": ("QuadratureSpec", "elliptic_k_complete",
                 "elliptic_k_linear_sin", "faddeeva_w", "hermite_odd",
                 "im_erf_offset", "im_erf_offset_scaled", "integrate_1d",
                 "jacobi_sn_cn"),

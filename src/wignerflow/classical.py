@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
-from .specfun import (QuadratureSpec, _landen_phase, bisect,
-                      elliptic_k_complete, elliptic_k_linear_sin,
-                      integrate_1d, jacobi_sn_cn)
+from .specfun import (QuadratureSpec, _landen_phase, elliptic_k_complete,
+                      elliptic_k_linear_sin, integrate_1d, jacobi_sn_cn)
 from .tables import column_table
 
 __all__ = [
@@ -200,6 +199,8 @@ def _audited(traj):
 
 def _hermite_crossing(t0, t1, x0, x1, d0, d1):
     """Zero of the cubic Hermite interpolant of x on [t0, t1] (x0, x1 straddle 0)."""
+    # imported here, so that orbit and analytic never compile the Bessel code
+    from .scalar import bisect
     h = t1 - t0
 
     def before(s):

@@ -15,17 +15,22 @@ no effect, since each grid is one vectorized evaluation.
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 domain or
 validity error.
 
-At module level only the standard library, numpy, ``errors`` and the table
+At module level only the standard library, ``errors`` and the table
 writer are imported; each subcommand imports the modules it runs, so a
-process loads and compiles no code that its subcommand does not run.
+process loads and compiles no code that its subcommand does not run, and a
+``thermo`` process whose table has at most 512 rows loads no numpy.
 
 Importing this module ends with ``gc.freeze()``: every object alive at that
-moment (numpy, the standard library, this module and the writer) moves to
-the permanent generation, which no collection traverses or frees.  A CLI
+moment (the standard library, this module and the writer, and numpy where
+the importer loaded it first) moves to the permanent generation, which no
+collection traverses or frees.  ``main()`` without arguments, the entry of
+a CLI process, freezes once more when its subcommand has returned, so that
+the modules the subcommand loaded, numpy among them, join them.  The
 process then exits without the interpreter's final collections over, and
-one-by-one frees of, those start-up objects; the operating system reclaims
-them.  Objects made later, by the subcommand or by a caller, are collected
-as before.  ``import wignerflow`` and the library modules freeze nothing.
+one-by-one frees of, those objects; the operating system reclaims them.
+Objects that a caller of ``main(argv)`` makes, before or after, are
+collected as before.  ``import wignerflow`` and the library modules freeze
+nothing.
 """
 
 import argparse
@@ -35,8 +40,6 @@ import math
 import os
 import re
 import sys
-
-import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError, ValidityError
 from .tables import column_table, export_table
@@ -121,6 +124,8 @@ def _require_tau_max(tau_max):
 
 
 def cmd_analytic(args):
+    import numpy as np
+
     from . import classical
     _require_tau_max(args.tau_max)
     _require_rows(args.samples)
@@ -151,6 +156,7 @@ _THERMO_COLUMNS = ("a", "beta", "z", "energy", "heat_capacity", "valid")
 
 
 def cmd_thermo(args):
+    from .scalar import linspace
     from .thermo import ThermalEnsembleParams, beta_star, observables
     order = args.order
 
@@ -185,8 +191,8 @@ def cmd_thermo(args):
     if not 0.0 < args.beta_min < args.beta_max < math.inf:
         raise DomainError("need 0 < --beta-min < --beta-max < inf")
     _require_rows(args.steps * len(a_values))
-    betas = np.linspace(args.beta_min, args.beta_max, args.steps)
-    rows = [thermo_row(a, float(beta)) for a in a_values for beta in betas]
+    betas = linspace(args.beta_min, args.beta_max, args.steps)
+    rows = [thermo_row(a, beta) for a in a_values for beta in betas]
     stars = [star_or_none(a) for a in a_values]
     if not any(row[-1] for row in rows):  # h2 only, so no beta* is None
         raise DomainError(
@@ -230,6 +236,8 @@ def cmd_field(args):
 
 
 def cmd_stagnation(args):
+    import numpy as np
+
     from .gaussian import GaussianEnsembleParams, find_stagnation_points
     bbox = tuple(args.bbox)
     reach = max(abs(v) for v in bbox)
@@ -276,6 +284,8 @@ def cmd_stagnation(args):
 
 
 def cmd_trajectory(args):
+    import numpy as np
+
     from . import classical, gaussian
     from .model import (HamiltonianKind, PhasePoint, SeparableHamiltonian,
                         energy)
@@ -320,13 +330,16 @@ def cmd_trajectory(args):
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a negative number in exponent notation
-    (``--dt -1e-3``) as a value; argparse alone takes it for an option name
-    and only passes ``-1`` and ``-0.5``.  Subparsers inherit the class."""
+    (``--dt -1e-3``) and ``-inf``, ``-infinity`` and ``-nan`` in any case,
+    as float() reads them, as values; argparse alone takes those for option
+    names and only passes ``-1`` and ``-0.5``.  Subparsers inherit the
+    class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$",
+            re.IGNORECASE)
 
 
 def _positive_int(text):
@@ -475,7 +488,18 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run one subcommand and return its exit code.  Called without argv,
+    as the ``wignerflow`` script and ``python -m wignerflow.cli`` call it,
+    it reads sys.argv and freezes the heap once more when the subcommand
+    has returned (see the module docstring); main(argv) freezes nothing."""
+    if argv is not None:
+        return _run(list(argv))
+    code = _run(sys.argv[1:])
+    gc.freeze()
+    return code
+
+
+def _run(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,14 +20,14 @@ range is written by format() itself.  A cell's text fills a slot of
     47           the separator
 
 The table writer imports this module for its first CSV table of more
-than 512 rows, so a process that writes no such table never compiles it.
+than 512 rows, so a process that writes no such table never compiles it;
+``csv_cells`` and ``csv_rows`` write such a table's blocks.
 """
 
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
-
-from .tables import _PAD, _formatted_slots
 
 SLOT = 48
 _E_RANGE = (-281, 281)  # floor(log10 |x|) for 1e-280 <= |x| <= 1e280
@@ -164,3 +164,76 @@ def float_slots(values):
     if rest.size:
         slots[rest] = _formatted_slots(values[rest], SLOT)
     return slots
+
+
+# ---------------------------------------------------------------------------
+# CSV blocks: each cell's text in a fixed-width slot of bytes, _PAD after it
+# and a separator in its last byte; the slots of a block stand side by side
+# and _PAD is dropped when the block is joined.  0xFF is no byte of UTF-8
+# text, so string cells keep every byte.
+# ---------------------------------------------------------------------------
+
+_PAD = 0xFF
+
+
+def _formatted_slots(values, width=None):
+    """Float slots written by format() itself, one cell at a time."""
+    return _text_slots(np.array(
+        list(map(format, values.tolist(), repeat(".17g")))), width)
+
+
+def _text_slots(text, width=None):
+    """(len(text), width) uint8 of a 1-D str array: each cell's UTF-8
+    bytes, _PAD after them and a comma in the last byte; width defaults to
+    the longest cell plus one."""
+    text = np.ascontiguousarray(text)
+    codes = text.view(np.uint32).reshape(len(text), -1)
+    if codes.max(initial=0) < 128:  # ASCII: one byte per code point
+        data, lengths = codes, np.char.str_len(text)
+    else:
+        encoded = [c.encode() for c in text.tolist()]
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        data = np.array(encoded, dtype=bytes)
+        data = data.view(np.uint8).reshape(len(text), -1)
+    slots = np.full((len(text), width or data.shape[1] + 1), _PAD, np.uint8)
+    slots[:, :data.shape[1]] = np.where(
+        np.arange(data.shape[1]) < lengths[:, None], data, _PAD)
+    slots[:, -1] = ord(",")
+    return slots
+
+
+def _str_slots(col):
+    """Slots of an integer, bool or str column, each cell as str() writes
+    it (a bool as 0 or 1)."""
+    if col.dtype.kind == "b":
+        slots = np.full((len(col), 2), ord(","), np.uint8)
+        slots[:, 0] = col.view(np.uint8) + 48
+        return slots
+    return _text_slots(col.astype(str, copy=False))
+
+
+def csv_cells(cols):
+    """One block's numpy columns as slot arrays that join side by side into
+    its rows; all its float cells are written by one float_slots call, and
+    a block of float columns only is one array."""
+    is_float = [c.dtype.kind == "f" for c in cols]
+    if not any(is_float):
+        return [_str_slots(c) for c in cols]
+    floats = np.stack([c for c, f in zip(cols, is_float) if f], 1,
+                      dtype=float).reshape(-1)
+    slots = float_slots(floats)
+    width = slots.shape[1]
+    slots = slots.reshape(len(cols[0]), -1)
+    if all(is_float):
+        return [slots]
+    per_column = iter(slots.reshape(len(cols[0]), -1, width)
+                      .transpose(1, 0, 2))
+    return [next(per_column) if f else _str_slots(c)
+            for c, f in zip(cols, is_float)]
+
+
+def csv_rows(parts):
+    """One block's slot arrays joined into its CSV rows, UTF-8 bytes."""
+    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\xff")

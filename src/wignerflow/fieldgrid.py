@@ -157,9 +157,12 @@ def sample_field(params, quantity, spec, threads=None):
     lim = params.trust_limit()
     in_x = np.abs(xs) <= lim
     in_k = np.abs(ks) <= lim
+    # the region is masked here and overflow flagged below, so the form
+    # runs without its own checks
+    unchecked = (entry[0].__wrapped__,) + entry[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         values[np.ix_(in_k, in_x)] = _evaluate(
-            entry, params, xs[in_x][None, :], ks[in_k][:, None])
+            unchecked, params, xs[in_x][None, :], ks[in_k][:, None])
     valid = in_k[:, None] & in_x[None, :]
     # sinh and cosh overflow past |chi| = 710, which the trust region reaches
     # for alpha below about 0.0085: such nodes are flagged out too

@@ -23,14 +23,15 @@ into the kernel, so no large-times-small product is formed; the RK4 reads
 the kernel inline from the piecewise table of ``scaled_kernel_table``.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
-from .specfun import (bisect, hermite_odd, im_erf_offset,
-                      im_erf_offset_scaled, scaled_kernel_table)
+from .specfun import (hermite_odd, im_erf_offset, im_erf_offset_scaled,
+                      scaled_kernel_table)
 
 __all__ = [
     "GaussianEnsembleParams",
@@ -163,13 +164,35 @@ def _velocity_rhs(params):
     return rhs
 
 
+def _trusted(form):
+    """A velocity-family closed form with DomainError where (x, k) leaves
+    the trust region or where the value overflows inside it: sinh and cosh
+    leave the float range past |chi| = 710, which the region reaches for
+    alpha below about 0.0085.  sample_field runs the unchecked form,
+    ``__wrapped__``: it masks the region itself and flags overflowing nodes
+    valid = 0."""
+
+    @functools.wraps(form)
+    def checked(params, x, k):
+        x, k = _check_trust(params, x, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = form(params, x, k)
+        if not np.isfinite(value).all():
+            raise DomainError(
+                f"{form.__name__} overflows inside the trust region at "
+                f"alpha = {params.alpha}, a = {params.a}")
+        return value
+
+    return checked
+
+
+@_trusted
 def velocity_w(params, x, k):
     """Quantum velocity w = J / G in the analytically cancelled form.
 
     w_x depends on x only through the scaled kernel and on k through sinh;
     the classical equilibrium at the origin survives: w(0, 0) = (0, 0).
     """
-    x, k = _check_trust(params, x, k)
     al, a = params.alpha, params.a
     c = SQRT_PI / al
     wx = c * im_erf_offset_scaled(al, x) * np.sinh(k)
@@ -177,13 +200,13 @@ def velocity_w(params, x, k):
     return wx, wk
 
 
+@_trusted
 def liouville_div_w(params, x, k):
     """div w, the quantumness (non-Liouville) quantifier, in closed form.
 
     Zero at the origin, nonzero generically; equals
     (W div J - J . grad W) / W^2 with the Gaussian cancelled analytically.
     """
-    x, k = _check_trust(params, x, k)
     al, a = params.alpha, params.a
     al2 = al * al
     e4 = math.exp(al2 / 4.0)
@@ -195,6 +218,7 @@ def liouville_div_w(params, x, k):
             + 2.0 * a * e4 * np.sin(al2 * k) * np.sinh(x))
 
 
+@_trusted
 def vorticity(params, x, k):
     """z-component of the curl of the velocity field, dw_k/dx - dw_x/dk.
 
@@ -204,7 +228,6 @@ def vorticity(params, x, k):
     the curl is -(sqrt(pi)/alpha) (a S(k) cosh x + S(x) cosh k) with S the
     scaled kernel e^{(alpha chi)^2} F(chi).
     """
-    x, k = _check_trust(params, x, k)
     al, a = params.alpha, params.a
     c = SQRT_PI / al
     return -c * (a * im_erf_offset_scaled(al, k) * np.cosh(x)
@@ -213,7 +236,7 @@ def vorticity(params, x, k):
 
 # the grid table of fieldgrid.sample_field: quantity -> (closed form,
 # component as fieldgrid._evaluate reads it, needs trust mask); the velocity
-# family is masked to the trust region
+# family is masked to the trust region, where its unchecked form runs
 GRID_QUANTITIES = {
     "g": (gaussian_w, None, False),
     "jx": (currents_closed, 0, False),
@@ -302,6 +325,8 @@ def _kernel_zeros(params, upper):
     n pi/alpha^2.  Each node interval, cut at upper, thus holds a zero
     exactly where the scaled kernel differs in sign at its ends, and one
     bisection of that interval finds it."""
+    # imported here, so that a grid never compiles the Bessel code
+    from .scalar import bisect
     al = params.alpha
     # where alpha^2 underflows, the first extremum of F is beyond any float
     step = math.pi / (al * al) if al * al > 0.0 else math.inf

@@ -8,13 +8,13 @@ import math
 import numpy as np
 
 from . import classical, gaussian, thermo
-from .csvfloats import float_slots
+from .csvfloats import csv_rows, float_slots
 from .gaussian import GaussianEnsembleParams
 from .model import HamiltonianKind, SeparableHamiltonian
-from .specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
-                      hermite_odd, im_erf_offset, im_erf_offset_scaled,
-                      integrate_1d, jacobi_sn_cn, scaled_kernel_table)
-from .tables import _csv_rows
+from .scalar import bessel_k
+from .specfun import (QuadratureSpec, elliptic_k_complete, hermite_odd,
+                      im_erf_offset, im_erf_offset_scaled, integrate_1d,
+                      jacobi_sn_cn, scaled_kernel_table)
 from .thermo import ThermalEnsembleParams
 
 
@@ -95,7 +95,7 @@ def run():
         + [math.nextafter(t, d) for t in tens for d in (0.0, math.inf)]
         + [5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf])
     checks["csv_cells_vs_format"] = (
-        _csv_rows([float_slots(values)])
+        csv_rows([float_slots(values)])
         == "".join(f"{x:.17g}\n" for x in values.tolist()).encode())
 
     g1 = GaussianEnsembleParams(1.0)

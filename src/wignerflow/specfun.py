@@ -1,13 +1,14 @@
 """Self-contained special-function kernel and adaptive quadrature engine.
 
-Everything downstream (partition functions, closed-form currents, elliptic
-parameterizations) is built on the functions here.  The Bessel functions K0
-and K1 come from Temme's series and Steed's continued fraction, with no
-quadrature; the elliptic integrals and Jacobi functions share one
-arithmetic-geometric mean; the scaled offset kernel has a piecewise
-polynomial table for scalar use.  The quadrature engine evaluates the
-time-of-flight periods and doubles as the test suite's independent oracle.
-All evaluations are pure: identical inputs give bit-identical outputs.
+Everything downstream (closed-form currents, elliptic parameterizations)
+is built on the functions here and in ``scalar``, which holds the Bessel
+functions K0, K1 and the bisection on ``math`` alone; both names still
+resolve here, on first access.  The elliptic integrals and Jacobi
+functions share one arithmetic-geometric mean; the scaled offset kernel
+has a piecewise polynomial table for scalar use.  The quadrature engine
+evaluates the time-of-flight periods and doubles as the test suite's
+independent oracle.  All evaluations are pure: identical inputs give
+bit-identical outputs.
 """
 
 import heapq
@@ -21,8 +22,6 @@ from .errors import DomainError, NumericalError, UsageError
 __all__ = [
     "QuadratureSpec",
     "integrate_1d",
-    "bisect",
-    "bessel_k",
     "elliptic_k_complete",
     "elliptic_k_linear_sin",
     "jacobi_sn_cn",
@@ -32,6 +31,15 @@ __all__ = [
     "im_erf_offset_scaled",
     "scaled_kernel_table",
 ]
+
+
+def __getattr__(name):
+    # bessel_k and bisect moved to the numpy-free scalar module; importing
+    # this module does not load it
+    if name in ("bessel_k", "bisect"):
+        from . import scalar
+        return getattr(scalar, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,102 +186,6 @@ def integrate_1d(f, lo, hi, spec=None):
         value, _ = _integrate_finite(_decay_transform(f, lo, 1.0), 0.0, 1.0, spec)
         return value
     value, _ = _integrate_finite(_decay_transform(f, hi, -1.0), 0.0, 1.0, spec)
-    return value
-
-
-def bisect(below, lo, hi):
-    """Shrink a bracket with below(lo) true and below(hi) false to adjacent
-    floats: the midpoint replaces lo where below holds and hi elsewhere,
-    until it equals one of the ends.  Returns (lo, hi)."""
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# modified Bessel K_0, K_1
-# ---------------------------------------------------------------------------
-
-_EULER_GAMMA = 0.5772156649015329
-_LN2 = math.log(2.0)
-
-
-@lru_cache(maxsize=4)
-def _bessel_k01(x):
-    """(K0(x), K1(x)) for x > 0: the ``bessik`` scheme of Numerical Recipes
-    (after N. M. Temme, J. Comput. Phys. 19, 324 (1975)) at order nu = 0.
-
-    Callers ask for both orders at the same two arguments in a row (Z_ST
-    needs K0 and K1 at beta and at a beta), so the last results are kept."""
-    if x < 2.0:
-        # Temme's series; ln(x/2) is taken as ln x - ln 2 because x/2
-        # underflows to 0 for the smallest subnormal x
-        ff = -_EULER_GAMMA - (math.log(x) - _LN2)
-        p = 0.5  # p = q = 1/2 at nu = 0, and both shrink by 1/i per term
-        c = 1.0
-        d = 0.25 * x * x
-        k0, k1 = ff, p
-        i = 1
-        while True:
-            ff = (i * ff + 2.0 * p) / (i * i)
-            c *= d / i
-            p /= i
-            term = c * ff
-            k0 += term
-            k1 += c * (p - i * ff)
-            if abs(term) < 1e-16 * abs(k0):
-                return k0, 2.0 * k1 / x
-            i += 1
-    # Steed's continued fraction CF2 with the series for the normalisation s
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1, q2 = 0.0, 1.0
-    q = c = 0.25
-    a = -0.25
-    s = 1.0 + q * delh
-    i = 2
-    while True:
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        q1, q2 = q2, (q1 - b * q2) / a
-        q += c * q2
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels) < 1e-16 * abs(s):
-            break
-        i += 1
-    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
-    return k0, k0 * (x + 0.5 - 0.25 * h) / x
-
-
-def bessel_k(order, arg):
-    """Modified Bessel function of the second kind, order 0 or 1.
-
-    Temme's series below x = 2 and Steed's continued fraction CF2 from there
-    on, which give both orders at once; relative error about 1e-15 against
-    30-digit mpmath on [1e-4, 60].  A value beyond the float range (K1 of an
-    argument below about 5.6e-309) raises DomainError; K0 and K1 underflow
-    to 0 beyond x of about 745.
-    """
-    if order not in (0, 1):
-        raise UsageError("bessel_k supports orders 0 and 1 only")
-    if not (isinstance(arg, (int, float)) and math.isfinite(arg)):
-        raise DomainError("bessel_k argument must be a finite real")
-    if arg <= 0.0:
-        raise DomainError("bessel_k requires a positive argument")
-    value = _bessel_k01(float(arg))[order]
-    if not math.isfinite(value):
-        raise DomainError(f"K{order}({arg!r}) exceeds the float range")
     return value
 
 

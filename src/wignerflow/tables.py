@@ -3,15 +3,16 @@
 A Table is named columns written one block of rows at a time, so an export
 never holds the whole file in memory.  CSV floats carry 17 significant
 digits and JSON floats their shortest repr; both round-trip doubles
-exactly.  This module imports no physics module: every subcommand writes
-through it, and a grid or trajectory serializes itself by its ``table()``
-method.
+exactly.  Cells are written as text, by ``format`` and ``repr`` one at a
+time, except in a CSV table of more than ``_BLOCK_ROWS`` rows, whose blocks
+the slot kernel of ``csvfloats`` writes.  This module imports neither
+numpy nor a physics module: a column table of at most ``_BLOCK_ROWS`` rows
+of plain lists, as ``thermo`` writes, is written without numpy, and a grid
+or trajectory serializes itself by its ``table()`` method.
 """
 
 import json
-from itertools import repeat
-
-import numpy as np
+import math
 
 from .errors import UsageError
 
@@ -19,14 +20,16 @@ __all__ = ["Table", "column_table", "as_table", "export_table"]
 
 _BLOCK_ROWS = 512
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 class Table:
     """Named columns, written one block of rows at a time (at most
     ``_BLOCK_ROWS`` rows in a column table): ``blocks(cells)`` yields per
     block a list of cell sequences that stand side by side in column order,
-    as ``cells`` returns them for a list of the block's equally long 1-D
-    numpy columns (float, integer, bool or str)."""
+    as ``cells`` returns them for a list of the block's equally long
+    columns, each a 1-D numpy array (float, integer, bool or str) or a list
+    of Python values of one of those types."""
 
     def __init__(self, names, rows, blocks):
         self.names, self.rows, self.blocks = tuple(names), rows, blocks
@@ -35,14 +38,38 @@ class Table:
         return self.rows
 
 
+def _plain(col, rows):
+    """A list or tuple of rows values as a list of one Python type,
+    promoted as numpy promotes Python scalars (bool, then int, then float);
+    None where numpy decides instead (another column, another type, or an
+    integer beyond int64)."""
+    if not isinstance(col, (list, tuple)) or len(col) != rows:
+        return None
+    types = set(map(type, col))
+    if types <= {bool} or types == {str}:
+        return list(col)
+    if not types <= {bool, int, float} or int in types and not all(
+            v in _INT64 for v in col if type(v) is int):
+        return None
+    return list(map(float if float in types else int, col))
+
+
 def column_table(columns):
-    """Table of a dict of equally long 1-D columns; each column's numpy
-    dtype decides how its cells are written."""
-    cols = [np.asarray(c) for c in columns.values()]
+    """Table of a dict of equally long 1-D columns.  Each column's type, as
+    numpy would infer it, decides how its cells are written; a table of at
+    most ``_BLOCK_ROWS`` rows of lists or tuples keeps them as lists."""
+    cols = list(columns.values())
     rows = len(cols[0]) if cols else 0
-    if any(c.ndim != 1 or len(c) != rows or c.dtype.kind not in "biufU"
-           for c in cols):
-        raise UsageError("columns must be equally long 1-D numbers or strings")
+    plain = [_plain(c, rows) for c in cols] if rows <= _BLOCK_ROWS else [None]
+    if None in plain:
+        import numpy as np
+        cols = [np.asarray(c) for c in cols]
+        if any(c.ndim != 1 or len(c) != rows or c.dtype.kind not in "biufU"
+               for c in cols):
+            raise UsageError(
+                "columns must be equally long 1-D numbers or strings")
+    else:
+        cols = plain
 
     def blocks(cells):
         for lo in range(0, rows, _BLOCK_ROWS):
@@ -61,112 +88,62 @@ def as_table(obj):
     raise UsageError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _values(col):
-    return (col.astype(int) if col.dtype.kind == "b" else col).tolist()
-
-
 # ---------------------------------------------------------------------------
-# CSV cells: each cell's text in a fixed-width slot of bytes, _PAD after it
-# and a separator in its last byte; the slots of a block stand side by side
-# and _PAD is dropped when the block is joined.  0xFF is no byte of UTF-8
-# text, so string cells keep every byte.  Floats carry 17 significant
-# digits, as format(x, ".17g") writes them.
+# text cells: one str per cell, from a column's Python values; a numpy
+# column gives them by tolist()
 # ---------------------------------------------------------------------------
 
-_PAD = 0xFF
+def _csv_text(values):
+    """CSV cells: floats as format(x, ".17g"), a bool as 0 or 1, integers
+    and strings as str() writes them."""
+    kind = type(values[0])
+    if kind is float:
+        return [format(v, ".17g") for v in values]
+    if kind is bool:
+        return ["1" if v else "0" for v in values]
+    return list(map(str, values))
 
 
-def _formatted_slots(values, width=None):
-    """Float slots written by format() itself, one cell at a time."""
-    return _text_slots(np.array(
-        list(map(format, values.tolist(), repeat(".17g")))), width)
-
-
-def _text_slots(text, width=None):
-    """(len(text), width) uint8 of a 1-D str array: each cell's UTF-8
-    bytes, _PAD after them and a comma in the last byte; width defaults to
-    the longest cell plus one."""
-    text = np.ascontiguousarray(text)
-    codes = text.view(np.uint32).reshape(len(text), -1)
-    if codes.max(initial=0) < 128:  # ASCII: one byte per code point
-        data, lengths = codes, np.char.str_len(text)
-    else:
-        encoded = [c.encode() for c in text.tolist()]
-        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
-        data = np.array(encoded, dtype=bytes)
-        data = data.view(np.uint8).reshape(len(text), -1)
-    slots = np.full((len(text), width or data.shape[1] + 1), _PAD, np.uint8)
-    slots[:, :data.shape[1]] = np.where(
-        np.arange(data.shape[1]) < lengths[:, None], data, _PAD)
-    slots[:, -1] = ord(",")
-    return slots
-
-
-def _str_slots(col):
-    """Slots of an integer, bool or str column, each cell as str() writes
-    it (a bool as 0 or 1)."""
-    if col.dtype.kind == "b":
-        slots = np.full((len(col), 2), ord(","), np.uint8)
-        slots[:, 0] = col.view(np.uint8) + 48
-        return slots
-    return _text_slots(col.astype(str, copy=False))
-
-
-def _csv_cells(cols, float_slots):
-    """One block's columns as slot arrays that join side by side into its
-    rows; all its float cells are written by one float_slots call, and a
-    block of float columns only is one array."""
-    is_float = [c.dtype.kind == "f" for c in cols]
-    if not any(is_float):
-        return [_str_slots(c) for c in cols]
-    floats = np.stack([c for c, f in zip(cols, is_float) if f], 1,
-                      dtype=float).reshape(-1)
-    slots = float_slots(floats)
-    width = slots.shape[1]
-    slots = slots.reshape(len(cols[0]), -1)
-    if all(is_float):
-        return [slots]
-    per_column = iter(slots.reshape(len(cols[0]), -1, width)
-                      .transpose(1, 0, 2))
-    return [next(per_column) if f else _str_slots(c)
-            for c, f in zip(cols, is_float)]
-
-
-def _json_cells(col):
-    """Cells as json writes them: float repr, NaN, Infinity, ints, strings."""
-    if col.dtype.kind == "f":
-        cells = list(map(float.__repr__, col.tolist()))
-        if np.isfinite(col).all():
+def _json_text(values):
+    """Cells as json writes them: float repr, NaN, Infinity, integers (a
+    bool as 0 or 1) and strings."""
+    kind = type(values[0])
+    if kind is float:
+        cells = list(map(float.__repr__, values))
+        # a sum is finite only where every value is
+        if math.isfinite(sum(values)):
             return cells
         return [_JSON_NONFINITE.get(c, c) for c in cells]
-    return list(map(json.dumps if col.dtype.kind == "U" else str,
-                    _values(col)))
+    if kind is bool:
+        return ["1" if v else "0" for v in values]
+    return list(map(json.dumps if kind is str else str, values))
 
 
-def _json_block(cols):
-    return [_json_cells(c) for c in cols]
+def _text_cells(text):
+    """A Table's ``cells`` argument that writes each column by text."""
+    return lambda cols: [text(c if isinstance(c, list) else c.tolist())
+                         for c in cols]
 
 
-def _csv_rows(parts):
-    """One block's slot arrays joined into its CSV rows, UTF-8 bytes."""
-    block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    block[:, -1] = ord("\n")
-    return block.tobytes().translate(None, b"\xff")
+def _text_rows(parts):
+    """One block's text cells joined into its CSV rows, UTF-8 bytes."""
+    return ("\n".join(map(",".join, zip(*parts))) + "\n").encode()
 
 
 def _write_csv(fh, table):
-    """CSV rows to a binary file: each block's bytes are written as
-    joined, with no text layer between."""
+    """CSV rows to a binary file, one block's bytes at a time."""
+    fh.write((",".join(table.names) + "\n").encode())
     if table.rows > _BLOCK_ROWS:
-        from .csvfloats import float_slots
+        from .csvfloats import csv_cells, csv_rows
+        blocks = map(csv_rows, table.blocks(csv_cells))
     else:
         # _BLOCK_ROWS rows or fewer: the kernel's fixed cost, about 80 us per
         # block and, once per process, 3 ms to compile its module and 0.7 MB
         # of numpy code pages, outweighs format()'s 0.7 us per cell
-        float_slots = _formatted_slots
-    fh.write((",".join(table.names) + "\n").encode())
-    blocks = table.blocks(lambda cols: _csv_cells(cols, float_slots))
-    for rows in map(_csv_rows, blocks):
+        blocks = map(_text_rows, table.blocks(_text_cells(_csv_text)))
+    # a block's cells are freed before the next block is made, so that its
+    # buffers are reused
+    for rows in blocks:
         fh.write(rows)
 
 
@@ -178,7 +155,7 @@ def _write_json(fh, table):
     row = " {\n" + ",\n".join("  " + json.dumps(n).replace("%", "%%") + ": %s"
                               for n in table.names) + "\n }"
     sep = "[\n"
-    for cols in table.blocks(_json_block):
+    for cols in table.blocks(_text_cells(_json_text)):
         fh.write(sep + ",\n".join(map(row.__mod__, zip(*cols))))
         sep = ",\n"
     fh.write("\n]\n")

@@ -6,16 +6,18 @@ flow-divergence quantifier, and internal energy / heat capacity at both
 orders, in closed form from the Bessel derivative identities.  The corrected
 quantities live on the validity domain Z_ST > 0; its boundary beta*(a) is
 located once by bisection to float resolution and quoted in errors.
+
+The partition functions and observables are scalar closed forms on
+``math`` alone (with ``scalar``), so a ``thermo`` process loads no numpy;
+the grid forms import it when they run.
 """
 
 import math
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError, NumericalError, UsageError, ValidityError
-from .specfun import bessel_k, bisect
+from .scalar import bessel_k, bisect
 
 __all__ = [
     "ThermalEnsembleParams",
@@ -89,17 +91,28 @@ class ThermalEnsembleParams:
             raise DomainError("a must be positive and finite")
         if order not in ("classical", "h2"):
             raise UsageError("order must be 'classical' or 'h2'")
-        if order == "h2" and not z_st_closed(beta, a) > 0.0:
-            raise ValidityError(
-                f"Z_ST <= 0 at beta = {beta}: the quadratic-order ensemble "
-                f"is valid only for beta < beta*(a={a}) = "
-                f"{beta_star(a):.6f}")
+        if order == "h2":
+            _require_z_st(z_st_closed(beta, a), beta, a)
         self.beta, self.a, self.order = beta, a, order
+
+
+def _require_z_st(z_st, beta, a):
+    """ValidityError unless Z_ST > 0; a NaN Z_ST is named as NaN."""
+    if z_st > 0.0:
+        return
+    if math.isnan(z_st):
+        raise ValidityError(
+            f"Z_ST is NaN at beta = {beta}, a = {a}: a beta^2 overflows "
+            f"where the Bessel factors underflow to 0")
+    raise ValidityError(
+        f"Z_ST <= 0 at beta = {beta}: the quadratic-order ensemble is valid "
+        f"only for beta < beta*(a={a}) = {beta_star(a):.6f}")
 
 
 def w0(params, x, k):
     """Classical Maxwell-Boltzmann weight exp(-beta H_T) / Z0; normalized.
     Where Z0 has underflowed to 0 the weight is undefined: ValidityError."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
@@ -112,6 +125,7 @@ def w0(params, x, k):
 def epsilon_correction(params, x, k):
     """Quadratic-order relative correction: even in (x, k) -> (-x, -k) and
     equal to -a beta^2 / 8 at the origin."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
@@ -136,6 +150,7 @@ def currents_td(params, x, k):
     printed quadratic-order bracket and eps corrections.  J_x vanishes on
     k = 0 and J_k on x = 0 at either order.
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
@@ -158,6 +173,7 @@ def div_w_td(params, x, k):
     Vanishes on both axes and, for a = 1, on |x| = |k|; a nonzero value marks
     the departure from divergence-free classical transport.
     """
+    import numpy as np
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a = params.beta, params.a
@@ -211,10 +227,8 @@ def observables(params):
     if order == "classical" and not z0 > 0.0:
         raise ValidityError(
             f"Z0 underflows to {z0!r} at beta = {b}, a = {a}")
-    if order == "h2" and not z_st > 0.0:
-        raise ValidityError(
-            f"Z_ST <= 0 at beta = {b}; validity boundary beta*(a={a}) = "
-            f"{beta_star(a):.6f}")
+    if order == "h2":
+        _require_z_st(z_st, b, a)
     k0_b, k1_b = _bessel_log_slopes(b)
     k0_ab, k1_ab = _bessel_log_slopes(a * b)
     # g1 = beta Z'/Z and g2 = beta^2 (ln Z)'', first for Z0 = 4 K0(b) K0(ab)

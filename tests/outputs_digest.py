@@ -3,8 +3,9 @@
     python tests/outputs_digest.py [--seed N]
 
 Runs, in a fresh temporary directory each, every ``wignerflow`` command of
-the README's shell blocks and every step of every benchmark workload at seed
-N (``perfbench/workloads.py``, run through ``perfbench/step.py`` untraced,
+the README's shell blocks (each ``thermo`` line a second time with
+``--format json``, so that both writers of a short table are covered) and
+every step of every benchmark workload at seed N (``perfbench/workloads.py``, run through ``perfbench/step.py`` untraced,
 as the benchmark runs them), all on the package in this checkout's ``src``.
 Prints one ``sha256  <label>`` line per written file and per stdout, and
 the exit code of each run.  Two checkouts write the same bytes exactly when
@@ -89,8 +90,10 @@ def main():
                    help="benchmark workload seed")
     args = p.parse_args()
     for i, words in enumerate(readme_commands()):
-        run(f"readme[{i}] {shlex.join(words)}",
-            ["-m", "wignerflow.cli", *words])
+        twins = [words, words + ["--format", "json"]]
+        for argv in twins[:2 if words[0] == "thermo" else 1]:
+            run(f"readme[{i}] {shlex.join(argv)}",
+                ["-m", "wignerflow.cli", *argv])
     step = str(ROOT / "perfbench" / "step.py")
     for name, i, argv in benchmark_steps(args.seed):
         run(f"{name}[{i}] {shlex.join(argv)}", [step, REPORT, "0", *argv])

@@ -375,7 +375,7 @@ class TestThermalFieldValidity:
         (["classical", "--a", "1e8", "--quantity", "j"], "Z0 underflows"),
         (["classical", "--a", "1e8", "--quantity", "jk"], "Z0 underflows"),
         (["h2", "--beta", "1e300", "--quantity", "w_st2"],
-         "Z_ST <= 0 at beta = 1e+300"),
+         "Z_ST is NaN at beta = 1e+300"),
     ])
     def test_exits_3_writing_nothing(self, tmp_path, args, says):
         res = run_cli(["field", "--ensemble", "thermal", "--order", *args,
@@ -395,15 +395,30 @@ class TestThermalFieldValidity:
 
 
 class TestNonFiniteBounds:
+    # -inf, -Infinity and -NAN are read as values, not as option names, so
+    # GridSpec refuses them (argparse said "expected 4 arguments")
     @pytest.mark.parametrize("bbox", [["-1", "inf", "-1", "1"],
                                       ["-1", "1", "-1", "inf"],
-                                      ["-1", "1", "nan", "1"]])
+                                      ["-1", "1", "nan", "1"],
+                                      ["-inf", "1", "-1", "1"],
+                                      ["-1", "1", "-Infinity", "1"],
+                                      ["-1", "1", "-NAN", "1"]])
     def test_field_bbox_is_usage_error(self, tmp_path, bbox):
         res = run_cli(["field", "--bbox", *bbox, "--grid", "3",
                        "--out", "f.csv"], tmp_path)
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "grid ranges must satisfy -inf < lo < hi < inf" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-infinity", "-nan"])
+    def test_negative_non_finite_beta_is_a_value(self, tmp_path, value):
+        # argparse said "expected one argument"
+        res = run_cli(["thermo", "--beta-min", value, "--out", "t.csv"],
+                      tmp_path)
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        assert "need 0 < --beta-min < --beta-max < inf" in res.stderr
         assert list(tmp_path.iterdir()) == []
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerflow import cli, csvfloats, fieldgrid, gaussian, tables, thermo
+from wignerflow import cli, csvfloats, fieldgrid, gaussian, thermo
 from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   toda_closed_period, toda_species_series)
 from wignerflow.errors import DomainError, UsageError, ValidityError
@@ -540,7 +540,7 @@ def kernel_text(values):
     """The kernel's cells of values, one per line, whatever their count, as
     the bytes the CSV writer writes."""
     values = np.asarray(values, dtype=float)
-    return tables._csv_rows([csvfloats.float_slots(values)])
+    return csvfloats.csv_rows([csvfloats.float_slots(values)])
 
 
 def format_text(values):
@@ -643,6 +643,71 @@ class TestCsvFloatKernel:
         values = np.array([0.0, 1.5, math.nan, -2.0])
         csvfloats.float_slots(values)
         assert values[1] == 1.5 and math.isnan(values[2])
+
+
+def plain_columns(rows):
+    """Columns of plain lists, as ``thermo`` writes them: every special
+    float, a float column with integer cells (numpy makes it float),
+    integers up to the int64 range, bools and strings."""
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2e-310,
+                1 / 3, -1e300, 1e-5, 123456789.0, 2.0 ** 60]
+    return {"special": [specials[i % len(specials)] for i in range(rows)],
+            "mixed": [i if i % 3 else i / 7 for i in range(rows)],
+            "n": [(i - rows // 2) * 3 ** 30 for i in range(rows - 2)]
+            + [2 ** 63 - 1, -2 ** 63],
+            "flag": [i % 3 == 0 for i in range(rows)],
+            "kind": [("quantum", "été", "")[i % 3] for i in range(rows)]}
+
+
+class TestListTables:
+    """A column table of at most 512 rows of plain lists is written from
+    the lists by format() and repr, without numpy; a longer one goes
+    through numpy and the slot kernel, with the same bytes per row."""
+
+    def test_csv_at_the_limit_matches_the_slot_writer(self, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        kernel = csvfloats.float_slots
+        monkeypatch.setattr(csvfloats, "float_slots",
+                            lambda v: calls.append(len(v)) or kernel(v))
+        columns = plain_columns(513)
+        short = fieldgrid.column_table({n: c[:512]
+                                        for n, c in columns.items()})
+        export_table(short, "csv", tmp_path / "short.csv")
+        assert calls == []
+        export_table(fieldgrid.column_table(columns), "csv",
+                     tmp_path / "long.csv")
+        assert calls
+        short = (tmp_path / "short.csv").read_bytes()
+        long = (tmp_path / "long.csv").read_bytes()
+        assert long.startswith(short)
+        assert long.count(b"\n") == short.count(b"\n") + 1
+        rows = short.decode().splitlines()
+        assert [row.split(",")[0] for row in rows[1:7]] == [
+            "nan", "inf", "-inf", "-0", "0", "4.9406564584124654e-324"]
+
+    def test_json_is_json_dump(self, tmp_path):
+        columns = plain_columns(512)
+        export_table(fieldgrid.column_table(columns), "json",
+                     tmp_path / "t.json")
+        # the writer's bools are 0 and 1, and numpy makes "mixed" float
+        rows = [{**row, "mixed": float(row["mixed"]), "flag": int(row["flag"])}
+                for row in (dict(zip(columns, cells))
+                            for cells in zip(*columns.values()))]
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(rows, fh, indent=1)
+            fh.write("\n")
+        assert ((tmp_path / "t.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+    def test_int64_overflow_is_left_to_numpy(self, tmp_path):
+        # numpy makes [1, 2**63] a float column: the list path must too
+        for fmt in ("csv", "json"):
+            export_table(fieldgrid.column_table({"n": [1, 2 ** 63]}), fmt,
+                         tmp_path / f"t.{fmt}")
+        assert (tmp_path / "t.csv").read_text() == \
+            "n\n1\n9.2233720368547758e+18\n"
+        assert "9.223372036854776e+18" in (tmp_path / "t.json").read_text()
 
 
 def mixed_columns(rows, seed=0):

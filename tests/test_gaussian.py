@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wignerflow.gaussian import (GaussianEnsembleParams, circulation_number,
                                  liouville_div_w, purity, series_currents,
                                  stationarity_div_j, velocity_w, vorticity)
 from wignerflow.classical import measured_orbit, return_to_start
+from wignerflow.fieldgrid import GridSpec, sample_field
 from wignerflow.model import HamiltonianKind, PhasePoint, SeparableHamiltonian
 from wignerflow.specfun import (QuadratureSpec, im_erf_offset_scaled,
                                 integrate_1d)
@@ -196,6 +198,26 @@ class TestVelocity:
             velocity_w(A1, 6.5, 0.0)
         with pytest.raises(DomainError):
             velocity_w(GaussianEnsembleParams(2.0), 3.5, 0.0)
+
+    @pytest.mark.parametrize("form, quantity", [
+        (velocity_w, "w"), (liouville_div_w, "divw"), (vorticity, "vort")])
+    def test_overflow_inside_trust_region_is_domain_error(self, form,
+                                                          quantity):
+        # alpha = 0.001 trusts |chi| <= 6000, but sinh and cosh leave the
+        # float range past 710: the value was +-inf, with overflow warnings
+        params = GaussianEnsembleParams(0.001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows inside the "
+                               "trust region at alpha = 0.001"):
+                form(params, 6000.0, 6000.0)
+            with pytest.raises(DomainError, match="overflows"):
+                form(params, np.array([1.0, 6000.0]), 6000.0)
+            assert np.all(np.isfinite(form(params, 700.0, -700.0)))
+        # a grid over the same nodes still flags them instead of raising
+        grid = sample_field(params, quantity,
+                            GridSpec(-6000, 6000, -6000, 6000, 3, 3))
+        assert grid.valid[1, 1] and not grid.valid[0, 0]
 
 
 class TestLiouville:

@@ -4,6 +4,7 @@ since the test process itself has loaded every module."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,25 @@ def test_cli_import_loads_only_the_writer(tmp_path):
     assert {m for m in modules if m.startswith("wignerflow")} == {
         "wignerflow", "wignerflow.cli", "wignerflow.errors",
         "wignerflow.tables"}
+    assert "numpy" not in modules
+
+
+def readme_thermo_runs():
+    """The README's thermo lines, classical and h2 order."""
+    text = README.read_text(encoding="utf-8")
+    return [shlex.split(line)[1:]
+            for line in re.findall(r"^wignerflow thermo .*$", text, re.M)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", readme_thermo_runs(),
+                         ids=["classical", "h2"])
+def test_readme_thermo_loads_no_numpy(tmp_path, argv, fmt):
+    # a table of at most 512 rows is written from lists; the partition
+    # functions and observables use math alone
+    modules = run_loads(tmp_path, argv + ["--format", fmt])
+    assert "wignerflow.thermo" in modules
+    assert "numpy" not in modules
 
 
 def test_thermo_loads_no_grid_or_orbit_code(tmp_path):
@@ -131,6 +151,21 @@ def test_main_calls_freeze_nothing(tmp_path):
             f"assert cli.main({argv!r}) == 0\n"
             f"assert cli.main({argv!r}) == 0\n"
             "assert gc.get_freeze_count() == frozen, frozen")
+    assert freeze_count(tmp_path, code) > 0
+
+
+def test_process_entry_freezes_what_its_subcommand_loaded(tmp_path):
+    """main() without arguments, as a CLI process calls it, freezes again
+    once the subcommand has returned: numpy, which a grid loads after the
+    import of cli, is frozen too."""
+    argv = ["wignerflow", "field", "--grid", "5", "--out", "f.csv"]
+    code = ("import sys\n"
+            f"sys.argv = {argv!r}\n"
+            "from wignerflow import cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert cli.main() == 0\n"
+            "import numpy\n"
+            "assert not any(o is numpy.__dict__ for o in gc.get_objects())")
     assert freeze_count(tmp_path, code) > 0
 
 

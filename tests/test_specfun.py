@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wignerflow import specfun
 from wignerflow.errors import DomainError, NumericalError, UsageError
+from wignerflow.scalar import linspace
 from wignerflow.specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
                                 elliptic_k_linear_sin, faddeeva_w, hermite_odd,
                                 im_erf_offset, im_erf_offset_scaled,
@@ -351,3 +353,33 @@ class TestScaledKernelTableNonConvergence:
         monkeypatch.setattr(specfun, name, value)
         with pytest.raises(NumericalError, match="alpha = 1.0 "):
             scaled_kernel_table(1.0, 6.0)
+
+
+class TestLinspace:
+    """scalar.linspace is numpy.linspace of two floats, bit for bit."""
+
+    @staticmethod
+    def same(start, stop, num):
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, num)
+        return (np.array(linspace(start, stop, num), dtype=float).tobytes()
+                == expected.tobytes())
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_subnormal=True),
+           st.floats(allow_nan=False, allow_subnormal=True),
+           st.integers(0, 100))
+    def test_hypothesis(self, start, stop, num):
+        assert self.same(start, stop, num)
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (0.0, 5e-324, 10),  # the step underflows to 0
+        (1.0, 1.0, 5),      # so does a zero span's
+        (-0.0, -0.0, 3),
+        (2.5, 7.0, 1),      # one point: start alone
+        (3.0, -4.0, 0),
+        (0.05, 4.5, 90),    # the README sweep
+        (-1e308, 1e308, 7),  # the span overflows
+    ])
+    def test_branches(self, start, stop, num):
+        assert self.same(start, stop, num)

@@ -166,6 +166,17 @@ class TestDistributions:
             ThermalEnsembleParams(4.95, 1.0, "h2")
         assert "4.42" in str(err.value)
 
+    def test_nan_z_st_is_named_nan(self):
+        # a beta^2 overflows where K0 and K1 underflow to 0: Z_ST is NaN,
+        # which the check used to report as "Z_ST <= 0"
+        assert math.isnan(z_st_closed(1e300, 1.0))
+        with pytest.raises(ValidityError, match="Z_ST is NaN at beta = 1e"):
+            ThermalEnsembleParams(1e300, 1.0, "h2")
+        params = ThermalEnsembleParams(1.0, 1.0, "h2")
+        params.beta = 1e300
+        with pytest.raises(ValidityError, match="Z_ST is NaN at beta = 1e"):
+            observables(params)
+
     def test_w_st2_requires_h2(self):
         with pytest.raises(UsageError):
             w_st2(P11, 0.0, 0.0)
