@@ -82,9 +82,7 @@ class OrbitSpec:
             raise DomainError(
                 f"eps = {eps} violates the closed-orbit constraint "
                 f"eps > 1 + a = {1.0 + model.a}")
-        if not 0.0 < step < duration < math.inf:
-            raise DomainError(f"step = {step}, duration = {duration}: "
-                              f"require 0 < step < duration < inf")
+        _require_span(step, duration)
         self.model, self.eps, self.start = model, eps, start
         self.step, self.duration = step, duration
 
@@ -100,11 +98,11 @@ class OrbitSpec:
 
 
 class Trajectory:
-    """Time-stamped phase-space samples (x, k), the flow (dx, dk) at each,
-    and the species y = e^-x (predator), z = e^-k (prey)."""
+    """Time-stamped samples (x, k), the species y = e^-x (predator), z = e^-k
+    (prey), and flow(x, k) = (dx/dtau, dk/dtau), the field they follow."""
 
-    def __init__(self, tau, x, k, dx, dk, energy_residual=None):
-        self.tau, self.x, self.k, self.dx, self.dk = tau, x, k, dx, dk
+    def __init__(self, tau, x, k, flow, energy_residual=None):
+        self.tau, self.x, self.k, self.flow = tau, x, k, flow
         self.y, self.z = np.exp(-x), np.exp(-k)
         self.energy_residual = energy_residual
 
@@ -132,6 +130,13 @@ def _step_count(duration, step):
     return n if n > MAX_RK4_STEPS else max(1, int(round(n)))
 
 
+def _require_span(step, duration):
+    """Refuse a run unless 0 < step < duration < inf."""
+    if not 0.0 < step < duration < math.inf:
+        raise DomainError(f"step = {step}, duration = {duration}: "
+                          f"require 0 < step < duration < inf")
+
+
 def _require_steps(n_steps):
     """Refuse more than MAX_RK4_STEPS steps before anything is allocated."""
     if n_steps > MAX_RK4_STEPS:
@@ -142,27 +147,24 @@ def _require_steps(n_steps):
 def _rk4(f, x, k, h, n_steps, stop=None):
     """n_steps classical RK4 steps of (dx, dk)/dtau = f(x, k) from (x, k).
 
-    Returns (xs, ks, dxs, dks): the n_steps + 1 states and f at each.  A run
-    that reaches a state where stop(x, k) holds ends there, and the row of
-    that state carries zero derivatives.
+    Returns (xs, ks), the n_steps + 1 states.  A run that reaches a state
+    where stop(x, k) holds ends there.
     """
     _require_steps(n_steps)
-    xs, ks, dxs, dks = (np.empty(n_steps + 1) for _ in range(4))
+    xs, ks = np.empty(n_steps + 1), np.empty(n_steps + 1)
+    xs[0], ks[0] = x, k
     h2 = 0.5 * h
-    for i in range(n_steps):
+    for i in range(1, n_steps + 1):
         d1x, d1k = f(x, k)
-        xs[i], ks[i], dxs[i], dks[i] = x, k, d1x, d1k
         d2x, d2k = f(x + h2 * d1x, k + h2 * d1k)
         d3x, d3k = f(x + h2 * d2x, k + h2 * d2k)
         d4x, d4k = f(x + h * d3x, k + h * d3k)
         x += h * (d1x + 2.0 * (d2x + d3x) + d4x) / 6.0
         k += h * (d1k + 2.0 * (d2k + d3k) + d4k) / 6.0
+        xs[i], ks[i] = x, k
         if stop is not None and stop(x, k):
-            xs[i + 1], ks[i + 1], dxs[i + 1], dks[i + 1] = x, k, 0.0, 0.0
-            return xs[:i + 2], ks[:i + 2], dxs[:i + 2], dks[:i + 2]
-    dx, dk = f(x, k)
-    xs[n_steps], ks[n_steps], dxs[n_steps], dks[n_steps] = x, k, dx, dk
-    return xs, ks, dxs, dks
+            return xs[:i + 1], ks[:i + 1]
+    return xs, ks
 
 
 def integrate_orbit(spec):
@@ -174,9 +176,9 @@ def integrate_orbit(spec):
     step if a stage overflows.
     """
     n = _step_count(spec.duration, spec.step)
+    flow = _rhs_scalar(spec.model)
     try:
-        xs, ks, dxs, dks = _rk4(_rhs_scalar(spec.model), spec.start.x,
-                                spec.start.k, spec.step, n)
+        xs, ks = _rk4(flow, spec.start.x, spec.start.k, spec.step, n)
     except OverflowError:
         raise NumericalError(
             f"an RK4 stage left the float range at eps = {spec.eps:g}, "
@@ -184,7 +186,7 @@ def integrate_orbit(spec):
             f"energy") from None
     residual = energy(spec.model, xs, ks) - spec.eps
     return _audited(Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
-                               dx=dxs, dk=dks, energy_residual=residual))
+                               flow=flow, energy_residual=residual))
 
 
 def _audited(traj):
@@ -225,11 +227,12 @@ def return_to_start(traj):
 
     Detects the first crossing of k through its initial value in the initial
     direction of motion and on the starting side in x, then interpolates the
-    crossing time and position.  Returns (return_time, closure_distance).
+    crossing time and position, with dk/dtau from ``traj.flow``.  Returns
+    (return_time, closure_distance).
     """
-    xs, ks, tau, dks = traj.x, traj.k, traj.tau, traj.dk
+    xs, ks, tau, flow = traj.x, traj.k, traj.tau, traj.flow
     x0, dk = xs[0], ks - ks[0]
-    crossing = _rising(-dk if dks[0] < 0.0 else dk)
+    crossing = _rising(-dk if flow(x0, ks[0])[1] < 0.0 else dk)
     crossing &= np.copysign(1.0, xs[:-1]) == math.copysign(1.0, x0)
     hits = np.flatnonzero(crossing[1:])
     if not len(hits):
@@ -237,7 +240,7 @@ def return_to_start(traj):
                              "within the integrated duration", payload=traj)
     i = hits[0] + 1
     t_star = _hermite_crossing(tau[i], tau[i + 1], dk[i], dk[i + 1],
-                               dks[i], dks[i + 1])
+                               *(flow(xs[j], ks[j])[1] for j in (i, i + 1)))
     s = (t_star - tau[i]) / (tau[i + 1] - tau[i])
     x_star = xs[i] + s * (xs[i + 1] - xs[i])
     return float(t_star), float(abs(x_star - x0))
@@ -379,11 +382,12 @@ def measured_orbit(model, start, step, periods):
                              "point with no period")
     eps = energy(model, start.x, start.k)
     t = period(model, eps)
-    spec = OrbitSpec(model, eps, start, step=step,
-                     duration=max(periods * t, 2.0 * step))
+    duration = max(periods * t, 2.0 * step)
     if model.kind is HamiltonianKind.LV:
-        return t, integrate_orbit(spec)
-    n = _step_count(spec.duration, step)
+        return t, integrate_orbit(OrbitSpec(model, eps, start, step=step,
+                                            duration=duration))
+    _require_span(step, duration)
+    n = _step_count(duration, step)
     _require_steps(n)
     return t, toda_orbit(model, eps, step * np.arange(n + 1), start)
 
@@ -435,8 +439,7 @@ def toda_orbit(model, eps, taus, start=None):
     taus = np.asarray(taus, dtype=float)
     x, k = _toda_phase(model.a, section_start(model, eps) if start is None
                        else start, taus)
-    return _audited(Trajectory(tau=taus, x=x, k=k, dx=np.sinh(k),
-                               dk=-model.a * np.sinh(x),
+    return _audited(Trajectory(tau=taus, x=x, k=k, flow=_rhs_scalar(model),
                                energy_residual=energy(model, x, k) - eps))
 
 

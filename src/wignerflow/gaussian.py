@@ -408,24 +408,24 @@ def integrate_quantum_trajectory(params, start, step, duration):
     NumericalError if the quantum leg leaves the trust region (carrying the
     partial leg) or a stage overflows."""
     # imported here, so that field and stagnation never compile classical
-    from .classical import Trajectory, _rk4, _step_count, toda_orbit
+    from .classical import (Trajectory, _require_span, _rk4, _step_count,
+                            toda_orbit)
     _check_trust(params, start.x, start.k)
-    if not 0.0 < step < duration < math.inf:
-        raise DomainError(f"step = {step}, duration = {duration}: "
-                          f"require 0 < step < duration < inf")
+    _require_span(step, duration)
     lim = params.trust_limit()
 
     def outside(x, k):
         return abs(x) > lim or abs(k) > lim
 
+    flow = _velocity_rhs(params)
     try:
-        xs, ks, dxs, dks = _rk4(_velocity_rhs(params), start.x, start.k,
-                                step, _step_count(duration, step), outside)
+        xs, ks = _rk4(flow, start.x, start.k, step,
+                      _step_count(duration, step), outside)
     except OverflowError:
         raise NumericalError(f"an RK4 stage left the float range at alpha = "
                              f"{params.alpha:g}, dt = {step:g}") from None
     tau = step * np.arange(len(xs))
-    quantum = Trajectory(tau=tau, x=xs, k=ks, dx=dxs, dk=dks)
+    quantum = Trajectory(tau=tau, x=xs, k=ks, flow=flow)
     if outside(xs[-1], ks[-1]):
         raise NumericalError(
             f"quantum trajectory left the trust region at tau = {tau[-1]:.4f}",

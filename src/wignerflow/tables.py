@@ -7,8 +7,8 @@ exactly.  Cells are written as text, by ``format`` and ``repr`` one at a
 time, except in a CSV table of more than ``_BLOCK_ROWS`` rows, whose blocks
 the slot kernel of ``csvfloats`` writes.  This module imports neither
 numpy nor a physics module: a column table of at most ``_BLOCK_ROWS`` rows
-of plain lists, as ``thermo`` writes, is written without numpy, and a grid
-or trajectory serializes itself by its ``table()`` method.
+of lists of one type each, as ``thermo`` writes, is written without numpy,
+and a grid or trajectory serializes itself by its ``table()`` method.
 """
 
 import json
@@ -39,25 +39,22 @@ class Table:
 
 
 def _plain(col, rows):
-    """A list or tuple of rows values as a list of one Python type,
-    promoted as numpy promotes Python scalars (bool, then int, then float);
-    None where numpy decides instead (another column, another type, or an
-    integer beyond int64)."""
+    """A list or tuple of rows values of one type (bool, int within int64,
+    float or str) as a list; None where numpy decides instead (another
+    column, mixed types, another type, or an integer beyond int64)."""
     if not isinstance(col, (list, tuple)) or len(col) != rows:
         return None
     types = set(map(type, col))
-    if types <= {bool} or types == {str}:
-        return list(col)
-    if not types <= {bool, int, float} or int in types and not all(
-            v in _INT64 for v in col if type(v) is int):
+    if len(types) > 1 or not types <= {bool, int, float, str} or (
+            int in types and not all(v in _INT64 for v in col)):
         return None
-    return list(map(float if float in types else int, col))
+    return list(col)
 
 
 def column_table(columns):
     """Table of a dict of equally long 1-D columns.  Each column's type, as
-    numpy would infer it, decides how its cells are written; a table of at
-    most ``_BLOCK_ROWS`` rows of lists or tuples keeps them as lists."""
+    numpy infers it, decides how its cells are written; in a table of at most
+    ``_BLOCK_ROWS`` rows, lists or tuples of one type each stay lists."""
     cols = list(columns.values())
     rows = len(cols[0]) if cols else 0
     plain = [_plain(c, rows) for c in cols] if rows <= _BLOCK_ROWS else [None]

@@ -14,7 +14,7 @@ the grid forms import it when they run.
 
 import math
 import sys
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, NumericalError, UsageError, ValidityError
 from .scalar import bessel_k, bisect
@@ -80,8 +80,9 @@ def beta_star(a):
 
 
 class ThermalEnsembleParams:
-    """Inverse temperature, anisotropy, and expansion order ('classical' or
-    'h2')."""
+    """Inverse temperature, anisotropy, expansion order ('classical' or
+    'h2') and the partition functions there: z0, on first use, and the
+    z_st that order h2 was checked against (None at classical order)."""
 
     def __init__(self, beta, a=1.0, order="classical"):
         if not (isinstance(beta, (int, float)) and beta > 0.0
@@ -91,22 +92,23 @@ class ThermalEnsembleParams:
             raise DomainError("a must be positive and finite")
         if order not in ("classical", "h2"):
             raise UsageError("order must be 'classical' or 'h2'")
-        if order == "h2":
-            _require_z_st(z_st_closed(beta, a), beta, a)
         self.beta, self.a, self.order = beta, a, order
+        self.z_st = None
+        if order == "h2":
+            self.z_st = z_st = z_st_closed(beta, a)
+            if math.isnan(z_st):
+                raise ValidityError(
+                    f"Z_ST is NaN at beta = {beta}, a = {a}: a beta^2 "
+                    f"overflows where the Bessel factors underflow to 0")
+            if not z_st > 0.0:
+                raise ValidityError(
+                    f"Z_ST <= 0 at beta = {beta}: the quadratic-order "
+                    f"ensemble is valid only for beta < beta*(a={a}) = "
+                    f"{beta_star(a):.6f}")
 
-
-def _require_z_st(z_st, beta, a):
-    """ValidityError unless Z_ST > 0; a NaN Z_ST is named as NaN."""
-    if z_st > 0.0:
-        return
-    if math.isnan(z_st):
-        raise ValidityError(
-            f"Z_ST is NaN at beta = {beta}, a = {a}: a beta^2 overflows "
-            f"where the Bessel factors underflow to 0")
-    raise ValidityError(
-        f"Z_ST <= 0 at beta = {beta}: the quadratic-order ensemble is valid "
-        f"only for beta < beta*(a={a}) = {beta_star(a):.6f}")
+    @cached_property
+    def z0(self):
+        return z0_closed(self.beta, self.a)
 
 
 def w0(params, x, k):
@@ -115,8 +117,7 @@ def w0(params, x, k):
     import numpy as np
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
-    b, a = params.beta, params.a
-    z0 = z0_closed(b, a)
+    b, a, z0 = params.beta, params.a, params.z0
     if not z0 > 0.0:
         raise ValidityError(f"Z0 underflows to {z0!r} at beta = {b}, a = {a}")
     return np.exp(-b * (a * np.cosh(x) + np.cosh(k))) / z0
@@ -138,8 +139,7 @@ def w_st2(params, x, k):
     """Corrected stationary distribution (Z0/Z_ST) W0 (1 + eps); normalized."""
     if params.order != "h2":
         raise UsageError("w_st2 requires order='h2' parameters")
-    b, a = params.beta, params.a
-    pref = z0_closed(b, a) / z_st_closed(b, a)
+    pref = params.z0 / params.z_st
     return pref * w0(params, x, k) * (1.0 + epsilon_correction(params, x, k))
 
 
@@ -219,16 +219,15 @@ def observables(params):
 
     Both are closed forms at both orders, built from K0' = -K1 and
     K1' = -K0 - K1/x; there is no finite difference, so they hold up to the
-    validity boundary.  A partition function Z <= 0 (Z_ST beyond beta*, or
-    Z0 underflowed to 0) raises ValidityError.
+    validity boundary.  They read the partition functions that params
+    carry, whose Z_ST was checked at order h2; at classical order a Z0
+    underflowed to 0 raises ValidityError.
     """
-    b, a, order = params.beta, params.a, params.order
-    z0, z_st = z0_closed(b, a), z_st_closed(b, a)
+    b, a, order, z0 = params.beta, params.a, params.order, params.z0
+    z_st = params.z_st if order == "h2" else z_st_closed(b, a)
     if order == "classical" and not z0 > 0.0:
         raise ValidityError(
             f"Z0 underflows to {z0!r} at beta = {b}, a = {a}")
-    if order == "h2":
-        _require_z_st(z_st, b, a)
     k0_b, k1_b = _bessel_log_slopes(b)
     k0_ab, k1_ab = _bessel_log_slopes(a * b)
     # g1 = beta Z'/Z and g2 = beta^2 (ln Z)'', first for Z0 = 4 K0(b) K0(ab)

@@ -404,13 +404,15 @@ def section_crossings(traj):
 
     The x = 0 line is transversal for both models (dx/dtau = K'(k) != 0 off
     the equilibrium), which is what makes it usable as a period-counting
-    section; on the k = 0 line dx/dtau vanishes identically instead.
+    section; on the k = 0 line dx/dtau vanishes identically instead.  The
+    rates dx/dtau at the ends of each crossing interval come from the flow.
     """
-    xs, ks, tau, dxs = traj.x, traj.k, traj.tau, traj.dx
+    xs, ks, tau, flow = traj.x, traj.k, traj.tau, traj.flow
     on = (xs[:-1] == 0.0) & (ks[:-1] > 0.0)
     return [tau[i] if on[i] else
             classical._hermite_crossing(tau[i], tau[i + 1], xs[i], xs[i + 1],
-                                        dxs[i], dxs[i + 1])
+                                        flow(xs[i], ks[i])[0],
+                                        flow(xs[i + 1], ks[i + 1])[0])
             for i in np.flatnonzero(on | (classical._rising(xs)
                                           & (xs[1:] != 0.0)))]
 
@@ -553,30 +555,32 @@ def section_start_mp(model, eps):
 
 def section_crossings_per_sample(traj):
     """section_crossings, one sample interval at a time."""
-    xs, ks, tau, dxs = traj.x, traj.k, traj.tau, traj.dx
+    xs, ks, tau, flow = traj.x, traj.k, traj.tau, traj.flow
     times = []
     for i in range(len(xs) - 1):
         if xs[i] == 0.0 and ks[i] > 0.0:
             times.append(tau[i])
         elif xs[i] < 0.0 < xs[i + 1]:
             times.append(classical._hermite_crossing(
-                tau[i], tau[i + 1], xs[i], xs[i + 1], dxs[i], dxs[i + 1]))
+                tau[i], tau[i + 1], xs[i], xs[i + 1], flow(xs[i], ks[i])[0],
+                flow(xs[i + 1], ks[i + 1])[0]))
     return times
 
 
 def return_to_start_per_sample(traj):
     """classical.return_to_start, one sample interval at a time; None where
     the trajectory does not return."""
-    xs, ks, tau, dks = traj.x, traj.k, traj.tau, traj.dk
+    xs, ks, tau, flow = traj.x, traj.k, traj.tau, traj.flow
     k0, x0 = ks[0], xs[0]
-    down = dks[0] < 0.0
+    down = flow(x0, k0)[1] < 0.0
     x_side = math.copysign(1.0, x0)
     for i in range(1, len(ks) - 1):
         ki, kj = ks[i] - k0, ks[i + 1] - k0
         crossing = (ki > 0.0 >= kj) if down else (ki < 0.0 <= kj)
         if crossing and math.copysign(1.0, xs[i]) == x_side:
-            t_star = classical._hermite_crossing(tau[i], tau[i + 1], ki, kj,
-                                                 dks[i], dks[i + 1])
+            t_star = classical._hermite_crossing(
+                tau[i], tau[i + 1], ki, kj, flow(xs[i], ks[i])[1],
+                flow(xs[i + 1], ks[i + 1])[1])
             s = (t_star - tau[i]) / (tau[i + 1] - tau[i])
             x_star = xs[i] + s * (xs[i + 1] - xs[i])
             return float(t_star), float(abs(x_star - x0))

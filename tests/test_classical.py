@@ -429,8 +429,9 @@ class TestTodaOrbit:
         # row 0 is the start itself, sign of zero included
         assert traj.x[:1].tobytes() == np.float64(x0).tobytes()
         assert traj.k[:1].tobytes() == np.float64(k0).tobytes()
-        assert np.array_equal(traj.dx, np.sinh(traj.k))
-        assert np.array_equal(traj.dk, -a * np.sinh(traj.x))
+        # the flow is Hamilton's equations of the model, a row at a time
+        for x, k in zip(traj.x.tolist(), traj.k.tolist()):
+            assert traj.flow(x, k) == (math.sinh(k), -a * math.sinh(x))
 
     def test_section_start_row_holds_positive_zero(self):
         traj = toda_orbit(TODA, 2.5, np.linspace(0.0, 1.0, 5))
@@ -442,10 +443,11 @@ class TestTodaOrbit:
         taus = np.linspace(0.0, 50.0, 11)
         with np.errstate(all="raise"):  # g = 0 is never a divisor
             traj = toda_orbit(model, 4.0, taus, PhasePoint(0.0, 0.0))
-        for name in ("x", "k", "dx", "energy_residual"):
+        for name in ("x", "k", "energy_residual"):
             column = getattr(traj, name)
             assert column.tobytes() == np.zeros(11).tobytes(), name
-        assert not traj.dk.any()
+        assert all(traj.flow(x, k) == (0.0, 0.0)
+                   for x, k in zip(traj.x, traj.k))
 
     @pytest.mark.parametrize("a", [1e-3, 1.0, 1e3])
     def test_energy_residual_at_rounding_level(self, a):
@@ -461,6 +463,21 @@ class TestTodaOrbit:
         with pytest.raises(DomainError, match="only up to eps = 1e"):
             toda_orbit(TODA, math.nextafter(TODA_ORBIT_EPS_MAX, math.inf),
                        [0.0])
+
+    @pytest.mark.parametrize("eps", [1e3, 1e5, TODA_ORBIT_EPS_MAX])
+    def test_diagonal_start_matches_species_series(self, eps):
+        # from the lower turning point x = k = ln T+ the phase u0 comes from
+        # atan2 next to am = -pi/2, where it loses accuracy as eps grows:
+        # measured 1.6e-13 at 1e3, 1.5e-13 at 1e7, 1.1e-12 at 1e8 and
+        # 4.3e-7 at 1e20, while H stays within 1e-14 eps.  This pins the
+        # ceiling that an energy audit alone would not see.
+        x0 = math.log(classical.amplitude_bounds(eps)[0])
+        taus = np.linspace(0.0, 3.0 * period(TODA, eps), 3001)
+        traj = toda_orbit(TODA, energy(TODA, x0, x0), taus,
+                          PhasePoint(x0, x0))
+        ys, zs = toda_species_series(eps, taus)
+        assert np.max(np.abs(traj.x + np.log(ys))) <= 5e-13
+        assert np.max(np.abs(traj.k + np.log(zs))) <= 5e-13
 
 
 class TestSectionMachinery:
@@ -561,8 +578,7 @@ class TestOneIntegration:
             assert steps == [n]
             ref = orbits(OrbitSpec.from_point(model, start, step=step,
                                               duration=duration))
-        for name in ("tau", "x", "k", "dx", "dk", "y", "z",
-                     "energy_residual"):
+        for name in ("tau", "x", "k", "y", "z", "energy_residual"):
             assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
     def test_drift_failure_raised_by_the_single_run(self, monkeypatch):
@@ -649,7 +665,7 @@ class TestCrossingScan:
         x = np.array([-1.0, 0.0, 1.0, 0.0, -1.0, -0.5, 0.0, 0.5, 1.0, 0.0])
         k = np.array([1.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, 1.0, -1.0, 1.0])
         trajs.append(Trajectory(tau=np.arange(10.0), x=x, k=k,
-                                dx=np.ones(10), dk=np.ones(10)))
+                                flow=lambda x, k: (1.0, 1.0)))
         return trajs
 
     def test_section_crossings_match_per_sample_loop(self):

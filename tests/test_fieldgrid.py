@@ -97,7 +97,6 @@ class TestSampling:
                 assert np.array_equal(grid.valid, valid), quantity
 
     def test_partition_functions_once_per_grid(self, monkeypatch):
-        params = ThermalEnsembleParams(1.0, 4.0, "h2")
         calls = []
 
         def counting(order, arg):
@@ -108,10 +107,15 @@ class TestSampling:
         monkeypatch.setattr(thermo, "bessel_k", counting)
         counts = []
         for nk in (5, 41):
+            # fresh parameters: they keep the Z0 that a grid evaluates
+            params = ThermalEnsembleParams(1.0, 4.0, "h2")
             calls.clear()
             sample_field(params, "w_st2", GridSpec(-2, 2, -2, 2, 11, nk))
             counts.append(len(calls))
         assert counts[0] == counts[1]
+        calls.clear()
+        sample_field(params, "w_st2", GridSpec(-2, 2, -2, 2, 11, 5))
+        assert calls == []
 
     def test_trust_masking_flags_not_zeroes_silently(self):
         grid = sample_field(A1, "wx", GridSpec(-8, 8, -8, 8, 21, 21))

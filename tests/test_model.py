@@ -82,7 +82,7 @@ class TestOddDerivative:
 def species_from_phase(x, k):
     """The species (y, z) a trajectory derives from one sample (x, k)."""
     traj = Trajectory(tau=np.zeros(1), x=np.array([x]), k=np.array([k]),
-                      dx=np.zeros(1), dk=np.zeros(1))
+                      flow=None)
     return traj.y[0], traj.z[0]
 
 
