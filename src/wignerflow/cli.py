@@ -17,8 +17,9 @@ validity error.
 
 At module level only the standard library, ``errors`` and the table
 writer are imported; each subcommand imports the modules it runs, so a
-process loads and compiles no code that its subcommand does not run, and a
-``thermo`` process whose table has at most 512 rows loads no numpy.
+process loads and compiles no code that its subcommand does not run, a
+``thermo`` process whose table has at most 512 rows loads no numpy, and
+only a process that writes JSON loads ``json``.
 
 Importing this module ends with ``gc.freeze()``: every object alive at that
 moment (the standard library, this module and the writer, and numpy where
@@ -35,7 +36,6 @@ nothing.
 
 import argparse
 import gc
-import json
 import math
 import os
 import re
@@ -236,6 +236,8 @@ def cmd_field(args):
 
 
 def cmd_stagnation(args):
+    import json
+
     import numpy as np
 
     from .gaussian import GaussianEnsembleParams, find_stagnation_points

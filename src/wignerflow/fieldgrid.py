@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import DomainError, UsageError
 from .tables import Table, as_table, column_table, export_table
 
 __all__ = [
@@ -131,7 +131,8 @@ def sample_field(params, quantity, spec, threads=None):
     column and each 1-D factor is evaluated nx + nk times.  Velocity-family
     gaussian quantities are masked to the trust region instead of
     extrapolated; the region is a box, so only its sub-grid is evaluated.
-    A node inside it whose value overflows is flagged out as well.
+    A node inside it whose value overflows is flagged out as well.  Any
+    other grid with a value that is not finite is refused: DomainError.
     ``threads`` is accepted for compatibility and has no effect.
     """
     # the ensemble module that defines params' class holds its grid table
@@ -152,7 +153,15 @@ def sample_field(params, quantity, spec, threads=None):
     shape = (spec.nk, spec.nx, 2) if is_vector else (spec.nk, spec.nx)
     values = np.zeros(shape)
     if not needs_mask:
-        values[...] = _evaluate(entry, params, xs[None, :], ks[:, None])
+        with np.errstate(all="ignore"):
+            values[...] = _evaluate(entry, params, xs[None, :], ks[:, None])
+        bad = np.count_nonzero(~np.isfinite(values))
+        if bad:
+            scale = "alpha" if hasattr(params, "alpha") else "beta"
+            raise DomainError(
+                f"{quantity} is not finite at {bad} of {values.size} grid "
+                f"values at {scale} = {getattr(params, scale)}, a = "
+                f"{params.a}: its closed form leaves the float range there")
         return FieldGrid(spec=spec, quantity=quantity, values=values)
     lim = params.trust_limit()
     in_x = np.abs(xs) <= lim

@@ -3,6 +3,7 @@ closed form against an independent numerical route.  Only ``--selftest``
 loads this module.
 """
 
+import json
 import math
 
 import numpy as np
@@ -97,6 +98,17 @@ def run():
     checks["csv_cells_vs_format"] = (
         csv_rows([float_slots(values)])
         == "".join(f"{x:.17g}\n" for x in values.tolist()).encode())
+
+    # JSON float cells against repr, as json names the non-finite values:
+    # the same cells, powers of two and their neighbours, ties between two
+    # shortest candidates and integral values
+    twos = [math.ldexp(1.0, k) for k in range(-1074, 1024, 7)]
+    values = np.concatenate([values, twos, np.nextafter(twos, math.inf),
+                             8.0 + np.arange(1, 400, 2) * 2.0 ** -16,
+                             np.arange(1.0, 2.0 ** 53, 2.0 ** 46) + 1.0])
+    checks["json_cells_vs_repr"] = (
+        csv_rows([float_slots(values, "json")])
+        == "".join(json.dumps(x) + "\n" for x in values.tolist()).encode())
 
     g1 = GaussianEnsembleParams(1.0)
     srs = gaussian.series_currents(g1, 0.7, 0.4, 14)

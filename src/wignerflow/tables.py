@@ -4,14 +4,14 @@ A Table is named columns written one block of rows at a time, so an export
 never holds the whole file in memory.  CSV floats carry 17 significant
 digits and JSON floats their shortest repr; both round-trip doubles
 exactly.  Cells are written as text, by ``format`` and ``repr`` one at a
-time, except in a CSV table of more than ``_BLOCK_ROWS`` rows, whose blocks
+time, except in a table of more than ``_BLOCK_ROWS`` rows, whose blocks
 the slot kernel of ``csvfloats`` writes.  This module imports neither
-numpy nor a physics module: a column table of at most ``_BLOCK_ROWS`` rows
-of lists of one type each, as ``thermo`` writes, is written without numpy,
-and a grid or trajectory serializes itself by its ``table()`` method.
+numpy nor a physics module, and json only where a JSON document is
+written: a column table of at most ``_BLOCK_ROWS`` rows of lists of one
+type each, as ``thermo`` writes, is written without numpy, and a grid or
+trajectory serializes itself by its ``table()`` method.
 """
 
-import json
 import math
 
 from .errors import UsageError
@@ -113,7 +113,10 @@ def _json_text(values):
         return [_JSON_NONFINITE.get(c, c) for c in cells]
     if kind is bool:
         return ["1" if v else "0" for v in values]
-    return list(map(json.dumps if kind is str else str, values))
+    if kind is str:
+        import json
+        return list(map(json.dumps, values))
+    return list(map(str, values))
 
 
 def _text_cells(text):
@@ -131,8 +134,8 @@ def _write_csv(fh, table):
     """CSV rows to a binary file, one block's bytes at a time."""
     fh.write((",".join(table.names) + "\n").encode())
     if table.rows > _BLOCK_ROWS:
-        from .csvfloats import csv_cells, csv_rows
-        blocks = map(csv_rows, table.blocks(csv_cells))
+        from .csvfloats import csv_rows, table_cells
+        blocks = map(csv_rows, table.blocks(table_cells))
     else:
         # _BLOCK_ROWS rows or fewer: the kernel's fixed cost, about 80 us per
         # block and, once per process, 3 ms to compile its module and 0.7 MB
@@ -145,17 +148,32 @@ def _write_csv(fh, table):
 
 
 def _write_json(fh, table):
-    """The layout of ``json.dump(rows, fh, indent=1)`` plus a newline."""
+    """The layout of ``json.dump(rows, fh, indent=1)`` plus a newline, to a
+    binary file, one block's objects at a time."""
+    import json
     if not table.rows:
-        fh.write("[]\n")
+        fh.write(b"[]\n")
         return
-    row = " {\n" + ",\n".join("  " + json.dumps(n).replace("%", "%%") + ": %s"
-                              for n in table.names) + "\n }"
-    sep = "[\n"
-    for cols in table.blocks(_text_cells(_json_text)):
-        fh.write(sep + ",\n".join(map(row.__mod__, zip(*cols))))
-        sep = ",\n"
-    fh.write("\n]\n")
+    keys = list(map(json.dumps, table.names))
+    if table.rows > _BLOCK_ROWS:
+        # the slot kernel, as in _write_csv; each column's cells after
+        # its key
+        from .csvfloats import json_rows, table_cells
+        heads = [f"\n  {key}: ".encode() for key in keys]
+        heads[0] = b" {" + heads[0]
+        blocks = (json_rows(parts, heads) for parts in
+                  table.blocks(lambda cols: table_cells(cols, "json")))
+    else:
+        row = " {\n" + ",\n".join("  " + key.replace("%", "%%") + ": %s"
+                                   for key in keys) + "\n }"
+        blocks = (",\n".join(map(row.__mod__, zip(*cols))).encode()
+                  for cols in table.blocks(_text_cells(_json_text)))
+    sep = b"[\n"
+    for rows in blocks:
+        fh.write(sep)
+        fh.write(rows)
+        sep = b",\n"
+    fh.write(b"\n]\n")
 
 
 def export_table(obj, fmt, path):
@@ -170,11 +188,7 @@ def export_table(obj, fmt, path):
     if fmt == "csv" and not table.rows:
         raise UsageError("refusing to write an empty table")
     try:
-        if fmt == "csv":
-            with open(path, "wb") as fh:
-                _write_csv(fh, table)
-        else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                _write_json(fh, table)
+        with open(path, "wb") as fh:
+            (_write_csv if fmt == "csv" else _write_json)(fh, table)
     except OSError as exc:
         raise IOError(f"failed writing {path}: {exc}") from exc

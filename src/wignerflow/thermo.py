@@ -35,10 +35,19 @@ __all__ = [
 ]
 
 
-def z0_closed(beta, a):
-    """Classical partition function Z0 = 4 K0(beta) K0(a beta)."""
+def _require_arguments(beta, a):
+    """The Bessel arguments beta and a beta must be positive and finite."""
     if not (beta > 0.0 and a > 0.0):
         raise DomainError("beta and a must be positive")
+    if not 0.0 < a * beta < math.inf:
+        raise DomainError(
+            f"a beta = {a * beta!r} at beta = {beta}, a = {a}: the partition "
+            f"functions need 0 < a beta < inf")
+
+
+def z0_closed(beta, a):
+    """Classical partition function Z0 = 4 K0(beta) K0(a beta)."""
+    _require_arguments(beta, a)
     return 4.0 * bessel_k(0, beta) * bessel_k(0, a * beta)
 
 
@@ -48,8 +57,7 @@ def z_st_closed(beta, a):
 
     Positive only below beta*(a); the sign is checked by callers.
     """
-    if not (beta > 0.0 and a > 0.0):
-        raise DomainError("beta and a must be positive")
+    _require_arguments(beta, a)
     return 4.0 * (bessel_k(0, beta) * bessel_k(0, a * beta)
                   - a * beta * beta / 24.0 * bessel_k(1, beta) * bessel_k(1, a * beta))
 

@@ -3,8 +3,9 @@
     python tests/outputs_digest.py [--seed N]
 
 Runs, in a fresh temporary directory each, every ``wignerflow`` command of
-the README's shell blocks (each ``thermo`` line a second time with
-``--format json``, so that both writers of a short table are covered) and
+the README's shell blocks (each ``thermo``, ``orbit`` and ``trajectory``
+line a second time with ``--format json``, so that both writers of a short
+table and of a long one, with string and float columns, are covered) and
 every step of every benchmark workload at seed N (``perfbench/workloads.py``, run through ``perfbench/step.py`` untraced,
 as the benchmark runs them), all on the package in this checkout's ``src``.
 Prints one ``sha256  <label>`` line per written file and per stdout, and
@@ -91,7 +92,8 @@ def main():
     args = p.parse_args()
     for i, words in enumerate(readme_commands()):
         twins = [words, words + ["--format", "json"]]
-        for argv in twins[:2 if words[0] == "thermo" else 1]:
+        twice = words[0] in ("thermo", "orbit", "trajectory")
+        for argv in twins[:2 if twice else 1]:
             run(f"readme[{i}] {shlex.join(argv)}",
                 ["-m", "wignerflow.cli", *argv])
     step = str(ROOT / "perfbench" / "step.py")

@@ -393,6 +393,48 @@ class TestThermalFieldValidity:
         assert res.returncode == 0, res.stderr
         assert "nan" not in (tmp_path / "f.csv").read_text()
 
+    @pytest.mark.parametrize("args, says", [
+        # a beta leaves the float range: the Bessel factors named no value
+        (["h2", "--beta", "1e200", "--a", "1e200", "--quantity", "w0"],
+         "a beta = inf at beta = 1e+200, a = 1e+200"),
+        (["h2", "--beta", "1e-200", "--a", "1e-200", "--quantity", "w0"],
+         "a beta = 0.0 at beta = 1e-200, a = 1e-200"),
+        (["classical", "--beta", "1e200", "--a", "1e200", "--quantity", "j"],
+         "a beta = inf at beta = 1e+200, a = 1e+200"),
+        # a beta^2 overflows in divw, which needs no partition function
+        (["classical", "--beta", "1e200", "--a", "1e200", "--quantity",
+          "divw"], "divw is not finite at 25 of 25 grid values at "
+         "beta = 1e+200, a = 1e+200"),
+        # sinh and cosh overflow past |x| = 710
+        (["classical", "--beta", "1", "--bbox", "-800", "800", "-800", "800",
+          "--quantity", "divw"], "divw is not finite at 20 of 25"),
+        (["classical", "--beta", "1", "--bbox", "-800", "800", "-800", "800",
+          "--quantity", "j"], "j is not finite at"),
+        (["h2", "--beta", "1", "--bbox", "-800", "800", "-800", "800",
+          "--quantity", "j"], "beta = 1.0, a = 1.0"),
+    ], ids=["w0-overflow", "w0-underflow", "j-overflow", "divw-overflow",
+            "divw-wide", "j-wide", "j-h2-wide"])
+    def test_non_finite_grid_exits_3_without_warning(self, tmp_path, args,
+                                                     says):
+        res = run_cli(["field", "--ensemble", "thermal", "--order", *args,
+                       "--grid", "5", "--out", "f.csv"], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.count("\n") == 1, res.stderr
+        assert says in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("order", ["classical", "h2"])
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_thermo_row_names_beta_and_a(self, tmp_path, order, scale):
+        res = run_cli(["thermo", "--a", scale, "--beta-min", scale,
+                       "--beta-max", f"2{scale[1:]}", "--steps", "2",
+                       "--order", order, "--out", "t.csv"], tmp_path)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert f"at beta = {float(scale)!r}, a = {float(scale)!r}" in res.stderr
+        assert "0 < a beta < inf" in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNonFiniteBounds:
     # -inf, -Infinity and -NAN are read as values, not as option names, so
@@ -962,6 +1004,7 @@ class TestSelfTest:
         assert res.returncode == 0
         assert "selftest=pass" in res.stdout
         assert "selftest_csv_cells_vs_format=pass" in res.stdout
+        assert "selftest_json_cells_vs_repr=pass" in res.stdout
         assert "selftest_period_tof_vs_elliptic=pass" in res.stdout
 
 

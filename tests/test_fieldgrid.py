@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,26 @@ class TestSampling:
     def test_non_finite_bound_rejected(self, bounds):
         with pytest.raises(UsageError, match="-inf < lo < hi < inf"):
             GridSpec(*bounds, 3, 3)
+
+    @pytest.mark.parametrize("params, quantity, scale", [
+        (ThermalEnsembleParams(1.0, 2.0), "divw", "beta = 1.0, a = 2.0"),
+        (ThermalEnsembleParams(1.0, 2.0, "h2"), "j", "beta = 1.0, a = 2.0"),
+        (A1, "divj", "alpha = 1.0, a = 1.0"),
+        (A1, "j", "alpha = 1.0, a = 1.0"),
+    ])
+    def test_non_finite_grid_refused_without_warning(self, params, quantity,
+                                                      scale):
+        # sinh and cosh overflow past |x| = 710; a grid with no trust
+        # region wrote nan and inf there, with numpy warnings
+        spec = GridSpec(-800, 800, -800, 800, 5, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match=f"{quantity} is not finite at .* {scale}"):
+                sample_field(params, quantity, spec)
+            finite = sample_field(params, quantity,
+                                  GridSpec(-8, 8, -8, 8, 5, 5))
+        assert np.isfinite(finite.values).all()
 
 
 class TestScalarCallsMatchGrid:
@@ -637,16 +658,135 @@ class TestCsvFloatKernel:
         calls = []
         kernel = csvfloats.float_slots
         monkeypatch.setattr(csvfloats, "float_slots",
-                            lambda v: calls.append(len(v)) or kernel(v))
-        for rows in (512, 513):
-            export_table(fieldgrid.column_table({"a": np.ones(rows) / 3}),
-                         "csv", tmp_path / "t.csv")
-        assert calls == [512, 1]
+                            lambda v, f: calls.append((len(v), f))
+                            or kernel(v, f))
+        for fmt in ("csv", "json"):
+            for rows in (512, 513):
+                export_table(fieldgrid.column_table({"a": np.ones(rows) / 3}),
+                             fmt, tmp_path / f"t.{fmt}")
+        assert calls == [(512, "csv"), (1, "csv"), (512, "json"), (1, "json")]
 
     def test_kernel_does_not_mutate_its_input(self):
         values = np.array([0.0, 1.5, math.nan, -2.0])
         csvfloats.float_slots(values)
         assert values[1] == 1.5 and math.isnan(values[2])
+
+
+# ---------------------------------------------------------------------------
+# JSON float kernel against float.__repr__, through json's names of the
+# non-finite values
+# ---------------------------------------------------------------------------
+
+def json_kernel_text(values):
+    """The kernel's JSON cells of values, one per line."""
+    values = np.asarray(values, dtype=float)
+    return csvfloats.csv_rows([csvfloats.float_slots(values, "json")])
+
+
+def repr_text(values):
+    return "".join(json.dumps(float(x)) + "\n" for x in values).encode()
+
+
+def shortest_ties(count):
+    """8 + (odd i) 2^-16: exact 17-digit decimals ending in 5, where two
+    16-digit candidates lie equally near and round-half-even picks one."""
+    return 8.0 + (2.0 * np.arange(count) + 1.0) * 2.0 ** -16
+
+
+class TestJsonFloatKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), min_size=1, max_size=64))
+    def test_hypothesis_floats(self, values):
+        assert json_kernel_text(values) == repr_text(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_random_bit_patterns(self, bits):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert json_kernel_text(values) == repr_text(values)
+
+    def test_powers_of_two_go_to_repr(self):
+        # the gap below 2^k is half the gap above: repr writes the power,
+        # the kernel its neighbours
+        powers = np.ldexp(1.0, np.arange(-1074, 1024))
+        below = np.nextafter(powers, 0.0)
+        above = np.nextafter(powers, np.inf)
+        values = np.concatenate([powers, below, above])
+        values = np.concatenate([values, -values])
+        assert json_kernel_text(values) == repr_text(values)
+        normal = (powers >= 1e-280) & (powers <= 1e280)
+        assert not csvfloats.shortest_digits(powers)[2].any()
+        assert csvfloats.shortest_digits(above[normal])[2].mean() > 0.99
+
+    def test_power_of_ten_neighbours(self):
+        values = power_of_ten_neighbours()
+        values = np.concatenate([values, -values])
+        assert json_kernel_text(values) == repr_text(values)
+
+    def test_notation_boundaries(self):
+        # fixed notation for 1e-4 <= |x| < 1e16, with ".0" after an integral
+        # value; the exponent keeps two digits
+        edges = [1e16, 1e-4, 1e-5, 1e15, 1e17, 1e100, 1e-100]
+        values = np.array(edges + [math.nextafter(t, d) for t in edges
+                                   for d in (0.0, math.inf)]
+                          + [9999999999999998.0, 1234567890123456.8,
+                             12345678901234568.0, 0.00012345678901234567])
+        values = np.concatenate([values, -values])
+        assert json_kernel_text(values) == repr_text(values)
+        assert json_kernel_text([1e16, 9999999999999998.0, 1e-5]) == (
+            b"1e+16\n9999999999999998.0\n1e-05\n")
+
+    def test_integral_values(self):
+        ints = np.random.default_rng(4).integers(1, 2 ** 53, 20_000)
+        values = np.concatenate([ints, np.arange(1, 2000),
+                                 [2 ** 53, 2 ** 53 - 1, 10 ** 15, 10 ** 16 - 1]
+                                 ]).astype(float)
+        values = np.concatenate([values, -values])
+        assert json_kernel_text(values) == repr_text(values)
+        assert csvfloats.shortest_digits(values)[2].mean() > 0.99
+
+    def test_signed_zeros(self):
+        values = np.array([0.0, -0.0, 0.0])
+        assert json_kernel_text(values) == b"0.0\n-0.0\n0.0\n"
+        assert csvfloats.shortest_digits(values)[2].all()
+
+    def test_near_ties_go_to_repr(self):
+        values = np.concatenate([constructed_ties(5000), shortest_ties(5000)])
+        values = np.concatenate([values, -values])
+        assert json_kernel_text(values) == repr_text(values)
+        assert not csvfloats.shortest_digits(values)[2].any()
+
+    def test_carry_set(self):
+        values = carry_set()
+        values = np.concatenate([values, -values])
+        assert json_kernel_text(values) == repr_text(values)
+        # 1e23 is stored as 99999999999999991611392: its shortest digits
+        # carry to the next decade
+        assert json_kernel_text([1e23]) == b"1e+23\n"
+
+    def test_every_layout(self):
+        rng = np.random.default_rng(3)
+        values = [float(f"{rng.integers(10 ** (d - 1), 10 ** d)}e{p}")
+                  for d in range(1, 18) for p in range(-30 - d, 31 - d)]
+        values = np.array(values + [-v for v in values])
+        assert json_kernel_text(values) == repr_text(values)
+        # powers of two (1, 2, 4, 8 among the 1-digit values) go to repr
+        assert csvfloats.shortest_digits(values)[2].mean() > 0.98
+
+    def test_special_values(self):
+        values = np.array([math.nan, math.inf, -math.inf, 5e-324, 1e-281,
+                           1e281, -1.7976931348623157e308])
+        assert json_kernel_text(values) == repr_text(values)
+        assert b"NaN\nInfinity\n-Infinity\n" in json_kernel_text(values)
+
+    def test_grid_values_stay_in_the_kernel(self):
+        grid = sample_field(GaussianEnsembleParams(1.1), "w",
+                            GridSpec(-2, 2, -2, 2, 151, 151))
+        values = grid.values.reshape(-1)
+        assert json_kernel_text(values) == repr_text(values)
+        exact = csvfloats.shortest_digits(values)[2]
+        assert exact[values != 0.0].mean() > 0.999
 
 
 def plain_columns(rows):
@@ -673,7 +813,7 @@ class TestListTables:
         calls = []
         kernel = csvfloats.float_slots
         monkeypatch.setattr(csvfloats, "float_slots",
-                            lambda v: calls.append(len(v)) or kernel(v))
+                            lambda v, f: calls.append(len(v)) or kernel(v, f))
         columns = plain_columns(513)
         short = fieldgrid.column_table({n: c[:512]
                                         for n, c in columns.items()})
@@ -729,25 +869,37 @@ def mixed_columns(rows, seed=0):
 class TestBlockBoundaries:
     """Block boundaries against the record writer: column-table blocks hold
     512 rows and grid blocks about 1024 nodes; a table of at most 512
-    rows is written by format(), a longer one by the kernel."""
+    rows is written by format() and repr, a longer one by the kernel, in
+    CSV and in JSON alike."""
+
+    @pytest.fixture
+    def kernel_formats(self, monkeypatch):
+        """The formats of the float_slots calls an export makes."""
+        calls = []
+        kernel = csvfloats.float_slots
+        monkeypatch.setattr(csvfloats, "float_slots",
+                            lambda v, f: calls.append(f) or kernel(v, f))
+        return calls
 
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1023, 1024, 1025,
                                       2049])
-    def test_mixed_tables(self, tmp_path, fmt, rows):
+    def test_mixed_tables(self, tmp_path, fmt, rows, kernel_formats):
         columns = mixed_columns(rows)
         records = [dict(zip(columns, row))
                    for row in zip(*(c.tolist() for c in columns.values()))]
         assert_same_files(fieldgrid.column_table(columns), records, tmp_path,
                           fmt)
+        assert set(kernel_formats) == ({fmt} if rows > 512 else set())
 
     @pytest.mark.parametrize("rows", [511, 512, 1025])
-    def test_float_only_tables(self, tmp_path, fmt, rows):
+    def test_float_only_tables(self, tmp_path, fmt, rows, kernel_formats):
         rng = np.random.default_rng(rows)
         columns = {n: rng.standard_normal(rows) for n in ("a", "b", "c")}
         records = [dict(zip(columns, row))
                    for row in zip(*(c.tolist() for c in columns.values()))]
         assert_same_files(fieldgrid.column_table(columns), records, tmp_path,
                           fmt)
+        assert set(kernel_formats) == ({fmt} if rows > 512 else set())
 
     @pytest.mark.parametrize("quantity, box, nx, nk", [
         ("divj", (-2, 2, -2, 2), 2, 2),
@@ -759,8 +911,10 @@ class TestBlockBoundaries:
         ("vort", (-8, 8, -8, 8), 1100, 3),
         ("w", (-8, 8, -8, 8), 1100, 2),
     ])
-    def test_grids(self, tmp_path, fmt, quantity, box, nx, nk):
+    def test_grids(self, tmp_path, fmt, quantity, box, nx, nk,
+                   kernel_formats):
         grid = sample_field(GaussianEnsembleParams(1.3), quantity,
                             GridSpec(*box, nx, nk))
         assert (grid.valid is not None) == (quantity != "divj")
         assert_same_files(grid, oracles.as_records(grid), tmp_path, fmt)
+        assert set(kernel_formats) == ({fmt} if nx * nk > 512 else set())

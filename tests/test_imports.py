@@ -18,9 +18,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def loaded_modules(tmp_path, code):
-    """The names in sys.modules after a fresh interpreter runs code."""
-    res = launch(["-c", f"import json, sys\n{code}\n"
-                  "print(json.dumps(sorted(sys.modules)))"], tmp_path)
+    """The names in sys.modules after a fresh interpreter runs code, taken
+    before the report itself imports json."""
+    res = launch(["-c", f"import sys\n{code}\nmodules = sorted(sys.modules)\n"
+                  "import json\nprint(json.dumps(modules))"], tmp_path)
     assert res.returncode == 0, res.stderr
     return set(json.loads(res.stdout.splitlines()[-1]))
 
@@ -54,6 +55,22 @@ def test_readme_thermo_loads_no_numpy(tmp_path, argv, fmt):
     modules = run_loads(tmp_path, argv + ["--format", fmt])
     assert "wignerflow.thermo" in modules
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv", readme_thermo_runs()[:1] + [
+    ["field", "--grid", "5", "--out", "f.csv"],
+], ids=["thermo", "field"])
+def test_csv_processes_load_no_json(tmp_path, argv):
+    # json is imported only where a JSON document is written
+    modules = run_loads(tmp_path, argv)
+    assert "json" not in modules
+    assert "wignerflow.tables" in modules
+
+
+def test_json_process_loads_json(tmp_path):
+    modules = run_loads(tmp_path, ["field", "--grid", "5", "--format", "json",
+                                   "--out", "f.json"])
+    assert "json" in modules
 
 
 def test_thermo_loads_no_grid_or_orbit_code(tmp_path):

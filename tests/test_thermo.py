@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from wignerflow import thermo
-from wignerflow.errors import NumericalError, UsageError, ValidityError
+from wignerflow.errors import (DomainError, NumericalError, UsageError,
+                              ValidityError)
 from wignerflow.model import PhasePoint
 from wignerflow.thermo import (ThermalEnsembleParams, beta_star, currents_td,
                                div_w_td, epsilon_correction, observables, w0,
@@ -58,6 +59,20 @@ class TestPartitionFunctions:
 
     def test_z_st_value(self):
         assert abs(z_st_closed(1.0, 1.0) - 0.6486642580896650) < 1e-12
+
+    @pytest.mark.parametrize("partition", [z0_closed, z_st_closed])
+    @pytest.mark.parametrize("beta, a, product", [
+        (1e200, 1e200, "inf"), (1e-200, 1e-200, "0.0"),
+        (1e300, 1e10, "inf"), (5e-324, 0.5, "0.0")])
+    def test_a_beta_out_of_range_names_both(self, partition, beta, a,
+                                            product):
+        # bessel_k refused such a beta with "argument must be a finite real"
+        # or "requires a positive argument", naming neither value
+        with pytest.raises(DomainError) as info:
+            partition(beta, a)
+        assert str(info.value) == (
+            f"a beta = {product} at beta = {beta}, a = {a}: the partition "
+            f"functions need 0 < a beta < inf")
 
     def test_z_st_ratio_tends_to_one(self):
         # the rate is only logarithmic: beta^2 K1(beta) K1(a beta) tends to a
