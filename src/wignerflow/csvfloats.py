@@ -215,10 +215,10 @@ def shortest_digits(values):
 
 
 def float_slots(values, fmt="csv"):
-    """(len(values), width) uint8, width <= SLOT: each float's text in its
-    slot, closed by a comma: format(x, ".17g") for CSV, as json writes
-    repr(x) for JSON.  The byte columns of the slot that no cell uses are
-    left out."""
+    """(len(values), width) uint8: each float's text in its slot, closed by
+    a comma: format(x, ".17g") for CSV, with width SLOT, or as json writes
+    repr(x) for JSON, without the byte columns of the slot that no cell
+    uses."""
     digits = float_digits if fmt == "csv" else shortest_digits
     n, e, exact = digits(values)
     head, tail = (h.astype(np.int32) for h in np.divmod(n, 10 ** 8))
@@ -241,20 +241,25 @@ def float_slots(values, fmt="csv"):
         words[:, j] |= word
         words[:, j + 5] |= word
     slots = words.view(np.uint8)
-    # a byte column holds text where a layout in use does not drop it
-    used = layouts.view(np.uint8)[np.bincount(layout, minlength=_LAYOUTS) > 0]
-    keep = (used != _PAD).any(0)
     sci = np.flatnonzero(code >= _FIXED_CODES)
     if sci.size:
         power = np.abs(e[sci])
         slots[sci, 42] = np.where(power >= 100, 48 + power // 100, _PAD)
         slots[sci, 43] = 48 + power // 10 % 10
         slots[sci, 44] = 48 + power % 10
-        keep[42:45] = True
     rest = np.flatnonzero(~exact)
     if rest.size:
-        slots[rest] = text = _formatted_slots(values[rest], fmt)
-        keep |= (text != _PAD).any(0)
+        slots[rest] = _formatted_slots(values[rest], fmt)
+    if fmt == "csv":
+        return slots
+    # a JSON block is joined with the keys between its columns, so the byte
+    # columns that no cell uses are dropped first (a CSV block of orbit rows
+    # loses more to the copy than it saves): those a layout in use drops
+    used = layouts.view(np.uint8)[np.bincount(layout, minlength=_LAYOUTS) > 0]
+    keep = (used != _PAD).any(0)
+    keep[42:45] |= sci.size > 0
+    if rest.size:
+        keep |= (slots[rest] != _PAD).any(0)
     return slots.compress(keep, axis=1)
 
 
@@ -345,13 +350,15 @@ def csv_rows(parts):
 
 def json_rows(parts, heads):
     r"""One block's slot arrays, one per column, joined into its JSON
-    objects, separated by ",\n", as UTF-8 bytes: each column's cells after
-    its constant head (' {\n  "x": ', then '\n  "k": ' and so on), and a
-    row end in place of the last comma."""
+    objects, separated by ",\n", as a view of UTF-8 bytes: each column's
+    cells after its constant head (' {\n  "x": ', then '\n  "k": ' and so
+    on), and a row end in place of the last comma."""
     rows = len(parts[0])
     const = [np.broadcast_to(np.frombuffer(b, np.uint8), (rows, len(b)))
              for b in heads + [_JSON_ROW_END]]
     block = np.concatenate(
         [s for pair in zip(const, parts) for s in pair] + const[-1:], axis=1)
     block[:, -len(_JSON_ROW_END) - 1] = _PAD
-    return block.tobytes().translate(None, b"\xff")[:-2]
+    data = block.tobytes()
+    del block  # the peak memory of a block: two copies, not four
+    return memoryview(data.translate(None, b"\xff"))[:-2]

@@ -13,6 +13,7 @@ trajectory serializes itself by its ``table()`` method.
 """
 
 import math
+from itertools import repeat
 
 from .errors import UsageError
 
@@ -161,8 +162,8 @@ def _write_json(fh, table):
         from .csvfloats import json_rows, table_cells
         heads = [f"\n  {key}: ".encode() for key in keys]
         heads[0] = b" {" + heads[0]
-        blocks = (json_rows(parts, heads) for parts in
-                  table.blocks(lambda cols: table_cells(cols, "json")))
+        blocks = map(json_rows, table.blocks(lambda c: table_cells(c, "json")),
+                     repeat(heads))
     else:
         row = " {\n" + ",\n".join("  " + key.replace("%", "%%") + ": %s"
                                    for key in keys) + "\n }"
