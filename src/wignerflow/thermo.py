@@ -35,19 +35,17 @@ __all__ = [
 ]
 
 
-def _argument_error(beta, a):
-    """The DomainError of Bessel arguments beta, a beta that are not
-    positive and finite."""
-    if not (beta > 0.0 and a > 0.0):
-        return DomainError("beta and a must be positive")
-    return DomainError(f"a beta = {a * beta!r} at beta = {beta}, a = {a}: "
-                       f"the partition functions need 0 < a beta < inf")
+def _require_arguments(beta, a):
+    """Bessel arguments beta and a beta that are positive and finite."""
+    if not (beta > 0.0 and 0.0 < a * beta < math.inf):
+        raise DomainError(f"a beta = {a * beta!r} at beta = {beta}, a = {a}: "
+                          "the partition functions need beta > 0 and "
+                          "0 < a beta < inf")
 
 
 def z0_closed(beta, a):
     """Classical partition function Z0 = 4 K0(beta) K0(a beta)."""
-    if not (beta > 0.0 and 0.0 < a * beta < math.inf):
-        raise _argument_error(beta, a)
+    _require_arguments(beta, a)
     return 4.0 * bessel_k(0, beta) * bessel_k(0, a * beta)
 
 
@@ -57,8 +55,7 @@ def z_st_closed(beta, a):
 
     Positive only below beta*(a); the sign is checked by callers.
     """
-    if not (beta > 0.0 and 0.0 < a * beta < math.inf):
-        raise _argument_error(beta, a)
+    _require_arguments(beta, a)
     return 4.0 * (bessel_k(0, beta) * bessel_k(0, a * beta)
                   - a * beta * beta / 24.0 * bessel_k(1, beta) * bessel_k(1, a * beta))
 

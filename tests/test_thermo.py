@@ -72,7 +72,7 @@ class TestPartitionFunctions:
             partition(beta, a)
         assert str(info.value) == (
             f"a beta = {product} at beta = {beta}, a = {a}: the partition "
-            f"functions need 0 < a beta < inf")
+            f"functions need beta > 0 and 0 < a beta < inf")
 
     def test_z_st_ratio_tends_to_one(self):
         # the rate is only logarithmic: beta^2 K1(beta) K1(a beta) tends to a
