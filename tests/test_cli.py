@@ -431,7 +431,8 @@ class TestThermalFieldValidity:
                        "--order", order, "--out", "t.csv"], tmp_path)
         assert res.returncode == 3, res.stderr
         assert "Traceback" not in res.stderr
-        assert f"at beta = {float(scale)!r}, a = {float(scale)!r}" in res.stderr
+        value = repr(float(scale))
+        assert f"at beta = {value}, a = {value}" in res.stderr
         assert "0 < a beta < inf" in res.stderr
         assert list(tmp_path.iterdir()) == []
 

@@ -164,8 +164,8 @@ class TestSampling:
         spec = GridSpec(-800, 800, -800, 800, 5, 5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError,
-                               match=f"{quantity} is not finite at .* {scale}"):
+            with pytest.raises(DomainError, match=(
+                    f"{quantity} is not finite at .* {scale}")):
                 sample_field(params, quantity, spec)
             finite = sample_field(params, quantity,
                                   GridSpec(-8, 8, -8, 8, 5, 5))
@@ -836,6 +836,25 @@ class TestListTables:
                      tmp_path / "t.json")
         # the writer's bools are 0 and 1, and numpy makes "mixed" float
         rows = [{**row, "mixed": float(row["mixed"]), "flag": int(row["flag"])}
+                for row in (dict(zip(columns, cells))
+                            for cells in zip(*columns.values()))]
+        with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+            json.dump(rows, fh, indent=1)
+            fh.write("\n")
+        assert ((tmp_path / "t.json").read_bytes()
+                == (tmp_path / "ref.json").read_bytes())
+
+    def test_long_json_is_json_dump(self, tmp_path):
+        # past 512 rows the slot kernel writes the cells and the keys stand
+        # as constant heads: keys that need escapes, every special float
+        plain = plain_columns(1300)
+        columns = {'odd "key" %s': plain["special"],
+                   "\u00e9t\u00e9": plain["n"], "flag": plain["flag"],
+                   "kind": plain["kind"],
+                   "back\\slash": [i / 7 for i in range(1300)]}
+        export_table(fieldgrid.column_table(columns), "json",
+                     tmp_path / "t.json")
+        rows = [{**row, "flag": int(row["flag"])}
                 for row in (dict(zip(columns, cells))
                             for cells in zip(*columns.values()))]
         with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
