@@ -122,12 +122,14 @@ class Trajectory:
                              if getattr(self, n) is not None})
 
 
-def _step_count(duration, step):
-    """round(duration / step) RK4 steps, at least one.  A count beyond the
-    work budget stays a float (inf for a subnormal step), for ``_rk4`` to
-    refuse."""
+def _time_grid(step, duration):
+    """The times tau = j step, j = 0 .. round(duration / step), of a run,
+    once 0 < step < duration < inf and the step count is within the work
+    budget."""
+    _require_span(step, duration)
     n = duration / step
-    return n if n > MAX_RK4_STEPS else max(1, int(round(n)))
+    _require_steps(n)
+    return step * np.arange(round(n) + 1)
 
 
 def _require_span(step, duration):
@@ -175,18 +177,19 @@ def integrate_orbit(spec):
     ten times ``DRIFT_TOLERANCE``, and NumericalError naming eps and the
     step if a stage overflows.
     """
-    n = _step_count(spec.duration, spec.step)
+    tau = _time_grid(spec.step, spec.duration)
     flow = _rhs_scalar(spec.model)
     try:
-        xs, ks = _rk4(flow, spec.start.x, spec.start.k, spec.step, n)
+        xs, ks = _rk4(flow, spec.start.x, spec.start.k, spec.step,
+                      len(tau) - 1)
     except OverflowError:
         raise NumericalError(
             f"an RK4 stage left the float range at eps = {spec.eps:g}, "
             f"dt = {spec.step:g}: the step is too coarse for this "
             f"energy") from None
     residual = energy(spec.model, xs, ks) - spec.eps
-    return _audited(Trajectory(tau=spec.step * np.arange(n + 1), x=xs, k=ks,
-                               flow=flow, energy_residual=residual))
+    return _audited(Trajectory(tau=tau, x=xs, k=ks, flow=flow,
+                               energy_residual=residual))
 
 
 def _audited(traj):
@@ -199,21 +202,23 @@ def _audited(traj):
     return traj
 
 
+def _hermite(s, h, v0, v1, d0, d1):
+    """The cubic Hermite interpolant at s in [0, 1] of a step of length h
+    with end values v0, v1 and end rates d0, d1."""
+    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    h10 = s * (1.0 - s) ** 2
+    h01 = s * s * (3.0 - 2.0 * s)
+    h11 = s * s * (s - 1.0)
+    return h00 * v0 + h10 * h * d0 + h01 * v1 + h11 * h * d1
+
+
 def _hermite_crossing(t0, t1, x0, x1, d0, d1):
     """Zero of the cubic Hermite interpolant of x on [t0, t1] (x0, x1 straddle 0)."""
     # imported here, so that orbit and analytic never compile the Bessel code
     from .scalar import bisect
     h = t1 - t0
-
-    def before(s):
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        val = h00 * x0 + h10 * h * d0 + h01 * x1 + h11 * h * d1
-        return (val > 0.0) == (x0 > 0.0)
-
-    lo, hi = bisect(before, 0.0, 1.0)
+    lo, hi = bisect(lambda s: (_hermite(s, h, x0, x1, d0, d1) > 0.0)
+                    == (x0 > 0.0), 0.0, 1.0)
     return t0 + h * 0.5 * (lo + hi)
 
 
@@ -226,9 +231,9 @@ def return_to_start(traj):
     """First full return of a closed orbit to its starting point.
 
     Detects the first crossing of k through its initial value in the initial
-    direction of motion and on the starting side in x, then interpolates the
-    crossing time and position, with dk/dtau from ``traj.flow``.  Returns
-    (return_time, closure_distance).
+    direction of motion and on the starting side in x, then takes the
+    crossing time and |x - x0| there on the cubic Hermite interpolants of k
+    and x, rates from ``traj.flow``.  Returns (return_time, closure).
     """
     xs, ks, tau, flow = traj.x, traj.k, traj.tau, traj.flow
     x0, dk = xs[0], ks - ks[0]
@@ -239,10 +244,10 @@ def return_to_start(traj):
         raise NumericalError("trajectory does not return to its section "
                              "within the integrated duration", payload=traj)
     i = hits[0] + 1
-    t_star = _hermite_crossing(tau[i], tau[i + 1], dk[i], dk[i + 1],
-                               *(flow(xs[j], ks[j])[1] for j in (i, i + 1)))
-    s = (t_star - tau[i]) / (tau[i + 1] - tau[i])
-    x_star = xs[i] + s * (xs[i + 1] - xs[i])
+    h = tau[i + 1] - tau[i]
+    (dx0, dk0), (dx1, dk1) = flow(xs[i], ks[i]), flow(xs[i + 1], ks[i + 1])
+    t_star = _hermite_crossing(tau[i], tau[i + 1], dk[i], dk[i + 1], dk0, dk1)
+    x_star = _hermite((t_star - tau[i]) / h, h, xs[i], xs[i + 1], dx0, dx1)
     return float(t_star), float(abs(x_star - x0))
 
 
@@ -386,10 +391,7 @@ def measured_orbit(model, start, step, periods):
     if model.kind is HamiltonianKind.LV:
         return t, integrate_orbit(OrbitSpec(model, eps, start, step=step,
                                             duration=duration))
-    _require_span(step, duration)
-    n = _step_count(duration, step)
-    _require_steps(n)
-    return t, toda_orbit(model, eps, step * np.arange(n + 1), start)
+    return t, toda_orbit(model, eps, _time_grid(step, duration), start)
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,10 @@ blocks.
 """
 
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
+
+from .tables import _csv_text, _json_text
 
 SLOT = 48
 _E_RANGE = (-281, 281)  # floor(log10 |x|) for 1e-280 <= |x| <= 1e280
@@ -275,15 +276,10 @@ _JSON_ROW_END = b"\n },\n"
 
 
 def _formatted_slots(values, fmt):
-    """Float slots written one cell at a time, by format() or, for JSON,
-    by repr() with json's names of the non-finite values."""
-    if fmt == "csv":
-        text = list(map(format, values.tolist(), repeat(".17g")))
-    else:
-        from .tables import _JSON_NONFINITE
-        text = [_JSON_NONFINITE.get(t, t)
-                for t in map(float.__repr__, values.tolist())]
-    return _text_slots(np.array(text), SLOT)
+    """Float slots written one cell at a time, by the table writer's own
+    text cells: ``_csv_text`` or ``_json_text``."""
+    text = _csv_text if fmt == "csv" else _json_text
+    return _text_slots(np.array(text(values.tolist())), SLOT)
 
 
 def _text_slots(text, width=None):

@@ -113,7 +113,7 @@ def _evaluate(entry, params, x, k):
     """One table entry's closed form at nodes (x, k).  Component None is a
     scalar form, 0 or 1 picks one entry of a vector pair, and (0, 1) stacks
     both along a last axis."""
-    form, component, _ = entry
+    form, component = entry
     out = form(params, x, k)
     if component is None:
         return out
@@ -128,11 +128,12 @@ def sample_field(params, quantity, spec, threads=None):
     ``params`` selects the ensemble family (GaussianEnsembleParams or
     ThermalEnsembleParams).  Every quantity is a closed form in 1-D factors
     f(x) g(k), so the kernels see the x nodes as a row and the k nodes as a
-    column and each 1-D factor is evaluated nx + nk times.  Velocity-family
-    gaussian quantities are masked to the trust region instead of
-    extrapolated; the region is a box, so only its sub-grid is evaluated.
-    A node inside it whose value overflows is flagged out as well.  Any
-    other grid with a value that is not finite is refused: DomainError.
+    column and each 1-D factor is evaluated nx + nk times.  A @_trusted
+    form (gaussian's velocity family) is masked to the trust region instead
+    of extrapolated; the region is a box, so only its sub-grid is evaluated,
+    by the form's ``__wrapped__``.  A node inside it whose value overflows
+    is flagged out as well.  Any other grid with a value that is not finite
+    is refused: DomainError.
     ``threads`` is accepted for compatibility and has no effect.
     """
     # the ensemble module that defines params' class holds its grid table
@@ -146,13 +147,13 @@ def sample_field(params, quantity, spec, threads=None):
             f"quantity {quantity!r} is not defined for this ensemble; "
             f"choose from {', '.join(sorted(table))}")
     entry = table[quantity]
-    _, component, needs_mask = entry
+    form, component = entry
     xs = spec.x_nodes()
     ks = spec.k_nodes()
     is_vector = isinstance(component, tuple)
     shape = (spec.nk, spec.nx, 2) if is_vector else (spec.nk, spec.nx)
     values = np.zeros(shape)
-    if not needs_mask:
+    if not hasattr(form, "__wrapped__"):
         with np.errstate(all="ignore"):
             values[...] = _evaluate(entry, params, xs[None, :], ks[:, None])
         bad = np.count_nonzero(~np.isfinite(values))
@@ -168,7 +169,7 @@ def sample_field(params, quantity, spec, threads=None):
     in_k = np.abs(ks) <= lim
     # the region is masked here and overflow flagged below, so the form
     # runs without its own checks
-    unchecked = (entry[0].__wrapped__,) + entry[1:]
+    unchecked = (form.__wrapped__, component)
     with np.errstate(over="ignore", invalid="ignore"):
         values[np.ix_(in_k, in_x)] = _evaluate(
             unchecked, params, xs[in_x][None, :], ks[in_k][:, None])

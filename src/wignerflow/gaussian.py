@@ -141,11 +141,12 @@ def stationarity_div_j(params, x, k):
 # ---------------------------------------------------------------------------
 
 def _velocity_rhs(params):
-    """w as a scalar f(x, k) for the RK4: the kernel table's pieces, times
-    c = sqrt(pi)/alpha, evaluated inline for x and for k."""
-    table = scaled_kernel_table(params.alpha, params.trust_limit())
-    rows = (SQRT_PI / params.alpha * table.coef).tolist()
-    a, sinh, scale, top = params.a, math.sinh, table.scale, float(len(rows))
+    """w as a scalar f(x, k) for the RK4, the one evaluator of
+    ``scaled_kernel_table``: its pieces, times c = sqrt(pi)/alpha, inline
+    for x and for k.  Even in x and k bit for bit."""
+    scale, coef = scaled_kernel_table(params.alpha, params.trust_limit())
+    rows = (SQRT_PI / params.alpha * coef).tolist()
+    a, sinh, top = params.a, math.sinh, float(len(rows))
     last = len(rows) - 1
 
     def rhs(x, k):
@@ -235,19 +236,19 @@ def vorticity(params, x, k):
 
 
 # the grid table of fieldgrid.sample_field: quantity -> (closed form,
-# component as fieldgrid._evaluate reads it, needs trust mask); the velocity
-# family is masked to the trust region, where its unchecked form runs
+# component as fieldgrid._evaluate reads it); the @_trusted velocity family
+# is masked to the trust region, where its unchecked form runs
 GRID_QUANTITIES = {
-    "g": (gaussian_w, None, False),
-    "jx": (currents_closed, 0, False),
-    "jk": (currents_closed, 1, False),
-    "j": (currents_closed, (0, 1), False),
-    "divj": (stationarity_div_j, None, False),
-    "wx": (velocity_w, 0, True),
-    "wk": (velocity_w, 1, True),
-    "w": (velocity_w, (0, 1), True),
-    "divw": (liouville_div_w, None, True),
-    "vort": (vorticity, None, True),
+    "g": (gaussian_w, None),
+    "jx": (currents_closed, 0),
+    "jk": (currents_closed, 1),
+    "j": (currents_closed, (0, 1)),
+    "divj": (stationarity_div_j, None),
+    "wx": (velocity_w, 0),
+    "wk": (velocity_w, 1),
+    "w": (velocity_w, (0, 1)),
+    "divw": (liouville_div_w, None),
+    "vort": (vorticity, None),
 }
 
 
@@ -376,11 +377,8 @@ def find_stagnation_points(params, bbox):
     x_lo, x_hi, k_lo, k_hi = bbox
     if not (x_lo < x_hi and k_lo < k_hi):
         raise UsageError("bbox must satisfy x_lo < x_hi and k_lo < k_hi")
-    lim = params.trust_limit()
+    _check_trust(params, (x_lo, x_hi), (k_lo, k_hi))
     upper = max(abs(x_lo), abs(x_hi), abs(k_lo), abs(k_hi))
-    if upper > lim:
-        raise DomainError(
-            f"bbox exceeds the velocity trust region |x|,|k| <= {lim:.4f}")
     xs = [0.0] + [s * z for z in _kernel_zeros(params, upper)
                   for s in (+1.0, -1.0)]
     # axis points off the origin carry current
@@ -408,10 +406,9 @@ def integrate_quantum_trajectory(params, start, step, duration):
     NumericalError if the quantum leg leaves the trust region (carrying the
     partial leg) or a stage overflows."""
     # imported here, so that field and stagnation never compile classical
-    from .classical import (Trajectory, _require_span, _rk4, _step_count,
-                            toda_orbit)
+    from .classical import Trajectory, _rk4, _time_grid, toda_orbit
     _check_trust(params, start.x, start.k)
-    _require_span(step, duration)
+    tau = _time_grid(step, duration)
     lim = params.trust_limit()
 
     def outside(x, k):
@@ -419,12 +416,11 @@ def integrate_quantum_trajectory(params, start, step, duration):
 
     flow = _velocity_rhs(params)
     try:
-        xs, ks = _rk4(flow, start.x, start.k, step,
-                      _step_count(duration, step), outside)
+        xs, ks = _rk4(flow, start.x, start.k, step, len(tau) - 1, outside)
     except OverflowError:
         raise NumericalError(f"an RK4 stage left the float range at alpha = "
                              f"{params.alpha:g}, dt = {step:g}") from None
-    tau = step * np.arange(len(xs))
+    tau = tau[:len(xs)]
     quantum = Trajectory(tau=tau, x=xs, k=ks, flow=flow)
     if outside(xs[-1], ks[-1]):
         raise NumericalError(

@@ -14,8 +14,7 @@ from .gaussian import GaussianEnsembleParams
 from .model import HamiltonianKind, SeparableHamiltonian
 from .scalar import bessel_k
 from .specfun import (QuadratureSpec, elliptic_k_complete, hermite_odd,
-                      im_erf_offset, im_erf_offset_scaled, integrate_1d,
-                      jacobi_sn_cn, scaled_kernel_table)
+                      im_erf_offset, integrate_1d, jacobi_sn_cn)
 from .thermo import ThermalEnsembleParams
 
 
@@ -75,13 +74,15 @@ def run():
     heat = thermo.observables(ThermalEnsembleParams(1.0, 1.0, "h2")).heat_capacity
     checks["heat_capacity_closed_vs_fd"] = abs(heat - fd) < 1e-6 * abs(heat)
 
+    # the quantum RK4's right-hand side against the array path
     def kernel_table_error(alpha):
-        lim = gaussian.TRUST_FACTOR / alpha
-        chi = np.linspace(-lim, lim, 201)
-        ref = im_erf_offset_scaled(alpha, chi)
-        kernel = scaled_kernel_table(alpha, lim)
-        err = max(abs(kernel(c) - r) for c, r in zip(chi.tolist(), ref))
-        return err / np.max(np.abs(ref))
+        params = GaussianEnsembleParams(alpha)
+        chi = np.linspace(-params.trust_limit(), params.trust_limit(), 41)
+        x, k = (c.ravel() for c in np.meshgrid(chi, chi))
+        rhs = gaussian._velocity_rhs(params)
+        got = np.array([rhs(*p) for p in zip(x.tolist(), k.tolist())]).T
+        ref = np.array(gaussian.velocity_w(params, x, k))
+        return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
     checks["kernel_table_vs_faddeeva"] = all(
         kernel_table_error(alpha) <= 1e-13 for alpha in (0.25, 1.0, 2.7))
@@ -131,10 +132,12 @@ def run():
     vort = gaussian.vorticity(g4, 0.7, 0.4)
     checks["vorticity_closed_vs_fd"] = abs(vort - fd) < 1e-8 * abs(vort)
 
-    model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
-    spec = classical.OrbitSpec.from_energy(model, 2.5, step=1e-3, duration=12.0)
+    # RK4 integrates only LV orbits: the README's, at eps = 2.5
+    lv = SeparableHamiltonian(HamiltonianKind.LV, 1.0)
+    spec = classical.OrbitSpec.from_energy(lv, 2.5, step=1e-3, duration=12.0)
     traj = classical.integrate_orbit(spec)
     checks["orbit_energy_drift"] = traj.max_drift < 1e-10
+    model = SeparableHamiltonian(HamiltonianKind.TODA, 1.0)
 
     def period_error(eps):
         # against 4 K(m) / T+ with m = eps sqrt(eps^2 - 4) / T+^2 (a = 1),

@@ -400,16 +400,16 @@ _TABLE_MAX_POINTS = 512 * 7 + 1  # 512 pieces: every alpha up to 17
 
 @lru_cache(maxsize=8)
 def scaled_kernel_table(alpha, limit):
-    """S = im_erf_offset_scaled(alpha, .) on |chi| <= limit as a function of
-    one float, for the RK4 of the quantum velocity field.
+    """(scale, coef): S = im_erf_offset_scaled(alpha, .) on |chi| <= limit
+    as a piecewise table, for the RK4 of the quantum velocity field, whose
+    right-hand side ``gaussian._velocity_rhs`` evaluates it.
 
-    Piece i = int(u), u = scale |chi|, scale = pieces/limit, holds the
-    coefficients (constant first) of the degree-7 interpolant of S at its
-    Chebyshev-Lobatto points, in t = u - i - 1/2; a |chi| beyond limit, as
-    RK4 stages reach, takes the last piece.  One product with a fixed matrix
-    fits all pieces.  The callable carries ``scale`` and ``coef`` for the
-    fused velocity field of ``gaussian``.  S(-chi) equals S(chi) bit for
-    bit.  NumericalError, naming alpha, if _TABLE_MAX_POINTS nodes fail.
+    Piece i = int(u), u = scale |chi|, scale = pieces/limit, holds in row i
+    of coef the coefficients (constant first) of the degree-7 interpolant
+    of S at its Chebyshev-Lobatto points, in t = u - i - 1/2; a |chi| beyond
+    limit, as RK4 stages reach, takes the last piece.  One product with a
+    fixed matrix fits all pieces.  NumericalError, naming alpha, if
+    _TABLE_MAX_POINTS nodes fail.
     """
     # 15 Chebyshev-Lobatto points on [-1, 1]: nodes (even), check points (odd)
     pts = -np.cos(np.pi * np.arange(15) / 14)
@@ -433,12 +433,4 @@ def scaled_kernel_table(alpha, limit):
         raise NumericalError(
             f"scaled kernel table for alpha = {alpha} did not converge "
             f"within {_TABLE_MAX_POINTS} nodes")
-    coef, scale = np.ldexp(coef, e), n / limit
-
-    def kernel(chi):
-        u = scale * abs(chi)
-        i = int(u) if u < n else n - 1
-        return float(np.polyval(coef[i, ::-1], u - i - 0.5))
-
-    kernel.scale, kernel.coef = scale, coef
-    return kernel
+    return n / limit, np.ldexp(coef, e)

@@ -88,7 +88,8 @@ def beta_star(a):
 class ThermalEnsembleParams:
     """Inverse temperature, anisotropy, expansion order ('classical' or
     'h2') and the partition functions there: z0, on first use, and the
-    z_st that order h2 was checked against (None at classical order)."""
+    z_st that order h2 was checked against (None at classical order).
+    Reading z0 where it underflows to 0 raises ValidityError."""
 
     def __init__(self, beta, a=1.0, order="classical"):
         if not (isinstance(beta, (int, float)) and beta > 0.0
@@ -114,7 +115,11 @@ class ThermalEnsembleParams:
 
     @cached_property
     def z0(self):
-        return z0_closed(self.beta, self.a)
+        z0 = z0_closed(self.beta, self.a)
+        if not z0 > 0.0:
+            raise ValidityError(f"Z0 underflows to {z0!r} at beta = "
+                                f"{self.beta}, a = {self.a}")
+        return z0
 
 
 def w0(params, x, k):
@@ -124,8 +129,6 @@ def w0(params, x, k):
     x = np.asarray(x, dtype=float)
     k = np.asarray(k, dtype=float)
     b, a, z0 = params.beta, params.a, params.z0
-    if not z0 > 0.0:
-        raise ValidityError(f"Z0 underflows to {z0!r} at beta = {b}, a = {a}")
     return np.exp(-b * (a * np.cosh(x) + np.cosh(k))) / z0
 
 
@@ -188,14 +191,14 @@ def div_w_td(params, x, k):
 
 
 # the grid table of fieldgrid.sample_field: quantity -> (closed form,
-# component as fieldgrid._evaluate reads it, needs trust mask)
+# component as fieldgrid._evaluate reads it); none is masked
 GRID_QUANTITIES = {
-    "w0": (w0, None, False),
-    "w_st2": (w_st2, None, False),
-    "jx": (currents_td, 0, False),
-    "jk": (currents_td, 1, False),
-    "j": (currents_td, (0, 1), False),
-    "divw": (div_w_td, None, False),
+    "w0": (w0, None),
+    "w_st2": (w_st2, None),
+    "jx": (currents_td, 0),
+    "jk": (currents_td, 1),
+    "j": (currents_td, (0, 1)),
+    "divw": (div_w_td, None),
 }
 
 
@@ -226,14 +229,11 @@ def observables(params):
     Both are closed forms at both orders, built from K0' = -K1 and
     K1' = -K0 - K1/x; there is no finite difference, so they hold up to the
     validity boundary.  They read the partition functions that params
-    carry, whose Z_ST was checked at order h2; at classical order a Z0
-    underflowed to 0 raises ValidityError.
+    carry, whose Z_ST was checked at order h2 and whose Z0 refuses to
+    underflow to 0 (ValidityError).
     """
     b, a, order, z0 = params.beta, params.a, params.order, params.z0
     z_st = params.z_st if order == "h2" else z_st_closed(b, a)
-    if order == "classical" and not z0 > 0.0:
-        raise ValidityError(
-            f"Z0 underflows to {z0!r} at beta = {b}, a = {a}")
     k0_b, k1_b = _bessel_log_slopes(b)
     k0_ab, k1_ab = _bessel_log_slopes(a * b)
     # g1 = beta Z'/Z and g2 = beta^2 (ln Z)'', first for Z0 = 4 K0(b) K0(ab)

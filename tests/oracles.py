@@ -578,11 +578,13 @@ def return_to_start_per_sample(traj):
         ki, kj = ks[i] - k0, ks[i + 1] - k0
         crossing = (ki > 0.0 >= kj) if down else (ki < 0.0 <= kj)
         if crossing and math.copysign(1.0, xs[i]) == x_side:
-            t_star = classical._hermite_crossing(
-                tau[i], tau[i + 1], ki, kj, flow(xs[i], ks[i])[1],
-                flow(xs[i + 1], ks[i + 1])[1])
-            s = (t_star - tau[i]) / (tau[i + 1] - tau[i])
-            x_star = xs[i] + s * (xs[i + 1] - xs[i])
+            (dxi, dki), (dxj, dkj) = flow(xs[i], ks[i]), flow(xs[i + 1],
+                                                            ks[i + 1])
+            t_star = classical._hermite_crossing(tau[i], tau[i + 1], ki, kj,
+                                                 dki, dkj)
+            h = tau[i + 1] - tau[i]
+            x_star = classical._hermite((t_star - tau[i]) / h, h, xs[i],
+                                        xs[i + 1], dxi, dxj)
             return float(t_star), float(abs(x_star - x0))
     return None
 

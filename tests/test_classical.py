@@ -68,7 +68,7 @@ class TestOrbitIntegration:
         spec = OrbitSpec.from_energy(LV, 2.5, step=1e-3, duration=40.0)
         traj = integrate_orbit(spec)
         t_ret, closure = return_to_start(traj)
-        assert closure < 1e-6
+        assert closure <= 1e-12
 
     def test_toda_parity_of_point_set(self):
         # (x, k) -> (-x, -k) maps the trajectory onto itself (with tau shift)
@@ -619,6 +619,42 @@ class TestWorkBudget:
         spec = OrbitSpec.from_energy(TODA, 2.5, step=1e-12, duration=40.0)
         with pytest.raises(UsageError, match="work budget"):
             integrate_orbit(spec)
+
+
+    def test_toda_measured_orbit_refused_before_allocation(self,
+                                                           monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("allocated or evaluated past the budget")
+
+        monkeypatch.setattr(classical.np, "arange", boom)
+        monkeypatch.setattr(classical, "toda_orbit", boom)
+        with pytest.raises(UsageError, match="work budget of 10000000"):
+            measured_orbit(TODA, section_start(TODA, 2.5), 1e-12, 3.0)
+
+
+# the README members: the Toda orbit, the LV sweep (3 periods at dt 1e-3)
+# and the trajectory's classical spans (ten periods from (0.6, 0) at 2e-3)
+README_MEMBERS = (
+    [(TODA, section_start(TODA, 2.5), 1e-3, 3.0)]
+    + [(LV, section_start(LV, eps), 1e-3, 3.0)
+       for eps in (2.5, 2.2, 2.1, 2.05, 2.01)]
+    + [(SeparableHamiltonian(HamiltonianKind.TODA, a), PhasePoint(0.6, 0.0),
+        2e-3, 10.0) for a in (0.25, 1.0, 4.0)])
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("model, start, step, periods", README_MEMBERS,
+                             ids=["toda", "lv2.5", "lv2.2", "lv2.1", "lv2.05",
+                                  "lv2.01", "q0.25", "q1", "q4"])
+    def test_rows_are_the_rounded_step_grid(self, model, start, step,
+                                            periods):
+        t = period(model, energy(model, start.x, start.k))
+        duration = max(periods * t, 2.0 * step)
+        grid = classical._time_grid(step, duration)
+        assert np.array_equal(
+            grid, step * np.arange(round(duration / step) + 1))
+        assert np.array_equal(measured_orbit(model, start, step, periods)[1]
+                              .tau, grid)
 
 
 class TestOneBisection:

@@ -553,8 +553,8 @@ class TestTrajectory:
                        "--out", "tr.csv"], tmp_path)
         assert res.returncode == 0
         kv = parse_kv(res.stdout)
-        assert float(kv["quantum_closure"]) < 1e-3
-        assert float(kv["classical_closure"]) < 1e-3
+        assert float(kv["quantum_closure"]) <= 1e-12
+        assert float(kv["classical_closure"]) <= 1e-12
         assert float(kv["dephasing"]) > 1e-3
         header = (tmp_path / "tr.csv").read_text().split("\n", 1)[0]
         assert header == "kind,tau,x,k,y,z"

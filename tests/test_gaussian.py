@@ -13,9 +13,10 @@ from wignerflow.gaussian import (GaussianEnsembleParams, circulation_number,
                                  integrate_quantum_trajectory,
                                  liouville_div_w, purity, series_currents,
                                  stationarity_div_j, velocity_w, vorticity)
-from wignerflow.classical import measured_orbit, return_to_start
+from wignerflow.classical import measured_orbit, period, return_to_start
 from wignerflow.fieldgrid import GridSpec, sample_field
-from wignerflow.model import HamiltonianKind, PhasePoint, SeparableHamiltonian
+from wignerflow.model import (HamiltonianKind, PhasePoint,
+                              SeparableHamiltonian, energy)
 from wignerflow.specfun import (QuadratureSpec, im_erf_offset_scaled,
                                 integrate_1d)
 
@@ -403,6 +404,16 @@ class TestStagnationPoints:
             find_stagnation_points(GaussianEnsembleParams(4.0),
                                    (-3.0, 3.0, -3.0, 3.0))
 
+    @pytest.mark.parametrize("bound", range(4))
+    def test_any_one_bound_past_the_trust_limit_rejected(self, bound):
+        params = GaussianEnsembleParams(2.0)  # trust limit 3
+        bbox = [-3.0, 3.0, -3.0, 3.0]
+        find_stagnation_points(params, bbox)
+        bbox[bound] = math.copysign(math.nextafter(3.0, 4.0), bbox[bound])
+        with pytest.raises(DomainError, match="trust region .* <= 3.0000 "
+                                              r"\(alpha = 2.0\)"):
+            find_stagnation_points(params, bbox)
+
     def test_asymmetric_bbox_filters(self):
         pts = find_stagnation_points(GaussianEnsembleParams(2.0 ** 0.5),
                                      (-0.5, 3.0, -3.0, 3.0))
@@ -423,7 +434,7 @@ class TestQuantumTrajectory:
         assert np.max(np.abs(q.x)) < 2.0 and np.max(np.abs(q.k)) < 2.0
         t_q, gap_q = return_to_start(q)
         t_c, gap_c = return_to_start(c)
-        assert gap_q < 1e-3 and gap_c < 1e-3
+        assert gap_q <= 1e-12 and gap_c <= 1e-12
         assert abs(t_q - t_c) > 1e-3  # the flows run at different speeds
 
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
@@ -440,6 +451,18 @@ class TestQuantumTrajectory:
         assert np.array_equal(q.tau, c.tau)
         assert np.array_equal(
             c.tau, 2e-3 * np.arange(int(round(span / 2e-3)) + 1))
+
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_readme_members_close(self, a):
+        # the README members: ten classical periods from (0.6, 0) at dt
+        # 2e-3; x at the return is read off its Hermite interpolant, whose
+        # O(dt^4) error is below rounding, so both orbits visibly close
+        model = SeparableHamiltonian(HamiltonianKind.TODA, a)
+        span = 10.0 * period(model, energy(model, 0.6, 0.0))
+        q, c = integrate_quantum_trajectory(GaussianEnsembleParams(1.0, a),
+                                            PhasePoint(0.6, 0.0), 2e-3, span)
+        assert return_to_start(q)[1] <= 1e-12
+        assert return_to_start(c)[1] <= 1e-12
 
     def test_leaving_trust_region_fails_with_partial(self):
         with pytest.raises(NumericalError) as err:

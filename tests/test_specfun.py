@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerflow import specfun
+from wignerflow import gaussian, specfun
 from wignerflow.errors import DomainError, NumericalError, UsageError
+from wignerflow.gaussian import GaussianEnsembleParams, velocity_w
 from wignerflow.scalar import linspace
 from wignerflow.specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
                                 elliptic_k_linear_sin, faddeeva_w, hermite_odd,
@@ -310,34 +311,50 @@ class TestFaddeeva:
 
 
 class TestScaledKernelTable:
+    """The table through its one evaluator, the quantum RK4's right-hand
+    side ``gaussian._velocity_rhs``: w_x(chi, m) = c S(chi) sinh m and
+    w_k(m, chi) = -a c S(chi) sinh m read S on the table at chi."""
+
     @pytest.mark.parametrize("alpha", [1e-3, 0.2, 1.0, 2.7, 5.0, 10.0, 15.0])
     def test_matches_array_kernel(self, alpha):
-        lim = 6.0 / alpha
-        kernel = scaled_kernel_table(alpha, lim)
-        chi = np.linspace(-lim, lim, 2001)
-        ref = im_erf_offset_scaled(alpha, chi)
-        got = np.array([kernel(c) for c in chi.tolist()])
+        params = GaussianEnsembleParams(alpha, 3.0)
+        # sinh leaves the float range past 710, so no RK4 stage reads the
+        # table beyond it
+        m = min(params.trust_limit(), 700.0)
+        chi = np.linspace(-m, m, 2001)
+        rhs = gaussian._velocity_rhs(params)
+        got = np.array([(rhs(c, m)[0], rhs(m, c)[1]) for c in chi.tolist()])
+        ref = np.array([velocity_w(params, chi, m)[0],
+                        velocity_w(params, m, chi)[1]]).T
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_even_bit_for_bit(self):
         rng = np.random.default_rng(7)
         for alpha in (1e-3, 0.7, 1.0, 2.7, 10.0):
-            lim = 6.0 / alpha
-            kernel = scaled_kernel_table(alpha, lim)
-            for c in rng.uniform(-lim, lim, 200).tolist():
-                assert kernel(-c) == kernel(c)
+            params = GaussianEnsembleParams(alpha, 3.0)
+            lim = min(params.trust_limit(), 700.0)
+            rhs = gaussian._velocity_rhs(params)
+            for x, k in rng.uniform(-lim, lim, (200, 2)).tolist():
+                assert rhs(-x, k)[0] == rhs(x, k)[0]
+                assert rhs(x, -k)[1] == rhs(x, k)[1]
 
     def test_built_once_per_alpha(self):
         assert scaled_kernel_table(1.0, 6.0) is scaled_kernel_table(1.0, 6.0)
+        hits = scaled_kernel_table.cache_info().hits
+        gaussian._velocity_rhs(GaussianEnsembleParams(1.0, 2.0))
+        assert scaled_kernel_table.cache_info().hits == hits + 1
 
     def test_beyond_the_limit_takes_the_last_piece(self):
         # RK4 stages may overshoot the trust limit before the run stops
-        kernel = scaled_kernel_table(1.0, 6.0)
-        edge = kernel(6.0)
-        assert abs(edge - im_erf_offset_scaled(1.0, 6.0)) <= 1e-14
+        params = GaussianEnsembleParams(1.0)
+        rhs = gaussian._velocity_rhs(params)
+        c = math.sqrt(math.pi) * math.sinh(0.3)
+        edge = rhs(6.0, 0.3)[0]
+        assert abs(edge - velocity_w(params, 6.0, 0.3)[0]) <= 1e-14 * c
         for chi in (6.0 + 1e-9, 6.5, 60.0):
-            assert isinstance(kernel(chi), float)
-        assert kernel(6.0 + 1e-9) == pytest.approx(edge, abs=1e-8)
+            for value in (rhs(chi, 0.3)[0], rhs(0.3, chi)[1]):
+                assert isinstance(value, float) and math.isfinite(value)
+        assert rhs(6.0 + 1e-9, 0.3)[0] == pytest.approx(edge, abs=1e-8 * c)
 
 
 class TestScaledKernelTableNonConvergence:

@@ -7,6 +7,7 @@ import pytest
 from wignerflow import thermo
 from wignerflow.errors import (DomainError, NumericalError, UsageError,
                               ValidityError)
+from wignerflow.fieldgrid import GridSpec, sample_field
 from wignerflow.model import PhasePoint
 from wignerflow.thermo import (ThermalEnsembleParams, beta_star, currents_td,
                                div_w_td, epsilon_correction, observables, w0,
@@ -191,6 +192,22 @@ class TestDistributions:
         params = ThermalEnsembleParams(1.0, 1.0, "h2")
         assert params.z_st == z_st_closed(1.0, 1.0)
         assert observables(params).z_st == params.z_st
+
+    def test_z0_underflow_refused_with_one_message(self):
+        # Z0 = 4 K0(800)^2 underflows to 0: every reader of params.z0 (a w0
+        # grid, a current grid, a thermo row) refuses with the same text,
+        # while divw, which reads no Z0, still samples
+        params = ThermalEnsembleParams(800.0)
+        spec = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
+        messages = set()
+        for run in (lambda: sample_field(params, "w0", spec),
+                    lambda: sample_field(params, "jx", spec),
+                    lambda: observables(ThermalEnsembleParams(800.0))):
+            with pytest.raises(ValidityError) as err:
+                run()
+            messages.add(str(err.value))
+        assert messages == {"Z0 underflows to 0.0 at beta = 800.0, a = 1.0"}
+        assert sample_field(params, "divw", spec).values.shape == (3, 3)
 
     def test_w_st2_requires_h2(self):
         with pytest.raises(UsageError):
