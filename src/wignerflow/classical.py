@@ -233,11 +233,17 @@ def return_to_start(traj):
     Detects the first crossing of k through its initial value in the initial
     direction of motion and on the starting side in x, then takes the
     crossing time and |x - x0| there on the cubic Hermite interpolants of k
-    and x, rates from ``traj.flow``.  Returns (return_time, closure).
+    and x, rates from ``traj.flow``.  Where x moves faster than k at the
+    start (k turns there, as on the k axis), x and k swap roles.  Returns
+    (return_time, closure).
     """
     xs, ks, tau, flow = traj.x, traj.k, traj.tau, traj.flow
+    rate = flow(xs[0], ks[0])
+    if abs(rate[0]) > abs(rate[1]):
+        xs, ks, rate = ks, xs, rate[::-1]
+        flow = lambda k, x, f=flow: f(x, k)[::-1]
     x0, dk = xs[0], ks - ks[0]
-    crossing = _rising(-dk if flow(x0, ks[0])[1] < 0.0 else dk)
+    crossing = _rising(-dk if rate[1] < 0.0 else dk)
     crossing &= np.copysign(1.0, xs[:-1]) == math.copysign(1.0, x0)
     hits = np.flatnonzero(crossing[1:])
     if not len(hits):
@@ -385,7 +391,7 @@ def measured_orbit(model, start, step, periods):
     if start.x == 0.0 and start.k == 0.0:
         raise NumericalError("the start (0, 0) is the equilibrium, a fixed "
                              "point with no period")
-    eps = energy(model, start.x, start.k)
+    eps = float(energy(model, start.x, start.k))
     t = period(model, eps)
     duration = max(periods * t, 2.0 * step)
     if model.kind is HamiltonianKind.LV:

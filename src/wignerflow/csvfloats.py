@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tables import _csv_text, _json_text
+from .tables import _csv_text
 
 SLOT = 48
 _E_RANGE = (-281, 281)  # floor(log10 |x|) for 1e-280 <= |x| <= 1e280
@@ -277,8 +277,9 @@ _JSON_ROW_END = b"\n },\n"
 
 def _formatted_slots(values, fmt):
     """Float slots written one cell at a time, by the table writer's own
-    text cells: ``_csv_text`` or ``_json_text``."""
-    text = _csv_text if fmt == "csv" else _json_text
+    CSV cells or by ``json.dumps``."""
+    import json
+    text = _csv_text if fmt == "csv" else lambda v: list(map(json.dumps, v))
     return _text_slots(np.array(text(values.tolist())), SLOT)
 
 

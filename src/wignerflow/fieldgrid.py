@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .tables import Table, as_table, column_table, export_table
+from .tables import Table, column_table, export_table
 
 __all__ = [
     "GridSpec",
@@ -25,7 +25,6 @@ __all__ = [
     "zero_contours",
     "Table",
     "column_table",
-    "as_table",
     "export_table",
 ]
 
@@ -146,38 +145,31 @@ def sample_field(params, quantity, spec, threads=None):
         raise UsageError(
             f"quantity {quantity!r} is not defined for this ensemble; "
             f"choose from {', '.join(sorted(table))}")
-    entry = table[quantity]
-    form, component = entry
-    xs = spec.x_nodes()
-    ks = spec.k_nodes()
+    form, component = entry = table[quantity]
+    xs, ks = spec.x_nodes(), spec.k_nodes()
     is_vector = isinstance(component, tuple)
-    shape = (spec.nk, spec.nx, 2) if is_vector else (spec.nk, spec.nx)
-    values = np.zeros(shape)
-    if not hasattr(form, "__wrapped__"):
-        with np.errstate(all="ignore"):
-            values[...] = _evaluate(entry, params, xs[None, :], ks[:, None])
-        bad = np.count_nonzero(~np.isfinite(values))
-        if bad:
-            scale = "alpha" if hasattr(params, "alpha") else "beta"
-            raise DomainError(
-                f"{quantity} is not finite at {bad} of {values.size} grid "
-                f"values at {scale} = {getattr(params, scale)}, a = "
-                f"{params.a}: its closed form leaves the float range there")
-        return FieldGrid(spec=spec, quantity=quantity, values=values)
-    lim = params.trust_limit()
-    in_x = np.abs(xs) <= lim
-    in_k = np.abs(ks) <= lim
-    # the region is masked here and overflow flagged below, so the form
-    # runs without its own checks
-    unchecked = (form.__wrapped__, component)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values[np.ix_(in_k, in_x)] = _evaluate(
-            unchecked, params, xs[in_x][None, :], ks[in_k][:, None])
-    valid = in_k[:, None] & in_x[None, :]
-    # sinh and cosh overflow past |chi| = 710, which the trust region reaches
-    # for alpha below about 0.0085: such nodes are flagged out too
+    values = np.zeros((spec.nk, spec.nx, 2) if is_vector else (spec.nk, spec.nx))
+    box, valid = ..., None
+    if hasattr(form, "__wrapped__"):
+        # the region is masked here and overflow flagged below, so the form
+        # runs without its own checks
+        lim = params.trust_limit()
+        in_x, in_k = np.abs(xs) <= lim, np.abs(ks) <= lim
+        box, valid = np.ix_(in_k, in_x), in_k[:, None] & in_x[None, :]
+        xs, ks, entry = xs[in_x], ks[in_k], (form.__wrapped__, component)
+    with np.errstate(all="ignore"):
+        values[box] = _evaluate(entry, params, xs[None, :], ks[:, None])
     finite = np.isfinite(values)
     if not finite.all():
+        if valid is None:  # no trust region to flag nodes out of
+            scale = "alpha" if hasattr(params, "alpha") else "beta"
+            raise DomainError(
+                f"{quantity} is not finite at {np.count_nonzero(~finite)} of "
+                f"{values.size} grid values at {scale} = "
+                f"{getattr(params, scale)}, a = {params.a}: its closed form "
+                f"leaves the float range there")
+        # sinh and cosh overflow past |chi| = 710, which the trust region
+        # reaches for alpha below about 0.0085: such nodes are flagged out
         valid &= finite.all(axis=-1) if is_vector else finite
         values[~valid] = 0.0
     return FieldGrid(spec=spec, quantity=quantity, values=values, valid=valid)

@@ -20,7 +20,7 @@ which contradicts their own leading term; the truncated series oracle
 The velocity field w = J/G is evaluated in the Gaussian-cancelled form
 w_x = (sqrt(pi)/alpha) e^{alpha^2 x^2} F(x) sinh(k), the exponential absorbed
 into the kernel, so no large-times-small product is formed; the RK4 reads
-the kernel inline from the piecewise table of ``scaled_kernel_table``.
+the kernel inline from the piecewise table of ``_kernel_table``.
 """
 
 import functools
@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
-from .specfun import (hermite_odd, im_erf_offset, im_erf_offset_scaled,
-                      scaled_kernel_table)
+from .specfun import hermite_odd, im_erf_offset, im_erf_offset_scaled
 
 __all__ = [
     "GaussianEnsembleParams",
@@ -62,8 +61,9 @@ class GaussianEnsembleParams:
 
     def __init__(self, alpha, a=1.0):
         if not (isinstance(alpha, (int, float)) and alpha > 0.0
-                and math.isfinite(alpha)):
-            raise DomainError(f"alpha = {alpha} must be positive and finite")
+                and math.isfinite(alpha + TRUST_FACTOR / alpha)):
+            raise DomainError(f"alpha = {alpha} must be positive and finite, "
+                              f"and so must 6/alpha")
         if not (a > 0.0 and math.isfinite(a)):
             raise DomainError("a must be positive and finite")
         self.alpha, self.a = alpha, a
@@ -140,11 +140,57 @@ def stationarity_div_j(params, x, k):
 # quantum velocity field and its quantifiers
 # ---------------------------------------------------------------------------
 
+# pieces double until within _TABLE_TOL max|S| (1 + alpha^2 |chi|) of the
+# array kernel, whose own error against mpmath grows with alpha^2 |chi|
+_TABLE_TOL = 16.0 * np.finfo(float).eps
+_TABLE_MAX_POINTS = 512 * 7 + 1  # 512 pieces: every alpha up to 17
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_table(alpha):
+    """(scale, coef): S = im_erf_offset_scaled(alpha, .) on the trust
+    interval |chi| <= limit = TRUST_FACTOR/alpha as a piecewise table, for
+    the RK4 of the quantum velocity field, whose right-hand side
+    ``_velocity_rhs`` evaluates it.
+
+    Piece i = int(u), u = scale |chi|, scale = pieces/limit, holds in row i
+    of coef the coefficients (constant first) of the degree-7 interpolant
+    of S at its Chebyshev-Lobatto points, in t = u - i - 1/2; a |chi| beyond
+    limit, as RK4 stages reach, takes the last piece.  One product with a
+    fixed matrix fits all pieces.  NumericalError, naming alpha, if
+    _TABLE_MAX_POINTS nodes fail.
+    """
+    limit = TRUST_FACTOR / alpha
+    # 15 Chebyshev-Lobatto points on [-1, 1]: nodes (even), check points (odd)
+    pts = -np.cos(np.pi * np.arange(15) / 14)
+    fit = np.linalg.inv(np.vander(pts[::2], increasing=True)).T * 2.0 ** np.arange(8)
+    check = np.vander(0.5 * pts[1::2], 8, increasing=True).T
+    n = 1
+    while 7 * n + 1 <= _TABLE_MAX_POINTS:
+        chi = limit / n * (np.arange(n)[:, None] + 0.5 + 0.5 * pts)
+        s = im_erf_offset_scaled(alpha, chi)
+        # scaled by 2^-e into [0.5, 1), so that the fit cannot overflow
+        e = math.frexp(float(np.max(np.abs(s))))[1]
+        s = np.ldexp(s, -e)
+        # fitted relative to the first node, not to round a piece's mean
+        coef = (s[:, ::2] - s[:, :1]) @ fit
+        coef[:, 0] += s[:, 0]
+        tol = _TABLE_TOL * np.max(np.abs(s)) * (1.0 + alpha * alpha * chi)
+        if np.all(np.abs(coef @ check - s[:, 1::2]) <= tol[:, 1::2]):
+            break
+        n *= 2
+    else:
+        raise NumericalError(
+            f"scaled kernel table for alpha = {alpha} did not converge "
+            f"within {_TABLE_MAX_POINTS} nodes")
+    return n / limit, np.ldexp(coef, e)
+
+
 def _velocity_rhs(params):
     """w as a scalar f(x, k) for the RK4, the one evaluator of
-    ``scaled_kernel_table``: its pieces, times c = sqrt(pi)/alpha, inline
-    for x and for k.  Even in x and k bit for bit."""
-    scale, coef = scaled_kernel_table(params.alpha, params.trust_limit())
+    ``_kernel_table``: its pieces, times c = sqrt(pi)/alpha, inline for x
+    and for k.  Even in x and k bit for bit."""
+    scale, coef = _kernel_table(params.alpha)
     rows = (SQRT_PI / params.alpha * coef).tolist()
     a, sinh, top = params.a, math.sinh, float(len(rows))
     last = len(rows) - 1
@@ -387,12 +433,17 @@ def find_stagnation_points(params, bbox):
                      and x_lo <= cx <= x_hi and k_lo <= ck <= k_hi})
     # |J| point by point: at a root it is rounding noise, and numpy rounds a
     # complex product on 0-d and on 1-d arrays differently
+    with np.errstate(all="ignore"):
+        residuals = [float(np.hypot(*currents_closed(params, cx, ck)))
+                     for cx, ck in coords]
+    if not all(map(math.isfinite, residuals)):
+        raise DomainError(f"the current leaves the float range at alpha = "
+                          f"{params.alpha}, a = {params.a}")
     return [StagnationPoint(
-                location=PhasePoint(cx, ck),
-                residual=float(np.hypot(*currents_closed(params, cx, ck))),
+                location=PhasePoint(cx, ck), residual=residual,
                 circulation=-1.0 if cx == 0.0 else 0.0,
                 kind="vortex_cw" if cx == 0.0 else "saddle_or_separatrix")
-            for cx, ck in coords]
+            for (cx, ck), residual in zip(coords, residuals)]
 
 
 # ---------------------------------------------------------------------------

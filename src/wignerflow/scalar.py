@@ -80,6 +80,8 @@ def _bessel_k01(x):
             if abs(term) < 1e-16 * abs(k0):
                 return k0, 2.0 * k1 / x
             i += 1
+    if x > 746.0:  # e^-x is 0; CF2 would loop on the overflow past 9e307
+        return 0.0, 0.0
     # Steed's continued fraction CF2 with the series for the normalisation s
     b = 2.0 * (1.0 + x)
     d = 1.0 / b

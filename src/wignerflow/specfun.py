@@ -4,8 +4,7 @@ Everything downstream (closed-form currents, elliptic parameterizations)
 is built on the functions here and in ``scalar``, which holds the Bessel
 functions K0, K1 and the bisection on ``math`` alone; both names still
 resolve here, on first access.  The elliptic integrals and Jacobi
-functions share one arithmetic-geometric mean; the scaled offset kernel
-has a piecewise polynomial table for scalar use.  The quadrature engine
+functions share one arithmetic-geometric mean.  The quadrature engine
 evaluates the time-of-flight periods and doubles as the test suite's
 independent oracle.  All evaluations are pure: identical inputs give
 bit-identical outputs.
@@ -29,7 +28,6 @@ __all__ = [
     "faddeeva_w",
     "im_erf_offset",
     "im_erf_offset_scaled",
-    "scaled_kernel_table",
 ]
 
 
@@ -179,9 +177,7 @@ def integrate_1d(f, lo, hi, spec=None):
     if lo_inf and hi_inf:
         half = QuadratureSpec(spec.abs_tol / 2.0, spec.rel_tol / 2.0,
                               spec.max_subdivisions)
-        left, _ = _integrate_finite(_decay_transform(f, 0.0, -1.0), 0.0, 1.0, half)
-        right, _ = _integrate_finite(_decay_transform(f, 0.0, 1.0), 0.0, 1.0, half)
-        return left + right
+        return integrate_1d(f, lo, 0.0, half) + integrate_1d(f, 0.0, hi, half)
     if hi_inf:
         value, _ = _integrate_finite(_decay_transform(f, lo, 1.0), 0.0, 1.0, spec)
         return value
@@ -390,47 +386,3 @@ def im_erf_offset_scaled(alpha, chi):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-# pieces double until within _TABLE_TOL max|S| (1 + alpha^2 |chi|) of the
-# array kernel, whose own error against mpmath grows with alpha^2 |chi|
-_TABLE_TOL = 16.0 * np.finfo(float).eps
-_TABLE_MAX_POINTS = 512 * 7 + 1  # 512 pieces: every alpha up to 17
-
-
-@lru_cache(maxsize=8)
-def scaled_kernel_table(alpha, limit):
-    """(scale, coef): S = im_erf_offset_scaled(alpha, .) on |chi| <= limit
-    as a piecewise table, for the RK4 of the quantum velocity field, whose
-    right-hand side ``gaussian._velocity_rhs`` evaluates it.
-
-    Piece i = int(u), u = scale |chi|, scale = pieces/limit, holds in row i
-    of coef the coefficients (constant first) of the degree-7 interpolant
-    of S at its Chebyshev-Lobatto points, in t = u - i - 1/2; a |chi| beyond
-    limit, as RK4 stages reach, takes the last piece.  One product with a
-    fixed matrix fits all pieces.  NumericalError, naming alpha, if
-    _TABLE_MAX_POINTS nodes fail.
-    """
-    # 15 Chebyshev-Lobatto points on [-1, 1]: nodes (even), check points (odd)
-    pts = -np.cos(np.pi * np.arange(15) / 14)
-    fit = np.linalg.inv(np.vander(pts[::2], increasing=True)).T * 2.0 ** np.arange(8)
-    check = np.vander(0.5 * pts[1::2], 8, increasing=True).T
-    n = 1
-    while 7 * n + 1 <= _TABLE_MAX_POINTS:
-        chi = limit / n * (np.arange(n)[:, None] + 0.5 + 0.5 * pts)
-        s = im_erf_offset_scaled(alpha, chi)
-        # scaled by 2^-e into [0.5, 1), so that the fit cannot overflow
-        e = math.frexp(float(np.max(np.abs(s))))[1]
-        s = np.ldexp(s, -e)
-        # fitted relative to the first node, not to round a piece's mean
-        coef = (s[:, ::2] - s[:, :1]) @ fit
-        coef[:, 0] += s[:, 0]
-        tol = _TABLE_TOL * np.max(np.abs(s)) * (1.0 + alpha * alpha * chi)
-        if np.all(np.abs(coef @ check - s[:, 1::2]) <= tol[:, 1::2]):
-            break
-        n *= 2
-    else:
-        raise NumericalError(
-            f"scaled kernel table for alpha = {alpha} did not converge "
-            f"within {_TABLE_MAX_POINTS} nodes")
-    return n / limit, np.ldexp(coef, e)

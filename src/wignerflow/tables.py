@@ -3,24 +3,23 @@
 A Table is named columns written one block of rows at a time, so an export
 never holds the whole file in memory.  CSV floats carry 17 significant
 digits and JSON floats their shortest repr; both round-trip doubles
-exactly.  Cells are written as text, by ``format`` and ``repr`` one at a
-time, except in a table of more than ``_BLOCK_ROWS`` rows, whose blocks
-the slot kernel of ``csvfloats`` writes.  This module imports neither
-numpy nor a physics module, and json only where a JSON document is
-written: a column table of at most ``_BLOCK_ROWS`` rows of lists of one
-type each, as ``thermo`` writes, is written without numpy, and a grid or
-trajectory serializes itself by its ``table()`` method.
+exactly.  A table of at most ``_BLOCK_ROWS`` rows is written from its
+Python values, CSV by ``format`` and ``str`` and JSON by ``json.dumps``;
+the slot kernel of ``csvfloats`` writes the blocks of a longer one.  This
+module imports neither numpy nor a physics module, and json only where a
+JSON document is written: a column table of at most ``_BLOCK_ROWS`` rows
+of lists of one type each, as ``thermo`` writes, is written without
+numpy, and a grid or trajectory serializes itself by its ``table()``
+method.
 """
 
-import math
 from itertools import repeat
 
 from .errors import UsageError
 
-__all__ = ["Table", "column_table", "as_table", "export_table"]
+__all__ = ["Table", "column_table", "export_table"]
 
 _BLOCK_ROWS = 512
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _INT64 = range(-2 ** 63, 2 ** 63)
 
 
@@ -76,54 +75,23 @@ def column_table(columns):
     return Table(tuple(columns), rows, blocks)
 
 
-def as_table(obj):
-    """The Table of a Table or of an object with a ``table()`` method (a
-    grid or a trajectory)."""
-    if isinstance(obj, Table):
-        return obj
-    if callable(getattr(obj, "table", None)):
-        return obj.table()
-    raise UsageError(f"cannot serialize object of type {type(obj).__name__}")
-
-
 # ---------------------------------------------------------------------------
-# text cells: one str per cell, from a column's Python values; a numpy
-# column gives them by tolist()
+# a short table's cells: its Python values, and CSV text made of them
 # ---------------------------------------------------------------------------
+
+def _values(cols):
+    """A Table's ``cells`` argument that gives each column as a list of
+    Python values, a bool as 0 or 1, as the slot kernel writes it."""
+    values = [c if isinstance(c, list) else c.tolist() for c in cols]
+    return [list(map(int, v)) if type(v[0]) is bool else v for v in values]
+
 
 def _csv_text(values):
-    """CSV cells: floats as format(x, ".17g"), a bool as 0 or 1, integers
-    and strings as str() writes them."""
-    kind = type(values[0])
-    if kind is float:
+    """CSV cells: floats as format(x, ".17g"), integers and strings as
+    str() writes them."""
+    if type(values[0]) is float:
         return [format(v, ".17g") for v in values]
-    if kind is bool:
-        return ["1" if v else "0" for v in values]
     return list(map(str, values))
-
-
-def _json_text(values):
-    """Cells as json writes them: float repr, NaN, Infinity, integers (a
-    bool as 0 or 1) and strings."""
-    kind = type(values[0])
-    if kind is float:
-        cells = list(map(float.__repr__, values))
-        # a sum is finite only where every value is
-        if math.isfinite(sum(values)):
-            return cells
-        return [_JSON_NONFINITE.get(c, c) for c in cells]
-    if kind is bool:
-        return ["1" if v else "0" for v in values]
-    if kind is str:
-        import json
-        return list(map(json.dumps, values))
-    return list(map(str, values))
-
-
-def _text_cells(text):
-    """A Table's ``cells`` argument that writes each column by text."""
-    return lambda cols: [text(c if isinstance(c, list) else c.tolist())
-                         for c in cols]
 
 
 def _text_rows(parts):
@@ -141,7 +109,8 @@ def _write_csv(fh, table):
         # _BLOCK_ROWS rows or fewer: the kernel's fixed cost, about 80 us per
         # block and, once per process, 3 ms to compile its module and 0.7 MB
         # of numpy code pages, outweighs format()'s 0.7 us per cell
-        blocks = map(_text_rows, table.blocks(_text_cells(_csv_text)))
+        blocks = (_text_rows(list(map(_csv_text, cols)))
+                  for cols in table.blocks(_values))
     # a block's cells are freed before the next block is made, so that its
     # buffers are reused
     for rows in blocks:
@@ -149,28 +118,22 @@ def _write_csv(fh, table):
 
 
 def _write_json(fh, table):
-    """The layout of ``json.dump(rows, fh, indent=1)`` plus a newline, to a
-    binary file, one block's objects at a time."""
+    """``json.dump(rows, fh, indent=1)`` of one object per row, plus a
+    newline, to a binary file; a table of more than ``_BLOCK_ROWS`` rows in
+    that layout one block's objects at a time."""
     import json
-    if not table.rows:
-        fh.write(b"[]\n")
+    if table.rows <= _BLOCK_ROWS:
+        rows = [dict(zip(table.names, row))
+                for cols in table.blocks(_values) for row in zip(*cols)]
+        fh.write((json.dumps(rows, indent=1) + "\n").encode())
         return
-    keys = list(map(json.dumps, table.names))
-    if table.rows > _BLOCK_ROWS:
-        # the slot kernel, as in _write_csv; each column's cells after
-        # its key
-        from .csvfloats import json_rows, table_cells
-        heads = [f"\n  {key}: ".encode() for key in keys]
-        heads[0] = b" {" + heads[0]
-        blocks = map(json_rows, table.blocks(lambda c: table_cells(c, "json")),
-                     repeat(heads))
-    else:
-        row = " {\n" + ",\n".join("  " + key.replace("%", "%%") + ": %s"
-                                   for key in keys) + "\n }"
-        blocks = (",\n".join(map(row.__mod__, zip(*cols))).encode()
-                  for cols in table.blocks(_text_cells(_json_text)))
+    # the slot kernel, as in _write_csv; each column's cells after its key
+    from .csvfloats import json_rows, table_cells
+    heads = [f"\n  {json.dumps(name)}: ".encode() for name in table.names]
+    heads[0] = b" {" + heads[0]
     sep = b"[\n"
-    for rows in blocks:
+    for rows in map(json_rows, table.blocks(lambda c: table_cells(c, "json")),
+                    repeat(heads)):
         fh.write(sep)
         fh.write(rows)
         sep = b",\n"
@@ -178,12 +141,19 @@ def _write_json(fh, table):
 
 
 def export_table(obj, fmt, path):
-    """Write a Table, or what ``as_table`` makes one of, as CSV (a header
-    row, 17-significant-digit floats) or JSON (``json.dump(..., indent=1)``
-    of one object per row, shortest round-trip floats), one block of rows at
-    a time.  An empty table is refused as CSV and written as ``[]`` in JSON.
+    """Write a Table, or the ``table()`` of a grid or a trajectory, as CSV
+    (a header row, 17-significant-digit floats) or JSON
+    (``json.dump(..., indent=1)`` of one object per row, shortest
+    round-trip floats), one block of rows at a time.  An empty table is
+    refused as CSV and written as ``[]`` in JSON.
     """
-    table = as_table(obj)
+    if isinstance(obj, Table):
+        table = obj
+    elif callable(getattr(obj, "table", None)):
+        table = obj.table()
+    else:
+        raise UsageError(
+            f"cannot serialize object of type {type(obj).__name__}")
     if fmt not in ("csv", "json"):
         raise UsageError("format must be 'csv' or 'json'")
     if fmt == "csv" and not table.rows:

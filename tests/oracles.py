@@ -571,8 +571,12 @@ def return_to_start_per_sample(traj):
     """classical.return_to_start, one sample interval at a time; None where
     the trajectory does not return."""
     xs, ks, tau, flow = traj.x, traj.k, traj.tau, traj.flow
+    dx, dk = flow(xs[0], ks[0])
+    if abs(dx) > abs(dk):  # section on x = x0: x and k swap roles
+        xs, ks, dk = ks, xs, dx
+        flow = lambda k, x, f=flow: f(x, k)[::-1]
     k0, x0 = ks[0], xs[0]
-    down = flow(x0, k0)[1] < 0.0
+    down = dk < 0.0
     x_side = math.copysign(1.0, x0)
     for i in range(1, len(ks) - 1):
         ki, kj = ks[i] - k0, ks[i + 1] - k0

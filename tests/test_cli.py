@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wignerflow
 
@@ -659,15 +664,15 @@ class TestQuantumLegOverflow:
 class TestKernelTableFailure:
     def test_non_convergence_exits_1_naming_alpha(self, tmp_path,
                                                   monkeypatch, capsys):
-        from wignerflow import cli, specfun
-        monkeypatch.setattr(specfun, "_TABLE_MAX_POINTS", 9)
-        specfun.scaled_kernel_table.cache_clear()
+        from wignerflow import cli, gaussian
+        monkeypatch.setattr(gaussian, "_TABLE_MAX_POINTS", 9)
+        gaussian._kernel_table.cache_clear()
         monkeypatch.chdir(tmp_path)
         try:
             code = cli.main(["trajectory", "--alpha", "1.0", "--a", "1",
                              "--tau-max", "1", "--out", "tr.csv"])
         finally:
-            specfun.scaled_kernel_table.cache_clear()
+            gaussian._kernel_table.cache_clear()
         assert code == 1
         assert "alpha = 1.0 did not converge" in capsys.readouterr().err
         assert not (tmp_path / "tr.csv").exists()
@@ -739,6 +744,34 @@ class TestNegativeExponentValues:
                        "o.csv"], tmp_path)
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "o.csv").exists()
+
+
+class TestExtremeValues:
+    """Extreme values that once hung, warned or wrote a NaN residual: each
+    exits 3 with one line, no warning and no file."""
+
+    @pytest.mark.parametrize("args, says", [
+        # period() was handed a numpy float, whose product overflowed
+        (["orbit", "--model", "lv", "--a", "1e-308", "--eps", "2.5"],
+         "duration = inf"),
+        # K0(1e308): the continued fraction looped on its overflow
+        (["thermo", "--steps", "2", "--beta-max", "1e308"],
+         "Z0 underflows to 0.0 at beta = 1e+308"),
+        (["stagnation", "--a", "1e308"],
+         "the current leaves the float range at alpha = 2.1"),
+        # 6/alpha = inf: the kernel table's nodes were inf * 0
+        (["trajectory", "--alpha", "5e-324", "--tau-max", "1"],
+         "and so must 6/alpha"),
+    ], ids=["orbit", "thermo", "stagnation", "trajectory"])
+    def test_exits_3(self, tmp_path, monkeypatch, capsys, args, says):
+        from wignerflow import cli
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(args + ["--out", "out.csv"]) == 3
+        err = capsys.readouterr().err
+        assert says in err and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestInfiniteDuration:
@@ -1053,3 +1086,82 @@ class TestSweepPathCollisions:
                          "--grid", "5", "--out", "f.csv"]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "f_alpha0.5.csv", "f_alpha1.csv"]
+
+
+# flag values: zero, tiny and huge of both signs, the infinities, nan,
+# negative numbers in exponent notation and a few ordinary values
+FUZZ_FLOATS = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e308",
+               "-1e308", "inf", "-inf", "nan", "-1e-3", "-2.5e+10", "0.5", "1",
+               "2.5"]
+# at most 1, for the flags that set a run's duration
+FUZZ_SPANS = [v for v in FUZZ_FLOATS if not float(v) > 1.0]
+FUZZ_COUNTS = ["-1", "0", "1", "2", "5", "nan"]
+FUZZ_FLAGS = {
+    "orbit": {"--periods": FUZZ_SPANS, "--model": ["toda", "lv"],
+              "--a": FUZZ_FLOATS, "--eps": FUZZ_FLOATS,
+              "--x0": FUZZ_FLOATS, "--k0": FUZZ_FLOATS, "--dt": FUZZ_FLOATS},
+    "analytic": {"--tau-max": FUZZ_SPANS, "--samples": FUZZ_COUNTS,
+                 "--eps": FUZZ_FLOATS},
+    "thermo": {"--steps": FUZZ_COUNTS, "--a": FUZZ_FLOATS,
+               "--beta-min": FUZZ_FLOATS, "--beta-max": FUZZ_FLOATS,
+               "--order": ["classical", "h2"]},
+    "field": {"--grid": FUZZ_COUNTS, "--ensemble": ["gaussian", "thermal"],
+              "--alpha": FUZZ_FLOATS, "--beta": FUZZ_FLOATS,
+              "--a": FUZZ_FLOATS, "--order": ["classical", "h2"],
+              "--quantity": ["divj", "j", "vort", "w", "w0", "w_st2"],
+              "--bbox": FUZZ_FLOATS},
+    "stagnation": {"--grid": FUZZ_COUNTS,
+                   "--alpha-steps": [c for c in FUZZ_COUNTS if c != "5"],
+                   "--a": FUZZ_FLOATS, "--alpha-min": FUZZ_FLOATS,
+                   "--alpha-max": FUZZ_FLOATS, "--bbox": FUZZ_FLOATS,
+                   "--emit-envelope": None,
+                   "--envelope-threshold": FUZZ_FLOATS},
+    # --tau-max 0 asks for ten periods, which a tiny --a stretches to the
+    # budget of 10^7 RK4 steps
+    "trajectory": {"--tau-max": [v for v in FUZZ_SPANS if float(v)],
+                   "--alpha": FUZZ_FLOATS,
+                   "--a": FUZZ_FLOATS, "--x0": FUZZ_FLOATS,
+                   "--k0": FUZZ_FLOATS, "--dt": FUZZ_FLOATS},
+}
+
+
+class TestFuzzedFlags:
+    """Extreme numeric flags, in process through cli.main: every run ends
+    with a documented exit code, no traceback, no warning and no empty
+    file.  The first flag of each subcommand bounds its work and is always
+    given."""
+
+    @staticmethod
+    def argv(data, command, out):
+        argv = [command, "--out", out]
+        if command != "stagnation":
+            argv += ["--format", data.draw(st.sampled_from(["csv", "json"]))]
+        for i, (flag, values) in enumerate(FUZZ_FLAGS[command].items()):
+            if i and not data.draw(st.booleans()):
+                continue
+            argv.append(flag)
+            if values is not None:
+                n = 4 if flag == "--bbox" else 1
+                argv += [data.draw(st.sampled_from(values)) for _ in range(n)]
+        return argv
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_FLAGS))
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_extreme_values(self, command, data):
+        from wignerflow import cli
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = self.argv(data, command, str(Path(tmp) / "out"))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse refuses the value
+                    code = exc.code
+            assert code in (0, 1, 2, 3), argv
+            assert "Traceback" not in err.getvalue(), argv
+            assert [str(w.message) for w in caught] == [], argv
+            assert all(p.stat().st_size for p in Path(tmp).iterdir()), argv

@@ -806,7 +806,7 @@ def plain_columns(rows):
 
 class TestListTables:
     """A column table of at most 512 rows of plain lists is written from
-    the lists by format() and repr, without numpy; a longer one goes
+    the lists by format() and json.dumps, without numpy; a longer one goes
     through numpy and the slot kernel, with the same bytes per row."""
 
     def test_csv_at_the_limit_matches_the_slot_writer(self, tmp_path,
@@ -874,6 +874,63 @@ class TestListTables:
         assert "9.223372036854776e+18" in (tmp_path / "t.json").read_text()
 
 
+
+def short_json(rows):
+    """json.dumps(rows, indent=1) and a newline, bools as 0 and 1."""
+    rows = [{n: int(v) if type(v) is bool else v for n, v in row.items()}
+            for row in rows]
+    return (json.dumps(rows, indent=1) + "\n").encode()
+
+
+class TestShortJson:
+    """A table of at most 512 rows is json.dumps(rows, indent=1) and a
+    newline, byte for byte, with bools as 0 and 1."""
+
+    @staticmethod
+    def columns(rows):
+        cycle = lambda values: [values[i % len(values)] for i in range(rows)]
+        return {"x": cycle([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                            1 / 3, -1e300, 2.0 ** 60]),
+                "n": cycle([2 ** 63 - 1, -2 ** 63, 0, -7, 3 ** 39]),
+                "flag": cycle([True, False, False]),
+                'say "\u00e9t\u00e9"\\': cycle(
+                    ['a "quoted"\\path', "tab\t", "\u00e9t\u00e9 \u2603",
+                     "\x01\x7f", ""])}
+
+    @pytest.mark.parametrize("rows", [1, 7, 512])
+    @pytest.mark.parametrize("arrays", [False, True], ids=["lists", "numpy"])
+    def test_column_tables(self, tmp_path, rows, arrays):
+        columns = self.columns(rows)
+        table = {n: np.array(c) if arrays else c for n, c in columns.items()}
+        export_table(fieldgrid.column_table(table), "json", tmp_path / "t")
+        expected = [dict(zip(columns, r)) for r in zip(*columns.values())]
+        assert (tmp_path / "t").read_bytes() == short_json(expected)
+
+    @pytest.mark.parametrize("params, quantity, box, nx, nk", [
+        (GaussianEnsembleParams(1.3, 2.0), "w", (-8, 8, -8, 8), 9, 7),
+        (GaussianEnsembleParams(1.3, 2.0), "vort", (-8, 8, -8, 8), 32, 16),
+        (A1, "divj", (-2, 2, -2, 2), 2, 2),
+        (ThermalEnsembleParams(0.7, 2.0, "h2"), "j", (-2, 2, -2, 2), 5, 3),
+    ])
+    def test_grids(self, tmp_path, params, quantity, box, nx, nk):
+        grid = sample_field(params, quantity, GridSpec(*box, nx, nk))
+        export_table(grid, "json", tmp_path / "g")
+        xs, ks, v = grid.spec.x_nodes(), grid.spec.k_nodes(), grid.values
+        expected = []
+        for j, i in np.ndindex(nk, nx):
+            row = {"x": float(xs[i]), "k": float(ks[j])}
+            if grid.is_vector:
+                row.update(vx=float(v[j, i, 0]), vk=float(v[j, i, 1]))
+            else:
+                row["value"] = float(v[j, i])
+            if grid.valid is not None:
+                row["valid"] = bool(grid.valid[j, i])
+            expected.append(row)
+        assert (tmp_path / "g").read_bytes() == short_json(expected)
+        if grid.valid is not None:
+            assert b'"valid": 0' in (tmp_path / "g").read_bytes()
+
+
 def mixed_columns(rows, seed=0):
     rng = np.random.default_rng(seed)
     floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 6, rows)
@@ -889,8 +946,8 @@ def mixed_columns(rows, seed=0):
 class TestBlockBoundaries:
     """Block boundaries against the record writer: column-table blocks hold
     512 rows and grid blocks about 1024 nodes; a table of at most 512
-    rows is written by format() and repr, a longer one by the kernel, in
-    CSV and in JSON alike."""
+    rows is written by format() and json.dumps, a longer one by the
+    kernel, in CSV and in JSON alike."""
 
     @pytest.fixture
     def kernel_formats(self, monkeypatch):

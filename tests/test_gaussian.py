@@ -194,6 +194,15 @@ class TestVelocity:
                 worst = max(worst, math.hypot(wx - vx, wk - vk) / scale)
         assert worst < 0.02
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 5e-324, 1e-308, math.inf,
+                                       math.nan])
+    def test_alpha_with_an_infinite_trust_limit_refused(self, alpha):
+        # 6/alpha is inf below about 3.3e-308: the kernel table's nodes
+        # would be inf * 0
+        with pytest.raises(DomainError, match="and so must 6/alpha"):
+            GaussianEnsembleParams(alpha)
+        assert GaussianEnsembleParams(4e-308).trust_limit() < math.inf
+
     def test_trust_region_guard(self):
         with pytest.raises(DomainError):
             velocity_w(A1, 6.5, 0.0)
@@ -451,6 +460,20 @@ class TestQuantumTrajectory:
         assert np.array_equal(q.tau, c.tau)
         assert np.array_equal(
             c.tau, 2e-3 * np.arange(int(round(span / 2e-3)) + 1))
+
+    @pytest.mark.parametrize("x0, k0", [(0.0, 0.5), (0.0, -0.5), (0.6, 0.0),
+                                        (-0.6, 0.0)])
+    @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
+    def test_axis_starts_return(self, a, x0, k0):
+        # on the k axis k turns at the start, so the section is x = x0
+        model = SeparableHamiltonian(HamiltonianKind.TODA, a)
+        t = period(model, float(energy(model, x0, k0)))
+        q, c = integrate_quantum_trajectory(GaussianEnsembleParams(1.0, a),
+                                            PhasePoint(x0, k0), 2e-3, 2.0 * t)
+        t_q, gap_q = return_to_start(q)
+        t_c, gap_c = return_to_start(c)
+        assert abs(t_c - t) <= 1e-9
+        assert gap_q <= 1e-12 and gap_c <= 1e-12
 
     @pytest.mark.parametrize("a", [0.25, 1.0, 4.0])
     def test_readme_members_close(self, a):

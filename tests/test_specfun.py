@@ -11,8 +11,7 @@ from wignerflow.scalar import linspace
 from wignerflow.specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
                                 elliptic_k_linear_sin, faddeeva_w, hermite_odd,
                                 im_erf_offset, im_erf_offset_scaled,
-                                integrate_1d, jacobi_sn_cn,
-                                scaled_kernel_table)
+                                integrate_1d, jacobi_sn_cn)
 
 from oracles import TIGHT, bessel_k_quadrature, erfi_maclaurin, im_erf_contour
 
@@ -26,6 +25,21 @@ class TestQuadrature:
         v = integrate_1d(lambda t: t * math.exp(-t * t), -math.inf, math.inf,
                          QuadratureSpec(1e-12, 1e-10, 2000))
         assert abs(v) < 1e-12
+
+    @pytest.mark.parametrize("f", [lambda t: math.exp(-t * t),
+                                   lambda t: math.cos(3 * t) / math.cosh(t),
+                                   lambda t: math.exp(-(t - 1.3) ** 2 / 5)])
+    def test_whole_line_is_its_two_half_lines(self, f):
+        spec = QuadratureSpec(1e-12, 1e-10, 2000)
+        half = QuadratureSpec(5e-13, 5e-11, 2000)
+        whole = integrate_1d(f, -math.inf, math.inf, spec)
+        assert whole == (integrate_1d(f, -math.inf, 0.0, half)
+                         + integrate_1d(f, 0.0, math.inf, half))
+        # and the sum of its two decay-transformed panels
+        panels = [specfun._integrate_finite(
+            specfun._decay_transform(f, 0.0, sign), 0.0, 1.0, half)[0]
+            for sign in (-1.0, 1.0)]
+        assert whole == panels[0] + panels[1]
 
     def test_matches_bessel_integral_representation(self):
         v = integrate_1d(lambda t: math.exp(-math.cosh(t)) if t < 700 else 0.0,
@@ -110,6 +124,11 @@ class TestBesselK:
             bessel_k(1, 1e-320)
         assert 744.0 < bessel_k(0, 5e-324) < 745.0
         assert bessel_k(0, 1e3) == 0.0 and bessel_k(1, 1e300) == 0.0
+
+    @pytest.mark.parametrize("arg", [746.0, 8e307, 9e307, 1.7976931348623157e308])
+    def test_underflow_to_zero_up_to_the_largest_float(self, arg):
+        # the continued fraction's 2 (1 + x) overflows past 9e307
+        assert bessel_k(0, arg) == 0.0 and bessel_k(1, arg) == 0.0
 
 
 def _sn(u, m):
@@ -284,6 +303,25 @@ class TestImErfOffset:
         assert 2 <= len(flips) <= 12
         assert np.all(np.diff(grid[flips]) > 0.5)
 
+    @pytest.mark.parametrize("alpha", [1.0, 10.0, 15.0])
+    def test_scaled_form_against_mpmath(self, alpha):
+        # within 8 eps max|S| (1 + alpha^2 |chi|) on the trust interval:
+        # the error grows with alpha^2 |chi| (on these points at most 3.3,
+        # 27 and 44 eps max|S|, 2.3 times eps max|S| (1 + alpha^2 |chi|))
+        mpmath = pytest.importorskip("mpmath")
+        lim = 6.0 / alpha
+        rng = np.random.default_rng(int(alpha))
+        chi = np.concatenate([np.linspace(-lim, lim, 121),
+                              rng.uniform(-lim, lim, 120)])
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            ref = np.array([float(mpmath.exp((a * c) ** 2)
+                                  * mpmath.im(mpmath.erf(a * (c + 0.5j))))
+                            for c in map(mpmath.mpf, chi.tolist())])
+        bound = (8.0 * np.finfo(float).eps * np.max(np.abs(ref))
+                 * (1.0 + alpha * alpha * np.abs(chi)))
+        assert np.all(np.abs(im_erf_offset_scaled(alpha, chi) - ref) <= bound)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             im_erf_offset(0.0, 1.0)
@@ -339,10 +377,11 @@ class TestScaledKernelTable:
                 assert rhs(x, -k)[1] == rhs(x, k)[1]
 
     def test_built_once_per_alpha(self):
-        assert scaled_kernel_table(1.0, 6.0) is scaled_kernel_table(1.0, 6.0)
-        hits = scaled_kernel_table.cache_info().hits
+        table = gaussian._kernel_table
+        assert table(1.0) is table(1.0)
+        hits = table.cache_info().hits
         gaussian._velocity_rhs(GaussianEnsembleParams(1.0, 2.0))
-        assert scaled_kernel_table.cache_info().hits == hits + 1
+        assert table.cache_info().hits == hits + 1
 
     def test_beyond_the_limit_takes_the_last_piece(self):
         # RK4 stages may overshoot the trust limit before the run stops
@@ -360,16 +399,16 @@ class TestScaledKernelTable:
 class TestScaledKernelTableNonConvergence:
     @pytest.fixture(autouse=True)
     def fresh_tables(self):
-        scaled_kernel_table.cache_clear()
+        gaussian._kernel_table.cache_clear()
         yield
-        scaled_kernel_table.cache_clear()
+        gaussian._kernel_table.cache_clear()
 
     @pytest.mark.parametrize("name, value", [("_TABLE_MAX_POINTS", 9),
                                              ("_TABLE_TOL", 0.0)])
     def test_raises_naming_alpha(self, monkeypatch, name, value):
-        monkeypatch.setattr(specfun, name, value)
+        monkeypatch.setattr(gaussian, name, value)
         with pytest.raises(NumericalError, match="alpha = 1.0 "):
-            scaled_kernel_table(1.0, 6.0)
+            gaussian._kernel_table(1.0)
 
 
 class TestLinspace:
