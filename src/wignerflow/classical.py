@@ -29,19 +29,6 @@ from .specfun import (QuadratureSpec, _landen_phase, elliptic_k_complete,
                       elliptic_k_linear_sin, integrate_1d, jacobi_sn_cn)
 from .tables import column_table
 
-__all__ = [
-    "OrbitSpec",
-    "Trajectory",
-    "TodaClosedForm",
-    "section_start",
-    "integrate_orbit",
-    "period",
-    "measured_orbit",
-    "toda_orbit",
-    "toda_species_series",
-    "toda_closed_period",
-]
-
 
 # RK4 steps per integration; a longer run is refused before any allocation
 MAX_RK4_STEPS = 10_000_000

@@ -6,9 +6,12 @@ the separable Hamiltonian, so a grid is one numpy broadcast of its kernel
 over the x nodes (a row) and the k nodes (a column), with no per-row loop.
 Grids are row-major with x fastest: file rows loop k in the outer loop and x
 in the inner one, so byte-identical output is reproducible across runs.
-The table writer lives in ``tables``; its public names are re-exported
-here.  Each ensemble module (``gaussian``, ``thermo``) holds the table of
-its grid quantities, so a grid loads only the module of its own ensemble.
+The table writer lives in ``tables``.  Only its ``Table`` is used here;
+``column_table`` and ``export_table`` are imported because the
+``perfbench`` tracer wraps ``fieldgrid.export_table`` and the tests read
+``fieldgrid.column_table``.  Each ensemble module (``gaussian``,
+``thermo``) holds the table of its grid quantities, so a grid loads only
+the module of its own ensemble.
 """
 
 import sys
@@ -18,22 +21,12 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .tables import Table, column_table, export_table
 
-__all__ = [
-    "GridSpec",
-    "FieldGrid",
-    "sample_field",
-    "zero_contours",
-    "Table",
-    "column_table",
-    "export_table",
-]
-
 # nodes one grid may hold; a larger grid is refused before any allocation
 MAX_GRID_NODES = 4_000_000
-# nodes per block of a grid table: the CSV float kernel's fixed cost per
-# call is spread over a thousand nodes, and a block's joined text stays
-# small (3072 nodes cut a 151-node divj export by another 10% but raised
-# its peak memory by 1.3 MB)
+# nodes per block of a grid table (whole grid rows, or this many nodes
+# where one row is longer): the CSV float kernel's fixed cost per call is
+# spread over a thousand nodes, and a block's joined text stays small (3072
+# nodes cut a 151-node divj export by 10% more but raised its peak by 1.3 MB)
 _GRID_BLOCK_NODES = 1024
 
 
@@ -75,37 +68,34 @@ class FieldGrid:
 
     def table(self):
         """Columns x, k, the value or vx, vk, and valid where present, in
-        blocks of whole grid rows (fixed k) with about _GRID_BLOCK_NODES
-        nodes, or of pieces of one grid row when it is longer than a block;
-        each axis is formatted once."""
-        spec, v = self.spec, self.values
-        comps = [v[..., 0], v[..., 1]] if self.is_vector else [v]
+        blocks of consecutive nodes: whole grid rows (fixed k) up to
+        _GRID_BLOCK_NODES nodes, or that many nodes where one row is longer.
+        Each axis is formatted once; a block takes its cells by node index."""
+        spec, nx = self.spec, self.spec.nx
+        nodes = nx * spec.nk
+        comps = [*self.values.reshape(nodes, -1).T]  # views, no copies
         names = ("x", "k") + (("vx", "vk") if self.is_vector else ("value",))
         if self.valid is not None:
-            comps.append(self.valid)
+            comps.append(self.valid.reshape(-1))
             names += ("valid",)
 
         def blocks(cells):
-            rows = max(1, _GRID_BLOCK_NODES // spec.nx)
-            width = min(spec.nx, _GRID_BLOCK_NODES)
-            xs = spec.x_nodes()
-            x_cells = cells([np.tile(xs, rows)])[0]
+            run = _GRID_BLOCK_NODES // nx * nx or _GRID_BLOCK_NODES
+            x_cells = cells([spec.x_nodes()])[0]
             k_cells = cells([spec.k_nodes()])[0]
-            for j0 in range(0, spec.nk, rows):
-                for i0 in range(0, spec.nx, width):
-                    part = (slice(j0, j0 + rows), slice(i0, i0 + width))
-                    k = _repeat_cells(k_cells[part[0]], len(xs[part[1]]))
-                    yield [x_cells[i0:i0 + len(k)], k,
-                           *cells([c[part].reshape(-1) for c in comps])]
+            for lo in range(0, nodes, run):
+                k, x = np.divmod(np.arange(lo, min(lo + run, nodes)), nx)
+                yield [_take_cells(x_cells, x), _take_cells(k_cells, k),
+                       *cells([c[lo:lo + run] for c in comps])]
 
-        return Table(names, spec.nx * spec.nk, blocks)
+        return Table(names, nodes, blocks)
 
 
-def _repeat_cells(cells, n):
-    """Each cell n times over: rows of a slot array, or list items."""
+def _take_cells(cells, index):
+    """The cells at an index array: rows of a slot array, or list items."""
     if isinstance(cells, np.ndarray):
-        return np.repeat(cells, n, axis=0)
-    return [cell for cell in cells for _ in range(n)]
+        return cells.take(index, axis=0)
+    return [cells[i] for i in index.tolist()]
 
 
 def _evaluate(entry, params, x, k):

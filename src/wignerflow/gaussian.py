@@ -32,24 +32,6 @@ from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
 from .specfun import hermite_odd, im_erf_offset, im_erf_offset_scaled
 
-__all__ = [
-    "GaussianEnsembleParams",
-    "StagnationPoint",
-    "TRUST_FACTOR",
-    "gaussian_w",
-    "purity",
-    "currents_closed",
-    "div_currents_closed",
-    "velocity_w",
-    "stationarity_div_j",
-    "liouville_div_w",
-    "vorticity",
-    "series_currents",
-    "circulation_number",
-    "find_stagnation_points",
-    "integrate_quantum_trajectory",
-]
-
 SQRT_PI = math.sqrt(math.pi)
 
 # the cancelled velocity form is well-conditioned for alpha*max(|x|,|k|) <= 6

@@ -15,13 +15,6 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 
-__all__ = [
-    "HamiltonianKind",
-    "SeparableHamiltonian",
-    "PhasePoint",
-    "energy",
-]
-
 
 class HamiltonianKind(Enum):
     LV = "lv"

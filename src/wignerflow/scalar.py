@@ -11,8 +11,6 @@ from functools import lru_cache
 
 from .errors import DomainError, UsageError
 
-__all__ = ["bessel_k", "bisect", "linspace"]
-
 
 def linspace(start, stop, num):
     """``numpy.linspace(start, stop, num)`` of two floats as a list of

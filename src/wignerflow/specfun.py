@@ -18,18 +18,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
 
-__all__ = [
-    "QuadratureSpec",
-    "integrate_1d",
-    "elliptic_k_complete",
-    "elliptic_k_linear_sin",
-    "jacobi_sn_cn",
-    "hermite_odd",
-    "faddeeva_w",
-    "im_erf_offset",
-    "im_erf_offset_scaled",
-]
-
 
 def __getattr__(name):
     # bessel_k and bisect moved to the numpy-free scalar module; importing

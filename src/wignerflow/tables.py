@@ -17,8 +17,6 @@ from itertools import repeat
 
 from .errors import UsageError
 
-__all__ = ["Table", "column_table", "export_table"]
-
 _BLOCK_ROWS = 512
 _INT64 = range(-2 ** 63, 2 ** 63)
 

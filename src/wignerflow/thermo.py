@@ -19,21 +19,6 @@ from functools import cached_property, lru_cache
 from .errors import DomainError, NumericalError, UsageError, ValidityError
 from .scalar import bessel_k, bisect
 
-__all__ = [
-    "ThermalEnsembleParams",
-    "ThermalObservables",
-    "z0_closed",
-    "z_st_closed",
-    "beta_star",
-    "w0",
-    "epsilon_correction",
-    "w_st2",
-    "currents_td",
-    "div_w_td",
-    "observables",
-    "quadrature_box",
-]
-
 
 def _require_arguments(beta, a):
     """Bessel arguments beta and a beta that are positive and finite."""

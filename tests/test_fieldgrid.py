@@ -945,8 +945,9 @@ def mixed_columns(rows, seed=0):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 class TestBlockBoundaries:
     """Block boundaries against the record writer: column-table blocks hold
-    512 rows and grid blocks about 1024 nodes; a table of at most 512
-    rows is written by format() and json.dumps, a longer one by the
+    512 rows, and grid blocks the whole grid rows that fit in 1024 nodes,
+    or 1024 consecutive nodes where one row is longer; a table of at most
+    512 rows is written by format() and json.dumps, a longer one by the
     kernel, in CSV and in JSON alike."""
 
     @pytest.fixture
@@ -984,9 +985,15 @@ class TestBlockBoundaries:
         ("divj", (-2, 2, -2, 2), 151, 151),
         ("w", (-8, 8, -8, 8), 151, 151),
         ("vort", (-8, 8, -8, 8), 151, 151),
-        # grid rows longer than a block of 1024 nodes are written in pieces
+        # rows longer than 1024 nodes: blocks of 1024 nodes cross row ends
         ("vort", (-8, 8, -8, 8), 1100, 3),
         ("w", (-8, 8, -8, 8), 1100, 2),
+        ("vort", (-8, 8, -8, 8), 1025, 3),
+        ("w", (-8, 8, -8, 8), 2049, 2),
+        # one grid row per block
+        ("w", (-8, 8, -8, 8), 1024, 2),
+        # a short grid, its cells taken from lists, with a valid column
+        ("w", (-8, 8, -8, 8), 22, 23),
     ])
     def test_grids(self, tmp_path, fmt, quantity, box, nx, nk,
                    kernel_formats):
