@@ -13,18 +13,21 @@ The table writer and the marching squares appear here in their
 one-record-at-a-time and one-cell-at-a-time forms, as references that the
 package's column-at-a-time and whole-array versions must match exactly.
 Likewise the section scans run one sample at a time and the bisections
-run a fixed number of halvings.  The orbital period is also measured the
-way the package once did, from the section crossings of an RK4 orbit
-(``orbit_period``), and evaluated by time of flight in 30-digit mpmath
-arithmetic (``period_time_of_flight_mp``; for Toda from the energy gap in
-40 digits, ``toda_period_mp``), against the package's exact
-``classical.period``.  The section starts come from mpmath's acosh and
-Lambert W (``section_start_mp``).  The scaled kernel of the quantum RK4 is
-evaluated point by point through the Weideman rational approximation, in
-place of the package's per-alpha Chebyshev table.  The classes of the
-stagnation points, exact from the linearised flow in the package, are
-measured here as the winding of the velocity around a loop about each
-point.
+run a fixed number of halvings; the kernel zeros are also found by the
+plain bisection that the package's Newton iteration replays.  The orbital
+period is also measured the way the package once did, from the section
+crossings of an RK4 orbit (``orbit_period``), and evaluated by time of
+flight in 30-digit mpmath arithmetic (``period_time_of_flight_mp``; for
+Toda from the energy gap in 40 digits, ``toda_period_mp``), against the
+package's exact ``classical.period``.  The section starts come from
+mpmath's acosh and Lambert W (``section_start_mp``).  The scaled kernel of
+the quantum RK4 is evaluated point by point through the Weideman rational
+approximation, in place of the package's per-alpha Chebyshev table.  The
+classes of the stagnation points, exact from the linearised flow in the
+package, are measured here as the winding of the velocity around a loop
+about each point.  The constants that the package writes out (the Weideman
+coefficients, the powers of ten of the slot kernel) are computed here the
+way they were derived.
 """
 
 import cmath
@@ -33,7 +36,7 @@ import math
 
 import numpy as np
 
-from wignerflow import classical
+from wignerflow import classical, csvfloats
 from wignerflow.errors import NumericalError, UsageError
 from wignerflow.gaussian import circulation_number
 from wignerflow.model import HamiltonianKind, PhasePoint, energy
@@ -651,6 +654,61 @@ def kernel_zeros_fixed(params, upper, probes):
         if not merged or z - merged[-1] > 1e-9:
             merged.append(z)
     return merged
+
+
+def kernel_zeros_bisect(params, upper):
+    """gaussian._kernel_zeros by plain bisection: each extremum bracket of F
+    halved by the sign of the scaled kernel until the midpoint equals an
+    end.  Returns (zero, kernel calls) per zero, the zero the midpoint of
+    the final pair of adjacent floats."""
+    al = params.alpha
+    step = math.pi / (al * al) if al * al > 0.0 else math.inf
+    nodes = step * np.arange(math.ceil(upper / step))
+    nodes = np.append(nodes[nodes < upper], upper)
+    up = im_erf_offset_scaled(al, nodes) > 0.0
+    out = []
+    for i in np.flatnonzero(up[:-1] != up[1:]):
+        lo, hi = float(nodes[i]), float(nodes[i + 1])
+        calls = 0
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            calls += 1
+            if (im_erf_offset_scaled(al, mid) > 0.0) == up[i]:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        out.append((0.5 * (lo + hi), calls))
+    return out
+
+
+def weideman_coefficients_fft(n_terms=64):
+    """(ell, coefficients in descending powers) of the Weideman rational
+    approximation of the Faddeeva function, by the FFT of its construction,
+    which specfun writes out as constants."""
+    m = 2 * n_terms
+    k = np.arange(-m + 1, m)
+    ell = math.sqrt(n_terms / math.sqrt(2.0))
+    t = ell * np.tan(k * math.pi / (2 * m))
+    f = np.concatenate(([0.0], np.exp(-t * t) * (ell * ell + t * t)))
+    coef = np.real(np.fft.fft(np.fft.fftshift(f))) / (2.0 * m)
+    return ell, tuple(coef[1:n_terms + 1][::-1].tolist())
+
+
+def pow10_pairs_full():
+    """csvfloats' double-double powers 10^(16 - e), every e of its range at
+    once: rows hi, hi_head, hi_tail, lo."""
+    e_min, e_max = csvfloats._E_RANGE
+    hi, lo = [], []
+    for q in range(16 - e_min, 15 - e_max, -1):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        hi.append(num / den)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    t = csvfloats._SPLIT * hi
+    head = t - (t - hi)
+    return np.array([hi, head, hi - head, lo])
 
 
 def stagnation_windings(params, points, bbox):

@@ -1,9 +1,11 @@
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wignerflow import gaussian
 from wignerflow.errors import DomainError, NumericalError, UsageError
@@ -20,8 +22,9 @@ from wignerflow.model import (HamiltonianKind, PhasePoint,
 from wignerflow.specfun import (QuadratureSpec, im_erf_offset_scaled,
                                 integrate_1d)
 
-from oracles import (gauss_legendre_2d, kernel_zeros_fixed,
-                     scaled_kernel_weideman, stagnation_windings)
+from oracles import (gauss_legendre_2d, kernel_zeros_bisect,
+                     kernel_zeros_fixed, scaled_kernel_weideman,
+                     stagnation_windings)
 
 A1 = GaussianEnsembleParams(1.0)
 POINT = PhasePoint(0.7, 0.4)
@@ -349,6 +352,57 @@ class TestStagnationPoints:
         # one zero in each whole interval between extrema of F
         full = math.floor(upper * alpha * alpha / math.pi)
         assert full <= len(zeros) <= full + 1
+
+    # the first four: a Newton iteration run down to adjacent floats ends on
+    # another pair than the bisection at one of their zeros, where rounding
+    # flips the sign of the kernel more than once
+    @example(alpha=3.064912280701754)
+    @example(alpha=5.182706766917292)
+    @example(alpha=7.342857142857142)
+    @example(alpha=9.41829573934837)
+    @example(alpha=0.1)
+    @example(alpha=17.0)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(alpha=st.floats(0.1, 17.0))
+    def test_kernel_zeros_match_bisection(self, alpha):
+        """Newton's zeros are the bisection's bit for bit, and none takes
+        more than twice the bisection's kernel calls."""
+        params = GaussianEnsembleParams(alpha)
+        upper = 6.0 / alpha
+        count, calls = [0], []
+        find = gaussian._kernel_zero
+
+        def kernel(al, chi):
+            count[0] += 1
+            return im_erf_offset_scaled(al, chi)
+
+        def zero(*args):
+            before = count[0]
+            z = find(*args)
+            calls.append(count[0] - before)
+            return z
+
+        with mock.patch.object(gaussian, "im_erf_offset_scaled", kernel), \
+                mock.patch.object(gaussian, "_kernel_zero", zero):
+            zeros = gaussian._kernel_zeros(params, upper)
+        expected = kernel_zeros_bisect(params, upper)
+        assert [z.hex() for z in zeros] == [z.hex() for z, _ in expected]
+        assert all(n <= 2 * m for n, (_, m) in zip(calls, expected))
+
+    @pytest.mark.parametrize("alpha, a, bbox", [
+        (alpha, 4.0, (-2.0, 2.0, -2.0, 2.0)) for alpha in README_SWEEP] + [
+        (2.7, 4.0, (-2.0, 2.0, -2.0, 2.0)),
+        (1.5, 0.5, (-3.0, 3.0, -3.0, 3.0)),
+        (2.0 ** 0.5, 1.0, (-3.0, 3.0, -3.0, 3.0)),
+        (0.7071, 4.0, (-8.0, 8.0, -8.0, 8.0))])
+    def test_residuals_are_the_closed_current(self, alpha, a, bbox):
+        # one kernel value per coordinate, the same |J| as point by point
+        params = GaussianEnsembleParams(alpha, a)
+        pts = find_stagnation_points(params, bbox)
+        assert pts  # the origin alone at the four smallest alpha of the sweep
+        for s in pts:
+            j = currents_closed(params, s.location.x, s.location.k)
+            assert s.residual.hex() == float(np.hypot(*j)).hex()
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.7, 5.0, 10.0])
     def test_kernel_changes_sign_once_between_extrema(self, alpha):

@@ -96,12 +96,34 @@ def test_orbit_and_analytic_load_no_ensemble_code(tmp_path, argv):
 
 
 def test_trajectory_loads_no_polynomial_package(tmp_path):
-    # the kernel table is fitted by one matrix product; numpy.fft still
-    # loads, for the Weideman coefficients of the array kernel
+    # the kernel table is fitted by one matrix product
     modules = run_loads(tmp_path, ["trajectory", "--tau-max", "10",
                                    "--out", "t.csv"])
     assert "wignerflow.gaussian" in modules
     assert "numpy.polynomial" not in modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["field", "--quantity", "divw", "--grid", "5", "--out", "f.csv"],
+    ["field", "--quantity", "w", "--grid", "5", "--format", "json",
+     "--out", "f.json"],
+    ["stagnation", "--alpha-steps", "3", "--out", "s.json"],
+    ["trajectory", "--tau-max", "10", "--out", "t.csv"],
+    ["field", "--ensemble", "thermal", "--quantity", "j", "--grid", "5",
+     "--out", "f.csv"],
+    ["orbit", "--periods", "1", "--out", "o.csv"],
+    ["analytic", "--eps", "4", "--samples", "10", "--out", "a.csv"],
+    ["thermo", "--steps", "5", "--out", "t.csv"],
+], ids=["divw", "w_json", "stagnation", "trajectory", "thermal", "orbit",
+        "analytic", "thermo"])
+def test_no_process_loads_numpy_fft(tmp_path, argv):
+    # the Weideman coefficients of the array kernel are constants
+    modules = run_loads(tmp_path, argv)
+    assert "numpy.fft" not in modules
+    if argv[0] == "stagnation":
+        # the kernel zeros are found by Newton's method, not scalar.bisect
+        assert "wignerflow.gaussian" in modules
+        assert "wignerflow.scalar" not in modules
 
 
 def test_help_texts_match_the_modules():

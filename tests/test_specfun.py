@@ -11,9 +11,10 @@ from wignerflow.scalar import linspace
 from wignerflow.specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
                                 elliptic_k_linear_sin, faddeeva_w, hermite_odd,
                                 im_erf_offset, im_erf_offset_scaled,
-                                integrate_1d, jacobi_sn_cn)
+                                integrate_1d, jacobi_sn_cn, _kernel_slope)
 
-from oracles import TIGHT, bessel_k_quadrature, erfi_maclaurin, im_erf_contour
+from oracles import (TIGHT, bessel_k_quadrature, erfi_maclaurin,
+                     im_erf_contour, weideman_coefficients_fft)
 
 
 class TestQuadrature:
@@ -322,6 +323,35 @@ class TestImErfOffset:
                  * (1.0 + alpha * alpha * np.abs(chi)))
         assert np.all(np.abs(im_erf_offset_scaled(alpha, chi) - ref) <= bound)
 
+    @pytest.mark.parametrize("alpha", [1.0, 10.0, 15.0])
+    def test_scaled_form_as_accurate_as_chi(self, alpha):
+        # within 4 eps (|chi S'| + |S|), the error that rounding chi alone
+        # causes: the growth with alpha^2 |chi| is S's own sensitivity to
+        # chi (on these points at most 3.16, 2.07 and 0.91 times the scale)
+        mpmath = pytest.importorskip("mpmath")
+        chi, ref, slope = mpmath_kernel(mpmath, alpha)
+        bound = (4.0 * np.finfo(float).eps
+                 * (np.abs(chi * slope) + np.abs(ref)))
+        assert np.all(np.abs(im_erf_offset_scaled(alpha, chi) - ref) <= bound)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.7, 10.0, 15.0])
+    def test_slope_against_mpmath(self, alpha):
+        # within 4 eps (1 + alpha^2 (|chi| + 1/4)) times the magnitudes of
+        # the slope's two terms, whose arguments alpha^2 chi and alpha^2/4
+        # are rounded (on these points at most 1.87 times the scale); on an
+        # array and on each float alike
+        mpmath = pytest.importorskip("mpmath")
+        chi, ref, slope = mpmath_kernel(mpmath, alpha)
+        al2 = alpha * alpha
+        terms = (2.0 * al2 * np.abs(chi * ref)
+                 + 2.0 * alpha / math.sqrt(math.pi) * math.exp(0.25 * al2)
+                 * np.abs(np.sin(al2 * chi)))
+        bound = (4.0 * np.finfo(float).eps * (1.0 + al2 * (np.abs(chi) + 0.25))
+                 * terms)
+        assert np.all(np.abs(_kernel_slope(alpha, chi) - slope) <= bound)
+        for c, b, d in zip(chi.tolist(), bound, slope):
+            assert abs(_kernel_slope(alpha, c) - d) <= b
+
     def test_domain(self):
         with pytest.raises(DomainError):
             im_erf_offset(0.0, 1.0)
@@ -329,7 +359,35 @@ class TestImErfOffset:
             im_erf_offset(1.0, math.nan)
 
 
+def mpmath_kernel(mpmath, alpha):
+    """(chi, S, S') on 241 points of the trust interval, S and its
+    derivative in 40-digit mpmath."""
+    lim = 6.0 / alpha
+    rng = np.random.default_rng(int(alpha))
+    chi = np.concatenate([np.linspace(-lim, lim, 121),
+                          rng.uniform(-lim, lim, 120)])
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+
+        def scaled(c):
+            return (mpmath.exp((a * c) ** 2)
+                    * mpmath.im(mpmath.erf(a * (c + 0.5j))))
+
+        points = list(map(mpmath.mpf, chi.tolist()))
+        ref = np.array([float(scaled(c)) for c in points])
+        slope = np.array([float(mpmath.diff(scaled, c)) for c in points])
+    return chi, ref, slope
+
+
 class TestFaddeeva:
+    def test_weideman_constants_are_the_fft(self):
+        # the constants are the doubles that the construction's FFT gives
+        # with the installed numpy, bit for bit
+        ell, coef = weideman_coefficients_fft()
+        assert specfun._WEIDEMAN_ELL.hex() == ell.hex()
+        assert [c.hex() for c in specfun._WEIDEMAN_COEF] == \
+               [c.hex() for c in coef]
+
     def test_real_axis_matches_erfcx_series(self):
         # w(t) on the real axis has real part e^{-t^2}
         for t in (0.0, 0.5, 2.0, 6.0):
