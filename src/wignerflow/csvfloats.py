@@ -58,21 +58,20 @@ _EXP_FROM = {"csv": 17, "json": 16}
 # 10^(16 - e) for e in _E_RANGE as double-doubles (hi + lo), with hi split
 # by Dekker: rows hi, hi_head, hi_tail, lo, columns e - e_min, filled over
 # _POW10_SPAN = [start, stop) of those columns, the exponents blocks have met
+# (empty at first, at e = 0, which every block's span includes)
 _POW10 = np.zeros((4, _E_RANGE[1] - _E_RANGE[0] + 1))
-_POW10_SPAN = [0, 0]
+_POW10_SPAN = [-_E_RANGE[0]] * 2
 
 
 def _pow10_pairs(e):
-    """The rows of _POW10, filled for every exponent in the array e and
-    between.  Python integers and their correctly rounded true division
-    make each pair exact to 2^-106."""
+    """The rows of _POW10, filled for every exponent in the array e, for
+    0 and for those between.  Python integers and their correctly rounded
+    true division make each pair exact to 2^-106."""
     start, stop = _POW10_SPAN
     first = int(e.min(initial=0)) - _E_RANGE[0]
     last = int(e.max(initial=0)) - _E_RANGE[0] + 1
     if start <= first and last <= stop:
         return _POW10
-    if start == stop:
-        start = stop = first
     hi, head, tail, lo = _POW10
     for j in (*range(first, start), *range(stop, last)):
         q = 16 - _E_RANGE[0] - j

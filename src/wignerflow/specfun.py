@@ -282,12 +282,10 @@ def hermite_odd(order, arg):
 # ---------------------------------------------------------------------------
 
 # Rational (Weideman) approximation of the Faddeeva function on the upper
-# half-plane with 64 terms, ~1e-15 relative error on |Im z| <= 2: the scale
-# ell = sqrt(64/sqrt(2)) and the coefficients in descending powers, the
-# doubles that the FFT of the construction gives (real part of the FFT of
-# the fftshifted samples exp(-t^2)(ell^2 + t^2), t = ell tan(k pi/256),
-# |k| < 128, over 256, terms 1..64 reversed), written out so that no
-# process imports numpy.fft for them
+# half-plane, 64 terms, ~1e-15 relative error on |Im z| <= 2: the scale ell
+# and the coefficients in descending powers, the doubles that the FFT of
+# the construction gives (tests/oracles.py), so that no process imports
+# numpy.fft for them
 _WEIDEMAN_ELL = math.sqrt(64 / math.sqrt(2.0))
 _WEIDEMAN_COEF = (
     -1.1102230246251565e-16, -1.942890293094024e-16, -1.6653345369377348e-16,

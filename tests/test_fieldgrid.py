@@ -678,9 +678,9 @@ class TestCsvFloatKernel:
         come back into it; the cells match format() and repr()."""
         monkeypatch.setattr(csvfloats, "_POW10",
                             np.zeros_like(csvfloats._POW10))
-        monkeypatch.setattr(csvfloats, "_POW10_SPAN", [0, 0])
-        full = oracles.pow10_pairs_full()
         e_min = csvfloats._E_RANGE[0]
+        monkeypatch.setattr(csvfloats, "_POW10_SPAN", [-e_min, -e_min])
+        full = oracles.pow10_pairs_full()
         rng = np.random.default_rng(0)
         seen = [0]  # the exponent of the cells out of range, zeros too
         for lo, hi in [(1, 3), (-120, -100), (2, 4), (250, 280), (-280, -279),
