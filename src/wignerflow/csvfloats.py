@@ -55,36 +55,22 @@ _FIXED_CODES, _LAYOUTS = 21, 23 * 17 * 2
 _EXP_FROM = {"csv": 17, "json": 16}
 
 
-# 10^(16 - e) for e in _E_RANGE as double-doubles (hi + lo), with hi split
-# by Dekker: rows hi, hi_head, hi_tail, lo, columns e - e_min, filled over
-# _POW10_SPAN = [start, stop) of those columns, the exponents blocks have met
-# (empty at first, at e = 0, which every block's span includes)
-_POW10 = np.zeros((4, _E_RANGE[1] - _E_RANGE[0] + 1))
-_POW10_SPAN = [-_E_RANGE[0]] * 2
-
-
-def _pow10_pairs(e):
-    """The rows of _POW10, filled for every exponent in the array e, for
-    0 and for those between.  Python integers and their correctly rounded
-    true division make each pair exact to 2^-106."""
-    start, stop = _POW10_SPAN
-    first = int(e.min(initial=0)) - _E_RANGE[0]
-    last = int(e.max(initial=0)) - _E_RANGE[0] + 1
-    if start <= first and last <= stop:
-        return _POW10
-    hi, head, tail, lo = _POW10
-    for j in (*range(first, start), *range(stop, last)):
-        q = 16 - _E_RANGE[0] - j
+@lru_cache(maxsize=None)
+def _pow10_pairs():
+    """10^(16 - e) for e in _E_RANGE as double-doubles (hi + lo), with hi
+    split by Dekker: arrays hi, hi_head, hi_tail, lo indexed by e - e_min.
+    Python integers and their correctly rounded true division make each
+    pair exact to 2^-106."""
+    hi, lo = [], []
+    for q in range(16 - _E_RANGE[0], 15 - _E_RANGE[1], -1):
         num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
-        hi[j] = num / den
-        a, b = hi[j].as_integer_ratio()
-        lo[j] = (num * b - a * den) / (den * b)
-    start, stop = min(start, first), max(stop, last)
-    _POW10_SPAN[:] = start, stop
-    t = _SPLIT * hi[start:stop]
-    head[start:stop] = t - (t - hi[start:stop])
-    tail[start:stop] = hi[start:stop] - head[start:stop]
-    return _POW10
+        hi.append(num / den)
+        a, b = hi[-1].as_integer_ratio()
+        lo.append((num * b - a * den) / (den * b))
+    hi = np.array(hi)
+    t = _SPLIT * hi
+    head = t - (t - hi)
+    return hi, head, hi - head, np.array(lo)
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +137,7 @@ def _expansion(values):
     e = np.log10(a)
     e = np.floor(e, out=e).astype(np.int32)
     i = e - _E_RANGE[0]
-    hi, head, tail, lo = _pow10_pairs(e)
+    hi, head, tail, lo = _pow10_pairs()
     p = a * hi.take(i)
     head, tail = head.take(i), tail.take(i)
     a_head = _SPLIT * a
@@ -204,7 +190,7 @@ def shortest_digits(values):
     # the integers n + lo + 1 .. n + hi lie within h of n + c, 1 to 23 of
     # them, so 17 digits always round-trip
     h = ((bits >> 52) - 53 << 52).view(float)
-    h *= _POW10[0].take(e - _E_RANGE[0])  # filled by _expansion
+    h *= _pow10_pairs()[0].take(e - _E_RANGE[0])
     lo, hi = c - h, c + h
     last = (n % 100).astype(float)  # n's last two digits
     # a multiple of 10 exactly h away ties two lengths

@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from .bracket import bisect
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
 from .specfun import (_kernel_slope, hermite_odd, im_erf_offset,
@@ -353,10 +354,13 @@ def circulation_number(params, center, radius):
     return 0.0
 
 
-# the computed kernel's error is at most 4 eps (|chi S'| + |S|), so its sign
-# is right more than about 4 eps chi from a zero: a point evaluated on one
-# side lies within that of the zero, and a midpoint more than 8 eps chi past
-# it has a certain sign; _ZERO_MARGIN chi, 32 eps chi, is four times that
+# on 68 alphas from 0.52 to 53.28, where the kernel has zeros, the computed
+# kernel is within 8 eps (|chi S'| + |S|) of S at the double alpha^2 it
+# reads (test_specfun), so its sign is right more than about 8 eps chi from
+# a zero: a point evaluated on one side lies within that of the zero, and a
+# midpoint more than 16 eps chi past it has a certain sign; _ZERO_MARGIN
+# chi, 32 eps chi, is twice that (on 57 alphas, every sign change of the
+# scalar kernel lies within 1 eps chi of the bisection's zero)
 _ZERO_MARGIN = 2.0 ** -47
 
 
@@ -388,11 +392,11 @@ def _kernel_zero(alpha, lo, hi, positive):
     of the zero: a step that leaves the bracket or is more than half the
     step before it gives way to the midpoint, and each step overshoots by
     a quarter of the target width, so that the iterates fall on both sides.
-    Then the bisection of [lo, hi] is replayed: a midpoint more than
+    Then ``bisect`` runs on [lo, hi] again: a midpoint more than
     _ZERO_MARGIN chi outside [a, b] lies where the sign of S is certain, so
-    only the midpoints within that margin call the kernel.  The replay thus
-    stops on the bisection's own pair of floats, also where rounding flips
-    the sign of S more than once next to the zero (at 14 of 3202 zeros for
+    only the midpoints within that margin call the kernel.  It thus stops
+    on the bisection's own pair of floats, also where rounding flips the
+    sign of S more than once next to the zero (at 14 of 3202 zeros for
     alpha in [0.1, 17]), where a Newton iteration run down to adjacent
     floats can end on another pair."""
     a, b = lo, hi
@@ -404,23 +408,19 @@ def _kernel_zero(alpha, lo, hi, positive):
             a = chi
         else:
             b = chi
-        slope = float(_kernel_slope(alpha, chi, value))
-        before, step = step, value / slope if slope else math.inf
+        slope = _kernel_slope(alpha, chi, value)
+        # S' overflows where 2 alpha e^{alpha^2/4}/sqrt(pi) does (alpha
+        # above 53.13): a step of 0 there would creep, so bisect instead
+        before, step = step, (value / slope if 0.0 < abs(slope) < math.inf
+                              else math.inf)
         chi -= step + math.copysign(0.25 * _ZERO_MARGIN * b, step)
         if not a < chi < b or abs(step) > 0.5 * abs(before):
             step = 0.5 * (b - a)
             chi = a + step
     a -= _ZERO_MARGIN * b
     b += _ZERO_MARGIN * b
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if mid < a:
-            lo = mid
-        elif mid > b or (im_erf_offset_scaled(alpha, mid) > 0.0) != positive:
-            hi = mid
-        else:
-            lo = mid
-        mid = 0.5 * (lo + hi)
+    lo, hi = bisect(lambda m: m < a or (
+        m <= b and (im_erf_offset_scaled(alpha, m) > 0.0) == positive), lo, hi)
     return 0.5 * (lo + hi)
 
 

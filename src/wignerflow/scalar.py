@@ -1,5 +1,6 @@
 """Scalar numerics on the ``math`` module alone: the modified Bessel
-functions K0 and K1, bracketing bisection and a float ``linspace``.
+functions K0 and K1 and a float ``linspace``, and the bracketing bisection
+of ``bracket``.
 
 Nothing here imports numpy, so the thermodynamic ensemble, whose closed
 forms need only these, runs in a process that never loads it.  ``specfun``
@@ -9,6 +10,7 @@ still resolves ``bessel_k`` and ``bisect`` by name.
 import math
 from functools import lru_cache
 
+from .bracket import bisect  # thermo and classical import it from here
 from .errors import DomainError, UsageError
 
 
@@ -28,20 +30,6 @@ def linspace(start, stop, num):
         values = [i * step + start for i in range(num)]
     values[-1] = stop
     return values
-
-
-def bisect(below, lo, hi):
-    """Shrink a bracket with below(lo) true and below(hi) false to adjacent
-    floats: the midpoint replaces lo where below holds and hi elsewhere,
-    until it equals one of the ends.  Returns (lo, hi)."""
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------

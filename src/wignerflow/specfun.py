@@ -388,12 +388,10 @@ def im_erf_offset_scaled(alpha, chi):
     return out
 
 
-def _kernel_slope(alpha, chi, scaled=None):
+def _kernel_slope(alpha, chi, scaled):
     """S'(chi) = 2 alpha^2 chi S(chi) - (2 alpha/sqrt(pi)) e^{alpha^2/4}
-    sin(alpha^2 chi), the derivative of S = ``im_erf_offset_scaled``;
-    scaled is S(chi) where the caller has it already."""
-    if scaled is None:
-        scaled = im_erf_offset_scaled(alpha, chi)
+    sin(alpha^2 chi), the derivative of S = ``im_erf_offset_scaled``, at a
+    float chi where S is scaled."""
     al2 = alpha * alpha
     amp = 2.0 * alpha * _ISQRTPI * math.exp(0.25 * al2)
-    return 2.0 * al2 * chi * scaled - amp * np.sin(al2 * chi)
+    return 2.0 * al2 * chi * scaled - amp * math.sin(al2 * chi)

@@ -25,9 +25,8 @@ the quantum RK4 is evaluated point by point through the Weideman rational
 approximation, in place of the package's per-alpha Chebyshev table.  The
 classes of the stagnation points, exact from the linearised flow in the
 package, are measured here as the winding of the velocity around a loop
-about each point.  The constants that the package writes out (the Weideman
-coefficients, the powers of ten of the slot kernel) are computed here the
-way they were derived.
+about each point.  The Weideman coefficients, which the package writes out
+as constants, are computed here the way they were derived.
 """
 
 import cmath
@@ -36,7 +35,7 @@ import math
 
 import numpy as np
 
-from wignerflow import classical, csvfloats
+from wignerflow import classical
 from wignerflow.errors import NumericalError, UsageError
 from wignerflow.gaussian import circulation_number
 from wignerflow.model import HamiltonianKind, PhasePoint, energy
@@ -693,22 +692,6 @@ def weideman_coefficients_fft(n_terms=64):
     f = np.concatenate(([0.0], np.exp(-t * t) * (ell * ell + t * t)))
     coef = np.real(np.fft.fft(np.fft.fftshift(f))) / (2.0 * m)
     return ell, tuple(coef[1:n_terms + 1][::-1].tolist())
-
-
-def pow10_pairs_full():
-    """csvfloats' double-double powers 10^(16 - e), every e of its range at
-    once: rows hi, hi_head, hi_tail, lo."""
-    e_min, e_max = csvfloats._E_RANGE
-    hi, lo = [], []
-    for q in range(16 - e_min, 15 - e_max, -1):
-        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
-        hi.append(num / den)
-        a, b = hi[-1].as_integer_ratio()
-        lo.append((num * b - a * den) / (den * b))
-    hi = np.array(hi)
-    t = csvfloats._SPLIT * hi
-    head = t - (t - hi)
-    return np.array([hi, head, hi - head, lo])
 
 
 def stagnation_windings(params, points, bbox):

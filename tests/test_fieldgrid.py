@@ -672,32 +672,6 @@ class TestCsvFloatKernel:
         csvfloats.float_slots(values)
         assert values[1] == 1.5 and math.isnan(values[2])
 
-    def test_powers_of_ten_filled_for_the_decades_in_use(self, monkeypatch):
-        """The table holds the full build's pairs, bit for bit, wherever
-        it is filled, as blocks leave the filled span below and above and
-        come back into it; the cells match format() and repr()."""
-        monkeypatch.setattr(csvfloats, "_POW10",
-                            np.zeros_like(csvfloats._POW10))
-        e_min = csvfloats._E_RANGE[0]
-        monkeypatch.setattr(csvfloats, "_POW10_SPAN", [-e_min, -e_min])
-        full = oracles.pow10_pairs_full()
-        rng = np.random.default_rng(0)
-        seen = [0]  # the exponent of the cells out of range, zeros too
-        for lo, hi in [(1, 3), (-120, -100), (2, 4), (250, 280), (-280, -279),
-                       (-5, 5)]:
-            values = 10.0 ** rng.uniform(lo, hi, 600) * rng.choice([-1, 1],
-                                                                    600)
-            values[::50] = 0.0
-            assert kernel_text(values) == format_text(values)
-            json_text = csvfloats.float_slots(values, "json").tobytes()
-            assert json_text.translate(None, b"\xff") == "".join(
-                json.dumps(v) + "," for v in values.tolist()).encode()
-            seen += [math.floor(math.log10(abs(v))) for v in values if v]
-            start, stop = csvfloats._POW10_SPAN
-            assert [start, stop] == [min(seen) - e_min, max(seen) - e_min + 1]
-            assert (csvfloats._POW10[:, start:stop].tobytes()
-                    == full[:, start:stop].tobytes())
-
 
 # ---------------------------------------------------------------------------
 # JSON float kernel against float.__repr__, through json's names of the

@@ -19,8 +19,8 @@ from wignerflow.classical import measured_orbit, period, return_to_start
 from wignerflow.fieldgrid import GridSpec, sample_field
 from wignerflow.model import (HamiltonianKind, PhasePoint,
                               SeparableHamiltonian, energy)
-from wignerflow.specfun import (QuadratureSpec, im_erf_offset_scaled,
-                                integrate_1d)
+from wignerflow.specfun import (_ALPHA_MAX, QuadratureSpec,
+                                im_erf_offset_scaled, integrate_1d)
 
 from oracles import (gauss_legendre_2d, kernel_zeros_bisect,
                      kernel_zeros_fixed, scaled_kernel_weideman,
@@ -355,31 +355,39 @@ class TestStagnationPoints:
 
     # the first four: a Newton iteration run down to adjacent floats ends on
     # another pair than the bisection at one of their zeros, where rounding
-    # flips the sign of the kernel more than once
+    # flips the sign of the kernel more than once; then no zero below alpha
+    # 0.5166, and from 53.2 on, S' overflows and the iteration bisects
     @example(alpha=3.064912280701754)
     @example(alpha=5.182706766917292)
     @example(alpha=7.342857142857142)
     @example(alpha=9.41829573934837)
-    @example(alpha=0.1)
-    @example(alpha=17.0)
+    @example(alpha=0.02)
+    @example(alpha=0.52)
+    @example(alpha=30.0)
+    @example(alpha=53.2)
+    @example(alpha=_ALPHA_MAX)
     @settings(max_examples=60, deadline=None, database=None)
-    @given(alpha=st.floats(0.1, 17.0))
+    @given(alpha=st.floats(0.02, _ALPHA_MAX))
     def test_kernel_zeros_match_bisection(self, alpha):
         """Newton's zeros are the bisection's bit for bit, and none takes
-        more than twice the bisection's kernel calls."""
+        more than twice the bisection's kernel calls, up to the largest
+        alpha that the kernel accepts."""
         params = GaussianEnsembleParams(alpha)
         upper = 6.0 / alpha
-        count, calls = [0], []
+        count, calls = [0, 0], []  # kernel calls, and where this zero began
         find = gaussian._kernel_zero
 
         def kernel(al, chi):
             count[0] += 1
+            # a bisection of a float bracket ends within 1100 halvings: an
+            # iteration that creeps fails here instead of hanging
+            assert count[0] - count[1] <= 2200
             return im_erf_offset_scaled(al, chi)
 
         def zero(*args):
-            before = count[0]
+            count[1] = count[0]
             z = find(*args)
-            calls.append(count[0] - before)
+            calls.append(count[0] - count[1])
             return z
 
         with mock.patch.object(gaussian, "im_erf_offset_scaled", kernel), \

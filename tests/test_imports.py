@@ -121,7 +121,7 @@ def test_no_process_loads_numpy_fft(tmp_path, argv):
     modules = run_loads(tmp_path, argv)
     assert "numpy.fft" not in modules
     if argv[0] == "stagnation":
-        # the kernel zeros are found by Newton's method, not scalar.bisect
+        # gaussian takes its bisection from bracket, which holds no Bessel code
         assert "wignerflow.gaussian" in modules
         assert "wignerflow.scalar" not in modules
 
