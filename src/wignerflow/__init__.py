@@ -27,15 +27,14 @@ _EXPORTS = {
                  "stationarity_div_j", "velocity_w", "vorticity"),
     "model": ("HamiltonianKind", "PhasePoint", "SeparableHamiltonian",
               "energy"),
-    "scalar": ("bessel_k",),
     "specfun": ("QuadratureSpec", "elliptic_k_complete",
                 "elliptic_k_linear_sin", "faddeeva_w", "hermite_odd",
                 "im_erf_offset", "im_erf_offset_scaled", "integrate_1d",
                 "jacobi_sn_cn"),
     "tables": ("export_table",),
     "thermo": ("ThermalEnsembleParams", "ThermalObservables", "beta_star",
-               "currents_td", "div_w_td", "epsilon_correction", "observables",
-               "w0", "w_st2", "z0_closed", "z_st_closed"),
+               "bessel_k", "currents_td", "div_w_td", "epsilon_correction",
+               "observables", "w0", "w_st2", "z0_closed", "z_st_closed"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -1,8 +1,8 @@
 """Bracketing bisection to adjacent floats, on plain floats alone.
 
-Its own module, so that the numpy-free thermodynamic ensemble and the
-Gaussian kernel zeros share one loop without either loading the other's
-numerics: ``scalar`` re-exports it.
+Its own module, so that the numpy-free ``thermo`` (beta*), ``classical``
+(crossing times) and ``gaussian`` (kernel zeros) share one loop without
+any of them loading another's numerics.
 """
 
 

@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .bracket import bisect
 from .errors import DomainError, NumericalError, UsageError
 from .model import HamiltonianKind, PhasePoint, SeparableHamiltonian, energy
 from .specfun import (QuadratureSpec, _landen_phase, elliptic_k_complete,
@@ -201,8 +202,6 @@ def _hermite(s, h, v0, v1, d0, d1):
 
 def _hermite_crossing(t0, t1, x0, x1, d0, d1):
     """Zero of the cubic Hermite interpolant of x on [t0, t1] (x0, x1 straddle 0)."""
-    # imported here, so that orbit and analytic never compile the Bessel code
-    from .scalar import bisect
     h = t1 - t0
     lo, hi = bisect(lambda s: (_hermite(s, h, x0, x1, d0, d1) > 0.0)
                     == (x0 > 0.0), 0.0, 1.0)

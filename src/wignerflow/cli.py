@@ -156,8 +156,8 @@ _THERMO_COLUMNS = ("a", "beta", "z", "energy", "heat_capacity", "valid")
 
 
 def cmd_thermo(args):
-    from .scalar import linspace
-    from .thermo import ThermalEnsembleParams, beta_star, observables
+    from .thermo import (ThermalEnsembleParams, beta_star, linspace,
+                         observables)
     order = args.order
 
     def thermo_row(a, beta):

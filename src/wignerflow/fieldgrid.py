@@ -7,9 +7,8 @@ over the x nodes (a row) and the k nodes (a column), with no per-row loop.
 Grids are row-major with x fastest: file rows loop k in the outer loop and x
 in the inner one, so byte-identical output is reproducible across runs.
 The table writer lives in ``tables``.  Only its ``Table`` is used here;
-``column_table`` and ``export_table`` are imported because the
-``perfbench`` tracer wraps ``fieldgrid.export_table`` and the tests read
-``fieldgrid.column_table``.  Each ensemble module (``gaussian``,
+``export_table`` is imported because the ``perfbench`` tracer wraps
+``fieldgrid.export_table``.  Each ensemble module (``gaussian``,
 ``thermo``) holds the table of its grid quantities, so a grid loads only
 the module of its own ensemble.
 """
@@ -19,7 +18,7 @@ import sys
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .tables import Table, column_table, export_table
+from .tables import Table, export_table
 
 # nodes one grid may hold; a larger grid is refused before any allocation
 MAX_GRID_NODES = 4_000_000

@@ -454,8 +454,8 @@ def find_stagnation_points(params, bbox):
     diagonal with real eigenvalues and no loop is circled monotonically:
     circulation 0.0, class 'saddle_or_separatrix'.  ``circulation_number``
     measures the same values on loops around the points.  The residual of
-    each point is |J| from the closed form of ``currents_closed``, with F
-    evaluated once per distinct coordinate.
+    each point is |J| from the closed form of ``currents_closed``, with F,
+    which is even to the bit, evaluated once per distinct |coordinate|.
     """
     x_lo, x_hi, k_lo, k_hi = bbox
     if not (x_lo < x_hi and k_lo < k_hi):
@@ -469,12 +469,13 @@ def find_stagnation_points(params, bbox):
                      if (cx == 0.0) == (ck == 0.0)
                      and x_lo <= cx <= x_hi and k_lo <= ck <= k_hi})
     # |J| at a root is rounding noise, and numpy rounds a complex product on
-    # 0-d and on 1-d arrays differently: F by one scalar call per coordinate
+    # 0-d and on 1-d arrays differently: F by one scalar call per |coordinate|
     with np.errstate(all="ignore"):
         kernel = {c: im_erf_offset(params.alpha, c)
-                  for c in set().union(*coords)}
-        residuals = [float(np.hypot(*_current(params, cx, ck, kernel[cx],
-                                              kernel[ck])))
+                  for c in {abs(v) for pair in coords for v in pair}}
+        residuals = [float(np.hypot(*_current(params, cx, ck,
+                                              kernel[abs(cx)],
+                                              kernel[abs(ck)])))
                      for cx, ck in coords]
     if not all(map(math.isfinite, residuals)):
         raise DomainError(f"the current leaves the float range at alpha = "

@@ -12,10 +12,9 @@ from . import classical, gaussian, thermo
 from .csvfloats import csv_rows, float_slots
 from .gaussian import GaussianEnsembleParams
 from .model import HamiltonianKind, SeparableHamiltonian
-from .scalar import bessel_k
 from .specfun import (QuadratureSpec, elliptic_k_complete, hermite_odd,
                       im_erf_offset, integrate_1d, jacobi_sn_cn)
-from .thermo import ThermalEnsembleParams
+from .thermo import ThermalEnsembleParams, bessel_k
 
 
 def run():

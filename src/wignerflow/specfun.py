@@ -1,13 +1,13 @@
 """Self-contained special-function kernel and adaptive quadrature engine.
 
 Everything downstream (closed-form currents, elliptic parameterizations)
-is built on the functions here and in ``scalar``, which holds the Bessel
-functions K0, K1 and the bisection on ``math`` alone; both names still
-resolve here, on first access.  The elliptic integrals and Jacobi
-functions share one arithmetic-geometric mean.  The quadrature engine
-evaluates the time-of-flight periods and doubles as the test suite's
-independent oracle.  All evaluations are pure: identical inputs give
-bit-identical outputs.
+is built on the functions here.  The Bessel functions K0 and K1 live in
+``thermo``, the only ensemble built on them; ``bessel_k`` still resolves
+here on first access, for the ``perfbench`` tracer.  The elliptic integrals
+and Jacobi functions share one arithmetic-geometric mean.  The quadrature
+engine evaluates the time-of-flight periods and doubles as the test
+suite's independent oracle.  All evaluations are pure: identical inputs
+give bit-identical outputs.
 """
 
 import heapq
@@ -19,11 +19,11 @@ from .errors import DomainError, NumericalError, UsageError
 
 
 def __getattr__(name):
-    # bessel_k and bisect moved to the numpy-free scalar module; importing
-    # this module does not load it
-    if name in ("bessel_k", "bisect"):
-        from . import scalar
-        return getattr(scalar, name)
+    # bessel_k lives in the numpy-free thermo; importing this module does
+    # not load it
+    if name == "bessel_k":
+        from .thermo import bessel_k
+        return bessel_k
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wignerflow import cli, csvfloats, fieldgrid, gaussian, thermo
+from wignerflow import cli, csvfloats, fieldgrid, gaussian, tables, thermo
 from wignerflow.classical import (OrbitSpec, integrate_orbit,
                                   toda_closed_period, toda_species_series)
 from wignerflow.errors import DomainError, UsageError, ValidityError
@@ -27,7 +27,7 @@ A1 = GaussianEnsembleParams(1.0)
 def stagnation_table(points):
     """The column table of the points' ``row()`` dicts."""
     rows = [p.row() for p in points]
-    return fieldgrid.column_table({n: [r[n] for r in rows] for n in rows[0]})
+    return tables.column_table({n: [r[n] for r in rows] for n in rows[0]})
 
 
 def sample_row_by_row(params, quantity, spec):
@@ -447,7 +447,7 @@ class TestExportReference:
                           tmp_path, fmt)
 
     def test_empty_list(self, tmp_path, fmt):
-        empty = fieldgrid.column_table({})
+        empty = tables.column_table({})
         if fmt == "csv":
             with pytest.raises(UsageError):
                 export_table(empty, fmt, tmp_path / "table.csv")
@@ -473,7 +473,7 @@ class TestExportReference:
                          "50%", "tab\tstop", "", "x", "y"],
                    "odd \"key\" %s": floats[::-1]}
         records = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        text = assert_same_files(fieldgrid.column_table(columns), records,
+        text = assert_same_files(tables.column_table(columns), records,
                                  tmp_path, fmt)
         if fmt == "csv":
             assert b"0.10000000000000001" in text
@@ -663,7 +663,7 @@ class TestCsvFloatKernel:
                             or kernel(v, f))
         for fmt in ("csv", "json"):
             for rows in (512, 513):
-                export_table(fieldgrid.column_table({"a": np.ones(rows) / 3}),
+                export_table(tables.column_table({"a": np.ones(rows) / 3}),
                              fmt, tmp_path / f"t.{fmt}")
         assert calls == [(512, "csv"), (1, "csv"), (512, "json"), (1, "json")]
 
@@ -816,11 +816,11 @@ class TestListTables:
         monkeypatch.setattr(csvfloats, "float_slots",
                             lambda v, f: calls.append(len(v)) or kernel(v, f))
         columns = plain_columns(513)
-        short = fieldgrid.column_table({n: c[:512]
+        short = tables.column_table({n: c[:512]
                                         for n, c in columns.items()})
         export_table(short, "csv", tmp_path / "short.csv")
         assert calls == []
-        export_table(fieldgrid.column_table(columns), "csv",
+        export_table(tables.column_table(columns), "csv",
                      tmp_path / "long.csv")
         assert calls
         short = (tmp_path / "short.csv").read_bytes()
@@ -833,7 +833,7 @@ class TestListTables:
 
     def test_json_is_json_dump(self, tmp_path):
         columns = plain_columns(512)
-        export_table(fieldgrid.column_table(columns), "json",
+        export_table(tables.column_table(columns), "json",
                      tmp_path / "t.json")
         # the writer's bools are 0 and 1, and numpy makes "mixed" float
         rows = [{**row, "mixed": float(row["mixed"]), "flag": int(row["flag"])}
@@ -853,7 +853,7 @@ class TestListTables:
                    "\u00e9t\u00e9": plain["n"], "flag": plain["flag"],
                    "kind": plain["kind"],
                    "back\\slash": [i / 7 for i in range(1300)]}
-        export_table(fieldgrid.column_table(columns), "json",
+        export_table(tables.column_table(columns), "json",
                      tmp_path / "t.json")
         rows = [{**row, "flag": int(row["flag"])}
                 for row in (dict(zip(columns, cells))
@@ -867,7 +867,7 @@ class TestListTables:
     def test_int64_overflow_is_left_to_numpy(self, tmp_path):
         # numpy makes [1, 2**63] a float column: the list path must too
         for fmt in ("csv", "json"):
-            export_table(fieldgrid.column_table({"n": [1, 2 ** 63]}), fmt,
+            export_table(tables.column_table({"n": [1, 2 ** 63]}), fmt,
                          tmp_path / f"t.{fmt}")
         assert (tmp_path / "t.csv").read_text() == \
             "n\n1\n9.2233720368547758e+18\n"
@@ -902,7 +902,7 @@ class TestShortJson:
     def test_column_tables(self, tmp_path, rows, arrays):
         columns = self.columns(rows)
         table = {n: np.array(c) if arrays else c for n, c in columns.items()}
-        export_table(fieldgrid.column_table(table), "json", tmp_path / "t")
+        export_table(tables.column_table(table), "json", tmp_path / "t")
         expected = [dict(zip(columns, r)) for r in zip(*columns.values())]
         assert (tmp_path / "t").read_bytes() == short_json(expected)
 
@@ -965,7 +965,7 @@ class TestBlockBoundaries:
         columns = mixed_columns(rows)
         records = [dict(zip(columns, row))
                    for row in zip(*(c.tolist() for c in columns.values()))]
-        assert_same_files(fieldgrid.column_table(columns), records, tmp_path,
+        assert_same_files(tables.column_table(columns), records, tmp_path,
                           fmt)
         assert set(kernel_formats) == ({fmt} if rows > 512 else set())
 
@@ -975,7 +975,7 @@ class TestBlockBoundaries:
         columns = {n: rng.standard_normal(rows) for n in ("a", "b", "c")}
         records = [dict(zip(columns, row))
                    for row in zip(*(c.tolist() for c in columns.values()))]
-        assert_same_files(fieldgrid.column_table(columns), records, tmp_path,
+        assert_same_files(tables.column_table(columns), records, tmp_path,
                           fmt)
         assert set(kernel_formats) == ({fmt} if rows > 512 else set())
 

@@ -2,6 +2,7 @@
 process freezes its start-up heap.  Both are checked in fresh interpreters,
 since the test process itself has loaded every module."""
 
+import importlib
 import json
 import re
 import shlex
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import wignerflow
-from wignerflow import classical, cli, fieldgrid, gaussian, tables, thermo
+from wignerflow import (classical, cli, fieldgrid, gaussian, specfun, tables,
+                        thermo)
 
 from launcher import launch, run_cli
 
@@ -120,10 +122,41 @@ def test_no_process_loads_numpy_fft(tmp_path, argv):
     # the Weideman coefficients of the array kernel are constants
     modules = run_loads(tmp_path, argv)
     assert "numpy.fft" not in modules
-    if argv[0] == "stagnation":
-        # gaussian takes its bisection from bracket, which holds no Bessel code
-        assert "wignerflow.gaussian" in modules
-        assert "wignerflow.scalar" not in modules
+
+
+# the rows of the README start-up table: a subcommand and the modules it
+# adds to those of ``import wignerflow.cli``; every table stays within 512
+# rows, so no writer loads csvfloats
+_ORBIT = {"bracket", "classical", "model", "specfun"}
+_GAUSSIAN = {"bracket", "gaussian", "model", "specfun"}
+STARTUP_ROWS = {
+    "thermo": (["thermo", "--steps", "5", "--out", "t.csv"],
+               {"bracket", "thermo"}),
+    "orbit": (["orbit", "--periods", "1", "--dt", "0.05", "--out", "o.csv"],
+              _ORBIT),
+    "analytic": (["analytic", "--eps", "4", "--samples", "10",
+                  "--out", "a.csv"], _ORBIT),
+    "trajectory": (["trajectory", "--tau-max", "10", "--dt", "0.05",
+                    "--out", "t.csv"], _ORBIT | {"gaussian"}),
+    "stagnation": (["stagnation", "--alpha-steps", "3", "--out", "s.json"],
+                   _GAUSSIAN),
+    "gaussian_field": (["field", "--grid", "5", "--out", "f.csv"],
+                       _GAUSSIAN | {"fieldgrid"}),
+    "thermal_field": (["field", "--ensemble", "thermal", "--quantity", "j",
+                       "--grid", "5", "--out", "f.csv"],
+                      {"bracket", "fieldgrid", "thermo"}),
+    "selftest": (["--selftest"],
+                 _ORBIT | _GAUSSIAN | {"csvfloats", "selftest", "thermo"}),
+}
+
+
+@pytest.mark.parametrize("row", STARTUP_ROWS)
+def test_subcommand_loads_exactly_its_modules(tmp_path, row):
+    argv, added = STARTUP_ROWS[row]
+    modules = run_loads(tmp_path, argv)
+    assert {m.partition(".")[2] for m in modules
+            if m.startswith("wignerflow.")} == {"cli", "errors", "tables",
+                                                *added}
 
 
 def test_help_texts_match_the_modules():
@@ -142,8 +175,17 @@ def test_help_texts_match_the_modules():
 
 def test_writer_is_one_object_everywhere():
     assert fieldgrid.export_table is tables.export_table is cli.export_table
-    assert fieldgrid.column_table is tables.column_table is cli.column_table
+    assert tables.column_table is cli.column_table
     assert wignerflow.export_table is tables.export_table
+
+
+def test_every_public_name_is_defined_where_it_is_listed():
+    for module, names in wignerflow._EXPORTS.items():
+        home = importlib.import_module(f"wignerflow.{module}")
+        for name in names:
+            assert getattr(home, name).__module__ == home.__name__, name
+    # the object the perfbench tracer wraps as specfun.bessel_k
+    assert specfun.bessel_k is thermo.bessel_k
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wignerflow import gaussian, specfun
 from wignerflow.errors import DomainError, NumericalError, UsageError
 from wignerflow.gaussian import GaussianEnsembleParams, velocity_w
-from wignerflow.scalar import linspace
+from wignerflow.thermo import linspace
 from wignerflow.specfun import (QuadratureSpec, bessel_k, elliptic_k_complete,
                                 elliptic_k_linear_sin, faddeeva_w, hermite_odd,
                                 im_erf_offset, im_erf_offset_scaled,
@@ -480,7 +480,7 @@ class TestScaledKernelTableNonConvergence:
 
 
 class TestLinspace:
-    """scalar.linspace is numpy.linspace of two floats, bit for bit."""
+    """thermo.linspace is numpy.linspace of two floats, bit for bit."""
 
     @staticmethod
     def same(start, stop, num):
