@@ -242,17 +242,14 @@ def liouville_div_w(params, x, k):
     """div w, the quantumness (non-Liouville) quantifier, in closed form.
 
     Zero at the origin, nonzero generically; equals
-    (W div J - J . grad W) / W^2 with the Gaussian cancelled analytically.
+    (W div J - J . grad W) / W^2 with the Gaussian cancelled analytically:
+    2 e^{alpha^2/4} (D(x) sinh k - a D(k) sinh x), D = ``_kernel_slope``,
+    with the exponential multiplied last, so that no term overflows.
     """
     al, a = params.alpha, params.a
-    al2 = al * al
-    e4 = math.exp(al2 / 4.0)
-    sx = im_erf_offset_scaled(al, x)
-    sk = im_erf_offset_scaled(al, k)
-    return (2.0 * SQRT_PI * al * x * sx * np.sinh(k)
-            - 2.0 * e4 * np.sin(al2 * x) * np.sinh(k)
-            - 2.0 * SQRT_PI * al * a * k * sk * np.sinh(x)
-            + 2.0 * a * e4 * np.sin(al2 * k) * np.sinh(x))
+    dx = _kernel_slope(al, x, im_erf_offset_scaled(al, x))
+    dk = _kernel_slope(al, k, im_erf_offset_scaled(al, k))
+    return 2.0 * (dx * np.sinh(k) - a * dk * np.sinh(x)) * math.exp(al * al / 4)
 
 
 @_trusted
@@ -387,11 +384,12 @@ def _kernel_zero(alpha, lo, hi, positive):
     [lo, hi] by the sign of the scaled kernel S stops; positive is whether
     S(lo) > 0.
 
-    Newton's method on S' (``_kernel_slope``), safeguarded inside the
-    bracket, first narrows it to [a, b], a and b evaluated on either side
-    of the zero: a step that leaves the bracket or is more than half the
-    step before it gives way to the midpoint, and each step overshoots by
-    a quarter of the target width, so that the iterates fall on both sides.
+    Newton's method, S/S' = (sqrt(pi)/(2 alpha)) (S/e^{alpha^2/4})/D with
+    D = ``_kernel_slope``, safeguarded inside the bracket, first narrows it
+    to [a, b], a and b evaluated on either side of the zero: a step that
+    leaves the bracket or is more than half the step before it gives way to
+    the midpoint, and each step overshoots by a quarter of the target
+    width, so that the iterates fall on both sides.
     Then ``bisect`` runs on [lo, hi] again: a midpoint more than
     _ZERO_MARGIN chi outside [a, b] lies where the sign of S is certain, so
     only the midpoints within that margin call the kernel.  It thus stops
@@ -402,6 +400,7 @@ def _kernel_zero(alpha, lo, hi, positive):
     a, b = lo, hi
     chi = 0.5 * (a + b)
     step = before = b - a
+    half, e4 = 0.5 * SQRT_PI / alpha, math.exp(0.25 * alpha * alpha)
     while b - a > _ZERO_MARGIN * b:
         value = im_erf_offset_scaled(alpha, chi)
         if (value > 0.0) == positive:
@@ -409,10 +408,7 @@ def _kernel_zero(alpha, lo, hi, positive):
         else:
             b = chi
         slope = _kernel_slope(alpha, chi, value)
-        # S' overflows where 2 alpha e^{alpha^2/4}/sqrt(pi) does (alpha
-        # above 53.13): a step of 0 there would creep, so bisect instead
-        before, step = step, (value / slope if 0.0 < abs(slope) < math.inf
-                              else math.inf)
+        before, step = step, half * (value / e4) / slope if slope else math.inf
         chi -= step + math.copysign(0.25 * _ZERO_MARGIN * b, step)
         if not a < chi < b or abs(step) > 0.5 * abs(before):
             step = 0.5 * (b - a)

@@ -389,9 +389,10 @@ def im_erf_offset_scaled(alpha, chi):
 
 
 def _kernel_slope(alpha, chi, scaled):
-    """S'(chi) = 2 alpha^2 chi S(chi) - (2 alpha/sqrt(pi)) e^{alpha^2/4}
-    sin(alpha^2 chi), the derivative of S = ``im_erf_offset_scaled``, at a
-    float chi where S is scaled."""
+    """D = (sqrt(pi)/(2 alpha)) e^{-alpha^2/4} S' = sqrt(pi) alpha chi
+    S/e^{alpha^2/4} - sin(alpha^2 chi), the slope of the scaled kernel S at
+    a float or array chi, with scaled = S(chi).  |S| <= e^{alpha^2/4}, so D
+    is finite for every alpha the kernel accepts; S' overflows above 53.13."""
     al2 = alpha * alpha
-    amp = 2.0 * alpha * _ISQRTPI * math.exp(0.25 * al2)
-    return 2.0 * al2 * chi * scaled - amp * math.sin(al2 * chi)
+    return (math.sqrt(math.pi) * alpha * chi * (scaled / math.exp(0.25 * al2))
+            - np.sin(al2 * chi))

@@ -292,7 +292,8 @@ GRID_QUANTITIES = {
 
 
 class ThermalObservables:
-    """Partition functions, internal energy and heat capacity at one order."""
+    """Partition functions, internal energy and heat capacity at one order;
+    z_st is None at classical order, as in ``ThermalEnsembleParams``."""
 
     def __init__(self, z0, z_st, energy, heat_capacity, order):
         self.z0, self.z_st, self.energy = z0, z_st, energy
@@ -321,8 +322,8 @@ def observables(params):
     carry, whose Z_ST was checked at order h2 and whose Z0 refuses to
     underflow to 0 (ValidityError).
     """
-    b, a, order, z0 = params.beta, params.a, params.order, params.z0
-    z_st = params.z_st if order == "h2" else z_st_closed(b, a)
+    b, a, order = params.beta, params.a, params.order
+    z0, z_st = params.z0, params.z_st
     k0_b, k1_b = _bessel_log_slopes(b)
     k0_ab, k1_ab = _bessel_log_slopes(a * b)
     # g1 = beta Z'/Z and g2 = beta^2 (ln Z)'', first for Z0 = 4 K0(b) K0(ab)

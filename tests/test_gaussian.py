@@ -258,6 +258,48 @@ class TestLiouville:
         ref = div_j / g + 2.0 * (p.x * jx + p.k * jk) / g
         assert abs(liouville_div_w(A1, p.x, p.k) - ref) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [1.0, 15.0, 53.25])
+    def test_against_mpmath_slopes(self, alpha):
+        # (sqrt(pi)/alpha) (S'(x) sinh k - a S'(k) sinh x) with S' by
+        # 40-digit numerical differentiation, at the alpha whose square is
+        # the double alpha^2, within 4 eps (1 + alpha^2 (|chi| + 1/4))
+        # times its two terms' magnitudes, the slope's bound (at most 0.66,
+        # 0.33 and 0.05 times eps (1 + ...) times them here); at 53.25 the
+        # values reach 7.7e307, and at a = 4 the four unscaled terms overflow
+        mpmath = pytest.importorskip("mpmath")
+        lim = 6.0 / alpha
+        with mpmath.workdps(40):
+            al = mpmath.sqrt(mpmath.mpf(alpha * alpha))
+
+            def slope(c):
+                return mpmath.diff(lambda t: mpmath.exp((al * t) ** 2)
+                                   * mpmath.im(mpmath.erf(al * (t + 0.5j))),
+                                   mpmath.mpf(c))
+
+            for a in (1.0, 4.0):
+                params = GaussianEnsembleParams(alpha, a)
+                for x, k in ((0.3, 0.7), (-0.55, 0.2), (0.9, -0.95),
+                             (0.61, 0.43), (0.05, -0.8), (1.0, -0.97)):
+                    x, k = x * lim, k * lim
+                    c = mpmath.sqrt(mpmath.pi) / al
+                    tx = c * slope(x) * mpmath.sinh(k)
+                    tk = a * c * slope(k) * mpmath.sinh(x)
+                    ref, terms = float(tx - tk), float(abs(tx) + abs(tk))
+                    bound = (4.0 * np.finfo(float).eps * terms * (
+                        1.0 + alpha * alpha * (max(abs(x), abs(k)) + 0.25)))
+                    assert abs(liouville_div_w(params, x, k) - ref) <= bound
+
+    @pytest.mark.parametrize("alpha", [53.25, 53.27, 53.28])
+    def test_finite_up_to_the_largest_alpha(self, alpha):
+        # 2 e^{alpha^2/4} is multiplied last, onto the bracket of scaled
+        # slopes: the four unscaled terms overflowed in their sum
+        lim = GaussianEnsembleParams(alpha).trust_limit()
+        chi = np.linspace(-lim, lim, 41)
+        for a in (1.0, 4.0):
+            values = liouville_div_w(GaussianEnsembleParams(alpha, a),
+                                     chi[None, :], chi[:, None])
+            assert values.shape == (41, 41) and np.all(np.isfinite(values))
+
     def test_classical_limit_vanishes(self):
         params = GaussianEnsembleParams(0.2)
         p = PhasePoint(0.3, 0.2)
@@ -337,6 +379,31 @@ class TestCirculation:
 README_SWEEP = [float(v) for v in np.linspace(0.25, 2.7, 10)]
 
 
+def counted_kernel_zeros(params):
+    """gaussian._kernel_zeros on the trust interval, and the scalar kernel
+    calls that each zero took."""
+    count, calls = [0, 0], []  # kernel calls, and where this zero began
+    find = gaussian._kernel_zero
+
+    def kernel(al, chi):
+        count[0] += 1
+        # a bisection of a float bracket ends within 1100 halvings: an
+        # iteration that creeps fails here instead of hanging
+        assert count[0] - count[1] <= 2200
+        return im_erf_offset_scaled(al, chi)
+
+    def zero(*args):
+        count[1] = count[0]
+        z = find(*args)
+        calls.append(count[0] - count[1])
+        return z
+
+    with mock.patch.object(gaussian, "im_erf_offset_scaled", kernel), \
+            mock.patch.object(gaussian, "_kernel_zero", zero):
+        zeros = gaussian._kernel_zeros(params, 6.0 / params.alpha)
+    return zeros, calls
+
+
 class TestStagnationPoints:
     @pytest.mark.parametrize("alpha, upper", [
         (0.70710678, 8.0), (1.0, 5.0), (1.41421356, 4.0), (2.0, 3.0),
@@ -356,7 +423,7 @@ class TestStagnationPoints:
     # the first four: a Newton iteration run down to adjacent floats ends on
     # another pair than the bisection at one of their zeros, where rounding
     # flips the sign of the kernel more than once; then no zero below alpha
-    # 0.5166, and from 53.2 on, S' overflows and the iteration bisects
+    # 0.5166, and from 53.2 on, where S' itself is no float
     @example(alpha=3.064912280701754)
     @example(alpha=5.182706766917292)
     @example(alpha=7.342857142857142)
@@ -373,29 +440,24 @@ class TestStagnationPoints:
         more than twice the bisection's kernel calls, up to the largest
         alpha that the kernel accepts."""
         params = GaussianEnsembleParams(alpha)
-        upper = 6.0 / alpha
-        count, calls = [0, 0], []  # kernel calls, and where this zero began
-        find = gaussian._kernel_zero
-
-        def kernel(al, chi):
-            count[0] += 1
-            # a bisection of a float bracket ends within 1100 halvings: an
-            # iteration that creeps fails here instead of hanging
-            assert count[0] - count[1] <= 2200
-            return im_erf_offset_scaled(al, chi)
-
-        def zero(*args):
-            count[1] = count[0]
-            z = find(*args)
-            calls.append(count[0] - count[1])
-            return z
-
-        with mock.patch.object(gaussian, "im_erf_offset_scaled", kernel), \
-                mock.patch.object(gaussian, "_kernel_zero", zero):
-            zeros = gaussian._kernel_zeros(params, upper)
-        expected = kernel_zeros_bisect(params, upper)
+        zeros, calls = counted_kernel_zeros(params)
+        expected = kernel_zeros_bisect(params, 6.0 / alpha)
         assert [z.hex() for z in zeros] == [z.hex() for z, _ in expected]
         assert all(n <= 2 * m for n, (_, m) in zip(calls, expected))
+
+    @pytest.mark.parametrize("alpha", [53.13, 53.2, 53.28])
+    def test_kernel_zeros_where_the_slope_is_no_float(self, alpha):
+        """Above alpha = 53.13, where S' leaves the float range, the scaled
+        slope still steers every Newton step: the bisection's zeros bit for
+        bit, at no more than 1.1 times the scalar kernel calls per zero of
+        alpha = 53.0 (12.6; 12.5 to 12.7 here, where a plain bisection
+        takes about 50)."""
+        params = GaussianEnsembleParams(alpha)
+        zeros, calls = counted_kernel_zeros(params)
+        expected = kernel_zeros_bisect(params, 6.0 / alpha)
+        assert [z.hex() for z in zeros] == [z.hex() for z, _ in expected]
+        _, below = counted_kernel_zeros(GaussianEnsembleParams(53.0))
+        assert sum(calls) / len(calls) <= 1.1 * sum(below) / len(below)
 
     @pytest.mark.parametrize("alpha, a, bbox", [
         (alpha, 4.0, (-2.0, 2.0, -2.0, 2.0)) for alpha in README_SWEEP] + [
