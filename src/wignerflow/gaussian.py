@@ -351,16 +351,6 @@ def circulation_number(params, center, radius):
     return 0.0
 
 
-# on 68 alphas from 0.52 to 53.28, where the kernel has zeros, the computed
-# kernel is within 8 eps (|chi S'| + |S|) of S at the double alpha^2 it
-# reads (test_specfun), so its sign is right more than about 8 eps chi from
-# a zero: a point evaluated on one side lies within that of the zero, and a
-# midpoint more than 16 eps chi past it has a certain sign; _ZERO_MARGIN
-# chi, 32 eps chi, is twice that (on 57 alphas, every sign change of the
-# scalar kernel lies within 1 eps chi of the bisection's zero)
-_ZERO_MARGIN = 2.0 ** -47
-
-
 def _kernel_zeros(params, upper):
     """Zeros of the current kernel F(chi) on (0, upper], to adjacent floats.
 
@@ -382,41 +372,9 @@ def _kernel_zeros(params, upper):
 def _kernel_zero(alpha, lo, hi, positive):
     """The midpoint of the adjacent floats on which the bisection of
     [lo, hi] by the sign of the scaled kernel S stops; positive is whether
-    S(lo) > 0.
-
-    Newton's method, S/S' = (sqrt(pi)/(2 alpha)) (S/e^{alpha^2/4})/D with
-    D = ``_kernel_slope``, safeguarded inside the bracket, first narrows it
-    to [a, b], a and b evaluated on either side of the zero: a step that
-    leaves the bracket or is more than half the step before it gives way to
-    the midpoint, and each step overshoots by a quarter of the target
-    width, so that the iterates fall on both sides.
-    Then ``bisect`` runs on [lo, hi] again: a midpoint more than
-    _ZERO_MARGIN chi outside [a, b] lies where the sign of S is certain, so
-    only the midpoints within that margin call the kernel.  It thus stops
-    on the bisection's own pair of floats, also where rounding flips the
-    sign of S more than once next to the zero (at 14 of 3202 zeros for
-    alpha in [0.1, 17]), where a Newton iteration run down to adjacent
-    floats can end on another pair."""
-    a, b = lo, hi
-    chi = 0.5 * (a + b)
-    step = before = b - a
-    half, e4 = 0.5 * SQRT_PI / alpha, math.exp(0.25 * alpha * alpha)
-    while b - a > _ZERO_MARGIN * b:
-        value = im_erf_offset_scaled(alpha, chi)
-        if (value > 0.0) == positive:
-            a = chi
-        else:
-            b = chi
-        slope = _kernel_slope(alpha, chi, value)
-        before, step = step, half * (value / e4) / slope if slope else math.inf
-        chi -= step + math.copysign(0.25 * _ZERO_MARGIN * b, step)
-        if not a < chi < b or abs(step) > 0.5 * abs(before):
-            step = 0.5 * (b - a)
-            chi = a + step
-    a -= _ZERO_MARGIN * b
-    b += _ZERO_MARGIN * b
-    lo, hi = bisect(lambda m: m < a or (
-        m <= b and (im_erf_offset_scaled(alpha, m) > 0.0) == positive), lo, hi)
+    S(lo) > 0."""
+    lo, hi = bisect(lambda m: (im_erf_offset_scaled(alpha, m) > 0.0)
+                    == positive, lo, hi)
     return 0.5 * (lo + hi)
 
 

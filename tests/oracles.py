@@ -13,8 +13,8 @@ The table writer and the marching squares appear here in their
 one-record-at-a-time and one-cell-at-a-time forms, as references that the
 package's column-at-a-time and whole-array versions must match exactly.
 Likewise the section scans run one sample at a time and the bisections
-run a fixed number of halvings; the kernel zeros are also found by the
-plain bisection that the package's Newton iteration replays.  The orbital
+run a fixed number of halvings; the kernel zeros are also found by a
+plain bisection that counts its kernel calls.  The orbital
 period is also measured the way the package once did, from the section
 crossings of an RK4 orbit (``orbit_period``), and evaluated by time of
 flight in 30-digit mpmath arithmetic (``period_time_of_flight_mp``; for

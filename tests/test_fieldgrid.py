@@ -216,6 +216,52 @@ class TestScalarCallsMatchGrid:
                       <= 1e-12 * np.maximum(1.0, np.abs(node)))
 
 
+# the forms even under (x, k) -> (-x, -k); every other one is odd
+EVEN = {"gaussian": {"g", "divj", "divw", "vort"},
+        "thermal": {"w0", "w_st2", "divw"}}
+
+
+class TestParity:
+    """Every grid quantity of both ensembles is even or odd under
+    (x, k) -> (-x, -k) bit for bit, up to the sign of a zero (div w is
+    -0.0 at (1, 0) and 0.0 at (-1, 0)).  The forms are called on explicit
+    arrays and their negations: the nodes of a GridSpec are not symmetric
+    to the bit."""
+
+    @pytest.mark.parametrize("family, quantity", [
+        (family, quantity) for family in ("gaussian", "thermal")
+        for quantity in sorted({"gaussian": gaussian,
+                                "thermal": thermo}[family].GRID_QUANTITIES)])
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_even_or_odd_bit_for_bit(self, family, quantity, data):
+        a = data.draw(st.floats(0.25, 4.0), label="a")
+        if family == "gaussian":
+            params = GaussianEnsembleParams(
+                data.draw(st.floats(0.2, 2.7), label="alpha"), a)
+            entry = gaussian.GRID_QUANTITIES[quantity]
+            lim = min(8.0, params.trust_limit())
+        else:
+            # beta <= 2 lies below beta*(a) for every a in [0.25, 4]
+            order = data.draw(st.sampled_from(("classical", "h2")),
+                              label="order")
+            params = ThermalEnsembleParams(
+                data.draw(st.floats(0.05, 2.0), label="beta"), a,
+                "h2" if quantity == "w_st2" else order)
+            entry = thermo.GRID_QUANTITIES[quantity]
+            lim = 8.0
+        nodes = st.lists(st.floats(-lim, lim), min_size=1, max_size=8)
+        x = np.array(data.draw(nodes, label="x"))
+        k = np.array(data.draw(st.lists(st.floats(-lim, lim), min_size=len(x),
+                                        max_size=len(x)), label="k"))
+        value = fieldgrid._evaluate(entry, params, x, k)
+        mirror = fieldgrid._evaluate(entry, params, -x, -k)
+        if quantity not in EVEN[family]:
+            mirror = -mirror
+        # adding 0.0 turns -0.0 into 0.0 and leaves every other bit
+        assert (value + 0.0).tobytes() == (mirror + 0.0).tobytes()
+
+
 class TestZeroContours:
     def test_analytic_sinh_line(self):
         spec = GridSpec(-1, 1, -1, 1, 21, 21)
