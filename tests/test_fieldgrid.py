@@ -173,6 +173,22 @@ class TestSampling:
         assert np.isfinite(finite.values).all()
 
 
+def draw_params(data, family, quantity):
+    """Parameters of one ensemble family, drawn for a quantity (h2 order for
+    w_st2), and the quantity's entry in that family's grid table."""
+    a = data.draw(st.floats(0.25, 4.0), label="a")
+    if family == "gaussian":
+        params = GaussianEnsembleParams(
+            data.draw(st.floats(0.2, 2.7), label="alpha"), a)
+        return params, gaussian.GRID_QUANTITIES[quantity]
+    # beta <= 2 lies below beta*(a) for every a in [0.25, 4]
+    order = data.draw(st.sampled_from(("classical", "h2")), label="order")
+    params = ThermalEnsembleParams(
+        data.draw(st.floats(0.05, 2.0), label="beta"), a,
+        "h2" if quantity == "w_st2" else order)
+    return params, thermo.GRID_QUANTITIES[quantity]
+
+
 class TestScalarCallsMatchGrid:
     """Each quantity's function called with floats at one node agrees with
     that node of sample_field.  Not bit for bit: numpy's array and scalar
@@ -185,19 +201,7 @@ class TestScalarCallsMatchGrid:
     @settings(max_examples=40, deadline=None, database=None)
     @given(data=st.data())
     def test_node_value(self, family, quantity, data):
-        a = data.draw(st.floats(0.25, 4.0), label="a")
-        if family == "gaussian":
-            params = GaussianEnsembleParams(
-                data.draw(st.floats(0.2, 2.7), label="alpha"), a)
-            entry = gaussian.GRID_QUANTITIES[quantity]
-        else:
-            # beta <= 2 lies below beta*(a) for every a in [0.25, 4]
-            order = data.draw(st.sampled_from(("classical", "h2")),
-                              label="order")
-            params = ThermalEnsembleParams(
-                data.draw(st.floats(0.05, 2.0), label="beta"), a,
-                "h2" if quantity == "w_st2" else order)
-            entry = thermo.GRID_QUANTITIES[quantity]
+        params, entry = draw_params(data, family, quantity)
         x_lo, k_lo = (data.draw(st.floats(-8.0, 7.0)) for _ in range(2))
         x_w, k_w = (data.draw(st.floats(0.1, 8.0)) for _ in range(2))
         nx, nk = (data.draw(st.integers(2, 9)) for _ in range(2))
@@ -235,25 +239,11 @@ class TestParity:
     @settings(max_examples=40, deadline=None, database=None)
     @given(data=st.data())
     def test_even_or_odd_bit_for_bit(self, family, quantity, data):
-        a = data.draw(st.floats(0.25, 4.0), label="a")
-        if family == "gaussian":
-            params = GaussianEnsembleParams(
-                data.draw(st.floats(0.2, 2.7), label="alpha"), a)
-            entry = gaussian.GRID_QUANTITIES[quantity]
-            lim = min(8.0, params.trust_limit())
-        else:
-            # beta <= 2 lies below beta*(a) for every a in [0.25, 4]
-            order = data.draw(st.sampled_from(("classical", "h2")),
-                              label="order")
-            params = ThermalEnsembleParams(
-                data.draw(st.floats(0.05, 2.0), label="beta"), a,
-                "h2" if quantity == "w_st2" else order)
-            entry = thermo.GRID_QUANTITIES[quantity]
-            lim = 8.0
-        nodes = st.lists(st.floats(-lim, lim), min_size=1, max_size=8)
-        x = np.array(data.draw(nodes, label="x"))
-        k = np.array(data.draw(st.lists(st.floats(-lim, lim), min_size=len(x),
-                                        max_size=len(x)), label="k"))
+        params, entry = draw_params(data, family, quantity)
+        lim = 8.0 if family == "thermal" else min(8.0, params.trust_limit())
+        coord = st.floats(-lim, lim)
+        x, k = map(np.array, zip(*data.draw(st.lists(
+            st.tuples(coord, coord), min_size=1, max_size=8), label="nodes")))
         value = fieldgrid._evaluate(entry, params, x, k)
         mirror = fieldgrid._evaluate(entry, params, -x, -k)
         if quantity not in EVEN[family]:
